@@ -84,7 +84,7 @@ let query_cache = function
 
 let attach_query_cache ?capacity t =
   let cluster = nodes t in
-  let tick ~node name by = Dpc_util.Metrics.incr ~by (Dpc_engine.Node.metrics cluster.(node)) name in
+  let tick ~node name by = Dpc_util.Metrics.add (Dpc_engine.Node.metrics cluster.(node)) name by in
   let cache = Query_cache.create ?capacity ~tick () in
   set_query_cache t (Some cache);
   cache

@@ -399,7 +399,7 @@ let flush_group t node =
     (match log.disk with None -> () | Some d -> write_all d.wal_fd blob);
     S.reset log.pending;
     log.pending_entries <- 0;
-    Metrics.incr (metrics t node) ~by:log.pending_bytes "crash.wal_bytes";
+    Metrics.add (metrics t node) "crash.wal_bytes" log.pending_bytes;
     log.pending_bytes <- 0
   end
 
@@ -484,7 +484,7 @@ let take_checkpoint t node =
   end;
   let m = metrics t node in
   Metrics.incr m "crash.checkpoints";
-  Metrics.incr m ~by:bytes "crash.checkpoint_bytes"
+  Metrics.add m "crash.checkpoint_bytes" bytes
 
 (* WAL-then-apply: called before the entry's effects. A boundary entry
    marks the start of a fresh top-level operation — everything before it
@@ -665,16 +665,16 @@ let is_up t node = t.control.Transport.is_up node
 let rematerialize t node =
   let m = metrics t node in
   let log = t.logs.(node) in
-  if log.crashes > 0 then Metrics.incr m ~by:log.crashes "crash.crashes";
+  if log.crashes > 0 then Metrics.add m "crash.crashes" log.crashes;
   (* Bytes still sitting in the open group have not been ticked yet; the
      registry stays behind by exactly that much until the next flush. *)
   let ticked_wal = log.wal_bytes - log.pending_bytes in
-  if ticked_wal > 0 then Metrics.incr m ~by:ticked_wal "crash.wal_bytes";
-  if log.checkpoints > 0 then Metrics.incr m ~by:log.checkpoints "crash.checkpoints";
-  if log.checkpoint_bytes > 0 then Metrics.incr m ~by:log.checkpoint_bytes "crash.checkpoint_bytes";
-  if log.recovery_ms_ticked > 0 then Metrics.incr m ~by:log.recovery_ms_ticked "crash.recovery_ms";
+  if ticked_wal > 0 then Metrics.add m "crash.wal_bytes" ticked_wal;
+  if log.checkpoints > 0 then Metrics.add m "crash.checkpoints" log.checkpoints;
+  if log.checkpoint_bytes > 0 then Metrics.add m "crash.checkpoint_bytes" log.checkpoint_bytes;
+  if log.recovery_ms_ticked > 0 then Metrics.add m "crash.recovery_ms" log.recovery_ms_ticked;
   if log.queries_degraded > 0 then
-    Metrics.incr m ~by:log.queries_degraded "crash.queries_degraded"
+    Metrics.add m "crash.queries_degraded" log.queries_degraded
 
 let crash t node =
   if is_up t node then begin
@@ -741,7 +741,7 @@ let tick_recovery t node t0 =
   log.recovery_s <- log.recovery_s +. (Clock.now () -. t0);
   let total = recovery_ms_of log in
   if total > log.recovery_ms_ticked then begin
-    Metrics.incr (metrics t node) ~by:(total - log.recovery_ms_ticked) "crash.recovery_ms";
+    Metrics.add (metrics t node) "crash.recovery_ms" (total - log.recovery_ms_ticked);
     log.recovery_ms_ticked <- total
   end
 

@@ -40,7 +40,7 @@ type node_state = {
 
 type t = {
   delp : Delp.t;
-  env : Dpc_engine.Env.t;
+  plans : Dpc_engine.Eval.plan list;  (* the rules, compiled once for re-derivation *)
   keys : Dpc_analysis.Equi_keys.t;
   interclass : bool;
   nodes : Node.t array;
@@ -81,7 +81,7 @@ let fresh_state () =
 let create ~delp ~env ~keys ?(interclass = false) ~nodes () =
   {
     delp;
-    env;
+    plans = List.map (Dpc_engine.Eval.plan ~env) delp.program.rules;
     keys;
     interclass;
     nodes = Node.cluster nodes;
@@ -424,9 +424,11 @@ let with_cache t acct ~rref:(rloc, rid) ~ctx compute =
           acct.touched <- List.rev_append outer acct.touched;
           trees)
 
-let find_rule t name =
-  match List.find_opt (fun (r : Ast.rule) -> String.equal r.name name) t.delp.program.rules with
-  | Some r -> r
+let find_plan t name =
+  match
+    List.find_opt (fun p -> String.equal (Dpc_engine.Eval.plan_rule p).name name) t.plans
+  with
+  | Some p -> p
   | None -> raise (Broken (Printf.sprintf "unknown rule %s" name))
 
 (* QR (Fig 18): collect the shared chain root-to-leaf. The plain layout has
@@ -502,10 +504,10 @@ let rederive t acct ~evid chain =
         in
         if Tuple.loc event <> leaf.rloc then raise (Broken "event at wrong ingress");
         let slow = List.map (resolve_slow t acct ~node:leaf.rloc) leaf.vids in
-        let rule = find_rule t leaf.rule in
+        let plan = find_plan t leaf.rule in
         charge_rederive acct 1;
         begin
-          match Dpc_engine.Eval.fire_with_slow ~env:t.env ~rule ~event ~slow with
+          match Dpc_engine.Eval.fire_with_slow ~plan ~event ~slow with
           | Some head ->
               ({ Prov_tree.rule = leaf.rule; output = head; trigger = Event event; slow }, head)
           | None -> raise (Broken "re-derivation failed at leaf")
@@ -514,10 +516,10 @@ let rederive t acct ~evid chain =
         let sub, sub_head = build rest in
         if Tuple.loc sub_head <> row.rloc then raise (Broken "chain/location mismatch");
         let slow = List.map (resolve_slow t acct ~node:row.rloc) row.vids in
-        let rule = find_rule t row.rule in
+        let plan = find_plan t row.rule in
         charge_rederive acct 1;
         begin
-          match Dpc_engine.Eval.fire_with_slow ~env:t.env ~rule ~event:sub_head ~slow with
+          match Dpc_engine.Eval.fire_with_slow ~plan ~event:sub_head ~slow with
           | Some head ->
               ({ Prov_tree.rule = row.rule; output = head; trigger = Derived sub; slow }, head)
           | None -> raise (Broken "re-derivation failed")

@@ -26,7 +26,7 @@ type node_state = {
 
 type t = {
   delp : Delp.t;
-  env : Dpc_engine.Env.t;
+  plans : Dpc_engine.Eval.plan list;  (* the rules, compiled once for re-derivation *)
   nodes : Node.t array;
   key : node_state Node.key;
   mutable track_dirty : bool;
@@ -46,7 +46,8 @@ let fresh_state () =
   }
 
 let create ~delp ~env ~nodes =
-  { delp; env; nodes = Node.cluster nodes; key = Node.key ~name:"store.basic" ();
+  { delp; plans = List.map (Dpc_engine.Eval.plan ~env) delp.program.rules;
+    nodes = Node.cluster nodes; key = Node.key ~name:"store.basic" ();
     track_dirty = false; degraded_sink = None; cache = None; reset_hooked = false }
 
 let set_track_dirty t on = t.track_dirty <- on
@@ -263,9 +264,11 @@ let with_cache t acct ~rref:(rloc, rid) ~ctx compute =
           acct.touched <- List.rev_append outer acct.touched;
           trees)
 
-let find_rule t name =
-  match List.find_opt (fun (r : Ast.rule) -> String.equal r.name name) t.delp.program.rules with
-  | Some r -> r
+let find_plan t name =
+  match
+    List.find_opt (fun p -> String.equal (Dpc_engine.Eval.plan_rule p).name name) t.plans
+  with
+  | Some p -> p
   | None -> raise (Broken (Printf.sprintf "unknown rule %s" name))
 
 let max_chains = 64
@@ -337,10 +340,10 @@ let rederive t acct chain =
                       (Rows.hex event_vid) leaf.rloc))
         in
         let slow = List.map (resolve_slow t acct ~node:leaf.rloc) slow_vids in
-        let rule = find_rule t leaf.rule in
+        let plan = find_plan t leaf.rule in
         charge_rederive acct 1;
         begin
-          match Dpc_engine.Eval.fire_with_slow ~env:t.env ~rule ~event ~slow with
+          match Dpc_engine.Eval.fire_with_slow ~plan ~event ~slow with
           | Some head ->
               ({ Prov_tree.rule = leaf.rule; output = head; trigger = Event event; slow }, head)
           | None -> raise (Broken "re-derivation failed at leaf")
@@ -350,10 +353,10 @@ let rederive t acct chain =
         if Tuple.loc sub_head <> row.rloc then
           raise (Broken "re-derived event located at the wrong node");
         let slow = List.map (resolve_slow t acct ~node:row.rloc) row.vids in
-        let rule = find_rule t row.rule in
+        let plan = find_plan t row.rule in
         charge_rederive acct 1;
         begin
-          match Dpc_engine.Eval.fire_with_slow ~env:t.env ~rule ~event:sub_head ~slow with
+          match Dpc_engine.Eval.fire_with_slow ~plan ~event:sub_head ~slow with
           | Some head ->
               ( { Prov_tree.rule = row.rule; output = head; trigger = Derived sub; slow },
                 head )

@@ -43,10 +43,9 @@ type handle = {
   store : t;
   id : string;
   delp : Delp.t;
-  env : Dpc_engine.Env.t;
   keys : Dpc_analysis.Equi_keys.t;
   private_key : private_state Node.key;
-  signatures : (string, Ast.rule) Hashtbl.t;  (* signature -> this program's rule *)
+  signatures : (string, Dpc_engine.Eval.plan) Hashtbl.t;  (* signature -> this program's rule, compiled *)
 }
 
 let create ~nodes =
@@ -119,14 +118,13 @@ let add_program t ~id ~delp ~env =
   t.program_ids <- id :: t.program_ids;
   let signatures = Hashtbl.create 8 in
   List.iter
-    (fun (r : Ast.rule) -> Hashtbl.replace signatures (rule_signature r) r)
+    (fun (r : Ast.rule) -> Hashtbl.replace signatures (rule_signature r) (Dpc_engine.Eval.plan ~env r))
     delp.Delp.program.rules;
   let handle =
     {
       store = t;
       id;
       delp;
-      env;
       keys = Dpc_analysis.Equi_keys.compute delp;
       private_key = Node.key ~name:("store.multi." ^ id) ();
       signatures;
@@ -282,7 +280,7 @@ let charge_hop acct ~src ~dst =
   acct.hop_s <- acct.hop_s +. h;
   acct.latency <- acct.latency +. h
 
-let find_rule h sig_id =
+let find_plan h sig_id =
   match Hashtbl.find_opt h.store.sig_of_id sig_id with
   | None -> raise (Broken "unknown rule signature id")
   | Some signature -> begin
@@ -344,24 +342,24 @@ let rederive h acct ~evid chain =
           | None -> raise (Broken "event not materialized")
         in
         let slow = List.map (resolve_slow h acct ~node:leaf.rloc) leaf.vids in
-        let rule = find_rule h leaf.rule in
+        let plan = find_plan h leaf.rule in
         charge_rederive acct 1;
         begin
-          match Dpc_engine.Eval.fire_with_slow ~env:h.env ~rule ~event ~slow with
+          match Dpc_engine.Eval.fire_with_slow ~plan ~event ~slow with
           | Some head ->
-              ({ Prov_tree.rule = rule.name; output = head; trigger = Event event; slow }, head)
+              ({ Prov_tree.rule = (Dpc_engine.Eval.plan_rule plan).name; output = head; trigger = Event event; slow }, head)
           | None -> raise (Broken "re-derivation failed at leaf")
         end
     | (row : Rows.rule_exec_row) :: rest ->
         let sub, sub_head = build rest in
         if Tuple.loc sub_head <> row.rloc then raise (Broken "chain/location mismatch");
         let slow = List.map (resolve_slow h acct ~node:row.rloc) row.vids in
-        let rule = find_rule h row.rule in
+        let plan = find_plan h row.rule in
         charge_rederive acct 1;
         begin
-          match Dpc_engine.Eval.fire_with_slow ~env:h.env ~rule ~event:sub_head ~slow with
+          match Dpc_engine.Eval.fire_with_slow ~plan ~event:sub_head ~slow with
           | Some head ->
-              ({ Prov_tree.rule = rule.name; output = head; trigger = Derived sub; slow }, head)
+              ({ Prov_tree.rule = (Dpc_engine.Eval.plan_rule plan).name; output = head; trigger = Derived sub; slow }, head)
           | None -> raise (Broken "re-derivation failed")
         end
   in

@@ -1,11 +1,12 @@
 (** A node-local relational store with set semantics (the [DB_i] of the
     system model, §3): slow-changing base tables plus derived tuples.
 
-    Each relation carries secondary hash indexes keyed on attribute
-    positions (chosen at rule-compile time by {!Eval.plan}). Indexes are
-    built lazily on the first {!lookup} and maintained incrementally by
-    {!insert}/{!remove}, as is the per-relation serialized-byte counter
-    behind {!size_bytes}. *)
+    Tuples are keyed by value ({!Dpc_ndlog.Tuple.equal} and
+    {!Dpc_ndlog.Tuple.hash}). Each relation carries secondary hash indexes
+    keyed on attribute positions (chosen at rule-compile time by
+    {!Eval.plan}). Indexes are built on the first {!probe} and maintained
+    incrementally by {!insert}/{!remove}, as is the per-relation
+    serialized-byte counter behind {!size_bytes}. *)
 
 type t
 
@@ -19,23 +20,41 @@ val remove : t -> Dpc_ndlog.Tuple.t -> bool
 
 val mem : t -> Dpc_ndlog.Tuple.t -> bool
 
-val iter : t -> string -> (Dpc_ndlog.Tuple.t -> unit) -> unit
-(** Visit every tuple of a relation, in unspecified order. *)
-
-val all : t -> string -> Dpc_ndlog.Tuple.t list
-(** All tuples of a relation, in unspecified order (no sort). *)
-
 val scan : t -> string -> Dpc_ndlog.Tuple.t list
-(** All tuples of a relation, sorted — deterministic but O(n log n); use
-    {!iter}/{!all}/{!lookup} where order is not observable. *)
+(** All tuples of a relation, sorted — deterministic but O(n log n). *)
+
+(** {2 Index probes} *)
+
+type key_part =
+  | Reg of int  (** the value in this slot of the caller's register file *)
+  | Lit of Dpc_ndlog.Value.t  (** a constant *)
+
+val probe :
+  t ->
+  rel:string ->
+  positions:int array ->
+  key:key_part array ->
+  Dpc_ndlog.Value.t array ->
+  Dpc_ndlog.Tuple.t list
+(** [probe t ~rel ~positions ~key regs] is the bucket of tuples of [rel]
+    whose attribute at [positions.(i)] equals [key.(i)] read against
+    [regs], for every [i]: newest insert first. Served from a secondary
+    hash index, built on the first probe for that positions array (from
+    the tuples present, in insertion order) and updated on insert/remove
+    thereafter. An empty [positions] probes the whole relation. Allocates
+    nothing once the index exists. [positions] must be in range for every
+    tuple of the relation. *)
 
 val lookup :
   t -> rel:string -> positions:int list -> key:Dpc_ndlog.Value.t list -> Dpc_ndlog.Tuple.t list
-(** The tuples of [rel] whose attributes at [positions] equal [key]
-    (element-wise, same order). Served from a secondary hash index: built
-    on first use for that positions list, updated on insert/remove
-    thereafter. [positions] must be non-empty and in range for every tuple
-    of the relation. *)
+(** {!probe} with a constant key: the tuples of [rel] whose attributes at
+    [positions] equal [key] (element-wise, same order). *)
+
+val key_matches :
+  positions:int array -> key:key_part array -> Dpc_ndlog.Value.t array -> Dpc_ndlog.Tuple.t -> bool
+(** Whether the tuple's attributes at [positions] equal [key] read against
+    the registers: the test a {!probe} bucket passes by construction.
+    [positions] must be in range for the tuple. *)
 
 val clear : t -> unit
 (** Drop every relation, index, and byte counter — the store of a node

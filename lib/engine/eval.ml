@@ -52,21 +52,21 @@ let rec eval_expr env binding = function
       | Some fn -> fn (List.map (eval_expr env binding) args)
     end
 
+let order a b =
+  match a, b with
+  | Value.Int x, Value.Int y -> Int.compare x y
+  | Value.Str x, Value.Str y -> String.compare x y
+  | (Value.Int _ | Value.Str _ | Value.Bool _ | Value.Addr _), _ ->
+      fail "ordering comparison on %s and %s" (Value.to_string a) (Value.to_string b)
+
 let compare_values op a b =
-  let ordered cmp =
-    match a, b with
-    | Value.Int x, Value.Int y -> cmp (compare x y) 0
-    | Value.Str x, Value.Str y -> cmp (String.compare x y) 0
-    | (Value.Int _ | Value.Str _ | Value.Bool _ | Value.Addr _), _ ->
-        fail "ordering comparison on %s and %s" (Value.to_string a) (Value.to_string b)
-  in
   match op with
   | Ast.Eq -> Value.equal a b
   | Ast.Neq -> not (Value.equal a b)
-  | Ast.Lt -> ordered ( < )
-  | Ast.Leq -> ordered ( <= )
-  | Ast.Gt -> ordered ( > )
-  | Ast.Geq -> ordered ( >= )
+  | Ast.Lt -> order a b < 0
+  | Ast.Leq -> order a b <= 0
+  | Ast.Gt -> order a b > 0
+  | Ast.Geq -> order a b >= 0
 
 let instantiate (a : Ast.atom) binding =
   let values =
@@ -117,103 +117,223 @@ let fire ~env ~db ~(rule : Ast.rule) ~event =
       run_conditions env rule.conds binding ~lookup:(fun _ (a : Ast.atom) _ -> Db.scan db a.rel)
       |> List.map (fun (binding, slow) -> (instantiate rule.head binding, slow))
 
-(* Compile-time join planning: walk the conditions left to right tracking
-   which variables the event atom and earlier conditions have bound; for
-   each condition atom, the argument positions holding constants or
-   already-bound variables become the key of a {!Db.lookup} index probe.
-   An atom with no bound position falls back to the unsorted full
-   relation. *)
-type key_part = K_const of Value.t | K_var of string
+(* Compiled rule plans. [plan] numbers the rule's variables in order of
+   first binding and turns the body into steps over that register file:
 
-type source = S_all | S_keyed of { positions : int list; parts : key_part list }
+   - the event atom becomes per-position checks (constants), binds (first
+     occurrences) and checks (repeated variables);
+   - each condition atom becomes a {!Db.probe} whose key is read from the
+     registers and constants already fixed when it is reached (the
+     positions holding them), plus binds and checks for the rest;
+   - each comparison or assignment becomes an expression over registers;
+   - the head becomes an array of register and constant reads.
 
-type plan = { rule : Ast.rule; sources : source array }
+   The static bound set at each step is exactly the dynamic binding the
+   reference evaluator above would hold there, so a variable read before it
+   is bound fails with the same error. *)
+type expr =
+  | X_const of Value.t
+  | X_reg of int
+  | X_unbound of string
+  | X_binop of Ast.binop * expr * expr
+  | X_call of string * (Value.t list -> Value.t) option * expr list
+
+type atom = {
+  rel : string;
+  arity : int;
+  key_pos : int array;  (* fixed before the atom is matched *)
+  key : Db.key_part array;
+  bind_pos : int array;  (* first occurrences of fresh variables ... *)
+  bind_reg : int array;
+  check_pos : int array;  (* ... and their later occurrences *)
+  check_reg : int array;
+}
+
+type step =
+  | Join of atom
+  | Test of Ast.cmp * expr * expr
+  | Let of int * expr  (* assignment to a fresh variable *)
+  | Let_check of int * expr  (* assignment to a bound one: an equality test *)
+
+type plan = {
+  rule : Ast.rule;
+  regs : int;
+  event : atom;
+  steps : step array;
+  joins : int;
+  head_rel : string;
+  head : Db.key_part array;
+  head_unbound : string option;  (* the first head variable the body never binds *)
+}
 
 let plan_rule p = p.rule
 
-let plan (rule : Ast.rule) =
-  let bound = Hashtbl.create 16 in
-  let bind_atom (a : Ast.atom) =
-    List.iter
-      (function Ast.Var v -> Hashtbl.replace bound v () | Ast.Const _ -> ())
-      a.args
+let plan ~env (rule : Ast.rule) =
+  let slots = Hashtbl.create 16 in
+  let reg v = Hashtbl.find_opt slots v in
+  let fresh v =
+    let r = Hashtbl.length slots in
+    Hashtbl.add slots v r;
+    r
   in
-  bind_atom rule.event;
-  let source_of = function
-    | Ast.C_atom a ->
-        let keyed =
-          List.concat
-            (List.mapi
-               (fun i -> function
-                 | Ast.Const c -> [ (i, K_const c) ]
-                 | Ast.Var v -> if Hashtbl.mem bound v then [ (i, K_var v) ] else [])
-               a.args)
-        in
-        let s =
-          match keyed with
-          | [] -> S_all
-          | _ :: _ ->
-              S_keyed { positions = List.map fst keyed; parts = List.map snd keyed }
-        in
-        bind_atom a;
-        s
-    | Ast.C_cmp _ -> S_all
-    | Ast.C_assign (x, _) ->
-        Hashtbl.replace bound x ();
-        S_all
+  let compile_atom (a : Ast.atom) =
+    let key = ref [] and binds = ref [] and checks = ref [] and own = ref [] in
+    List.iteri
+      (fun i -> function
+        | Ast.Const c -> key := (i, Db.Lit c) :: !key
+        | Ast.Var v -> (
+            match reg v with
+            | Some r when List.mem v !own -> checks := (i, r) :: !checks
+            | Some r -> key := (i, Db.Reg r) :: !key
+            | None ->
+                own := v :: !own;
+                binds := (i, fresh v) :: !binds))
+      a.args;
+    let split l = (Array.of_list (List.rev_map fst l), Array.of_list (List.rev_map snd l)) in
+    let key_pos, key = split !key and bind_pos, bind_reg = split !binds in
+    let check_pos, check_reg = split !checks in
+    { rel = a.rel; arity = List.length a.args; key_pos; key; bind_pos; bind_reg; check_pos;
+      check_reg }
   in
-  { rule; sources = Array.of_list (List.map source_of rule.conds) }
+  let rec compile_expr = function
+    | Ast.E_const c -> X_const c
+    | Ast.E_var v -> ( match reg v with Some r -> X_reg r | None -> X_unbound v)
+    | Ast.E_binop (op, a, b) -> X_binop (op, compile_expr a, compile_expr b)
+    | Ast.E_call (f, args) -> X_call (f, Env.lookup env f, List.map compile_expr args)
+  in
+  let event = compile_atom rule.event in
+  let steps =
+    List.map
+      (function
+        | Ast.C_atom a -> Join (compile_atom a)
+        | Ast.C_cmp (op, lhs, rhs) -> Test (op, compile_expr lhs, compile_expr rhs)
+        | Ast.C_assign (x, e) -> (
+            let e = compile_expr e in
+            match reg x with Some r -> Let_check (r, e) | None -> Let (fresh x, e)))
+      rule.conds
+  in
+  let head =
+    List.map (function Ast.Const c -> Db.Lit c | Ast.Var v -> Db.Reg (Option.value ~default:(-1) (reg v))) rule.head.args
+  in
+  {
+    rule;
+    regs = Hashtbl.length slots;
+    event;
+    steps = Array.of_list steps;
+    joins = List.length (List.filter (function Join _ -> true | _ -> false) steps);
+    head_rel = rule.head.rel;
+    head = Array.of_list head;
+    head_unbound =
+      List.find_map
+        (function Ast.Var v when reg v = None -> Some v | Ast.Var _ | Ast.Const _ -> None)
+        rule.head.args;
+  }
 
-let fire_planned ~env ~db ~plan ~event =
-  let rule = plan.rule in
-  match match_atom rule.event event [] with
-  | None -> []
-  | Some binding ->
-      let lookup cond_idx (a : Ast.atom) binding =
-        match plan.sources.(cond_idx) with
-        | S_all -> Db.all db a.rel
-        | S_keyed { positions; parts } ->
-            let key =
-              List.map
-                (function
-                  | K_const c -> c
-                  | K_var v -> (
-                      match List.assoc_opt v binding with
-                      | Some value -> value
-                      | None -> fail "fire_planned: unbound key variable %s in %s" v rule.name))
-                parts
-            in
-            Db.lookup db ~rel:a.rel ~positions ~key
-      in
-      run_conditions env rule.conds binding ~lookup
-      |> List.map (fun (binding, slow) -> (instantiate rule.head binding, slow))
+(* The same argument order as [eval_expr], so errors surface alike. *)
+let rec eval regs = function
+  | X_const c -> c
+  | X_reg r -> regs.(r)
+  | X_unbound v -> fail "unbound variable %s" v
+  | X_binop (op, a, b) -> arith op (eval regs a) (eval regs b)
+  | X_call (f, None, _) -> fail "unknown function %s" f
+  | X_call (_, Some fn, args) -> fn (eval_args regs args)
 
-let fire_with_slow ~env ~(rule : Ast.rule) ~event ~slow =
-  match match_atom rule.event event [] with
-  | None -> None
-  | Some binding ->
-      let slow_arr = Array.of_list slow in
-      let atom_positions =
-        (* cond_idx -> index into [slow] for condition atoms. *)
-        let tbl = Hashtbl.create 4 in
-        let next = ref 0 in
-        List.iteri
-          (fun i c ->
-            match c with
-            | Ast.C_atom _ ->
-                Hashtbl.add tbl i !next;
-                incr next
-            | Ast.C_cmp _ | Ast.C_assign _ -> ())
-          rule.conds;
-        if !next <> Array.length slow_arr then
-          fail "fire_with_slow: rule %s expects %d slow tuples, got %d" rule.name !next
-            (Array.length slow_arr);
-        tbl
-      in
-      let lookup cond_idx (_ : Ast.atom) _ = [ slow_arr.(Hashtbl.find atom_positions cond_idx) ] in
-      begin
-        match run_conditions env rule.conds binding ~lookup with
-        | [] -> None
-        | [ (binding, _) ] -> Some (instantiate rule.head binding)
-        | _ :: _ :: _ -> fail "fire_with_slow: ambiguous re-derivation for rule %s" rule.name
-      end
+and eval_args regs = function
+  | [] -> []
+  | a :: rest ->
+      let v = eval regs a in
+      v :: eval_args regs rest
+
+(* Whether [tuple] matches the atom's relation, arity and key. *)
+let matches_key a regs tuple =
+  String.equal a.rel (Tuple.rel tuple)
+  && Tuple.arity tuple = a.arity
+  && Db.key_matches ~positions:a.key_pos ~key:a.key regs tuple
+
+(* Bind the atom's fresh variables from [tuple] and test their repeated
+   occurrences; the key is the caller's business. *)
+let bind a regs tuple =
+  let args = Tuple.args tuple in
+  Array.length args = a.arity
+  && begin
+       for i = 0 to Array.length a.bind_pos - 1 do
+         regs.(a.bind_reg.(i)) <- args.(a.bind_pos.(i))
+       done;
+       let ok = ref true and i = ref 0 in
+       while !ok && !i < Array.length a.check_pos do
+         ok := Value.equal regs.(a.check_reg.(!i)) args.(a.check_pos.(!i));
+         incr i
+       done;
+       !ok
+     end
+
+let unset = Value.Int 0
+
+let instantiate_head p regs =
+  (match p.head_unbound with Some v -> fail "unbound head variable %s" v | None -> ());
+  let args = Array.make (Array.length p.head) unset in
+  for i = 0 to Array.length p.head - 1 do
+    args.(i) <- (match p.head.(i) with Db.Reg r -> regs.(r) | Db.Lit c -> c)
+  done;
+  Tuple.of_array p.head_rel args
+
+let match_event p regs event = matches_key p.event regs event && bind p.event regs event
+
+(* Run the steps from [i] depth-first. [used] holds the slow tuples joined
+   so far, newest first; [acc] the derivations found so far, newest
+   first. *)
+let rec run p db regs i used acc =
+  if i = Array.length p.steps then
+    let slow = match used with [] | [ _ ] -> used | _ :: _ :: _ -> List.rev used in
+    (instantiate_head p regs, slow) :: acc
+  else
+    match p.steps.(i) with
+    | Join a -> join p db regs i used acc a (Db.probe db ~rel:a.rel ~positions:a.key_pos ~key:a.key regs)
+    | Test (op, lhs, rhs) ->
+        if compare_values op (eval regs lhs) (eval regs rhs) then run p db regs (i + 1) used acc
+        else acc
+    | Let (r, e) ->
+        regs.(r) <- eval regs e;
+        run p db regs (i + 1) used acc
+    | Let_check (r, e) ->
+        if Value.equal regs.(r) (eval regs e) then run p db regs (i + 1) used acc else acc
+
+and join p db regs i used acc a = function
+  | [] -> acc
+  | tuple :: rest ->
+      let acc = if bind a regs tuple then run p db regs (i + 1) (tuple :: used) acc else acc in
+      join p db regs i used acc a rest
+
+let fire_planned ~db ~plan ~event =
+  let regs = Array.make plan.regs unset in
+  if not (match_event plan regs event) then []
+  else
+    match run plan db regs 0 [] [] with
+    | ([] | [ _ ]) as derivations -> derivations
+    | derivations -> List.rev derivations
+
+(* The steps once more, with the recorded slow tuples as the only
+   candidates: a single path, so at most one derivation. *)
+let rec rederive p regs i slow =
+  if i = Array.length p.steps then true
+  else
+    match p.steps.(i), slow with
+    | Join a, tuple :: rest ->
+        matches_key a regs tuple && bind a regs tuple && rederive p regs (i + 1) rest
+    | Join _, [] -> false
+    | Test (op, lhs, rhs), _ ->
+        compare_values op (eval regs lhs) (eval regs rhs) && rederive p regs (i + 1) slow
+    | Let (r, e), _ ->
+        regs.(r) <- eval regs e;
+        rederive p regs (i + 1) slow
+    | Let_check (r, e), _ -> Value.equal regs.(r) (eval regs e) && rederive p regs (i + 1) slow
+
+let fire_with_slow ~plan ~event ~slow =
+  let regs = Array.make plan.regs unset in
+  if not (match_event plan regs event) then None
+  else begin
+    let n = List.length slow in
+    if n <> plan.joins then
+      fail "fire_with_slow: rule %s expects %d slow tuples, got %d" plan.rule.name plan.joins n;
+    if rederive plan regs 0 slow then Some (instantiate_head plan regs) else None
+  end

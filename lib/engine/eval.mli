@@ -1,14 +1,18 @@
 (** Evaluation of a single DELP rule against an event tuple.
 
-    [fire] is the runtime join: unify the event atom with the arriving
+    [fire] is the reference join: unify the event atom with the arriving
     event tuple, join the slow-changing condition atoms against the local
-    database, evaluate comparison atoms and assignments, and instantiate the
-    head. One result per satisfying combination of slow-changing tuples.
+    database (scanning and sorting each relation), evaluate comparison
+    atoms and assignments, and instantiate the head. One result per
+    satisfying combination of slow-changing tuples. The runtime does not
+    call it; the property tests compare the compiled path below with it.
 
-    [fire_with_slow] is the symbolic re-derivation used at query time
-    (§4 step 2): instead of joining the database — whose slow-changing
-    tables may have changed since — it binds the condition atoms to the
-    recorded slow tuples and recomputes the head. *)
+    The runtime fires {!plan}s: each rule compiled once into steps over
+    numbered variable slots, whose condition atoms probe {!Db} indexes.
+    [fire_with_slow] runs the same plan for the symbolic re-derivation used
+    at query time (§4 step 2): instead of joining the database — whose
+    slow-changing tables may have changed since — it binds the condition
+    atoms to the recorded slow tuples and recomputes the head. *)
 
 exception Eval_error of string
 (** Type errors, unknown functions, division by zero. Evaluation is only
@@ -39,32 +43,34 @@ val fire :
     tuples are listed in condition-atom order. *)
 
 type plan
-(** A rule compiled for index-driven joins: for each condition atom, the
-    argument positions already bound by the event atom or earlier
-    conditions (constants included) form the key of a {!Db.lookup} probe;
-    atoms with no bound position fall back to a full-relation pass. *)
+(** A rule compiled over a register file, one slot per variable: the event
+    atom becomes per-position checks and binds; each condition atom a
+    {!Db.probe} whose key is read from the constants and slots bound before
+    it; each comparison or assignment an expression over slots; the head an
+    array of slot and constant reads. *)
 
-val plan : Dpc_ndlog.Ast.rule -> plan
+val plan : env:Env.t -> Dpc_ndlog.Ast.rule -> plan
+(** Compile a rule, resolving its functions in [env] (an unknown function
+    fails when a firing first evaluates it, as in {!fire}). *)
 
 val plan_rule : plan -> Dpc_ndlog.Ast.rule
 
 val fire_planned :
-  env:Env.t ->
-  db:Db.t ->
-  plan:plan ->
-  event:Dpc_ndlog.Tuple.t ->
-  (Dpc_ndlog.Tuple.t * Dpc_ndlog.Tuple.t list) list
-(** Same derivations as {!fire} on the planned rule (as a multiset —
-    candidate order, and hence result order, is unspecified), but each
-    condition atom probes an exact index bucket instead of scanning and
-    sorting the relation. *)
+  db:Db.t -> plan:plan -> event:Dpc_ndlog.Tuple.t -> (Dpc_ndlog.Tuple.t * Dpc_ndlog.Tuple.t list) list
+(** The same derivations as {!fire} on the planned rule, as a multiset, in
+    this order: depth-first over the condition atoms, left to right, with
+    each atom's candidates in {!Db.probe} bucket order, newest insert
+    first. The runtime ships derivations in this order, so simulator
+    sequence numbers, Advanced's hmap reference lists and every digest
+    depend on it.
+
+    A firing allocates one register array; only a successful derivation
+    allocates its head, its slow list and its result cell (and a candidate
+    that passes its atom, one cell of the slow list being built). *)
 
 val fire_with_slow :
-  env:Env.t ->
-  rule:Dpc_ndlog.Ast.rule ->
-  event:Dpc_ndlog.Tuple.t ->
-  slow:Dpc_ndlog.Tuple.t list ->
-  Dpc_ndlog.Tuple.t option
+  plan:plan -> event:Dpc_ndlog.Tuple.t -> slow:Dpc_ndlog.Tuple.t list -> Dpc_ndlog.Tuple.t option
 (** Re-derive the head from the event and the recorded slow tuples (one per
     condition atom, in order); [None] if they no longer unify or a
-    comparison fails. *)
+    comparison fails. @raise Eval_error when the event matches but the
+    number of slow tuples differs from the number of condition atoms. *)

@@ -48,7 +48,8 @@ let cluster n =
 let id t = t.id
 let db t = t.db
 let metrics t = t.metrics
-let tick t ?by name = Dpc_util.Metrics.incr t.metrics ?by name
+let tick t name = Dpc_util.Metrics.incr t.metrics name
+let add t name n = Dpc_util.Metrics.add t.metrics name n
 
 let on_reset t hook = t.reset_hooks <- hook :: t.reset_hooks
 

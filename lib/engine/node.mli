@@ -22,9 +22,12 @@ val id : t -> int
 val db : t -> Db.t
 val metrics : t -> Dpc_util.Metrics.t
 
-val tick : t -> ?by:int -> string -> unit
-(** Bump a counter in the node's metrics registry: the one-liner every
+val tick : t -> string -> unit
+(** Bump a counter in the node's metrics registry by 1: the one-liner every
     layer that instruments per-node work wants. *)
+
+val add : t -> string -> int -> unit
+(** [add t name n] adds [n] to a counter in the node's registry. *)
 
 val reset : t -> unit
 (** Wipe everything volatile — database, metrics, properties — as a crash

@@ -106,7 +106,7 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(msg_overhead = 28) ?
   List.iter
     (fun (rule : Ast.rule) ->
       let existing = Option.value ~default:[] (Hashtbl.find_opt plans rule.event.rel) in
-      Hashtbl.replace plans rule.event.rel (existing @ [ Eval.plan rule ]))
+      Hashtbl.replace plans rule.event.rel (existing @ [ Eval.plan ~env rule ]))
     delp.program.rules;
   {
     transport;
@@ -164,13 +164,18 @@ let load_slow t tuples =
       ignore (Db.insert (db t node) tuple))
     tuples
 
+(* Logs builds a message closure at every call site, so the per-firing
+   ones are guarded on the source's level instead. *)
+let debug_on () = match Logs.Src.level log_src with Some Logs.Debug -> true | Some _ | None -> false
+
 (* Process [event] arriving at [node] carrying [meta]: fire every rule the
-   event relation triggers; ship each head to its location. A head whose
-   relation triggers no rule is an output. *)
+   event relation triggers, in program order; ship each head to its
+   location, in derivation order. A head whose relation triggers no rule
+   is an output. *)
 let rec process t ~input node event meta =
-  match Hashtbl.find_opt t.plans (Tuple.rel event) with
-  | None ->
-      Log.debug (fun m -> m "output %s at n%d" (Tuple.to_string event) node);
+  match Hashtbl.find t.plans (Tuple.rel event) with
+  | exception Not_found ->
+      if debug_on () then Log.debug (fun m -> m "output %s at n%d" (Tuple.to_string event) node);
       if not t.replaying.(node) then begin
         Atomic.incr t.output_count;
         if t.record_outputs then
@@ -180,7 +185,7 @@ let rec process t ~input node event meta =
       tick t node "runtime.outputs";
       ignore (Db.insert (db t node) event);
       t.hook.on_output ~node event meta
-  | Some plans ->
+  | plans ->
       (* Extra relations of interest get a concrete provenance record on
          arrival, then execution continues through them. The injected input
          event itself is a base tuple (nothing derived it), so only derived
@@ -189,33 +194,38 @@ let rec process t ~input node event meta =
         ignore (Db.insert (db t node) event);
         t.hook.on_output ~node event meta
       end;
-      let any_fired = ref false in
-      List.iter
-        (fun plan ->
-          let rule = Eval.plan_rule plan in
-          List.iter
-            (fun (head, slow) ->
-              any_fired := true;
-              if not t.replaying.(node) then Atomic.incr t.fired;
-              tick t node "runtime.fired";
-              Log.debug (fun m ->
-                m "%s fired at n%d: %s -> %s" rule.Ast.name node (Tuple.to_string event)
-                  (Tuple.to_string head));
-              let meta' = t.hook.on_fire ~node ~rule ~event ~slow ~head meta in
-              ship t node head meta')
-            (Eval.fire_planned ~env:t.env ~db:(db t node) ~plan ~event))
-        plans;
-      if not !any_fired then begin
-        Log.debug (fun m -> m "event %s died at n%d" (Tuple.to_string event) node);
+      if not (fire_plans t node event meta false plans) then begin
+        if debug_on () then Log.debug (fun m -> m "event %s died at n%d" (Tuple.to_string event) node);
         if not t.replaying.(node) then Atomic.incr t.dead_ends;
         tick t node "runtime.dead_ends"
       end
+
+(* Whether any of [plans] fired, or [fired] already. *)
+and fire_plans t node event meta fired = function
+  | [] -> fired
+  | plan :: rest ->
+      let derivations = Eval.fire_planned ~db:(db t node) ~plan ~event in
+      emit t node (Eval.plan_rule plan) event meta derivations;
+      fire_plans t node event meta (fired || match derivations with [] -> false | _ :: _ -> true) rest
+
+and emit t node rule event meta = function
+  | [] -> ()
+  | (head, slow) :: rest ->
+      if not t.replaying.(node) then Atomic.incr t.fired;
+      tick t node "runtime.fired";
+      if debug_on () then
+        Log.debug (fun m ->
+          m "%s fired at n%d: %s -> %s" rule.Ast.name node (Tuple.to_string event)
+            (Tuple.to_string head));
+      let meta' = t.hook.on_fire ~node ~rule ~event ~slow ~head meta in
+      ship t node head meta';
+      emit t node rule event meta rest
 
 and ship t src head meta =
   let dst = Tuple.loc head in
   let bytes = Tuple.wire_size head + t.hook.meta_bytes meta + t.msg_overhead in
   tick t src "runtime.shipped_msgs";
-  Node.tick t.nodes.(src) ~by:bytes "runtime.shipped_bytes";
+  Node.add t.nodes.(src) "runtime.shipped_bytes" bytes;
   if not t.replaying.(src) then begin
     match t.remote with
     | Some r when not (r.is_local dst) ->
@@ -252,8 +262,8 @@ and ship t src head meta =
    (delivered locally through the queue to preserve event ordering). *)
 let broadcast_sig t node op tuple =
   let bytes = t.msg_overhead + 4 in
-  Node.tick t.nodes.(node) ~by:(Array.length t.nodes) "runtime.shipped_msgs";
-  Node.tick t.nodes.(node) ~by:(bytes * Array.length t.nodes) "runtime.shipped_bytes";
+  Node.add t.nodes.(node) "runtime.shipped_msgs" (Array.length t.nodes);
+  Node.add t.nodes.(node) "runtime.shipped_bytes" (bytes * Array.length t.nodes);
   match t.remote with
   | None ->
       Dpc_net.Transport.broadcast t.transport ~src:node ~bytes (fun target ->

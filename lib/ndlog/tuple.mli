@@ -7,6 +7,10 @@ val make : string -> Value.t list -> t
 (** @raise Invalid_argument if the argument list is empty or the first
     argument is not an [Addr] (every NDlog relation is located). *)
 
+val of_array : string -> Value.t array -> t
+(** [make] over an array, which the tuple takes over: the caller must not
+    modify it afterwards. @raise Invalid_argument as {!make}. *)
+
 val rel : t -> string
 val args : t -> Value.t array
 val arity : t -> int

@@ -132,8 +132,10 @@ let wrap ?(config = default_config) ?metrics inner =
     probes = Atomic.make 0;
   }
 
-let tick t node ?by name =
-  match t.metrics with None -> () | Some f -> Dpc_util.Metrics.incr (f node) ?by name
+let add t node name n =
+  match t.metrics with None -> () | Some f -> Dpc_util.Metrics.add (f node) name n
+
+let tick t node name = add t node name 1
 
 let set_persist t f = t.persist <- Some f
 let persist t ev = match t.persist with None -> () | Some f -> f ev
@@ -250,7 +252,7 @@ let send t ~src ~dst ~bytes k =
       Atomic.incr t.acks;
       ignore (Atomic.fetch_and_add t.ack_bytes_total ack_bytes);
       tick t dst "net.acks_sent";
-      tick t dst ~by:ack_bytes "net.ack_bytes";
+      add t dst "net.ack_bytes" ack_bytes;
       Transport.send t.inner ~src:dst ~dst:src ~bytes:ack_bytes (fun () -> acked := true)
     end
   in
@@ -266,7 +268,7 @@ let send t ~src ~dst ~bytes k =
       Atomic.incr t.retransmits;
       ignore (Atomic.fetch_and_add t.retransmit_bytes wire);
       tick t src "net.retransmits";
-      tick t src ~by:wire "net.retransmit_bytes"
+      add t src "net.retransmit_bytes" wire
     end;
     Transport.send t.inner ~src ~dst ~bytes:wire deliver;
     (* Arm the ack timeout for this attempt, on the sender's own shard:

@@ -5,8 +5,10 @@ type t = {
   dist : float array array;
 }
 
-let dijkstra topo src =
-  let n = Topology.size topo in
+(* [neighbors.(v)]: v's links, sorted by neighbour id as
+   {!Topology.neighbors} gives them. *)
+let dijkstra neighbors src =
+  let n = Array.length neighbors in
   let dist = Array.make n infinity in
   let pred = Array.make n (-1) in
   dist.(src) <- 0.0;
@@ -17,7 +19,7 @@ let dijkstra topo src =
     | None -> ()
     | Some (d, v) ->
         if d <= dist.(v) then
-          List.iter
+          Array.iter
             (fun (w, (l : Topology.link)) ->
               let nd = d +. l.latency in
               if nd < dist.(w) then begin
@@ -25,7 +27,7 @@ let dijkstra topo src =
                 pred.(w) <- v;
                 Dpc_util.Heap.push heap (nd, w)
               end)
-            (Topology.neighbors topo v);
+            neighbors.(v);
         go ()
   in
   go ();
@@ -35,8 +37,9 @@ let compute topo =
   let n = Topology.size topo in
   let successor = Array.make_matrix n n (-1) in
   let dist = Array.make_matrix n n infinity in
+  let neighbors = Array.init n (fun v -> Array.of_list (Topology.neighbors topo v)) in
   for src = 0 to n - 1 do
-    let d, pred = dijkstra topo src in
+    let d, pred = dijkstra neighbors src in
     for dst = 0 to n - 1 do
       dist.(src).(dst) <- d.(dst);
       if dst <> src && d.(dst) < infinity then begin
@@ -48,8 +51,10 @@ let compute topo =
   done;
   { topology = topo; successor; dist }
 
+let successor t ~src ~dst = t.successor.(src).(dst)
+
 let next_hop t ~src ~dst =
-  let h = t.successor.(src).(dst) in
+  let h = successor t ~src ~dst in
   if h = -1 then None else Some h
 
 let path t ~src ~dst =

@@ -15,6 +15,10 @@ val next_hop : t -> src:int -> dst:int -> int option
 (** The neighbor of [src] on a shortest path to [dst]; [None] if
     unreachable or [src = dst]. *)
 
+val successor : t -> src:int -> dst:int -> int
+(** {!next_hop} without the option, for per-message walks: [-1] if
+    unreachable or [src = dst]. *)
+
 val path : t -> src:int -> dst:int -> int list option
 (** Inclusive node sequence from [src] to [dst]; [Some [src]] when
     [src = dst]; [None] if unreachable. *)

@@ -12,7 +12,9 @@ type t = {
   mutable processed : int;
   mutable total_bytes : int;
   mutable messages : int;
-  link_counters : (int * int, int ref) Hashtbl.t;
+  (* Byte counters, keyed by int so a charge allocates nothing once the
+     counter exists: a link [(a, b)], [a < b], under [a * n + b]. *)
+  link_counters : (int, int ref) Hashtbl.t;
   buckets : (int, int ref) Hashtbl.t;
 }
 
@@ -49,22 +51,12 @@ let schedule t ~delay action =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
   schedule_at t (t.clock +. delay) action
 
-let counter tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add tbl key r;
-      r
+let charge tbl key bytes =
+  match Hashtbl.find tbl key with
+  | r -> r := !r + bytes
+  | exception Not_found -> Hashtbl.add tbl key (ref bytes)
 
-let account t ~at ~hop_src ~hop_dst ~bytes =
-  t.total_bytes <- t.total_bytes + bytes;
-  let key = (min hop_src hop_dst, max hop_src hop_dst) in
-  let c = counter t.link_counters key in
-  c := !c + bytes;
-  let bucket = int_of_float (at /. t.bucket_width) in
-  let b = counter t.buckets bucket in
-  b := !b + bytes
+let link_key t a b = (min a b * Topology.size t.topo) + max a b
 
 let jitter_delay t = if t.jitter = 0.0 then 0.0 else Dpc_util.Rng.float t.rng t.jitter
 
@@ -72,25 +64,23 @@ let send t ~src ~dst ~bytes k =
   t.messages <- t.messages + 1;
   if src = dst then schedule t ~delay:(jitter_delay t) k
   else begin
-    match Routing.path t.routing ~src ~dst with
-    | None -> failwith (Printf.sprintf "Sim.send: node %d unreachable from %d" dst src)
-    | Some path ->
-        (* Walk the path hop by hop, accumulating per-hop delays and charging
-           each link at the moment transmission on it starts. *)
-        let rec hops at = function
-          | a :: (b :: _ as rest) ->
-              let link =
-                match Topology.link t.topo a b with
-                | Some l -> l
-                | None -> assert false (* routing only uses existing links *)
-              in
-              account t ~at ~hop_src:a ~hop_dst:b ~bytes;
-              let arrival = at +. link.latency +. (float_of_int bytes /. link.bandwidth) in
-              hops arrival rest
-          | [ _ ] | [] -> at
-        in
-        let arrival = hops t.clock path +. jitter_delay t in
-        schedule_at t arrival k
+    if Routing.successor t.routing ~src ~dst < 0 then
+      failwith (Printf.sprintf "Sim.send: node %d unreachable from %d" dst src);
+    (* Walk the shortest path hop by hop through the successor table,
+       accumulating per-hop delays and charging each link at the moment
+       transmission on it starts. *)
+    let at = ref t.clock and a = ref src in
+    while !a <> dst do
+      let b = Routing.successor t.routing ~src:!a ~dst in
+      (* routing only uses existing links *)
+      let link = Topology.link_exn t.topo !a b in
+      t.total_bytes <- t.total_bytes + bytes;
+      charge t.link_counters (link_key t !a b) bytes;
+      charge t.buckets (int_of_float (!at /. t.bucket_width)) bytes;
+      at := !at +. link.latency +. (float_of_int bytes /. link.bandwidth);
+      a := b
+    done;
+    schedule_at t (!at +. jitter_delay t) k
   end
 
 let run ?until t =
@@ -115,11 +105,13 @@ let events_processed t = t.processed
 let total_bytes t = t.total_bytes
 
 let link_bytes t =
+  let n = Topology.size t.topo in
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.link_counters []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map (fun (k, bytes) -> ((k / n, k mod n), bytes))
 
 let bucket_bytes t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.buckets []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let messages_sent t = t.messages

@@ -22,6 +22,8 @@ let link t a b =
   check_node t b;
   Hashtbl.find_opt t.adjacency.(a) b
 
+let link_exn t a b = Hashtbl.find t.adjacency.(a) b
+
 let connected t a b = link t a b <> None
 
 let neighbors t v =

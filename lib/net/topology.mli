@@ -15,6 +15,11 @@ val add_link : t -> int -> int -> link -> unit
     @raise Invalid_argument on out-of-range nodes, self-links. *)
 
 val link : t -> int -> int -> link option
+
+val link_exn : t -> int -> int -> link
+(** {!link} without the option, for per-message walks.
+    @raise Not_found if the nodes are not adjacent. *)
+
 val connected : t -> int -> int -> bool
 val neighbors : t -> int -> (int * link) list
 val links : t -> (int * int * link) list

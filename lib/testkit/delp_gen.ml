@@ -208,6 +208,13 @@ let run_events ?(spacing = 0.0) world events =
     events;
   Dpc_engine.Runtime.run world.runtime
 
+let queryable runtime =
+  List.map
+    (fun (out, (meta : Dpc_engine.Prov_hook.meta)) -> (out, meta.evid))
+    (Dpc_engine.Runtime.outputs runtime)
+  |> List.sort_uniq (fun (a, e) (b, f) ->
+       match Tuple.compare a b with 0 -> Dpc_util.Sha1.compare e f | c -> c)
+
 let mutate_non_keys ~rng ~keys event =
   let key_positions = Dpc_analysis.Equi_keys.keys keys in
   let args =

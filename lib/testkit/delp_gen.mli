@@ -48,6 +48,12 @@ val run_events : ?spacing:float -> world -> Dpc_ndlog.Tuple.t list -> unit
     simulated time [i *. spacing] — the chaos harness uses it to spread
     the run across a window that crash schedules can land inside. *)
 
+val queryable : Dpc_engine.Runtime.t -> (Dpc_ndlog.Tuple.t * Dpc_util.Sha1.t) list
+(** The distinct (output tuple, evid) pairs the run produced, sorted.
+    Tuples are compared by value ({!Dpc_ndlog.Tuple.compare}): polymorphic
+    comparison would also see their memoized renderings, which depend on
+    what has been computed on each copy so far. *)
+
 val mutate_non_keys :
   rng:Dpc_util.Rng.t -> keys:Dpc_analysis.Equi_keys.t -> Dpc_ndlog.Tuple.t ->
   Dpc_ndlog.Tuple.t

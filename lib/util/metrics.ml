@@ -34,10 +34,17 @@ let cell tbl ~make name =
       Hashtbl.add tbl name r;
       r
 
-let incr t ?(by = 1) name =
-  Mutex.protect t.lock (fun () ->
-    let r = cell t.counters ~make:(fun () -> ref 0) name in
-    r := !r + by)
+(* Counters are ticked several times per rule firing, so [add] takes the
+   lock by hand (nothing in between can raise) and probes with
+   [Hashtbl.find]: on an existing counter it allocates nothing. *)
+let add t name by =
+  Mutex.lock t.lock;
+  (match Hashtbl.find t.counters name with
+  | r -> r := !r + by
+  | exception Not_found -> Hashtbl.add t.counters name (ref by));
+  Mutex.unlock t.lock
+
+let incr t name = add t name 1
 
 let counter_value t name =
   Mutex.protect t.lock (fun () ->

@@ -22,8 +22,12 @@ type t
 
 val create : unit -> t
 
-val incr : t -> ?by:int -> string -> unit
-(** Add [by] (default 1) to a counter. *)
+val incr : t -> string -> unit
+(** Add 1 to a counter. *)
+
+val add : t -> string -> int -> unit
+(** [add t name n] adds [n] to a counter. Neither call allocates once the
+    counter exists. *)
 
 val counter_value : t -> string -> int
 (** Current value of a counter (0 if never incremented). *)

@@ -39,10 +39,7 @@ let query w ?evid out =
 (* Every distinct (output, evid) pair with a byte digest of its tree set:
    the world's complete observable provenance state, comparable with (=). *)
 let world_digests w =
-  List.map
-    (fun (out, (meta : Dpc_engine.Prov_hook.meta)) -> (out, meta.evid))
-    (Dpc_engine.Runtime.outputs w.Delp_gen.runtime)
-  |> List.sort_uniq compare
+  Delp_gen.queryable w.Delp_gen.runtime
   |> List.map (fun (out, evid) ->
        let sigs = List.sort_uniq compare (List.map tree_sig (query w ~evid out).trees) in
        ( (Dpc_ndlog.Tuple.canonical out, Dpc_util.Sha1.to_hex evid),

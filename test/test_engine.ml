@@ -197,7 +197,7 @@ let test_eval_string_ordering () =
 let test_fire_with_slow_rederives () =
   let event = pkt ~at:0 ~src:0 ~dst:2 ~payload:"x" in
   let slow = [ route ~at:0 ~dst:2 ~next:1 ] in
-  match Eval.fire_with_slow ~env:Env.empty ~rule:forwarding_r1 ~event ~slow with
+  match Eval.fire_with_slow ~plan:(Eval.plan ~env:Env.empty forwarding_r1) ~event ~slow with
   | Some head -> check tuple_t "re-derived" (pkt ~at:1 ~src:0 ~dst:2 ~payload:"x") head
   | None -> Alcotest.fail "expected a head"
 
@@ -206,7 +206,7 @@ let test_fire_with_slow_rejects_mismatched () =
   (* A route for a different destination no longer unifies. *)
   let slow = [ route ~at:0 ~dst:3 ~next:1 ] in
   check (Alcotest.option tuple_t) "no head" None
-    (Eval.fire_with_slow ~env:Env.empty ~rule:forwarding_r1 ~event ~slow)
+    (Eval.fire_with_slow ~plan:(Eval.plan ~env:Env.empty forwarding_r1) ~event ~slow)
 
 let test_fire_planned_matches_fire () =
   (* The index-driven join must produce the same derivations as the naive
@@ -227,7 +227,7 @@ let test_fire_planned_matches_fire () =
       List.iter
         (fun rule ->
           let naive = Eval.fire ~env:Env.empty ~db ~rule ~event in
-          let planned = Eval.fire_planned ~env:Env.empty ~db ~plan:(Eval.plan rule) ~event in
+          let planned = Eval.fire_planned ~db ~plan:(Eval.plan ~env:Env.empty rule) ~event in
           check
             (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.list Alcotest.string)))
             ("planned = naive on " ^ Tuple.to_string event)
@@ -244,7 +244,7 @@ let test_fire_with_slow_wrong_count () =
   let event = pkt ~at:0 ~src:0 ~dst:2 ~payload:"x" in
   Alcotest.check_raises "arity mismatch"
     (Eval.Eval_error "fire_with_slow: rule r1 expects 1 slow tuples, got 0") (fun () ->
-      ignore (Eval.fire_with_slow ~env:Env.empty ~rule:forwarding_r1 ~event ~slow:[]))
+      ignore (Eval.fire_with_slow ~plan:(Eval.plan ~env:Env.empty forwarding_r1) ~event ~slow:[]))
 
 (* ------------------------------------------------------------------ *)
 (* Env *)

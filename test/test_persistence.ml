@@ -152,10 +152,7 @@ let tree_sig tree =
   Dpc_ndlog.Tuple.canonical (Prov_tree.event_of tree) ^ "|" ^ Prov_tree.to_string tree
 
 let world_digests (w : Dpc_testkit.Delp_gen.world) =
-  List.map
-    (fun (out, (meta : Dpc_engine.Prov_hook.meta)) -> (out, meta.evid))
-    (Dpc_engine.Runtime.outputs w.runtime)
-  |> List.sort_uniq compare
+  Dpc_testkit.Delp_gen.queryable w.runtime
   |> List.map (fun (out, evid) ->
        let trees =
          (Backend.query w.backend ~cost:Query_cost.free ~routing:w.routing ~evid out).trees

@@ -15,11 +15,7 @@ let outputs world =
   List.map fst (Dpc_engine.Runtime.outputs world.Delp_gen.runtime)
 
 (* Distinct (output tuple, evid) pairs produced by a run. *)
-let queryable world =
-  List.map
-    (fun (out, (meta : Dpc_engine.Prov_hook.meta)) -> (out, meta.evid))
-    (Dpc_engine.Runtime.outputs world.Delp_gen.runtime)
-  |> List.sort_uniq compare
+let queryable world = Delp_gen.queryable world.Delp_gen.runtime
 
 let query world ?evid out =
   Backend.query world.Delp_gen.backend ~cost:Query_cost.free ~routing:world.Delp_gen.routing
@@ -150,7 +146,7 @@ let prop_planned_fire_matches_naive =
       List.iter (fun t -> ignore (Dpc_engine.Db.insert db t)) instance.slow_tuples;
       let env = Dpc_engine.Env.empty in
       let plans =
-        List.map (fun r -> (r, Dpc_engine.Eval.plan r)) instance.delp.program.rules
+        List.map (fun r -> (r, Dpc_engine.Eval.plan ~env r)) instance.delp.program.rules
       in
       let norm results =
         List.sort compare
@@ -169,14 +165,24 @@ let prop_planned_fire_matches_naive =
               List.for_all
                 (fun (rule, plan) ->
                   let naive = Dpc_engine.Eval.fire ~env ~db ~rule ~event in
-                  let planned = Dpc_engine.Eval.fire_planned ~env ~db ~plan ~event in
+                  let planned = Dpc_engine.Eval.fire_planned ~db ~plan ~event in
                   next := List.map fst naive @ !next;
                   if norm naive <> norm planned then
                     QCheck.Test.fail_reportf
                       "indexed join diverges on rule %s, event %s, program:\n%s" rule.Dpc_ndlog.Ast.name
                       (Dpc_ndlog.Tuple.to_string event)
                       instance.description
-                  else true)
+                  else
+                    (* Query-time re-derivation runs the same plan on the
+                       recorded slow tuples and must find the same head. *)
+                    List.for_all
+                      (fun (head, slow) ->
+                        match Dpc_engine.Eval.fire_with_slow ~plan ~event ~slow with
+                        | Some h when Dpc_ndlog.Tuple.equal h head -> true
+                        | Some _ | None ->
+                            QCheck.Test.fail_reportf "re-derivation diverges on rule %s, event %s"
+                              rule.Dpc_ndlog.Ast.name (Dpc_ndlog.Tuple.to_string event))
+                      planned)
                 plans)
             events
         in
@@ -268,12 +274,7 @@ let prop_replay_matches_live =
       Replay.record_initial_slow replay instance.slow_tuples;
       List.iter (fun ev -> Dpc_engine.Runtime.inject rt ev) instance.events;
       Dpc_engine.Runtime.run rt;
-      let pairs =
-        List.map
-          (fun (out, (m : Dpc_engine.Prov_hook.meta)) -> (out, m.evid))
-          (Dpc_engine.Runtime.outputs rt)
-        |> List.sort_uniq compare
-      in
+      let pairs = Delp_gen.queryable rt in
       List.for_all
         (fun (out, evid) ->
           let live =

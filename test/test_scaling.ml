@@ -30,10 +30,7 @@ let query w ?evid out =
 
 (* Same observable-state digest the chaos oracle compares. *)
 let world_digests w =
-  List.map
-    (fun (out, (meta : Dpc_engine.Prov_hook.meta)) -> (out, meta.evid))
-    (Dpc_engine.Runtime.outputs w.Delp_gen.runtime)
-  |> List.sort_uniq compare
+  Delp_gen.queryable w.Delp_gen.runtime
   |> List.map (fun (out, evid) ->
        let sigs = List.sort_uniq compare (List.map tree_sig (query w ~evid out).trees) in
        ( (Dpc_ndlog.Tuple.canonical out, Dpc_util.Sha1.to_hex evid),
@@ -313,9 +310,9 @@ let test_metrics_concurrent () =
   let work w () =
     for i = 1 to per_writer do
       Dpc_util.Metrics.incr shared "hits";
-      Dpc_util.Metrics.incr shared ~by:2 (if i mod 2 = 0 then "even" else "odd");
+      Dpc_util.Metrics.add shared (if i mod 2 = 0 then "even" else "odd") 2;
       Dpc_util.Metrics.incr locals.(w) "hits";
-      Dpc_util.Metrics.incr locals.(w) ~by:2 (if i mod 2 = 0 then "even" else "odd");
+      Dpc_util.Metrics.add locals.(w) (if i mod 2 = 0 then "even" else "odd") 2;
       Dpc_util.Metrics.observe shared "lat" (float_of_int (i land 7));
       Dpc_util.Metrics.observe locals.(w) "lat" (float_of_int (i land 7))
     done

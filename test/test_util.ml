@@ -152,7 +152,7 @@ let test_metrics_counters () =
   let m = Metrics.create () in
   check Alcotest.int "unknown counter is 0" 0 (Metrics.counter_value m "x");
   Metrics.incr m "x";
-  Metrics.incr m "x" ~by:4;
+  Metrics.add m "x" 4;
   Metrics.incr m "y";
   check Alcotest.int "accumulates" 5 (Metrics.counter_value m "x");
   let s = Metrics.snapshot m in
@@ -187,16 +187,16 @@ let test_metrics_snapshot_immutable () =
   let m = Metrics.create () in
   Metrics.incr m "x";
   let s = Metrics.snapshot m in
-  Metrics.incr m "x" ~by:10;
+  Metrics.add m "x" 10;
   check Alcotest.int "snapshot is a copy" 1 (Metrics.counter s "x");
   check Alcotest.int "registry moved on" 11 (Metrics.counter_value m "x")
 
 let test_metrics_merge () =
   let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr a "shared" ~by:2;
+  Metrics.add a "shared" 2;
   Metrics.incr a "only_a";
-  Metrics.incr b "shared" ~by:3;
-  Metrics.incr b "only_b" ~by:7;
+  Metrics.add b "shared" 3;
+  Metrics.add b "only_b" 7;
   Metrics.set_gauge a "g" 1.5;
   Metrics.set_gauge b "g" 2.5;
   Metrics.observe a "h" 1.0;
@@ -220,7 +220,7 @@ let test_metrics_merge () =
 
 let test_metrics_to_rows () =
   let m = Metrics.create () in
-  Metrics.incr m "c" ~by:3;
+  Metrics.add m "c" 3;
   Metrics.set_gauge m "g" 1.0;
   let rows = Metrics.to_rows (Metrics.snapshot m) in
   check Alcotest.int "one row per metric" 2 (List.length rows);
@@ -231,7 +231,7 @@ let prop_metrics_merge_commutes =
     QCheck.Gen.map
       (fun pairs ->
         let m = Metrics.create () in
-        List.iter (fun (k, v) -> Metrics.incr m (String.make 1 (Char.chr (97 + k))) ~by:v) pairs;
+        List.iter (fun (k, v) -> Metrics.add m (String.make 1 (Char.chr (97 + k))) v) pairs;
         Metrics.snapshot m)
       QCheck.Gen.(list_size (int_bound 10) (tup2 (int_bound 5) (int_bound 100)))
   in

@@ -29,16 +29,17 @@ let static_analysis =
   Test.make ~name:"analysis/GetEquiKeys(dns)"
     (Staged.stage (fun () -> Dpc_analysis.Equi_keys.compute delp))
 
+(* The runtime's path: forwarding r1's compiled plan probing an index over
+   8 routes. *)
 let rule_fire =
   let delp = Dpc_apps.Forwarding.delp () in
-  let rule = List.hd delp.program.rules in
+  let plan = Dpc_engine.Eval.plan ~env:Dpc_apps.Forwarding.env (List.hd delp.program.rules) in
   let db = Dpc_engine.Db.create () in
   List.iter
     (fun d -> ignore (Dpc_engine.Db.insert db (Dpc_apps.Forwarding.route ~at:0 ~dst:d ~next:1)))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ];
-  Test.make ~name:"eval/fire(join of 8 routes)"
-    (Staged.stage (fun () ->
-       Dpc_engine.Eval.fire ~env:Dpc_apps.Forwarding.env ~db ~rule ~event:packet))
+  Test.make ~name:"eval/fire_planned(join of 8 routes)"
+    (Staged.stage (fun () -> Dpc_engine.Eval.fire_planned ~db ~plan ~event:packet))
 
 (* End-to-end recording cost: one packet through the 3-node example under
    each scheme, amortized. *)
@@ -71,6 +72,23 @@ let record_scheme scheme =
                ~payload:(Printf.sprintf "p%d" !counter));
           Dpc_engine.Runtime.run runtime))
 
+(* Minor-heap words per run. Bechamel's own [Instance.minor_allocated]
+   reads [Gc.quick_stat], whose minor_words on OCaml 5 only advance at a
+   minor collection, so a run that allocates a few words reads 0;
+   [Gc.minor_words] counts them exactly. *)
+module Minor_words = struct
+  type witness = unit
+
+  let label () = "minor-words"
+  let unit () = "w"
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+end
+
+let minor_words = Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let tests =
   Test.make_grouped ~name:"dpc"
     [
@@ -86,24 +104,25 @@ let tests =
     ]
 
 let run () =
-  let instances = Instance.[ monotonic_clock ] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
   let raw = Benchmark.all cfg instances tests in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  print_endline "\n=== Micro-benchmarks (monotonic clock, ns/run) ===";
+  (* One OLS estimate per run, per instance: wall time and minor-heap
+     words. *)
+  let per_run instance =
+    let results = Analyze.all ols instance raw in
+    fun name ->
+      match Analyze.OLS.estimates (Hashtbl.find results name) with
+      | Some [ e ] -> Printf.sprintf "%.1f" e
+      | Some _ | None -> "n/a"
+  in
+  let ns = per_run Instance.monotonic_clock and words = per_run minor_words in
+  print_endline "\n=== Micro-benchmarks (monotonic clock and minor-heap words, per run) ===";
   let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let estimate =
-          match Analyze.OLS.estimates result with
-          | Some [ e ] -> Printf.sprintf "%.1f" e
-          | Some _ | None -> "n/a"
-        in
-        [ name; estimate ] :: acc)
-      results []
+    Hashtbl.fold (fun name _ acc -> [ name; ns name; words name ] :: acc) raw []
     |> List.sort compare
   in
-  Dpc_util.Table_fmt.print ~header:[ "benchmark"; "ns/run" ] ~rows
+  Dpc_util.Table_fmt.print ~header:[ "benchmark"; "ns/run"; "minor words/run" ] ~rows

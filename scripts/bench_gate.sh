@@ -13,6 +13,12 @@
 # there means the cache or the re-execution walk got algorithmically
 # worse, not that the builder was busy.
 #
+# Last, the allocation gate runs dpcbench on the workloads listed in
+# BENCH_PR14.json and fails when a workload's allocated words per event
+# exceed the baseline by more than its tolerance (2 %, the benchmark's
+# own bound). Allocation is counted, not timed: it repeats exactly from
+# run to run, so unlike events/s it can be gated tightly.
+#
 #   scripts/bench_gate.sh [baseline.json]
 #
 # Environment:
@@ -107,4 +113,35 @@ if base_queries is not None:
 if failed:
     sys.exit("bench gate FAILED: events/s regressed more than %.0f%%" % (tol * 100))
 print("bench gate ok")
+PY
+
+alloc_baseline=BENCH_PR14.json
+echo "== allocation gate: dpcbench alloc_words_per_event vs $alloc_baseline =="
+python3 - "$alloc_baseline" <<'PY'
+import json, subprocess, sys
+
+baseline = json.load(open(sys.argv[1]))
+assert baseline["schema"] == "dpc-alloc-v1"
+tol = baseline["tolerance"]
+failed = False
+for workload, base in sorted(baseline["alloc_words_per_event"].items()):
+    run = subprocess.run(
+        ["python3", "dpcbench/run.py", "--workload", workload, "--seed", str(baseline["seed"]),
+         "--seconds", "1", "--trace", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    lines = run.stdout.strip().splitlines()
+    if run.returncode != 0 or not lines:
+        print("%s: dpcbench exited %d REGRESSED" % (workload, run.returncode))
+        failed = True
+        continue
+    cur = json.loads(lines[-1])["metrics"]["alloc_words_per_event"]["value"]
+    ratio = cur / base
+    verdict = "ok" if ratio <= 1.0 + tol else "REGRESSED"
+    print("%s: %.1f words/event vs baseline %.1f (%.3fx) %s" % (workload, cur, base, ratio, verdict))
+    if verdict != "ok":
+        failed = True
+
+if failed:
+    sys.exit("allocation gate FAILED: words/event grew more than %.0f%%" % (tol * 100))
+print("allocation gate ok")
 PY

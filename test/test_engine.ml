@@ -82,6 +82,23 @@ let test_db_lookup_indexed () =
   check Alcotest.int "single-position index" 2
     (List.length (Db.lookup db ~rel:"route" ~positions:[ 0 ] ~key:[ Value.Addr 0 ]))
 
+let test_db_bucket_order () =
+  (* Buckets hold their newest insert first, whether the tuples predate the
+     index (built on the first probe) or arrive after it. *)
+  let db = Db.create () in
+  let via next = route ~at:0 ~dst:2 ~next in
+  let bucket () = Db.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:[ Value.Addr 0; Value.Addr 2 ] in
+  List.iter (fun n -> ignore (Db.insert db (via n))) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  check (Alcotest.list tuple_t) "built over existing tuples"
+    (List.map via [ 8; 7; 6; 5; 4; 3; 2; 1 ]) (bucket ());
+  ignore (Db.insert db (via 9));
+  ignore (Db.remove db (via 5));
+  ignore (Db.insert db (via 5));
+  check (Alcotest.list tuple_t) "maintained" (List.map via [ 5; 9; 8; 7; 6; 4; 3; 2; 1 ]) (bucket ());
+  check (Alcotest.list tuple_t) "no position: the whole relation, newest first"
+    (List.map via [ 5; 9; 8; 7; 6; 4; 3; 2; 1 ])
+    (Db.lookup db ~rel:"route" ~positions:[] ~key:[])
+
 (* ------------------------------------------------------------------ *)
 (* Eval *)
 
@@ -239,6 +256,30 @@ let test_fire_planned_matches_fire () =
       pkt ~at:2 ~src:0 ~dst:2 ~payload:"z";
       pkt ~at:3 ~src:0 ~dst:9 ~payload:"dead";
     ]
+
+let test_fire_planned_order () =
+  (* Depth-first over the condition atoms, each atom's candidates newest
+     insert first: the order the runtime ships derivations in. *)
+  let rule = rule_of "r out(@L, A, B) :- ev(@L), p(@L, A), q(@L, B)." in
+  let fact rel v = Tuple.make rel [ Value.Addr 0; Value.Int v ] in
+  let db = Db.create () in
+  List.iter (fun v -> ignore (Db.insert db (fact "p" v))) [ 1; 2 ];
+  List.iter (fun v -> ignore (Db.insert db (fact "q" v))) [ 1; 2 ];
+  let derivations =
+    Eval.fire_planned ~db ~plan:(Eval.plan ~env:Env.empty rule)
+      ~event:(Tuple.make "ev" [ Value.Addr 0 ])
+  in
+  let out a b = Tuple.make "out" [ Value.Addr 0; Value.Int a; Value.Int b ] in
+  check
+    (Alcotest.list (Alcotest.pair tuple_t (Alcotest.list tuple_t)))
+    "derivation order"
+    [
+      (out 2 2, [ fact "p" 2; fact "q" 2 ]);
+      (out 2 1, [ fact "p" 2; fact "q" 1 ]);
+      (out 1 2, [ fact "p" 1; fact "q" 2 ]);
+      (out 1 1, [ fact "p" 1; fact "q" 1 ]);
+    ]
+    derivations
 
 let test_fire_with_slow_wrong_count () =
   let event = pkt ~at:0 ~src:0 ~dst:2 ~payload:"x" in
@@ -461,6 +502,57 @@ let test_runtime_metrics_live_on_nodes () =
   check Alcotest.int "n2 no injections" 0
     (Dpc_util.Metrics.counter_value (at 2) "runtime.injected")
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets: minor-heap words of one call on the ingest path,
+   after a warm-up call has created its counters and indexes. Each budget
+   is the figure measured when the path was made allocation-lean, plus
+   10 % rounded up, so a closure, option or list brought back into one of
+   these paths fails here. *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+let check_budget name ~measured f =
+  let budget = ((measured * 11) + 9) / 10 in
+  f ();
+  let words = minor_words f in
+  Printf.printf "%s: %d words (budget %d)\n" name words budget;
+  if words > budget then Alcotest.failf "%s allocates %d words, budget %d" name words budget
+
+let test_budget_counters () =
+  let node = Node.create ~id:0 in
+  let m = Node.metrics node in
+  check_budget "Metrics.incr" ~measured:0 (fun () -> Dpc_util.Metrics.incr m "runtime.fired");
+  check_budget "Metrics.add" ~measured:0 (fun () ->
+    Dpc_util.Metrics.add m "runtime.shipped_bytes" 640);
+  check_budget "Node.tick" ~measured:0 (fun () -> Node.tick node "runtime.fired");
+  check_budget "Node.add" ~measured:0 (fun () -> Node.add node "runtime.shipped_bytes" 640)
+
+let test_budget_fire_planned () =
+  let db = Db.create () in
+  List.iter (fun d -> ignore (Db.insert db (route ~at:0 ~dst:d ~next:1))) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  let event = pkt ~at:0 ~src:0 ~dst:2 ~payload:(String.make 500 'x') in
+  let r1 = Eval.plan ~env:Env.empty forwarding_r1 and r2 = Eval.plan ~env:Env.empty forwarding_r2 in
+  check Alcotest.int "r1 derives one head" 1 (List.length (Eval.fire_planned ~db ~plan:r1 ~event));
+  (* Registers (6), head args (5) and tuple (5), the slow list (3), the
+     result pair (3) and cell (3). *)
+  check_budget "fire_planned r1 (8 routes)" ~measured:25 (fun () ->
+    ignore (Eval.fire_planned ~db ~plan:r1 ~event));
+  (* Registers only. *)
+  check_budget "fire_planned r2 (no match)" ~measured:5 (fun () ->
+    ignore (Eval.fire_planned ~db ~plan:r2 ~event))
+
+let test_budget_sim_send () =
+  let _, sim = line_world () in
+  let k () = () in
+  (* The queued event (4) and its boxed due time (2). *)
+  check_budget "Sim.send one hop" ~measured:6 (fun () ->
+    Dpc_net.Sim.send sim ~src:0 ~dst:1 ~bytes:600 k);
+  Dpc_net.Sim.run sim;
+  check Alcotest.int "both delivered" 2 (Dpc_net.Sim.events_processed sim)
+
 let () =
   Alcotest.run "dpc_engine"
     [
@@ -471,6 +563,7 @@ let () =
           Alcotest.test_case "size bytes" `Quick test_db_size_bytes_grows;
           Alcotest.test_case "incremental size bytes" `Quick test_db_size_bytes_incremental;
           Alcotest.test_case "keyed lookup" `Quick test_db_lookup_indexed;
+          Alcotest.test_case "bucket order" `Quick test_db_bucket_order;
         ] );
       ( "eval",
         [
@@ -490,6 +583,7 @@ let () =
             test_fire_with_slow_rejects_mismatched;
           Alcotest.test_case "fire_with_slow wrong count" `Quick test_fire_with_slow_wrong_count;
           Alcotest.test_case "planned fire matches naive" `Quick test_fire_planned_matches_fire;
+          Alcotest.test_case "planned derivation order" `Quick test_fire_planned_order;
         ] );
       ("env", [ Alcotest.test_case "shadowing" `Quick test_env_shadowing ]);
       ( "runtime",
@@ -508,5 +602,11 @@ let () =
           Alcotest.test_case "quickstart counters (sim)" `Quick test_runtime_metrics_sim;
           Alcotest.test_case "quickstart counters (direct)" `Quick test_runtime_metrics_direct;
           Alcotest.test_case "per-node attribution" `Quick test_runtime_metrics_live_on_nodes;
+        ] );
+      ( "allocation budgets",
+        [
+          Alcotest.test_case "counters on an existing name" `Quick test_budget_counters;
+          Alcotest.test_case "fire_planned of forwarding r1" `Quick test_budget_fire_planned;
+          Alcotest.test_case "one-hop Sim.send" `Quick test_budget_sim_send;
         ] );
     ]

@@ -129,8 +129,10 @@ let fire ~env ~db ~(rule : Ast.rule) ~event =
    - the head becomes an array of register and constant reads.
 
    The static bound set at each step is exactly the dynamic binding the
-   reference evaluator above would hold there, so a variable read before it
-   is bound fails with the same error. *)
+   reference evaluator above would hold there, so an expression that reads
+   a variable before it is bound fails with the same error when it is
+   evaluated. A head variable the body never binds fails at compile time
+   (validated programs have none). *)
 type expr =
   | X_const of Value.t
   | X_reg of int
@@ -149,11 +151,12 @@ type atom = {
   check_reg : int array;
 }
 
-type step =
-  | Join of atom
+type filter =
   | Test of Ast.cmp * expr * expr
   | Let of int * expr  (* assignment to a fresh variable *)
   | Let_check of int * expr  (* assignment to a bound one: an equality test *)
+
+type step = Join of atom | Filter of filter
 
 type plan = {
   rule : Ast.rule;
@@ -163,7 +166,6 @@ type plan = {
   joins : int;
   head_rel : string;
   head : Db.key_part array;
-  head_unbound : string option;  (* the first head variable the body never binds *)
 }
 
 let plan_rule p = p.rule
@@ -206,27 +208,30 @@ let plan ~env (rule : Ast.rule) =
     List.map
       (function
         | Ast.C_atom a -> Join (compile_atom a)
-        | Ast.C_cmp (op, lhs, rhs) -> Test (op, compile_expr lhs, compile_expr rhs)
+        | Ast.C_cmp (op, lhs, rhs) -> Filter (Test (op, compile_expr lhs, compile_expr rhs))
         | Ast.C_assign (x, e) -> (
             let e = compile_expr e in
-            match reg x with Some r -> Let_check (r, e) | None -> Let (fresh x, e)))
+            match reg x with
+            | Some r -> Filter (Let_check (r, e))
+            | None -> Filter (Let (fresh x, e))))
       rule.conds
   in
   let head =
-    List.map (function Ast.Const c -> Db.Lit c | Ast.Var v -> Db.Reg (Option.value ~default:(-1) (reg v))) rule.head.args
+    List.map
+      (function
+        | Ast.Const c -> Db.Lit c
+        | Ast.Var v -> (
+            match reg v with Some r -> Db.Reg r | None -> fail "unbound head variable %s" v))
+      rule.head.args
   in
   {
     rule;
     regs = Hashtbl.length slots;
     event;
     steps = Array.of_list steps;
-    joins = List.length (List.filter (function Join _ -> true | _ -> false) steps);
+    joins = List.length (List.filter (function Join _ -> true | Filter _ -> false) steps);
     head_rel = rule.head.rel;
     head = Array.of_list head;
-    head_unbound =
-      List.find_map
-        (function Ast.Var v when reg v = None -> Some v | Ast.Var _ | Ast.Const _ -> None)
-        rule.head.args;
   }
 
 (* The same argument order as [eval_expr], so errors surface alike. *)
@@ -270,7 +275,6 @@ let bind a regs tuple =
 let unset = Value.Int 0
 
 let instantiate_head p regs =
-  (match p.head_unbound with Some v -> fail "unbound head variable %s" v | None -> ());
   let args = Array.make (Array.length p.head) unset in
   for i = 0 to Array.length p.head - 1 do
     args.(i) <- (match p.head.(i) with Db.Reg r -> regs.(r) | Db.Lit c -> c)
@@ -278,6 +282,14 @@ let instantiate_head p regs =
   Tuple.of_array p.head_rel args
 
 let match_event p regs event = matches_key p.event regs event && bind p.event regs event
+
+(* Whether a derivation survives a comparison or assignment. *)
+let passes regs = function
+  | Test (op, lhs, rhs) -> compare_values op (eval regs lhs) (eval regs rhs)
+  | Let (r, e) ->
+      regs.(r) <- eval regs e;
+      true
+  | Let_check (r, e) -> Value.equal regs.(r) (eval regs e)
 
 (* Run the steps from [i] depth-first. [used] holds the slow tuples joined
    so far, newest first; [acc] the derivations found so far, newest
@@ -289,14 +301,7 @@ let rec run p db regs i used acc =
   else
     match p.steps.(i) with
     | Join a -> join p db regs i used acc a (Db.probe db ~rel:a.rel ~positions:a.key_pos ~key:a.key regs)
-    | Test (op, lhs, rhs) ->
-        if compare_values op (eval regs lhs) (eval regs rhs) then run p db regs (i + 1) used acc
-        else acc
-    | Let (r, e) ->
-        regs.(r) <- eval regs e;
-        run p db regs (i + 1) used acc
-    | Let_check (r, e) ->
-        if Value.equal regs.(r) (eval regs e) then run p db regs (i + 1) used acc else acc
+    | Filter f -> if passes regs f then run p db regs (i + 1) used acc else acc
 
 and join p db regs i used acc a = function
   | [] -> acc
@@ -321,12 +326,7 @@ let rec rederive p regs i slow =
     | Join a, tuple :: rest ->
         matches_key a regs tuple && bind a regs tuple && rederive p regs (i + 1) rest
     | Join _, [] -> false
-    | Test (op, lhs, rhs), _ ->
-        compare_values op (eval regs lhs) (eval regs rhs) && rederive p regs (i + 1) slow
-    | Let (r, e), _ ->
-        regs.(r) <- eval regs e;
-        rederive p regs (i + 1) slow
-    | Let_check (r, e), _ -> Value.equal regs.(r) (eval regs e) && rederive p regs (i + 1) slow
+    | Filter f, _ -> passes regs f && rederive p regs (i + 1) slow
 
 let fire_with_slow ~plan ~event ~slow =
   let regs = Array.make plan.regs unset in

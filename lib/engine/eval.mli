@@ -51,7 +51,9 @@ type plan
 
 val plan : env:Env.t -> Dpc_ndlog.Ast.rule -> plan
 (** Compile a rule, resolving its functions in [env] (an unknown function
-    fails when a firing first evaluates it, as in {!fire}). *)
+    fails when a firing first evaluates it, as in {!fire}).
+    @raise Eval_error on a head variable the body never binds, which
+    {!Dpc_ndlog.Delp.validate} rules out. *)
 
 val plan_rule : plan -> Dpc_ndlog.Ast.rule
 

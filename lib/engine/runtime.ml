@@ -10,7 +10,6 @@ type t = {
   transport : Dpc_net.Transport.t;
   reliability : Dpc_net.Reliable.t option;
   delp : Delp.t;
-  env : Env.t;
   hook : Prov_hook.t;
   msg_overhead : int;
   interest : string list;
@@ -112,7 +111,6 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(msg_overhead = 28) ?
     transport;
     reliability;
     delp;
-    env;
     hook;
     msg_overhead;
     interest;
@@ -206,7 +204,7 @@ and fire_plans t node event meta fired = function
   | plan :: rest ->
       let derivations = Eval.fire_planned ~db:(db t node) ~plan ~event in
       emit t node (Eval.plan_rule plan) event meta derivations;
-      fire_plans t node event meta (fired || match derivations with [] -> false | _ :: _ -> true) rest
+      fire_plans t node event meta (fired || derivations <> []) rest
 
 and emit t node rule event meta = function
   | [] -> ()

@@ -45,7 +45,8 @@ type handle = {
   delp : Delp.t;
   keys : Dpc_analysis.Equi_keys.t;
   private_key : private_state Node.key;
-  signatures : (string, Dpc_engine.Eval.plan) Hashtbl.t;  (* signature -> this program's rule, compiled *)
+  signatures : (string, Dpc_engine.Eval.plan) Hashtbl.t;
+      (* signature -> this program's rule, compiled *)
 }
 
 let create ~nodes =
@@ -118,7 +119,8 @@ let add_program t ~id ~delp ~env =
   t.program_ids <- id :: t.program_ids;
   let signatures = Hashtbl.create 8 in
   List.iter
-    (fun (r : Ast.rule) -> Hashtbl.replace signatures (rule_signature r) (Dpc_engine.Eval.plan ~env r))
+    (fun (r : Ast.rule) ->
+      Hashtbl.replace signatures (rule_signature r) (Dpc_engine.Eval.plan ~env r))
     delp.Delp.program.rules;
   let handle =
     {
@@ -347,7 +349,9 @@ let rederive h acct ~evid chain =
         begin
           match Dpc_engine.Eval.fire_with_slow ~plan ~event ~slow with
           | Some head ->
-              ({ Prov_tree.rule = (Dpc_engine.Eval.plan_rule plan).name; output = head; trigger = Event event; slow }, head)
+              ( { Prov_tree.rule = (Dpc_engine.Eval.plan_rule plan).name; output = head;
+                  trigger = Event event; slow },
+                head )
           | None -> raise (Broken "re-derivation failed at leaf")
         end
     | (row : Rows.rule_exec_row) :: rest ->
@@ -359,7 +363,9 @@ let rederive h acct ~evid chain =
         begin
           match Dpc_engine.Eval.fire_with_slow ~plan ~event:sub_head ~slow with
           | Some head ->
-              ({ Prov_tree.rule = (Dpc_engine.Eval.plan_rule plan).name; output = head; trigger = Derived sub; slow }, head)
+              ( { Prov_tree.rule = (Dpc_engine.Eval.plan_rule plan).name; output = head;
+                  trigger = Derived sub; slow },
+                head )
           | None -> raise (Broken "re-derivation failed")
         end
   in

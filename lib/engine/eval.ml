@@ -300,7 +300,8 @@ let rec run p db regs i used acc =
     (instantiate_head p regs, slow) :: acc
   else
     match p.steps.(i) with
-    | Join a -> join p db regs i used acc a (Db.probe db ~rel:a.rel ~positions:a.key_pos ~key:a.key regs)
+    | Join a ->
+        join p db regs i used acc a (Db.probe db ~rel:a.rel ~positions:a.key_pos ~key:a.key regs)
     | Filter f -> if passes regs f then run p db regs (i + 1) used acc else acc
 
 and join p db regs i used acc a = function

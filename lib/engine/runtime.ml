@@ -164,7 +164,8 @@ let load_slow t tuples =
 
 (* Logs builds a message closure at every call site, so the per-firing
    ones are guarded on the source's level instead. *)
-let debug_on () = match Logs.Src.level log_src with Some Logs.Debug -> true | Some _ | None -> false
+let debug_on () =
+  match Logs.Src.level log_src with Some Logs.Debug -> true | Some _ | None -> false
 
 (* Process [event] arriving at [node] carrying [meta]: fire every rule the
    event relation triggers, in program order; ship each head to its
@@ -193,7 +194,8 @@ let rec process t ~input node event meta =
         t.hook.on_output ~node event meta
       end;
       if not (fire_plans t node event meta false plans) then begin
-        if debug_on () then Log.debug (fun m -> m "event %s died at n%d" (Tuple.to_string event) node);
+        if debug_on () then
+          Log.debug (fun m -> m "event %s died at n%d" (Tuple.to_string event) node);
         if not t.replaying.(node) then Atomic.incr t.dead_ends;
         tick t node "runtime.dead_ends"
       end

@@ -87,14 +87,17 @@ let test_db_bucket_order () =
      index (built on the first probe) or arrive after it. *)
   let db = Db.create () in
   let via next = route ~at:0 ~dst:2 ~next in
-  let bucket () = Db.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:[ Value.Addr 0; Value.Addr 2 ] in
+  let bucket () =
+    Db.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:[ Value.Addr 0; Value.Addr 2 ]
+  in
   List.iter (fun n -> ignore (Db.insert db (via n))) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
   check (Alcotest.list tuple_t) "built over existing tuples"
     (List.map via [ 8; 7; 6; 5; 4; 3; 2; 1 ]) (bucket ());
   ignore (Db.insert db (via 9));
   ignore (Db.remove db (via 5));
   ignore (Db.insert db (via 5));
-  check (Alcotest.list tuple_t) "maintained" (List.map via [ 5; 9; 8; 7; 6; 4; 3; 2; 1 ]) (bucket ());
+  check (Alcotest.list tuple_t) "maintained"
+    (List.map via [ 5; 9; 8; 7; 6; 4; 3; 2; 1 ]) (bucket ());
   check (Alcotest.list tuple_t) "no position: the whole relation, newest first"
     (List.map via [ 5; 9; 8; 7; 6; 4; 3; 2; 1 ])
     (Db.lookup db ~rel:"route" ~positions:[] ~key:[])
@@ -532,7 +535,9 @@ let test_budget_counters () =
 
 let test_budget_fire_planned () =
   let db = Db.create () in
-  List.iter (fun d -> ignore (Db.insert db (route ~at:0 ~dst:d ~next:1))) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  List.iter
+    (fun d -> ignore (Db.insert db (route ~at:0 ~dst:d ~next:1)))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
   let event = pkt ~at:0 ~src:0 ~dst:2 ~payload:(String.make 500 'x') in
   let r1 = Eval.plan ~env:Env.empty forwarding_r1 and r2 = Eval.plan ~env:Env.empty forwarding_r2 in
   check Alcotest.int "r1 derives one head" 1 (List.length (Eval.fire_planned ~db ~plan:r1 ~event));

@@ -50,7 +50,7 @@ let rec compare_tree a b =
 
 let compare = compare_tree
 
-let event_id t = Dpc_util.Sha1.digest_string (Tuple.canonical (event_of t))
+let event_id t = Tuple.digest (event_of t)
 
 let rec pp_indent fmt indent t =
   Format.fprintf fmt "%s%a  <- %s" indent Tuple.pp t.output t.rule;

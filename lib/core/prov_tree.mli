@@ -35,7 +35,10 @@ val equivalent : t -> t -> bool
 val compare : t -> t -> int
 
 val event_id : t -> Dpc_util.Sha1.t
-(** [sha1 (EVENTOF tr)]. *)
+(** [sha1 (EVENTOF tr)] as the runtime computes it: {!Dpc_ndlog.Tuple.digest},
+    which interns [Str] payloads longer than {!Dpc_ndlog.Value.payload_inline_max}.
+    This is the evid the runtime hands out ([Prov_hook.meta.evid]), so
+    [query ~evid] filters on it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line rendering, root first. *)

@@ -70,34 +70,69 @@ let key = Sha1.to_raw
 
 let ref_bytes = 4 + 20
 
+type rid_tail = No_tail | Vid of Sha1.t | Chain of (int * Sha1.t) option
+
+let rec add_vids s = function
+  | [] -> ()
+  | vid :: rest ->
+      Sha1.add s "+";
+      Sha1.add s (Sha1.to_raw vid);
+      add_vids s rest
+
+(* One stream over "+"-separated parts: the rule name, the node in
+   decimal, then each vid as its raw 20 bytes. Injective because every
+   part after the variable-length rule name and node is fixed-width, or
+   (the chain tail) distinguished by its lead. The vids must be computed
+   before the stream starts: a tuple digest opens a stream of its own. *)
+let rid ~rule ~node vids tail =
+  let s = Sha1.start () in
+  Sha1.add s rule;
+  Sha1.add s "+";
+  Sha1.add_int s node;
+  add_vids s vids;
+  (match tail with
+  | No_tail -> ()
+  | Vid vid ->
+      Sha1.add s "+";
+      Sha1.add s (Sha1.to_raw vid)
+  | Chain None -> Sha1.add s "+leaf"
+  | Chain (Some (l, r)) ->
+      Sha1.add s "+";
+      Sha1.add_int s l;
+      Sha1.add s "+";
+      Sha1.add s (Sha1.to_raw r));
+  Sha1.finish s
+
 module Table = struct
+  (* Rows oldest first, held directly in the table: a key with one row,
+     the common case, costs its bucket and one cons cell. *)
   type 'a t = {
     row_bytes : 'a -> int;
-    entries : (string, 'a list ref) Hashtbl.t;
+    entries : (string, 'a list) Hashtbl.t;
     mutable count : int;
     mutable bytes : int;
   }
 
   let create ~row_bytes () = { row_bytes; entries = Hashtbl.create 64; count = 0; bytes = 0 }
 
-  let add t ~key row =
-    let cell =
-      match Hashtbl.find_opt t.entries key with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.add t.entries key c;
-          c
-    in
-    if List.mem row !cell then false
-    else begin
-      cell := !cell @ [ row ];
-      t.count <- t.count + 1;
-      t.bytes <- t.bytes + t.row_bytes row;
-      true
-    end
+  let added t row =
+    t.count <- t.count + 1;
+    t.bytes <- t.bytes + t.row_bytes row;
+    true
 
-  let find t key = match Hashtbl.find_opt t.entries key with None -> [] | Some c -> !c
+  let add t ~key row =
+    match Hashtbl.find t.entries key with
+    | exception Not_found ->
+        Hashtbl.add t.entries key [ row ];
+        added t row
+    | rows ->
+        if List.mem row rows then false
+        else begin
+          Hashtbl.replace t.entries key (rows @ [ row ]);
+          added t row
+        end
+
+  let find t key = match Hashtbl.find t.entries key with rows -> rows | exception Not_found -> []
   let rows t = t.count
   let bytes t = t.bytes
 
@@ -106,7 +141,7 @@ module Table = struct
     t.count <- 0;
     t.bytes <- 0
 
-  let iter t f = Hashtbl.iter (fun k c -> List.iter (f k) !c) t.entries
+  let iter t f = Hashtbl.iter (fun k rows -> List.iter (f k) rows) t.entries
 end
 
 type storage = {

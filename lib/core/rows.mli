@@ -32,7 +32,7 @@ val rule_exec_row_bytes : with_next:bool -> rule_exec_row -> int
 val link_row_bytes : link_row -> int
 
 val vid_of : Dpc_ndlog.Tuple.t -> Dpc_util.Sha1.t
-(** [sha1 (canonical tuple)]. *)
+(** The tuple's vid, {!Dpc_ndlog.Tuple.digest}. *)
 
 val hex : Dpc_util.Sha1.t -> string
 
@@ -42,6 +42,19 @@ val key : Dpc_util.Sha1.t -> string
 
 val ref_bytes : int
 (** Wire size of a (node, digest) provenance reference. *)
+
+(** What a rule-execution id hashes after the rule, node and body vids. *)
+type rid_tail =
+  | No_tail
+  | Vid of Dpc_util.Sha1.t  (** one more vid, e.g. the event's after the slow ones *)
+  | Chain of (int * Dpc_util.Sha1.t) option
+      (** the chain back-pointer, or ["leaf"] (Advanced's plain layout) *)
+
+val rid : rule:string -> node:int -> Dpc_util.Sha1.t list -> rid_tail -> Dpc_util.Sha1.t
+(** [rid ~rule ~node vids tail] is the RID of Tables 1–3,
+    [sha1(rule+node+vid1+...+vidk)] over the raw vid bytes, followed by
+    [tail]; the one rid builder of every scheme. Allocates only the
+    digest. *)
 
 (** Multi-map from a string key to rows, deduplicating identical rows and
     keeping a running serialized-size counter. *)

@@ -171,41 +171,8 @@ let event_put t ~node ~key tuple =
     if t.track_dirty then st.dirty.d_events <- (key, tuple) :: st.dirty.d_events
   end
 
-(* Plain layout: the rid must identify the whole chain suffix, so it hashes
-   the back-pointer too (Table 3's sha1(rule, vids) is ambiguous as soon as
-   two classes share a final rule execution node). *)
-let chain_rid ~rule_name ~node ~slow_vids ~prev =
-  Sha1.digest_iter (fun f ->
-    f rule_name;
-    f "+";
-    f (string_of_int node);
-    List.iter
-      (fun vid ->
-        f "+";
-        f (Sha1.to_raw vid))
-      slow_vids;
-    match prev with
-    | None -> f "+leaf"
-    | Some (l, r) ->
-        f "+";
-        f (string_of_int l);
-        f "+";
-        f (Sha1.to_raw r))
-
-(* §5.4 layout: the node rid is shared across classes. *)
-let node_rid ~rule_name ~node ~slow_vids =
-  Sha1.digest_iter (fun f ->
-    f rule_name;
-    f "+";
-    f (string_of_int node);
-    List.iter
-      (fun vid ->
-        f "+";
-        f (Sha1.to_raw vid))
-      slow_vids)
-
 let on_input t ~node event =
-  let meta = Dpc_engine.Prov_hook.initial_meta event in
+  let evid = Tuple.digest event in
   let k = Dpc_analysis.Equi_keys.key_hash t.keys event in
   let k_key = Rows.key k in
   let st = state t node in
@@ -217,17 +184,24 @@ let on_input t ~node event =
        next wipe, and the wipe empties this list too. *)
     if t.track_dirty then st.dirty.d_htequi <- k_key :: st.dirty.d_htequi
   end;
-  event_put t ~node ~key:meta.evid event;
-  { meta with exist_flag; eqkey = Some k }
+  event_put t ~node ~key:evid event;
+  { Dpc_engine.Prov_hook.evid; exist_flag; eqkey = Some k; prev = None }
+
+let rec put_slow t ~node = function
+  | [] -> ()
+  | tuple :: rest ->
+      slow_put t ~node ~key:(Rows.vid_of tuple) tuple;
+      put_slow t ~node rest
 
 let on_fire t ~node ~(rule : Ast.rule) ~event:_ ~slow ~head:_
     (meta : Dpc_engine.Prov_hook.meta) =
   if meta.exist_flag then meta
   else begin
     let slow_vids = List.map Rows.vid_of slow in
-    List.iter2 (fun tuple vid -> slow_put t ~node ~key:vid tuple) slow slow_vids;
+    put_slow t ~node slow;
     if t.interclass then begin
-      let rid = node_rid ~rule_name:rule.name ~node ~slow_vids in
+      (* §5.4 layout: the node rid is shared across classes. *)
+      let rid = Rows.rid ~rule:rule.name ~node slow_vids Rows.No_tail in
       add_exec_node t ~node ~key:(Rows.key rid)
         { Rows.rloc = node; rid; rule = rule.name; vids = slow_vids; next = None };
       add_exec_link t ~node ~key:(Rows.key rid)
@@ -235,12 +209,25 @@ let on_fire t ~node ~(rule : Ast.rule) ~event:_ ~slow ~head:_
       { meta with prev = Some (node, rid) }
     end
     else begin
-      let rid = chain_rid ~rule_name:rule.name ~node ~slow_vids ~prev:meta.prev in
+      (* Plain layout: the rid must identify the whole chain suffix, so it
+         hashes the back-pointer too (Table 3's sha1(rule, vids) is
+         ambiguous as soon as two classes share a final rule execution
+         node). *)
+      let rid = Rows.rid ~rule:rule.name ~node slow_vids (Rows.Chain meta.prev) in
       add_rule_exec t ~node ~key:(Rows.key rid)
         { Rows.rloc = node; rid; rule = rule.name; vids = slow_vids; next = meta.prev };
       { meta with prev = Some (node, rid) }
     end
   end
+
+let add_output_row t ~node vid evid rref =
+  add_prov t ~node ~key:(Rows.key vid) { Rows.loc = node; vid; rid = Some rref; evid }
+
+let rec add_output_rows t ~node vid evid = function
+  | [] -> ()
+  | rref :: rest ->
+      add_output_row t ~node vid evid rref;
+      add_output_rows t ~node vid evid rest
 
 let on_output t ~node output (meta : Dpc_engine.Prov_hook.meta) =
   let st = state t node in
@@ -254,18 +241,15 @@ let on_output t ~node output (meta : Dpc_engine.Prov_hook.meta) =
      relations, each with its own chain reference(s). *)
   let k_key = k_key ^ ":" ^ Tuple.rel output in
   let vid = Rows.vid_of output in
-  let add_row rref =
-    add_prov t ~node ~key:(Rows.key vid)
-      { Rows.loc = node; vid; rid = Some rref; evid = Some meta.evid }
-  in
+  let evid = Some meta.evid in
   if not meta.exist_flag then begin
     match meta.prev with
     | None -> invalid_arg "Store_advanced.on_output: materializing execution has no chain"
     | Some rref ->
         let refs =
-          match Hashtbl.find_opt st.hmap k_key with
-          | Some r -> r
-          | None ->
+          match Hashtbl.find st.hmap k_key with
+          | r -> r
+          | exception Not_found ->
               let r = ref [] in
               Hashtbl.add st.hmap k_key r;
               r
@@ -275,12 +259,12 @@ let on_output t ~node output (meta : Dpc_engine.Prov_hook.meta) =
           st.hmap_refs <- st.hmap_refs + 1;
           if t.track_dirty then Hashtbl.replace st.dirty.d_hmap k_key ()
         end;
-        add_row rref
+        add_output_row t ~node vid evid rref
   end
   else begin
-    match Hashtbl.find_opt st.hmap k_key with
-    | Some refs when !refs <> [] -> List.iter add_row !refs
-    | Some _ | None -> Atomic.incr t.orphans
+    match Hashtbl.find st.hmap k_key with
+    | { contents = _ :: _ as refs } -> add_output_rows t ~node vid evid refs
+    | { contents = [] } | (exception Not_found) -> Atomic.incr t.orphans
   end
 
 (* §5.5: any slow-table update — insert or delete — invalidates the

@@ -114,36 +114,28 @@ let event_put t ~node ~key tuple =
     if t.track_dirty then st.dirty.d_events <- (key, tuple) :: st.dirty.d_events
   end
 
-(* Must stay byte-identical to [Store_exspan.rid_of]: Table 2 reuses
-   Table 1's rids. Same streamed raw-vid encoding, no hex. *)
-let rid_of ~rule_name ~node ~vids =
-  Sha1.digest_iter (fun f ->
-    f rule_name;
-    f "+";
-    f (string_of_int node);
-    List.iter
-      (fun vid ->
-        f "+";
-        f (Sha1.to_raw vid))
-      vids)
+let rec put_slow t ~node = function
+  | [] -> ()
+  | tuple :: rest ->
+      slow_put t ~node ~key:(Rows.vid_of tuple) tuple;
+      put_slow t ~node rest
 
 let on_fire t ~node ~(rule : Ast.rule) ~event ~slow ~head:_ (meta : Dpc_engine.Prov_hook.meta) =
   let event_vid = Rows.vid_of event in
   let slow_vids = List.map Rows.vid_of slow in
   (* Same rid as ExSPAN (Table 2 reuses Table 1's rids). *)
-  let rid = rid_of ~rule_name:rule.name ~node ~vids:(slow_vids @ [ event_vid ]) in
+  let rid = Rows.rid ~rule:rule.name ~node slow_vids (Rows.Vid event_vid) in
   (* The input event's vid is kept in the leaf row (Table 2's rid1 row);
      intermediate event vids are dropped — that is the optimization. *)
   let vids = if meta.prev = None then slow_vids @ [ event_vid ] else slow_vids in
   add_rule_exec t ~node ~key:(Rows.key rid)
     { Rows.rloc = node; rid; rule = rule.name; vids; next = meta.prev };
-  List.iter2 (fun tuple vid -> slow_put t ~node ~key:vid tuple) slow slow_vids;
+  put_slow t ~node slow;
   { meta with prev = Some (node, rid) }
 
 let on_output t ~node output (meta : Dpc_engine.Prov_hook.meta) =
-  add_prov t ~node
-    ~key:(Rows.key (Rows.vid_of output))
-    { Rows.loc = node; vid = Rows.vid_of output; rid = meta.prev; evid = None }
+  let vid = Rows.vid_of output in
+  add_prov t ~node ~key:(Rows.key vid) { Rows.loc = node; vid; rid = meta.prev; evid = None }
 
 let hook t =
   {

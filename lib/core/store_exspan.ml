@@ -101,21 +101,6 @@ let side_put t ~node ~key tuple =
     if t.track_dirty then st.dirty.d_side <- (key, tuple) :: st.dirty.d_side
   end
 
-(* One streamed SHA-1 over "+"-separated parts, vids as their raw 20
-   bytes: same injectivity as the old hex-rendered digest_concat (parts
-   after the variable-length rule name and node are fixed-width), no hex
-   strings and no intermediate list on the per-firing hot path. *)
-let rid_of ~rule_name ~node ~vids =
-  Sha1.digest_iter (fun f ->
-    f rule_name;
-    f "+";
-    f (string_of_int node);
-    List.iter
-      (fun vid ->
-        f "+";
-        f (Sha1.to_raw vid))
-      vids)
-
 (* The prov row of a derived tuple is written by the RECEIVER, from the
    (RLoc, RID) reference the tuple ships with — not by the sender reaching
    across into the receiver's tables. Same rows as the sender-writes
@@ -127,29 +112,46 @@ let rid_of ~rule_name ~node ~vids =
 let record_arrival t ~node event (meta : Dpc_engine.Prov_hook.meta) =
   match meta.prev with
   | None -> ()
-  | Some rref ->
-      add_prov t ~node { Rows.loc = node; vid = Rows.vid_of event; rid = Some rref; evid = None };
-      side_put t ~node ~key:(Rows.vid_of event) event
+  | Some _ as rid ->
+      let vid = Rows.vid_of event in
+      add_prov t ~node { Rows.loc = node; vid; rid; evid = None };
+      side_put t ~node ~key:vid event
+
+(* Every prov row at a node is keyed by its vid and located there, and
+   ExSPAN rows carry no evid, so a row without a rule reference under the
+   key is exactly the base row. *)
+let is_base (r : Rows.prov_row) = match r.rid with None -> true | Some _ -> false
+
+(* A base row for a tuple at its executing node, built only when it is
+   not stored yet. *)
+let add_base t ~node tuple vid =
+  if not (List.exists is_base (Rows.Table.find (state t node).prov (Rows.key vid))) then
+    add_prov t ~node { Rows.loc = node; vid; rid = None; evid = None };
+  side_put t ~node ~key:vid tuple
+
+(* The body vids in rule-execution order: the slow tuples', then the
+   event's. *)
+let rec body_vids event_vid = function
+  | [] -> [ event_vid ]
+  | tuple :: rest -> Rows.vid_of tuple :: body_vids event_vid rest
+
+let rec add_slow_bases t ~node = function
+  | [] -> ()
+  | tuple :: rest ->
+      add_base t ~node tuple (Rows.vid_of tuple);
+      add_slow_bases t ~node rest
 
 let on_fire t ~node ~(rule : Ast.rule) ~event ~slow (meta : Dpc_engine.Prov_hook.meta) =
   record_arrival t ~node event meta;
   let event_vid = Rows.vid_of event in
-  let slow_vids = List.map Rows.vid_of slow in
-  let vids = slow_vids @ [ event_vid ] in
-  let rid = rid_of ~rule_name:rule.name ~node ~vids in
+  let vids = body_vids event_vid slow in
+  let rid = Rows.rid ~rule:rule.name ~node vids Rows.No_tail in
   add_rule_exec t ~node { Rows.rloc = node; rid; rule = rule.name; vids; next = None };
   (* Base rows for the slow tuples (their location is the executing node). *)
-  List.iter2
-    (fun tuple vid ->
-      add_prov t ~node { Rows.loc = node; vid; rid = None; evid = None };
-      side_put t ~node ~key:vid tuple)
-    slow slow_vids;
+  add_slow_bases t ~node slow;
   (* The input event is a base tuple; intermediate events get their prov
      row from [record_arrival]. *)
-  if meta.prev = None then begin
-    add_prov t ~node { Rows.loc = node; vid = event_vid; rid = None; evid = None };
-    side_put t ~node ~key:event_vid event
-  end;
+  if meta.prev = None then add_base t ~node event event_vid;
   { meta with prev = Some (node, rid) }
 
 let hook t =

@@ -4,7 +4,7 @@ type 'a key = {
   uid : int;
   key_name : string;
   inj : 'a -> binding;
-  proj : binding -> 'a option;
+  proj : binding -> 'a;
 }
 
 let next_uid = ref 0
@@ -18,7 +18,9 @@ let key (type a) ~name () : a key =
     uid = !next_uid;
     key_name = name;
     inj = (fun v -> M.K v);
-    proj = (function M.K v -> Some v | _ -> None);
+    (* uids are unique per key, so a binding stored under this key's uid
+       with a foreign constructor can only be a bug in this module *)
+    proj = (function M.K v -> v | _ -> assert false);
   }
 
 let key_name k = k.key_name
@@ -63,23 +65,14 @@ let reset t =
      irrelevant, so the reversed list is fine. *)
   List.iter (fun hook -> hook ()) t.reset_hooks
 
-let find t k =
-  match Hashtbl.find_opt t.props k.uid with
-  | None -> None
-  | Some b -> (
-      match k.proj b with
-      | Some _ as v -> v
-      | None ->
-          (* uids are unique per key, so a uid collision with a foreign
-             constructor can only be a bug in this module *)
-          assert false)
-
 let set t k v = Hashtbl.replace t.props k.uid (k.inj v)
 
+(* Every store write looks its node state up here, so the hit path
+   allocates nothing. *)
 let get_or_init t k ~init =
-  match find t k with
-  | Some v -> v
-  | None ->
+  match Hashtbl.find t.props k.uid with
+  | b -> k.proj b
+  | exception Not_found ->
       let v = init () in
       set t k v;
       v

@@ -56,7 +56,6 @@ val key : name:string -> unit -> 'a key
     [name] is for diagnostics only. *)
 
 val key_name : _ key -> string
-val find : t -> 'a key -> 'a option
 val set : t -> 'a key -> 'a -> unit
 
 val get_or_init : t -> 'a key -> init:(unit -> 'a) -> 'a

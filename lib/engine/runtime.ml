@@ -154,6 +154,12 @@ let journal t node entry =
   if not t.replaying.(node) then
     match t.journal with None -> () | Some f -> f ~node entry
 
+(* [journal] of an arrival, building the entry only when a journal will
+   read it: this runs on every delivery. *)
+let journal_arrival t node event meta =
+  if not t.replaying.(node) then
+    match t.journal with None -> () | Some f -> f ~node (Journal.Arrival { event; meta })
+
 let load_slow t tuples =
   List.iter
     (fun tuple ->
@@ -236,7 +242,7 @@ and ship t src head meta =
           ~payload:(encode_entry (Journal.Arrival { event = head; meta }))
     | _ ->
         Dpc_net.Transport.send t.transport ~src ~dst ~bytes (fun () ->
-          journal t dst (Journal.Arrival { event = head; meta });
+          journal_arrival t dst head meta;
           process t ~input:false dst head meta)
   end
   else begin

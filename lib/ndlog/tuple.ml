@@ -1,4 +1,4 @@
-(* The canonical string and its SHA-1 digest are memoized: the engine
+(* The canonical string and the digest are memoized: the engine
    re-canonicalizes the same tuple value at every hop (db keys, vids), and
    the digest is the single most expensive per-firing operation. The memo
    fields are invisible outside this module — [t] is abstract, and
@@ -7,10 +7,10 @@ type t = {
   rel : string;
   args : Value.t array;
   mutable canonical_memo : string;  (* "" = not yet computed *)
-  mutable digest_memo : Dpc_util.Sha1.t option;
+  mutable digest_memo : string;  (* the raw digest; "" = not yet computed *)
 }
 
-let build rel args = { rel; args; canonical_memo = ""; digest_memo = None }
+let build rel args = { rel; args; canonical_memo = ""; digest_memo = "" }
 
 let of_array rel args =
   if Array.length args = 0 then invalid_arg "Tuple.make: empty argument list";
@@ -49,20 +49,6 @@ let hash t =
   done;
   !h land max_int
 
-(* Feed the canonical rendering piecewise: rel, "(", comma-separated value
-   pieces, ")". [canonical] and [digest] MUST observe the same byte
-   sequence — the digest streams these pieces without building the
-   string. *)
-let canonical_feed t f =
-  f t.rel;
-  f "(";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then f ",";
-      Value.canonical_iter f v)
-    t.args;
-  f ")"
-
 let canonical t =
   if t.canonical_memo <> "" then t.canonical_memo
   else begin
@@ -74,43 +60,44 @@ let canonical t =
       + Array.fold_left (fun acc v -> acc + Value.wire_size v + 12) 0 t.args
     in
     let buf = Buffer.create estimate in
-    canonical_feed t (Buffer.add_string buf);
+    Buffer.add_string buf t.rel;
+    Buffer.add_char buf '(';
+    Array.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf (Value.canonical v))
+      t.args;
+    Buffer.add_char buf ')';
     let s = Buffer.contents buf in
     t.canonical_memo <- s;
     s
   end
 
-(* The digest streams the canonical pieces straight into SHA-1 — except
-   that large [Str] payloads are INTERNED: the stream carries the
-   payload's own cached digest ("h:<len>:<raw>") instead of its bytes, so
-   a big payload is hashed once per distinct content, not once per tuple
+(* The digest streams the canonical rendering into SHA-1 — except that
+   large [Str] payloads are INTERNED ([Value.add_interned]): the stream
+   carries the payload's own cached digest instead of its bytes, so a big
+   payload is hashed once per distinct content, not once per tuple
    instance carrying it (each hop of a forwarding chain builds a fresh
    head tuple around the same payload). The digest is therefore sha1 of
    the canonical string with large payloads replaced by their interned
    rendering — NOT sha1 (canonical t) — but it remains injective and
-   deterministic, which is all the schemes key on. Payload digests are
-   computed before the stream starts: a digest_iter feeder must not
-   itself digest (the streaming context is shared). *)
+   deterministic, which is all the schemes key on. Only the 20-byte
+   result is allocated. *)
 let digest t =
-  match t.digest_memo with
-  | Some d -> d
-  | None ->
-      let interned = Array.map Value.interned_digest t.args in
-      let d =
-        Dpc_util.Sha1.digest_iter (fun f ->
-          f t.rel;
-          f "(";
-          Array.iteri
-            (fun i v ->
-              if i > 0 then f ",";
-              match interned.(i) with
-              | Some (len, pd) -> Value.interned_feed f ~len pd
-              | None -> Value.canonical_iter f v)
-            t.args;
-          f ")")
-      in
-      t.digest_memo <- Some d;
-      d
+  if t.digest_memo <> "" then Dpc_util.Sha1.of_raw t.digest_memo
+  else begin
+    let s = Dpc_util.Sha1.start () in
+    Dpc_util.Sha1.add s t.rel;
+    Dpc_util.Sha1.add s "(";
+    for i = 0 to Array.length t.args - 1 do
+      if i > 0 then Dpc_util.Sha1.add s ",";
+      Value.add_interned s t.args.(i)
+    done;
+    Dpc_util.Sha1.add s ")";
+    let d = Dpc_util.Sha1.finish s in
+    t.digest_memo <- Dpc_util.Sha1.to_raw d;
+    d
+  end
 
 let pp fmt t =
   Format.fprintf fmt "%s(@@%a" t.rel Value.pp t.args.(0);

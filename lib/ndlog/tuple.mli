@@ -32,13 +32,15 @@ val canonical : t -> string
 
 val digest : t -> Dpc_util.Sha1.t
 (** The tuple's SHA-1, memoized per tuple value — the vid every
-    provenance scheme keys on. Computed over the canonical rendering with
-    one twist: [Str] payloads longer than {!Value.payload_inline_max}
-    contribute their interned rendering ({!Value.interned_feed} — length
-    plus the payload's own cached digest) instead of their raw bytes, so
-    repeated large payloads are hashed once per distinct content.
-    Injective and deterministic like [sha1 (canonical t)], but NOT equal
-    to it for tuples with large payloads. *)
+    provenance scheme keys on, and the evid of an input event. Computed
+    over the canonical rendering with one twist: [Str] payloads longer
+    than {!Value.payload_inline_max} contribute their interned rendering
+    ({!Value.add_interned} — length plus the payload's own cached digest)
+    instead of their raw bytes, so repeated large payloads are hashed once
+    per distinct content. Injective and deterministic like
+    [sha1 (canonical t)], but NOT equal to it for tuples with large
+    payloads. Streams through {!Dpc_util.Sha1.start}, so it must not be
+    called while another stream of the same domain is open. *)
 
 val pp : Format.formatter -> t -> unit
 (** e.g. [packet(@n1, n1, n3, "data")]. *)

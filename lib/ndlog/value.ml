@@ -1,3 +1,5 @@
+module Sha1 = Dpc_util.Sha1
+
 type t = Int of int | Str of string | Bool of bool | Addr of int
 
 let equal a b =
@@ -11,29 +13,27 @@ let equal a b =
 let compare = Stdlib.compare
 let hash = Hashtbl.hash
 
-(* [canonical_iter f v] feeds the canonical rendering of [v] to [f] in
-   pieces, so hashing a value never copies its payload (a [Str] payload is
-   passed through by reference). [canonical] must stay the concatenation
-   of exactly these pieces. *)
-let canonical_iter f = function
-  | Int i ->
-      f "i:";
-      f (string_of_int i)
-  | Str s ->
-      f "s:";
-      f (string_of_int (String.length s));
-      f ":";
-      f s
-  | Bool b -> f (if b then "b:true" else "b:false")
-  | Addr a ->
-      f "@";
-      f (string_of_int a)
-
 let canonical = function
   | Int i -> "i:" ^ string_of_int i
   | Str s -> "s:" ^ string_of_int (String.length s) ^ ":" ^ s
   | Bool b -> if b then "b:true" else "b:false"
   | Addr a -> "@" ^ string_of_int a
+
+(* [add_canonical] must add exactly the bytes of [canonical]; a [Str]
+   payload is added by reference, never copied. *)
+let add_canonical s = function
+  | Int i ->
+      Sha1.add s "i:";
+      Sha1.add_int s i
+  | Str p ->
+      Sha1.add s "s:";
+      Sha1.add_int s (String.length p);
+      Sha1.add s ":";
+      Sha1.add s p
+  | Bool b -> Sha1.add s (if b then "b:true" else "b:false")
+  | Addr a ->
+      Sha1.add s "@";
+      Sha1.add_int s a
 
 (* Payload interning for the digest path. A [Str] payload longer than
    [payload_inline_max] contributes its own SHA-1 (20 bytes) to the tuple
@@ -48,35 +48,29 @@ let canonical = function
    eviction only costs a re-hash. *)
 let payload_inline_max = 64
 
-let payload_cache_key : (string, Dpc_util.Sha1.t) Hashtbl.t Domain.DLS.key =
+let payload_cache_key : (string, Sha1.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
 let payload_cache_cap = 4096
 
-let payload_digest s =
+(* A one-shot digest, which the stream API allows mid-stream. *)
+let payload_digest payload =
   let cache = Domain.DLS.get payload_cache_key in
-  match Hashtbl.find_opt cache s with
-  | Some d -> d
-  | None ->
+  match Hashtbl.find cache payload with
+  | d -> d
+  | exception Not_found ->
       if Hashtbl.length cache >= payload_cache_cap then Hashtbl.reset cache;
-      let d = Dpc_util.Sha1.digest_string s in
-      Hashtbl.add cache s d;
+      let d = Sha1.digest_string payload in
+      Hashtbl.add cache payload d;
       d
 
-(* [Some (len, payload_digest)] when the value digests via interning,
-   [None] when its canonical pieces are fed verbatim. Callers that stream
-   into a shared SHA-1 context call this for every argument FIRST (it
-   digests), then feed — a digest_iter feeder must never digest. *)
-let interned_digest = function
-  | Str s when String.length s > payload_inline_max ->
-      Some (String.length s, payload_digest s)
-  | Int _ | Str _ | Bool _ | Addr _ -> None
-
-let interned_feed f ~len d =
-  f "h:";
-  f (string_of_int len);
-  f ":";
-  f (Dpc_util.Sha1.to_raw d)
+let add_interned s = function
+  | Str p when String.length p > payload_inline_max ->
+      Sha1.add s "h:";
+      Sha1.add_int s (String.length p);
+      Sha1.add s ":";
+      Sha1.add s (Sha1.to_raw (payload_digest p))
+  | (Int _ | Str _ | Bool _ | Addr _) as v -> add_canonical s v
 
 let pp fmt = function
   | Int i -> Format.pp_print_int fmt i

@@ -18,28 +18,23 @@ val canonical : t -> string
 (** Unambiguous rendering used as SHA-1 input ("i:42", "s:<len>:...",
     "b:true", "@7"): distinct values never collide textually. *)
 
-val canonical_iter : (string -> unit) -> t -> unit
-(** [canonical_iter f v] feeds the pieces of [canonical v] to [f] in
-    order without concatenating them — a [Str] payload is passed through
-    by reference, so hashing a value never copies it. *)
+val add_canonical : Dpc_util.Sha1.stream -> t -> unit
+(** [add_canonical s v] adds exactly the bytes of [canonical v] to the
+    stream, without building the string; a [Str] payload is added by
+    reference, never copied. *)
 
 val payload_inline_max : int
-(** [Str] payloads longer than this digest via interning (see
-    {!interned_digest}); shorter ones are fed verbatim. *)
+(** [Str] payloads longer than this are interned by {!add_interned};
+    shorter ones are added verbatim. *)
 
-val interned_digest : t -> (int * Dpc_util.Sha1.t) option
-(** [Some (len, sha1 payload)] when the value is a [Str] longer than
-    {!payload_inline_max} — the digest comes from a bounded per-domain
-    content-keyed cache, so repeated payloads (a packet forwarded hop by
-    hop) are hashed once. [None] otherwise. Callers streaming a tuple
-    digest must call this for every argument BEFORE starting the stream:
-    it digests, and a {!Dpc_util.Sha1.digest_iter} feeder must not. *)
-
-val interned_feed : (string -> unit) -> len:int -> Dpc_util.Sha1.t -> unit
-(** Feed the interned rendering ["h:<len>:<raw digest>"] — the digest-path
-    stand-in for {!canonical_iter} on a large payload. The ["h:"] lead
-    piece is disjoint from every {!canonical_iter} lead piece, keeping the
-    digest input injective across the two renderings. *)
+val add_interned : Dpc_util.Sha1.stream -> t -> unit
+(** The digest-path rendering of a value: {!add_canonical}, except that a
+    [Str] longer than {!payload_inline_max} adds ["h:<len>:"] followed by
+    the payload's own raw SHA-1 instead of its bytes. The payload digest
+    comes from a bounded per-domain cache keyed by content, so a payload
+    repeated across tuples (a packet forwarded hop by hop) is hashed
+    once. The ["h:"] lead is disjoint from every canonical lead, so the
+    rendering stays injective. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering: [42], ["data"], [true], [n7]. *)

@@ -283,19 +283,24 @@ let process_block h w msg off =
 (* Streaming context. Hashing dominates the provenance hot path, so the
    padded whole-message copy of the textbook formulation is replaced by a
    context that consumes input in place: full 64-byte blocks are processed
-   straight out of the source string (via the read-only
-   [Bytes.unsafe_of_string] view), and only the sub-block tail ever hits
-   the 64-byte carry buffer. *)
+   straight out of the source (via the read-only [Bytes.unsafe_of_string]
+   view of a string), and only the sub-block tail ever hits the 64-byte
+   carry buffer. Nothing is allocated until [finish] builds the digest. *)
 type ctx = {
   st : int array;  (* 5-word chaining state *)
   cw : int array;  (* 80-slot schedule scratch *)
   cbuf : Bytes.t;  (* partial-block carry, 64 bytes *)
+  num : Bytes.t;  (* decimal rendering scratch for [add_int] *)
   mutable fill : int;  (* bytes pending in [cbuf] *)
   mutable total : int;  (* total message bytes fed *)
 }
 
+(* Wide enough for [string_of_int min_int] on a 64-bit build. *)
+let num_width = 20
+
 let init () =
-  { st = Array.make 5 0; cw = Array.make 80 0; cbuf = Bytes.create 64; fill = 0; total = 0 }
+  { st = Array.make 5 0; cw = Array.make 80 0; cbuf = Bytes.create 64;
+    num = Bytes.create num_width; fill = 0; total = 0 }
 
 let reset ctx =
   ctx.st.(0) <- 0x67452301;
@@ -306,35 +311,36 @@ let reset ctx =
   ctx.fill <- 0;
   ctx.total <- 0
 
-let feed ctx s =
-  let len = String.length s in
+(* Feed [len] bytes of [b] from [off]. [process_block] never writes to its
+   message argument, so [b] may be a read-only view of a string. *)
+let feed ctx b off len =
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
+  let pos = ref off and stop = off + len in
   if ctx.fill > 0 then begin
     let take = min (64 - ctx.fill) len in
-    Bytes.blit_string s 0 ctx.cbuf ctx.fill take;
+    Bytes.blit b off ctx.cbuf ctx.fill take;
     ctx.fill <- ctx.fill + take;
-    pos := take;
+    pos := off + take;
     if ctx.fill = 64 then begin
       process_block ctx.st ctx.cw ctx.cbuf 0;
       ctx.fill <- 0
     end
   end;
   if ctx.fill = 0 then begin
-    (* Read-only view: process_block never writes to [msg]. *)
-    let b = Bytes.unsafe_of_string s in
-    while len - !pos >= 64 do
+    while stop - !pos >= 64 do
       process_block ctx.st ctx.cw b !pos;
       pos := !pos + 64
     done;
-    let rem = len - !pos in
+    let rem = stop - !pos in
     if rem > 0 then begin
-      Bytes.blit_string s !pos ctx.cbuf 0 rem;
+      Bytes.blit b !pos ctx.cbuf 0 rem;
       ctx.fill <- rem
     end
   end
 
-let final ctx =
+let add ctx s = feed ctx (Bytes.unsafe_of_string s) 0 (String.length s)
+
+let finish ctx =
   (* Pad: 0x80, zeros to 56 mod 64, then the 8-byte big-endian bit count. *)
   Bytes.set ctx.cbuf ctx.fill '\x80';
   if ctx.fill >= 56 then begin
@@ -356,33 +362,54 @@ let final ctx =
   done;
   Bytes.unsafe_to_string out
 
-(* One shared context PER DOMAIN: digesting is never re-entered within a
-   domain (the [digest_iter] feeder only renders value pieces; it must
-   not itself digest), but sharded runtimes digest concurrently from
-   several domains — a process-global context would tear. *)
-let shared_key = Domain.DLS.new_key init
+(* Two contexts PER DOMAIN: one for the one-shot digests and one for the
+   stream, so a stream's producer may take one-shot digests mid-stream
+   (payload interning does). Per domain, not per process, because sharded
+   runtimes digest concurrently from several domains. *)
+let oneshot_key = Domain.DLS.new_key init
+let stream_key = Domain.DLS.new_key init
+
+type stream = ctx
+
+let start () =
+  let ctx = Domain.DLS.get stream_key in
+  reset ctx;
+  ctx
+
+(* Render the non-positive [m] right-aligned before [pos] in [num] and
+   return where it starts. Working on the non-positive magnitude covers
+   [min_int] without overflow. *)
+let rec put_digits num pos m =
+  let pos = pos - 1 in
+  Bytes.unsafe_set num pos (Char.unsafe_chr (48 - (m mod 10)));
+  if m <= -10 then put_digits num pos (m / 10) else pos
+
+let add_int ctx n =
+  let pos = put_digits ctx.num num_width (if n < 0 then n else -n) in
+  let pos =
+    if n < 0 then begin
+      Bytes.unsafe_set ctx.num (pos - 1) '-';
+      pos - 1
+    end
+    else pos
+  in
+  feed ctx ctx.num pos (num_width - pos)
 
 let digest_string s =
-  let shared = Domain.DLS.get shared_key in
-  reset shared;
-  feed shared s;
-  final shared
-
-let digest_iter feeder =
-  let shared = Domain.DLS.get shared_key in
-  reset shared;
-  feeder (feed shared);
-  final shared
+  let ctx = Domain.DLS.get oneshot_key in
+  reset ctx;
+  add ctx s;
+  finish ctx
 
 let digest_concat parts =
-  let shared = Domain.DLS.get shared_key in
-  reset shared;
+  let ctx = Domain.DLS.get oneshot_key in
+  reset ctx;
   List.iteri
     (fun i part ->
-      if i > 0 then feed shared "+";
-      feed shared part)
+      if i > 0 then add ctx "+";
+      add ctx part)
     parts;
-  final shared
+  finish ctx
 
 let hex_digits = "0123456789abcdef"
 

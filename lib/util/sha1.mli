@@ -10,18 +10,37 @@ type t
 val digest_string : string -> t
 (** [digest_string s] is the SHA-1 digest of [s]. *)
 
-val digest_iter : ((string -> unit) -> unit) -> t
-(** [digest_iter feeder] digests the concatenation of every string the
-    feeder passes to its callback, without materializing the whole
-    message. Equivalent to [digest_string] of the concatenation. The
-    feeder must not itself start another digest (the streaming context is
-    shared). *)
-
 val digest_concat : string list -> t
 (** [digest_concat parts] hashes the concatenation of [parts], inserting a
     ['+'] separator between parts (mirroring the paper's
     [sha1(r1+n1+vid1+vid2)] notation and avoiding ambiguity between
     ["ab"+"c"] and ["a"+"bc"]). *)
+
+(** {2 Streaming}
+
+    A stream digests a message handed over in pieces, without building
+    it and without allocating: only {!finish} allocates, the 20-byte
+    result. The stream context is per domain and separate from the one
+    {!digest_string} and {!digest_concat} use, so a producer may take
+    those one-shot digests mid-stream; it must not {!start} a second
+    stream before the first one finishes. *)
+
+type stream
+
+val start : unit -> stream
+(** [start ()] resets this domain's stream context and returns it. *)
+
+val add : stream -> string -> unit
+(** [add s piece] appends the bytes of [piece]. *)
+
+val add_int : stream -> int -> unit
+(** [add_int s n] appends exactly the bytes of [string_of_int n]. *)
+
+val finish : stream -> t
+(** The digest of everything added since {!start}: [finish] after adding
+    [p1], ..., [pk] equals [digest_string (p1 ^ ... ^ pk)]. *)
+
+(** {2 Rendering and comparison} *)
 
 val to_hex : t -> string
 (** Lowercase 40-character hexadecimal rendering. *)

@@ -13,11 +13,11 @@
 # there means the cache or the re-execution walk got algorithmically
 # worse, not that the builder was busy.
 #
-# Last, the allocation gate runs dpcbench on the workloads listed in
-# BENCH_PR14.json and fails when a workload's allocated words per event
-# exceed the baseline by more than its tolerance (2 %, the benchmark's
-# own bound). Allocation is counted, not timed: it repeats exactly from
-# run to run, so unlike events/s it can be gated tightly.
+# Last, the allocation gate runs dpcbench on every workload listed in
+# BENCH_PR15.json (all five) and fails when a workload's allocated words
+# per event exceed the baseline by more than its tolerance (2 %, the
+# benchmark's own bound). Allocation is counted, not timed: it repeats
+# exactly from run to run, so unlike events/s it can be gated tightly.
 #
 #   scripts/bench_gate.sh [baseline.json]
 #
@@ -115,7 +115,7 @@ if failed:
 print("bench gate ok")
 PY
 
-alloc_baseline=BENCH_PR14.json
+alloc_baseline=BENCH_PR15.json
 echo "== allocation gate: dpcbench alloc_words_per_event vs $alloc_baseline =="
 python3 - "$alloc_baseline" <<'PY'
 import json, subprocess, sys

@@ -145,6 +145,49 @@ let prop_keys_well_formed =
     && List.for_all (fun k -> k >= 0 && k < arity) keys
     && List.sort_uniq compare keys = keys)
 
+(* The key hash is pinned to an independent reference: SHA-1 of the
+   canonical key values joined by "+", for every key type, negative ints
+   and payloads on both sides of the interning threshold. *)
+let reference_key_hash k ev =
+  Dpc_util.Sha1.digest_concat (List.map Dpc_ndlog.Value.canonical (Equi_keys.key_values k ev))
+
+let prop_key_hash_reference =
+  let d = validate "r1 out(@L, A, B, C) :- ev(@L, A, B, C), s(@L, A, B, C)." in
+  let k = Equi_keys.compute d in
+  let open Dpc_ndlog in
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun i -> Value.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+          map (fun b -> Value.Bool b) bool;
+          map (fun a -> Value.Addr a) nat;
+          map (fun s -> Value.Str s) (string_size (oneof [ 0 -- 70; oneofl [ 64; 65; 500 ] ]));
+        ])
+  in
+  QCheck.Test.make ~name:"key hash = digest_concat reference" ~count:200
+    (QCheck.make QCheck.Gen.(triple value value value))
+    (fun (a, b, c) ->
+      let ev = Tuple.make "ev" [ Value.Addr 1; a; b; c ] in
+      Equi_keys.keys k = [ 0; 1; 2; 3 ]
+      && Dpc_util.Sha1.equal (Equi_keys.key_hash k ev) (reference_key_hash k ev))
+
+let test_key_hash_reference_apps () =
+  List.iter
+    (fun (name, d, ev) ->
+      let k = Equi_keys.compute d in
+      check Alcotest.bool (name ^ ": key hash = reference") true
+        (Dpc_util.Sha1.equal (Equi_keys.key_hash k ev) (reference_key_hash k ev)))
+    [
+      ( "forwarding",
+        forwarding (),
+        Dpc_apps.Forwarding.packet ~src:1 ~dst:3 ~payload:(String.make 500 'x') );
+      ( "arp",
+        Dpc_apps.Arp.delp (),
+        Dpc_apps.Arp.arp_query ~host:2 ~ip:(String.make 65 'i') ~rqid:(-7) );
+      ("dns", dns (), Dpc_apps.Dns.url ~host:4 ~url:"www.example.com" ~rqid:(-1));
+    ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -169,5 +212,6 @@ let () =
           Alcotest.test_case "wrong relation" `Quick test_key_values_wrong_relation;
           Alcotest.test_case "source not a key" `Quick test_source_not_a_key_in_forwarding;
         ]
-        @ qsuite [ prop_keys_well_formed ] );
+        @ qsuite [ prop_keys_well_formed; prop_key_hash_reference ]
+        @ [ Alcotest.test_case "key hash of app events" `Quick test_key_hash_reference_apps ] );
     ]

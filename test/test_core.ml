@@ -366,6 +366,28 @@ let test_theorem5_exact_derivations () =
         (Prov_tree.equal tree (fig3_tree payload)))
     [ "one"; "two" ]
 
+(* Theorem 5 with the evid the runtime hands out ([meta.evid], the
+   interned [Tuple.digest]) on payloads at and above the 64-byte interning
+   threshold, including the paper's 500-byte packets: every scheme must
+   filter on the same hash. *)
+let test_evid_large_payloads name scheme =
+  let w = make_world scheme in
+  let payloads = [ String.make 64 'a'; String.make 65 'b'; String.make 500 'c' ] in
+  List.iter (fun payload -> send w ~payload) payloads;
+  let outputs = Dpc_engine.Runtime.outputs w.runtime in
+  check Alcotest.int (name ^ ": one output per packet") 3 (List.length outputs);
+  List.iter
+    (fun (out, (meta : Dpc_engine.Prov_hook.meta)) ->
+      let payload = Value.str_exn (Tuple.arg out 3) in
+      let label = Printf.sprintf "%s, %d-byte payload" name (String.length payload) in
+      let result = query ~evid:meta.evid w out in
+      check Alcotest.int (label ^ ": exactly one derivation") 1 (List.length result.trees);
+      let tree = List.hd result.trees in
+      check Alcotest.bool (label ^ ": event_id = meta.evid") true
+        (Dpc_util.Sha1.equal (Prov_tree.event_id tree) meta.evid);
+      check tree_testable (label ^ ": Fig 3 tree") (fig3_tree payload) tree)
+    outputs
+
 (* --------------------------------------------------------------- *)
 (* Query latency model: ExSPAN processes more entries and bytes. *)
 
@@ -485,6 +507,7 @@ let () =
         @ scheme_cases (fun name scheme ->
             if scheme <> Backend.S_exspan then test_theorem3_losslessness name scheme)
         @ qsuite [ prop_theorem1_random_payloads ] );
+      ("evid of large payloads", scheme_cases test_evid_large_payloads);
       ( "query cost",
         [
           Alcotest.test_case "exspan slower" `Quick test_query_cost_ordering;

@@ -558,6 +558,74 @@ let test_budget_sim_send () =
   Dpc_net.Sim.run sim;
   check Alcotest.int "both delivered" 2 (Dpc_net.Sim.events_processed sim)
 
+(* The record path: the identifiers every firing hashes, and one firing's
+   provenance record, under each scheme. *)
+
+(* [f] applied to [xs.(0)] on the warm-up call and [xs.(1)] on the
+   measured one: a fresh value each time, built outside the measurement. *)
+let each_fresh xs f =
+  let next = ref 0 in
+  fun () ->
+    let x = xs.(!next) in
+    incr next;
+    f x
+
+let dns_request ~at ~rqid =
+  Tuple.make "request"
+    [ Value.Addr at; Value.Str "www.example.com"; Value.Addr 7; Value.Int rqid ]
+
+let test_budget_tuple_digest () =
+  (* The digest (4) and nothing else. *)
+  check_budget "Tuple.digest of a DNS request" ~measured:4
+    (each_fresh (Array.init 2 (fun rqid -> dns_request ~at:1 ~rqid)) (fun t ->
+      ignore (Tuple.digest t)));
+  let payload = String.make 500 'x' in
+  ignore (Tuple.digest (pkt ~at:0 ~src:0 ~dst:2 ~payload));
+  (* The payload's own digest comes from the cache: again only the
+     result (4). *)
+  check_budget "Tuple.digest of a 500-byte packet" ~measured:4
+    (each_fresh (Array.init 2 (fun at -> pkt ~at ~src:0 ~dst:2 ~payload)) (fun t ->
+      ignore (Tuple.digest t)))
+
+let test_budget_key_hash () =
+  let keys = Dpc_analysis.Equi_keys.compute (Dpc_apps.Forwarding.delp ()) in
+  let event = pkt ~at:0 ~src:0 ~dst:2 ~payload:(String.make 500 'x') in
+  (* The digest (4). *)
+  check_budget "Equi_keys.key_hash of a packet" ~measured:4 (fun () ->
+    ignore (Dpc_analysis.Equi_keys.key_hash keys event))
+
+(* DNS r2 at node 1 for a request that arrived from node 0, as an
+   equivalence miss: one name server row, the same on every firing, and a
+   fresh request each time, whose vid is still to take.
+   ExSPAN (53): the request's vid (4), its prov row (5), table cell (7)
+   and side-store cell (4), the body vids (6), the rid (4), the ruleExec
+   row (6) and cell (7), and the returned meta with its back-pointer (10).
+   Basic (36): the request's vid (4), the slow vids (3), the rid (4) and
+   its tail (2), the ruleExec row (6) and cell (7), and the meta (10).
+   Advanced (32): as Basic, less the request's vid, which it does not
+   record. *)
+let test_budget_on_fire name scheme ~measured () =
+  let delp = Dpc_apps.Dns.delp () in
+  let rule = List.find (fun (r : Ast.rule) -> String.equal r.name "r2") delp.program.rules in
+  let backend = Dpc_core.Backend.make scheme ~delp ~env:Dpc_apps.Dns.env ~nodes:3 in
+  let hook = Dpc_core.Backend.hook backend in
+  let slow = [ Dpc_apps.Dns.name_server ~at:1 ~domain:"example.com" ~server:2 ] in
+  let firing rqid =
+    let event = dns_request ~at:1 ~rqid and head = dns_request ~at:2 ~rqid in
+    let meta =
+      {
+        Prov_hook.evid = Dpc_util.Sha1.digest_string "input";
+        exist_flag = false;
+        eqkey = Some (Dpc_util.Sha1.digest_string "class");
+        prev = Some (0, Dpc_util.Sha1.digest_string (string_of_int rqid));
+      }
+    in
+    (event, head, meta)
+  in
+  check_budget name ~measured
+    (each_fresh (Array.init 2 firing) (fun (event, head, meta) ->
+      ignore (hook.on_fire ~node:1 ~rule ~event ~slow ~head meta)))
+
 let () =
   Alcotest.run "dpc_engine"
     [
@@ -613,5 +681,14 @@ let () =
           Alcotest.test_case "counters on an existing name" `Quick test_budget_counters;
           Alcotest.test_case "fire_planned of forwarding r1" `Quick test_budget_fire_planned;
           Alcotest.test_case "one-hop Sim.send" `Quick test_budget_sim_send;
+          Alcotest.test_case "Tuple.digest" `Quick test_budget_tuple_digest;
+          Alcotest.test_case "Equi_keys.key_hash" `Quick test_budget_key_hash;
+          Alcotest.test_case "on_fire of DNS r2, ExSPAN" `Quick
+            (test_budget_on_fire "ExSPAN on_fire r2" Dpc_core.Backend.S_exspan ~measured:53);
+          Alcotest.test_case "on_fire of DNS r2, Basic" `Quick
+            (test_budget_on_fire "Basic on_fire r2" Dpc_core.Backend.S_basic ~measured:36);
+          Alcotest.test_case "on_fire of DNS r2, Advanced" `Quick
+            (test_budget_on_fire "Advanced on_fire r2 (miss)" Dpc_core.Backend.S_advanced
+               ~measured:32);
         ] );
     ]

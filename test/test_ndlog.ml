@@ -106,60 +106,57 @@ let test_tuple_canonical_sensitivity () =
   check Alcotest.bool "relation matters" false
     (String.equal (Tuple.canonical t1) (Tuple.canonical t3))
 
-(* The digest contract with payload interning: for tuples whose [Str]
-   payloads are at most [Value.payload_inline_max] bytes the digest is
-   exactly sha1(canonical); larger payloads contribute their interned
-   rendering ("h:" ^ length ^ ":" ^ raw payload digest) in place of the
-   raw bytes, so the digest equals sha1 of the canonical string with
-   that substitution. Both memoization orders must agree, and payloads
-   spanning SHA-1 blocks are covered. *)
+(* The digest contract with payload interning, against a reference
+   rendering built here from [Value.canonical] and [Sha1.digest_string]:
+   for tuples whose [Str] payloads are at most [Value.payload_inline_max]
+   bytes the digest is exactly sha1(canonical); larger payloads contribute
+   "h:" ^ length ^ ":" ^ raw payload digest in place of their canonical
+   rendering. Both memoization orders must agree, and payloads spanning
+   SHA-1 blocks, the 64/65-byte interning boundary, negative ints and
+   bools are covered. *)
 let test_tuple_digest_contract () =
-  let mk payload = Tuple.make "packet" [ Value.Addr 3; Value.Int 7; Value.Str payload ] in
-  let expected_digest payload =
-    let buf = Buffer.create 64 in
-    Buffer.add_string buf "packet(";
-    Buffer.add_string buf (Value.canonical (Value.Addr 3));
-    Buffer.add_char buf ',';
-    Buffer.add_string buf (Value.canonical (Value.Int 7));
-    Buffer.add_char buf ',';
-    (match Value.interned_digest (Value.Str payload) with
-    | Some (len, d) ->
-        check Alcotest.bool "interned only above the inline threshold" true
-          (String.length payload > Value.payload_inline_max);
-        check Alcotest.int "interned length is the payload length" (String.length payload) len;
-        Value.interned_feed (Buffer.add_string buf) ~len d
-    | None ->
-        check Alcotest.bool "inline at or below the threshold" true
-          (String.length payload <= Value.payload_inline_max);
-        Buffer.add_string buf (Value.canonical (Value.Str payload)));
-    Buffer.add_char buf ')';
-    Dpc_util.Sha1.digest_string (Buffer.contents buf)
+  let sha1 = Dpc_util.Sha1.digest_string in
+  let reference_piece = function
+    | Value.Str p when String.length p > 64 ->
+        "h:" ^ string_of_int (String.length p) ^ ":" ^ Dpc_util.Sha1.to_raw (sha1 p)
+    | v -> Value.canonical v
   in
+  let reference args =
+    sha1 ("packet(" ^ String.concat "," (List.map reference_piece args) ^ ")")
+  in
+  check Alcotest.int "interning threshold" 64 Value.payload_inline_max;
   List.iter
-    (fun payload ->
-      let a = mk payload in
-      let da = Tuple.digest a in
-      check Alcotest.bool "digest matches the interned canonical rendering" true
-        (Dpc_util.Sha1.equal da (expected_digest payload));
-      (* Small payloads keep the historical vid = sha1(canonical). *)
-      if String.length payload <= Value.payload_inline_max then
-        check Alcotest.bool "inline digest = sha1 canonical" true
-          (Dpc_util.Sha1.equal da (Dpc_util.Sha1.digest_string (Tuple.canonical a)));
-      (* canonical first: the memoized-string path must agree *)
-      let b = mk payload in
-      ignore (Tuple.canonical b);
-      check Alcotest.bool "memoized digest agrees" true
-        (Dpc_util.Sha1.equal (Tuple.digest b) da);
-      (* the interned digest is cached per domain; a repeat build agrees *)
-      check Alcotest.bool "repeat digest agrees" true
-        (Dpc_util.Sha1.equal (Tuple.digest (mk payload)) da);
-      (* canonical_iter pieces concatenate to canonical *)
-      let buf = Buffer.create 16 in
-      Value.canonical_iter (Buffer.add_string buf) (Value.Str payload);
-      check Alcotest.string "value pieces concat to canonical"
-        (Value.canonical (Value.Str payload))
-        (Buffer.contents buf))
-    [ ""; "x"; String.make 55 'p'; String.make 64 'q'; String.make 65 's'; String.make 500 'r' ]
+    (fun (n, b) ->
+      List.iter
+        (fun payload ->
+          let args = [ Value.Addr 3; Value.Int n; Value.Bool b; Value.Str payload ] in
+          let mk () = Tuple.make "packet" args in
+          let a = mk () in
+          let da = Tuple.digest a in
+          check Alcotest.bool "digest matches the reference rendering" true
+            (Dpc_util.Sha1.equal da (reference args));
+          (* Small payloads keep the historical vid = sha1(canonical). *)
+          if String.length payload <= Value.payload_inline_max then
+            check Alcotest.bool "inline digest = sha1 canonical" true
+              (Dpc_util.Sha1.equal da (sha1 (Tuple.canonical a)));
+          (* canonical first: the memoized-string path must agree *)
+          let c = mk () in
+          ignore (Tuple.canonical c);
+          check Alcotest.bool "memoized digest agrees" true
+            (Dpc_util.Sha1.equal (Tuple.digest c) da);
+          (* the interned digest is cached per domain; a repeat build agrees *)
+          check Alcotest.bool "repeat digest agrees" true
+            (Dpc_util.Sha1.equal (Tuple.digest (mk ())) da);
+          (* every value streams exactly its canonical bytes *)
+          List.iter
+            (fun v ->
+              let s = Dpc_util.Sha1.start () in
+              Value.add_canonical s v;
+              check Alcotest.bool "add_canonical streams canonical" true
+                (Dpc_util.Sha1.equal (Dpc_util.Sha1.finish s) (sha1 (Value.canonical v))))
+            args)
+        [ ""; "x"; String.make 55 'p'; String.make 64 'q'; String.make 65 's'; String.make 500 'r' ])
+    [ (7, true); (-1, false); (-42, true); (min_int, false); (max_int, true); (0, false) ]
 
 let test_tuple_serialize_roundtrip () =
   let w = Dpc_util.Serialize.writer () in

@@ -45,10 +45,15 @@ let test_sha1_raw_roundtrip () =
     (Invalid_argument "Sha1.of_raw: expected 20 bytes") (fun () ->
       ignore (Sha1.of_raw "short"))
 
-(* The streaming feeder must agree with the one-shot digest no matter how
-   the message is cut, including cuts straddling the 64-byte block
-   boundary and messages landing on every padding edge. *)
-let test_sha1_digest_iter () =
+let stream pieces =
+  let s = Sha1.start () in
+  List.iter (Sha1.add s) pieces;
+  Sha1.finish s
+
+(* The stream must agree with the one-shot digest no matter how the
+   message is cut, including cuts straddling the 64-byte block boundary
+   and messages landing on every padding edge. *)
+let test_sha1_stream () =
   let lengths = [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 128; 200; 513 ] in
   List.iter
     (fun len ->
@@ -57,35 +62,66 @@ let test_sha1_digest_iter () =
       check Alcotest.bool
         (Printf.sprintf "one piece, len %d" len)
         true
-        (Sha1.equal whole (Sha1.digest_iter (fun f -> f s)));
+        (Sha1.equal whole (stream [ s ]));
       List.iter
         (fun cut ->
           if cut <= len then
-            let streamed =
-              Sha1.digest_iter (fun f ->
-                f (String.sub s 0 cut);
-                f (String.sub s cut (len - cut)))
-            in
+            let streamed = stream [ String.sub s 0 cut; String.sub s cut (len - cut) ] in
             check Alcotest.bool
               (Printf.sprintf "len %d cut at %d" len cut)
               true (Sha1.equal whole streamed))
         [ 0; 1; 63; 64; 65 ];
       (* byte-at-a-time *)
-      let streamed =
-        Sha1.digest_iter (fun f -> String.iter (fun c -> f (String.make 1 c)) s)
-      in
+      let streamed = stream (List.init len (fun i -> String.make 1 s.[i])) in
       check Alcotest.bool (Printf.sprintf "byte stream, len %d" len) true
         (Sha1.equal whole streamed))
     lengths
 
-let prop_sha1_digest_iter_matches =
-  QCheck.Test.make ~name:"digest_iter over random pieces = digest_string of concat"
+(* One-shot digests taken mid-stream use their own context and leave the
+   stream intact. *)
+let test_sha1_stream_oneshot_midstream () =
+  let s = Sha1.start () in
+  Sha1.add s (String.make 70 'a');
+  let inner = Sha1.digest_string "inner" in
+  let concat = Sha1.digest_concat [ "x"; "y" ] in
+  Sha1.add s (Sha1.to_raw inner);
+  Sha1.add_int s 42;
+  let streamed = Sha1.finish s in
+  checks "inner digest unaffected" (sha1_hex "inner") (Sha1.to_hex inner);
+  checks "concat unaffected" (sha1_hex "x+y") (Sha1.to_hex concat);
+  checks "stream unaffected"
+    (sha1_hex (String.make 70 'a' ^ Sha1.to_raw inner ^ "42"))
+    (Sha1.to_hex streamed)
+
+let prop_sha1_stream_matches =
+  QCheck.Test.make ~name:"stream of random pieces = one-shot"
     ~count:200
     QCheck.(list (string_of_size Gen.(0 -- 150)))
     (fun pieces ->
-      Sha1.equal
-        (Sha1.digest_string (String.concat "" pieces))
-        (Sha1.digest_iter (fun f -> List.iter f pieces)))
+      Sha1.equal (Sha1.digest_string (String.concat "" pieces)) (stream pieces))
+
+(* [add_int] feeds exactly the bytes of [string_of_int], wherever in a
+   block it lands. *)
+let prop_sha1_add_int_matches =
+  let ints =
+    QCheck.(
+      make ~print:Print.int
+        Gen.(
+          oneof
+            [
+              oneofl [ min_int; max_int; 0; -1; 1; 9; 10; -9; -10; min_int + 1; max_int - 1 ];
+              int;
+              small_signed_int;
+            ]))
+  in
+  QCheck.Test.make ~name:"add_int n = add (string_of_int n)" ~count:500
+    QCheck.(pair (string_of_size Gen.(0 -- 70)) ints)
+    (fun (prefix, n) ->
+      let s = Sha1.start () in
+      Sha1.add s prefix;
+      Sha1.add_int s n;
+      Sha1.add s "|";
+      Sha1.equal (Sha1.finish s) (Sha1.digest_string (prefix ^ string_of_int n ^ "|")))
 
 let prop_sha1_deterministic =
   QCheck.Test.make ~name:"sha1 deterministic and 40 hex chars" ~count:200
@@ -474,14 +510,19 @@ let () =
           Alcotest.test_case "padding boundaries" `Quick test_sha1_block_boundaries;
           Alcotest.test_case "digest_concat" `Quick test_sha1_concat;
           Alcotest.test_case "raw round-trip" `Quick test_sha1_raw_roundtrip;
-          Alcotest.test_case "streaming digest_iter" `Quick test_sha1_digest_iter;
+          Alcotest.test_case "stream vs one-shot, every cut" `Quick test_sha1_stream;
         ]
         @ qsuite
             [
               prop_sha1_deterministic;
               prop_sha1_injective_on_samples;
-              prop_sha1_digest_iter_matches;
-            ] );
+              prop_sha1_stream_matches;
+              prop_sha1_add_int_matches;
+            ]
+        @ [
+            Alcotest.test_case "one-shot digests mid-stream" `Quick
+              test_sha1_stream_oneshot_midstream;
+          ] );
       ( "heap",
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;

@@ -70,9 +70,9 @@ module Outbox = struct
         c
 
   let drop_acked c upto =
-    Hashtbl.iter
-      (fun seq _ -> if seq <= upto then Hashtbl.remove c.pending seq)
-      (Hashtbl.copy c.pending)
+    Hashtbl.filter_map_inplace
+      (fun seq payload -> if seq <= upto then None else Some payload)
+      c.pending
 
   let apply_send t dst seq payload =
     let c = chan_of t dst in
@@ -234,16 +234,16 @@ type disk = {
 type node_log = {
   mutable checkpoint : checkpoint option;  (* last full (base) cut *)
   mutable deltas : checkpoint list;  (* delta cuts since the base, newest first *)
-  mutable wal : string list;  (* serialized entry groups, newest first *)
+  (* The journal since the last cut: one append-only buffer per node.
+     Bytes below [flushed] are the wal; the rest is the open group, the
+     entries of the current top-level operation. Group commit: the next
+     boundary (or a crash/checkpoint) closes the group by advancing
+     [flushed] — one metrics tick, and in disk mode one write, per
+     operation instead of per entry. A cut empties the buffer. *)
+  wal : S.writer;
+  mutable flushed : int;
   mutable wal_entries : int;
   mutable boundaries : int;  (* boundary entries currently in the wal *)
-  (* Group commit: entries of the current top-level operation accumulate
-     here and land in [wal] as ONE blob when the next boundary (or a
-     crash/checkpoint) closes the group — one buffered append and one
-     metrics tick per operation instead of per entry. *)
-  pending : S.writer;
-  mutable pending_entries : int;
-  mutable pending_bytes : int;
   (* Durable counters: they live here, not in the node registry, so a
      crash cannot erase them; [rematerialize] copies them back into the
      wiped registry so metric snapshots stay complete. *)
@@ -300,12 +300,10 @@ let fresh_log () =
   {
     checkpoint = None;
     deltas = [];
-    wal = [];
+    wal = S.writer ();
+    flushed = 0;
     wal_entries = 0;
     boundaries = 0;
-    pending = S.writer ();
-    pending_entries = 0;
-    pending_bytes = 0;
     crashes = 0;
     wal_bytes = 0;
     checkpoints = 0;
@@ -390,17 +388,19 @@ let metrics t node = Node.metrics (Runtime.node t.runtime node)
 
 let recovery_ms_of log = int_of_float (ceil (log.recovery_s *. 1000.))
 
-(* Close the open entry group: one wal append, one metrics tick. *)
+let open_bytes (log : node_log) = S.size log.wal - log.flushed
+
+(* Close the open entry group: one metrics tick, and in disk mode one
+   write of the group's byte range. *)
 let flush_group t node =
   let log = t.logs.(node) in
-  if log.pending_entries > 0 then begin
-    let blob = S.contents log.pending in
-    log.wal <- blob :: log.wal;
-    (match log.disk with None -> () | Some d -> write_all d.wal_fd blob);
-    S.reset log.pending;
-    log.pending_entries <- 0;
-    Metrics.add (metrics t node) "crash.wal_bytes" log.pending_bytes;
-    log.pending_bytes <- 0
+  let len = open_bytes log in
+  if len > 0 then begin
+    (match log.disk with
+    | None -> ()
+    | Some d -> write_all d.wal_fd (S.sub log.wal log.flushed len));
+    log.flushed <- log.flushed + len;
+    Metrics.add (metrics t node) "crash.wal_bytes" len
   end
 
 let cut_bytes c =
@@ -472,7 +472,8 @@ let take_checkpoint t node =
         List.iter
           (fun old -> if old >= 0 then try Unix.unlink (cut_path d.dir old) with _ -> ())
           (old_base :: old_deltas));
-  log.wal <- [];
+  S.reset log.wal;
+  log.flushed <- 0;
   log.wal_entries <- 0;
   log.boundaries <- 0;
   log.checkpoints <- log.checkpoints + 1;
@@ -485,6 +486,10 @@ let take_checkpoint t node =
   let m = metrics t node in
   Metrics.incr m "crash.checkpoints";
   Metrics.add m "crash.checkpoint_bytes" bytes
+
+let count_entry (log : node_log) before =
+  log.wal_entries <- log.wal_entries + 1;
+  log.wal_bytes <- log.wal_bytes + (S.size log.wal - before)
 
 (* WAL-then-apply: called before the entry's effects. A boundary entry
    marks the start of a fresh top-level operation — everything before it
@@ -500,19 +505,24 @@ let append t node entry =
       then take_checkpoint t node;
       log.boundaries <- log.boundaries + 1
     end;
-    let before = S.size log.pending in
-    Journal.write log.pending entry;
-    let len = S.size log.pending - before in
-    log.pending_entries <- log.pending_entries + 1;
-    log.pending_bytes <- log.pending_bytes + len;
-    log.wal_entries <- log.wal_entries + 1;
-    log.wal_bytes <- log.wal_bytes + len
+    let before = S.size log.wal in
+    Journal.write log.wal entry;
+    count_entry log before
   end
 
-let on_channel_event t (ev : Reliable.channel_event) =
-  match ev with
-  | Reliable.Next_seq { src; dst; seq } -> append t src (Journal.Next_seq { peer = dst; seq })
-  | Reliable.Expected { src; dst; seq } -> append t dst (Journal.Expected { peer = src; seq })
+(* A reliable-channel sequence advance, straight into the owning node's
+   open group as the bytes of its [Next_seq]/[Expected] journal entry.
+   Neither is a boundary. *)
+let on_seq_advance t (field : Reliable.seq_field) ~src ~dst ~seq =
+  let node = match field with Next_seq -> src | Expected -> dst in
+  if not t.recovering.(node) then begin
+    let log = t.logs.(node) in
+    let before = S.size log.wal in
+    (match field with
+    | Next_seq -> Journal.write_next_seq log.wal ~peer:dst ~seq
+    | Expected -> Journal.write_expected log.wal ~peer:src ~seq);
+    count_entry log before
+  end
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -557,12 +567,12 @@ let load_disk_state t node dir =
     end
     else []
   in
-  let blob = S.with_scratch (fun w -> List.iter (Journal.write w) entries) in
-  write_file_atomic wpath blob;
-  if entries <> [] then log.wal <- [ blob ];
+  List.iter (Journal.write log.wal) entries;
+  log.flushed <- S.size log.wal;
+  write_file_atomic wpath (S.contents log.wal);
   log.wal_entries <- List.length entries;
   log.boundaries <- List.length (List.filter Journal.is_boundary entries);
-  log.wal_bytes <- String.length blob;
+  log.wal_bytes <- log.flushed;
   log.checkpoints <- 1 + List.length delta_ids;
   let d =
     {
@@ -638,7 +648,8 @@ let attach ~backend ~runtime ~control ?(config = default_config) ?disk
     Metrics.incr (metrics t querier) "crash.queries_degraded");
   (match Runtime.reliability runtime with
   | None -> ()
-  | Some r -> Reliable.set_persist r (fun ev -> on_channel_event t ev));
+  | Some r ->
+      Reliable.set_persist r (fun field ~src ~dst ~seq -> on_seq_advance t field ~src ~dst ~seq));
   Runtime.set_availability runtime control.Transport.is_up;
   (* Dirty tracking must be live BEFORE the first cut so every write
      after checkpoint 0 lands in some delta — both the provenance stores
@@ -668,7 +679,7 @@ let rematerialize t node =
   if log.crashes > 0 then Metrics.add m "crash.crashes" log.crashes;
   (* Bytes still sitting in the open group have not been ticked yet; the
      registry stays behind by exactly that much until the next flush. *)
-  let ticked_wal = log.wal_bytes - log.pending_bytes in
+  let ticked_wal = log.wal_bytes - open_bytes log in
   if ticked_wal > 0 then Metrics.add m "crash.wal_bytes" ticked_wal;
   if log.checkpoints > 0 then Metrics.add m "crash.checkpoints" log.checkpoints;
   if log.checkpoint_bytes > 0 then Metrics.add m "crash.checkpoint_bytes" log.checkpoint_bytes;
@@ -721,20 +732,13 @@ let rebuild t node =
           | None, _ -> ()));
       (* The wal is NOT truncated: a second crash before the next
          compaction replays the same checkpoint plus the same entries
-         (and whatever lands after this recovery). Each wal blob is one
-         flushed group; decode entries until the group is exhausted. *)
-      let entries =
-        List.concat_map
-          (fun blob ->
-            let r = S.reader blob in
-            let acc = ref [] in
-            while not (S.at_end r) do
-              acc := Journal.read r :: !acc
-            done;
-            List.rev !acc)
-          (List.rev log.wal)
-      in
-      Runtime.replay t.runtime ~node entries)
+         (and whatever lands after this recovery). *)
+      let r = S.reader (S.sub log.wal 0 log.flushed) in
+      let entries = ref [] in
+      while not (S.at_end r) do
+        entries := Journal.read r :: !entries
+      done;
+      Runtime.replay t.runtime ~node (List.rev !entries))
 
 let tick_recovery t node t0 =
   let log = t.logs.(node) in
@@ -770,6 +774,10 @@ let set_channel_state t ~snapshot ~restore =
 
 let journal t node entry = append t node entry
 let flush_wal t node = flush_group t node
+
+let wal t node =
+  let log = t.logs.(node) in
+  S.sub log.wal 0 log.flushed
 
 let outbox t node =
   match t.logs.(node).disk with Some d -> Some d.outbox | None -> None

@@ -142,6 +142,11 @@ val flush_wal : t -> int -> unit
     before acknowledging deliveries and before recording an outgoing
     send, so no peer ever holds a promise the journal does not. *)
 
+val wal : t -> int -> string
+(** The node's flushed journal since its last cut, without the open
+    group. In disk mode, the node's [wal-<epoch>.log] holds exactly these
+    bytes. *)
+
 val outbox : t -> int -> Outbox.t option
 (** The node's outbox ledger ([None] unless attached with [?disk]). *)
 

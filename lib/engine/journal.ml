@@ -46,6 +46,16 @@ let read_meta r : Prov_hook.meta =
   in
   { evid; exist_flag; eqkey; prev }
 
+let write_next_seq w ~peer ~seq =
+  S.write_varint w 6;
+  S.write_varint w peer;
+  S.write_varint w seq
+
+let write_expected w ~peer ~seq =
+  S.write_varint w 7;
+  S.write_varint w peer;
+  S.write_varint w seq
+
 let write w = function
   | Input tuple ->
       S.write_varint w 0;
@@ -67,14 +77,8 @@ let write w = function
   | Load tuple ->
       S.write_varint w 5;
       Tuple.serialize w tuple
-  | Next_seq { peer; seq } ->
-      S.write_varint w 6;
-      S.write_varint w peer;
-      S.write_varint w seq
-  | Expected { peer; seq } ->
-      S.write_varint w 7;
-      S.write_varint w peer;
-      S.write_varint w seq
+  | Next_seq { peer; seq } -> write_next_seq w ~peer ~seq
+  | Expected { peer; seq } -> write_expected w ~peer ~seq
 
 let read r =
   match S.read_varint r with

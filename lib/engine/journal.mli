@@ -42,5 +42,12 @@ val is_boundary : entry -> bool
 
 val write : Dpc_util.Serialize.writer -> entry -> unit
 
+val write_next_seq : Dpc_util.Serialize.writer -> peer:int -> seq:int -> unit
+(** [write w (Next_seq { peer; seq })] without building the entry: the
+    reliable layer reports sequence advances as plain ints. *)
+
+val write_expected : Dpc_util.Serialize.writer -> peer:int -> seq:int -> unit
+(** [write w (Expected { peer; seq })] without building the entry. *)
+
 val read : Dpc_util.Serialize.reader -> entry
 (** @raise Dpc_util.Serialize.Corrupt on an unknown tag or truncation. *)

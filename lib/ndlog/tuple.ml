@@ -115,7 +115,11 @@ let serialize w t =
   let open Dpc_util.Serialize in
   write_string w t.rel;
   write_varint w (Array.length t.args);
-  Array.iter (Value.serialize w) t.args
+  (* A loop, not [Array.iter (Value.serialize w)]: the partial
+     application would allocate a closure per tuple written to the wal. *)
+  for i = 0 to Array.length t.args - 1 do
+    Value.serialize w t.args.(i)
+  done
 
 (* Must agree byte-for-byte with [serialize]; Db's incremental byte
    counters rely on per-tuple sizes summing to the whole-store size. *)

@@ -46,13 +46,29 @@ type channel = {
   pending : (int, unit -> unit) Hashtbl.t;
   (* Suspension state, owned by the sender's shard. A suspended channel
      has burned its retry budget: instead of dropping the unacked tail it
-     parks each message's re-offer thunk here (keyed by seq, re-run in
-     seq order on resurrection) and keeps exactly one heal-probe loop
-     alive until the link answers. [probe_gen] invalidates stale probe
-     timers across resurrect/forget boundaries. *)
+     parks each message here (re-offered in seq order on resurrection)
+     and keeps exactly one heal-probe loop alive until the link answers.
+     [probe_gen] invalidates stale probe timers across resurrect/forget
+     boundaries. *)
   mutable suspended : bool;
-  mutable parked : (int * (unit -> unit)) list;
+  mutable parked : msg list;
   mutable probe_gen : int;
+}
+
+(* One data message, from its send until it is acked: the whole
+   per-message state of the protocol. The receiver's shard reads only the
+   immutable fields; [acked], [attempts] and [fresh] belong to the
+   sender's shard. *)
+and msg = {
+  ch : channel;
+  src : int;
+  dst : int;
+  seq : int;
+  wire : int;  (* bytes per transmission, header included *)
+  k : unit -> unit;
+  mutable acked : bool;
+  mutable attempts : int;  (* transmissions since the last (re-)offer *)
+  mutable fresh : bool;  (* not transmitted yet *)
 }
 
 type stats = {
@@ -71,9 +87,7 @@ type stats = {
   probes : int;
 }
 
-type channel_event =
-  | Next_seq of { src : int; dst : int; seq : int }
-  | Expected of { src : int; dst : int; seq : int }
+type seq_field = Next_seq | Expected
 
 type t = {
   inner : Transport.t;
@@ -83,7 +97,7 @@ type t = {
      lookup never mutates a shared table, so concurrent shards cannot
      race on it. A few MB at the paper's 125 nodes. *)
   channels : channel array array;
-  mutable persist : (channel_event -> unit) option;
+  mutable persist : (seq_field -> src:int -> dst:int -> seq:int -> unit) option;
   (* Cluster-wide accounting; senders on every shard bump these. *)
   data_msgs : int Atomic.t;
   data_bytes : int Atomic.t;
@@ -138,42 +152,108 @@ let add t node name n =
 let tick t node name = add t node name 1
 
 let set_persist t f = t.persist <- Some f
-let persist t ev = match t.persist with None -> () | Some f -> f ev
+
+let persist t field ~src ~dst ~seq =
+  match t.persist with None -> () | Some f -> f field ~src ~dst ~seq
 
 let channel t ~src ~dst = t.channels.(src).(dst)
 
-(* Deliver in sequence order: run the arrival if it is the next expected
-   message, then drain whatever the gap was holding back. Out-of-order
-   arrivals wait in the window; duplicates (below the watermark or already
-   waiting) are dropped. The watermark is advanced (and persisted via
-   [notify]) BEFORE the delivery closure runs, so a journal written from
-   inside the closure sees the post-delivery sequence state. Returns what
-   happened, for accounting. *)
-let accept ~notify ch seq k =
-  if seq < ch.expected || Hashtbl.mem ch.pending seq then `Duplicate
+(* A data message arrives at its receiver. Deliver in sequence order: run
+   the arrival if it is the next expected message, then drain whatever
+   the gap was holding back. Out-of-order arrivals wait in the window;
+   duplicates (below the watermark or already waiting) are dropped. The
+   watermark is advanced (and persisted) BEFORE the delivery closure
+   runs, so a journal written from inside the closure sees the
+   post-delivery sequence state.
+
+   Then ack the cumulative watermark — but only when it covers this
+   arrival. A delivered or below-watermark duplicate arrival is acked
+   (the sender may have missed an earlier ack); a HELD arrival is not,
+   because the receiver's window is volatile: if the receiver crashes,
+   everything parked behind the gap dies with it, and only the unacked
+   senders' retransmissions bring it back. A held message therefore costs
+   one extra retransmission in the fault-free case — the price of making
+   the ack a durable promise. *)
+let deliver t m =
+  let ch = m.ch and src = m.src and dst = m.dst and seq = m.seq in
+  if seq < ch.expected || Hashtbl.mem ch.pending seq then begin
+    Atomic.incr t.dup_dropped;
+    tick t dst "net.dup_dropped"
+  end
   else if seq > ch.expected then begin
-    Hashtbl.add ch.pending seq k;
-    `Held
+    Hashtbl.add ch.pending seq m.k;
+    Atomic.incr t.held;
+    tick t dst "net.held"
   end
   else begin
     ch.expected <- ch.expected + 1;
-    notify ch.expected;
-    k ();
-    let rec drain () =
-      match Hashtbl.find_opt ch.pending ch.expected with
-      | None -> ()
-      | Some k' ->
+    persist t Expected ~src ~dst ~seq:ch.expected;
+    m.k ();
+    let draining = ref true in
+    while !draining do
+      match Hashtbl.find ch.pending ch.expected with
+      | k' ->
           Hashtbl.remove ch.pending ch.expected;
           ch.expected <- ch.expected + 1;
-          notify ch.expected;
-          k' ();
-          drain ()
-    in
-    drain ();
-    `Delivered
+          persist t Expected ~src ~dst ~seq:ch.expected;
+          k' ()
+      | exception Not_found -> draining := false
+    done
+  end;
+  if ch.expected > seq then begin
+    Atomic.incr t.acks;
+    ignore (Atomic.fetch_and_add t.ack_bytes_total ack_bytes);
+    tick t dst "net.acks_sent";
+    add t dst "net.ack_bytes" ack_bytes;
+    Transport.send t.inner ~src:dst ~dst:src ~bytes:ack_bytes (fun () -> m.acked <- true)
   end
 
-(* ---- suspension + resurrection ----------------------------------- *)
+(* ---- the sender: transmission, timeout, suspension ------------------ *)
+
+(* One transmission, with its ack timeout armed on the sender's own
+   shard: the timer reads [acked]/[attempts], which the sender owns.
+   There is no cancellation: an acked timer just fires and finds nothing
+   to do. *)
+let rec transmit t m =
+  m.attempts <- m.attempts + 1;
+  if m.fresh then begin
+    m.fresh <- false;
+    Atomic.incr t.data_msgs;
+    ignore (Atomic.fetch_and_add t.data_bytes m.wire);
+    tick t m.src "net.data_msgs"
+  end
+  else begin
+    Atomic.incr t.retransmits;
+    ignore (Atomic.fetch_and_add t.retransmit_bytes m.wire);
+    tick t m.src "net.retransmits";
+    add t m.src "net.retransmit_bytes" m.wire
+  end;
+  Transport.send t.inner ~src:m.src ~dst:m.dst ~bytes:m.wire (fun () -> deliver t m);
+  let delay = backoff_delay t.config ~src:m.src ~dst:m.dst ~attempt:m.attempts in
+  Transport.schedule_on t.inner ~node:m.src ~delay (fun () -> timeout t m)
+
+and timeout t m =
+  if not m.acked then
+    if m.ch.suspended || m.attempts > t.config.max_retries then park t m else transmit t m
+
+(* Out of retry budget (or the channel already gave up): park the message
+   instead of dropping it, and make sure the heal probe is running.
+   [abandoned] counts the currently-parked backlog — it drains back to
+   zero when the channel resurrects, so a healthy (eventually-healed) run
+   still ends with [abandoned = 0]. *)
+and park t m =
+  let ch = m.ch in
+  ch.parked <- m :: ch.parked;
+  Atomic.incr t.abandoned;
+  Atomic.incr t.parked_total;
+  tick t m.src "net.parked";
+  if not ch.suspended then begin
+    ch.suspended <- true;
+    ch.probe_gen <- ch.probe_gen + 1;
+    Atomic.incr t.suspensions;
+    tick t m.src "net.suspensions";
+    probe t ~src:m.src ~dst:m.dst ch ~gen:ch.probe_gen 1
+  end
 
 (* The heal-probe loop: one per suspended channel, started on the
    suspension transition. A probe is a tiny Hello-style ping through the
@@ -183,7 +263,7 @@ let accept ~notify ch seq k =
    through but eats the reverse path keeps the channel suspended — which
    is right, because acks would be eaten too. The loop dies via
    [probe_gen] when the channel is resurrected or wiped by a crash. *)
-let rec probe t ~src ~dst ch ~gen n =
+and probe t ~src ~dst ch ~gen n =
   Atomic.incr t.probes;
   tick t src "net.probes";
   let pong = ref false in
@@ -192,107 +272,36 @@ let rec probe t ~src ~dst ch ~gen n =
   let delay = backoff_delay t.config ~src ~dst ~attempt:n in
   Transport.schedule_on t.inner ~node:src ~delay (fun () ->
     if ch.suspended && ch.probe_gen = gen then
-      if !pong then resurrect t ~src ~dst ch else probe t ~src ~dst ch ~gen (n + 1))
+      if !pong then resurrect t ~src ch else probe t ~src ~dst ch ~gen (n + 1))
 
 (* Resurrection: the probe got its pong, so the link is back. Re-offer
    the parked tail in sequence order — the receiver's dedup/reorder
    window makes the re-offers land with exactly-once FIFO effects even
    if an old in-flight copy races them. *)
-and resurrect t ~src ~dst:_ ch =
+and resurrect t ~src ch =
   ch.suspended <- false;
   ch.probe_gen <- ch.probe_gen + 1;
   Atomic.incr t.resurrections;
   tick t src "net.resurrections";
-  let backlog = List.sort (fun (a, _) (b, _) -> compare a b) ch.parked in
+  let backlog = List.sort (fun a b -> compare a.seq b.seq) ch.parked in
   ch.parked <- [];
   List.iter
-    (fun (_, resume) ->
+    (fun m ->
       Atomic.decr t.abandoned;
-      resume ())
+      m.attempts <- 0;
+      transmit t m)
     backlog
-
-let suspend t ~src ~dst ch =
-  if not ch.suspended then begin
-    ch.suspended <- true;
-    ch.probe_gen <- ch.probe_gen + 1;
-    Atomic.incr t.suspensions;
-    tick t src "net.suspensions";
-    probe t ~src ~dst ch ~gen:ch.probe_gen 1
-  end
 
 let send t ~src ~dst ~bytes k =
   let ch = channel t ~src ~dst in
   let seq = ch.next_seq in
   ch.next_seq <- seq + 1;
-  persist t (Next_seq { src; dst; seq = ch.next_seq });
-  let wire = bytes + data_header_bytes in
-  let acked = ref false in
-  let attempts = ref 0 in
-  let first = ref true in
-  (* Receiver side: dedup and reorder through the window, then ack the
-     cumulative watermark — but only when it covers this arrival. A
-     delivered or below-watermark duplicate arrival is acked (the sender
-     may have missed an earlier ack); a HELD arrival is not, because the
-     receiver's window is volatile: if the receiver crashes, everything
-     parked behind the gap dies with it, and only the unacked senders'
-     retransmissions bring it back. A held message therefore costs one
-     extra retransmission in the fault-free case — the price of making
-     the ack a durable promise. *)
-  let notify expected = persist t (Expected { src; dst; seq = expected }) in
-  let deliver () =
-    (match accept ~notify ch seq k with
-    | `Delivered -> ()
-    | `Duplicate ->
-        Atomic.incr t.dup_dropped;
-        tick t dst "net.dup_dropped"
-    | `Held ->
-        Atomic.incr t.held;
-        tick t dst "net.held");
-    if ch.expected > seq then begin
-      Atomic.incr t.acks;
-      ignore (Atomic.fetch_and_add t.ack_bytes_total ack_bytes);
-      tick t dst "net.acks_sent";
-      add t dst "net.ack_bytes" ack_bytes;
-      Transport.send t.inner ~src:dst ~dst:src ~bytes:ack_bytes (fun () -> acked := true)
-    end
+  persist t Next_seq ~src ~dst ~seq:ch.next_seq;
+  let m =
+    { ch; src; dst; seq; wire = bytes + data_header_bytes; k; acked = false; attempts = 0;
+      fresh = true }
   in
-  let rec transmit () =
-    incr attempts;
-    if !first then begin
-      first := false;
-      Atomic.incr t.data_msgs;
-      ignore (Atomic.fetch_and_add t.data_bytes wire);
-      tick t src "net.data_msgs"
-    end
-    else begin
-      Atomic.incr t.retransmits;
-      ignore (Atomic.fetch_and_add t.retransmit_bytes wire);
-      tick t src "net.retransmits";
-      add t src "net.retransmit_bytes" wire
-    end;
-    Transport.send t.inner ~src ~dst ~bytes:wire deliver;
-    (* Arm the ack timeout for this attempt, on the sender's own shard:
-       the timer closure reads [acked]/[attempts], which the sender owns.
-       There is no cancellation: an acked timer just fires and finds
-       nothing to do. *)
-    let delay = backoff_delay t.config ~src ~dst ~attempt:!attempts in
-    Transport.schedule_on t.inner ~node:src ~delay (fun () ->
-      if not !acked then
-        if ch.suspended || !attempts > t.config.max_retries then park ()
-        else transmit ())
-  (* Out of retry budget (or the channel already gave up): park the
-     re-offer instead of dropping the message, and make sure the heal
-     probe is running. [abandoned] counts the currently-parked backlog —
-     it drains back to zero when the channel resurrects, so a healthy
-     (eventually-healed) run still ends with [abandoned = 0]. *)
-  and park () =
-    ch.parked <- (seq, fun () -> attempts := 0; transmit ()) :: ch.parked;
-    Atomic.incr t.abandoned;
-    Atomic.incr t.parked_total;
-    tick t src "net.parked";
-    suspend t ~src ~dst ch
-  in
-  if ch.suspended then park () else transmit ()
+  if ch.suspended then park t m else transmit t m
 
 (* ------------------------------------------------------------------ *)
 (* Crash support: channel sequence state as data.
@@ -311,14 +320,14 @@ let set_next_seq t ~src ~dst seq =
   let ch = channel t ~src ~dst in
   if seq > ch.next_seq then begin
     ch.next_seq <- seq;
-    persist t (Next_seq { src; dst; seq })
+    persist t Next_seq ~src ~dst ~seq
   end
 
 let set_expected t ~src ~dst seq =
   let ch = channel t ~src ~dst in
   if seq > ch.expected then begin
     ch.expected <- seq;
-    persist t (Expected { src; dst; seq })
+    persist t Expected ~src ~dst ~seq
   end
 
 let forget t ~node =

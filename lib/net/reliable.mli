@@ -139,18 +139,20 @@ val stats : t -> stats
     message is needed, because a retransmission below the restored
     watermark is acked as a duplicate and one at it is delivered. *)
 
-type channel_event =
-  | Next_seq of { src : int; dst : int; seq : int }
-      (** channel [(src, dst)]: the sender's next unused sequence number
-          advanced to [seq] — durable state of node [src] *)
-  | Expected of { src : int; dst : int; seq : int }
-      (** channel [(src, dst)]: the receiver's contiguous watermark
-          advanced to [seq] — durable state of node [dst] *)
+type seq_field =
+  | Next_seq
+      (** the sender's next unused sequence number on channel
+          [(src, dst)] — durable state of node [src] *)
+  | Expected
+      (** the receiver's contiguous watermark on channel [(src, dst)] —
+          durable state of node [dst] *)
 
-val set_persist : t -> (channel_event -> unit) -> unit
-(** Observe every sequence-state advance, for write-ahead logging. The
-    watermark event fires BEFORE the delivery callback runs, so journal
-    entries written from inside the callback follow it. *)
+val set_persist : t -> (seq_field -> src:int -> dst:int -> seq:int -> unit) -> unit
+(** Observe every sequence-state advance, for write-ahead logging: the
+    callback gets which half of channel [(src, dst)] advanced and its new
+    value, as plain ints, so reporting an advance allocates nothing. The
+    watermark advance is reported BEFORE the delivery callback runs, so
+    journal entries written from inside the callback follow it. *)
 
 val set_next_seq : t -> src:int -> dst:int -> int -> unit
 (** Monotonic: raises the channel's [next_seq] to the given value if it is

@@ -1,4 +1,4 @@
-type event = { at : float; seq : int; action : unit -> unit }
+module Event_queue = Dpc_util.Event_queue
 
 type t = {
   topo : Topology.t;
@@ -6,9 +6,8 @@ type t = {
   bucket_width : float;
   jitter : float;
   rng : Dpc_util.Rng.t;
-  queue : event Dpc_util.Heap.t;
-  mutable clock : float;
-  mutable next_seq : int;
+  queue : Event_queue.t;
+  clock : Event_queue.clock;
   mutable processed : int;
   mutable total_bytes : int;
   mutable messages : int;
@@ -26,11 +25,8 @@ let create ?(bucket_width = 1.0) ?(jitter = 0.0) ?(seed = 0) ~topology ~routing 
     bucket_width;
     jitter;
     rng = Dpc_util.Rng.create ~seed;
-    queue =
-      Dpc_util.Heap.create ~cmp:(fun a b ->
-        match compare a.at b.at with 0 -> compare a.seq b.seq | c -> c);
-    clock = 0.0;
-    next_seq = 0;
+    queue = Event_queue.create ();
+    clock = { now = 0.0 };
     processed = 0;
     total_bytes = 0;
     messages = 0;
@@ -40,16 +36,11 @@ let create ?(bucket_width = 1.0) ?(jitter = 0.0) ?(seed = 0) ~topology ~routing 
 
 let topology t = t.topo
 let routing t = t.routing
-let now t = t.clock
-
-let schedule_at t at action =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Dpc_util.Heap.push t.queue { at; seq; action }
+let now t = t.clock.now
 
 let schedule t ~delay action =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
-  schedule_at t (t.clock +. delay) action
+  Event_queue.push t.queue (t.clock.now +. delay) action
 
 let charge tbl key bytes =
   match Hashtbl.find tbl key with
@@ -69,7 +60,7 @@ let send t ~src ~dst ~bytes k =
     (* Walk the shortest path hop by hop through the successor table,
        accumulating per-hop delays and charging each link at the moment
        transmission on it starts. *)
-    let at = ref t.clock and a = ref src in
+    let at = ref t.clock.now and a = ref src in
     while !a <> dst do
       let b = Routing.successor t.routing ~src:!a ~dst in
       (* routing only uses existing links *)
@@ -80,26 +71,18 @@ let send t ~src ~dst ~bytes k =
       at := !at +. link.latency +. (float_of_int bytes /. link.bandwidth);
       a := b
     done;
-    schedule_at t (!at +. jitter_delay t) k
+    Event_queue.push t.queue (!at +. jitter_delay t) k
   end
 
+(* The horizon is half-open: an event exactly at [until] stays queued for
+   the next run. *)
 let run ?until t =
-  let limit = match until with None -> infinity | Some u -> u in
-  let rec go () =
-    match Dpc_util.Heap.pop t.queue with
-    | None -> ()
-    | Some ev when ev.at >= limit ->
-        (* Reached the horizon: the interval is half-open, so an event
-           exactly at [until] stays queued for the next run. Push it back
-           (its seq is preserved, so equal-time ordering survives). *)
-        Dpc_util.Heap.push t.queue ev
-    | Some ev ->
-        t.clock <- max t.clock ev.at;
-        t.processed <- t.processed + 1;
-        ev.action ();
-        go ()
-  in
-  go ()
+  let until = match until with None -> infinity | Some u -> u in
+  while Event_queue.due t.queue ~until do
+    let action = Event_queue.pop t.queue t.clock in
+    t.processed <- t.processed + 1;
+    action ()
+  done
 
 let events_processed t = t.processed
 let total_bytes t = t.total_bytes

@@ -51,33 +51,23 @@ let of_sim sim : t =
     let messages () = Sim.messages_sent sim
   end)
 
-type direct_event = { at : float; seq : int; action : unit -> unit }
-
 let direct ~nodes:n () : t =
   if n <= 0 then invalid_arg "Transport.direct: nodes must be positive";
-  let queue =
-    Dpc_util.Heap.create ~cmp:(fun a b ->
-      match compare a.at b.at with 0 -> compare a.seq b.seq | c -> c)
-  in
-  let clock = ref 0.0 in
-  let next_seq = ref 0 in
+  let module Q = Dpc_util.Event_queue in
+  let queue = Q.create () in
+  let clock = { Q.now = 0.0 } in
   let bytes_total = ref 0 in
   let msgs = ref 0 in
-  let schedule_at at action =
-    let seq = !next_seq in
-    incr next_seq;
-    Dpc_util.Heap.push queue { at; seq; action }
-  in
   (module struct
     let name = "direct"
     let nodes = n
     let shards = 1
     let shard_of _ = 0
-    let now () = !clock
+    let now () = clock.now
 
     let schedule ~delay k =
       if delay < 0.0 then invalid_arg "Transport.direct: negative delay";
-      schedule_at (!clock +. delay) k
+      Q.push queue (clock.now +. delay) k
 
     let schedule_on ~node:_ ~delay k = schedule ~delay k
 
@@ -89,7 +79,7 @@ let direct ~nodes:n () : t =
         failwith (Printf.sprintf "Transport.direct: node %d out of range" dst);
       incr msgs;
       bytes_total := !bytes_total + bytes;
-      schedule_at !clock k
+      Q.push queue clock.now k
 
     let broadcast ~src ~bytes k =
       for dst = 0 to n - 1 do
@@ -97,17 +87,13 @@ let direct ~nodes:n () : t =
       done
 
     let run ?until () =
-      let limit = match until with None -> infinity | Some u -> u in
-      let rec go () =
-        match Dpc_util.Heap.pop queue with
-        | None -> ()
-        | Some ev when ev.at >= limit -> Dpc_util.Heap.push queue ev
-        | Some ev ->
-            clock := Float.max !clock ev.at;
-            ev.action ();
-            go ()
-      in
-      go ()
+      let until = match until with None -> infinity | Some u -> u in
+      while Q.due queue ~until do
+        (* Two steps: applying [pop]'s result in the same call would
+           build a partial application of [pop] per event. *)
+        let action = Q.pop queue clock in
+        action ()
+      done
 
     let total_bytes () = !bytes_total
     let messages () = !msgs
@@ -199,18 +185,20 @@ let faulty ~config ~rng inner =
 
 (* SplitMix64 finalizer: the per-channel hashed fault schedule needs a
    high-quality stateless mix so decisions depend only on
-   (seed, src, dst, per-channel count), never on global draw order. *)
-let mix64 z =
+   (seed, src, dst, per-channel count), never on global draw order. The
+   helpers are inlined so that [hashed_decide], which runs once per
+   message, keeps every [Int64] and float unboxed. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let golden = 0x9e3779b97f4a7c15L
 
-let mix_absorb state x = mix64 (Int64.add state (Int64.mul golden (Int64.of_int (x + 1))))
+let[@inline] mix_absorb state x = mix64 (Int64.add state (Int64.mul golden (Int64.of_int (x + 1))))
 
 (* Top 53 bits as a uniform float in [0, 1). *)
-let unit_float h = Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
+let[@inline] unit_float h = Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
 
 let hashed_decide ~config ~seed ~nodes =
   if nodes <= 0 then invalid_arg "Transport.hashed_decide: nodes must be positive";

@@ -1,4 +1,6 @@
-(** Mutable binary min-heap, used as the discrete-event simulator's queue. *)
+(** Mutable binary min-heap: [Dpc_net.Shard_sim]'s per-shard event queues,
+    the socket backend's timers and the shortest-path search. The
+    sequential simulators use the allocation-free {!Event_queue}. *)
 
 type 'a t
 

@@ -40,6 +40,7 @@ let write_list buf f xs =
   List.iter f xs
 
 let contents = Buffer.contents
+let sub = Buffer.sub
 let size = Buffer.length
 let reset = Buffer.clear
 

@@ -27,6 +27,10 @@ val write_list : writer -> ('a -> unit) -> 'a list -> unit
 (** Varint count followed by each element via the callback. *)
 
 val contents : writer -> string
+
+val sub : writer -> int -> int -> string
+(** [sub w pos len]: [len] bytes of the contents from offset [pos]. *)
+
 val size : writer -> int
 
 val reset : writer -> unit

@@ -14,10 +14,14 @@
 # worse, not that the builder was busy.
 #
 # Last, the allocation gate runs dpcbench on every workload listed in
-# BENCH_PR15.json (all five) and fails when a workload's allocated words
+# BENCH_PR16.json (all five) and fails when a workload's allocated words
 # per event exceed the baseline by more than its tolerance (2 %, the
 # benchmark's own bound). Allocation is counted, not timed: it repeats
 # exactly from run to run, so unlike events/s it can be gated tightly.
+#
+# The three checks are independent: each runs to completion and prints
+# its verdict, and the script exits non-zero at the end if any of them
+# failed, so a failing events/s check never hides the other two.
 #
 #   scripts/bench_gate.sh [baseline.json]
 #
@@ -56,26 +60,37 @@ fi
 
 seed=$(python3 -c "import json,sys; print(json.load(open(sys.argv[1]))['seed'])" "$baseline")
 figs="--fig 8 --fig 9"
+with_queries=0
 if python3 -c "import json,sys; sys.exit(0 if 'queries' in json.load(open(sys.argv[1]))['figures'] else 1)" "$baseline"; then
     figs="$figs --fig queries"
+    with_queries=1
 fi
 
 current=$(mktemp /tmp/dpc-bench-gate.XXXXXX.json)
 trap 'rm -f "$current"' EXIT
 
-echo "== bench gate: $figs, seed $seed, vs $baseline (tolerance ${tol}) =="
-dune exec bench/main.exe -- $figs --seed "$seed" --json "$current" >/dev/null
+# The names of the checks that failed, in order.
+failed=""
 
-python3 - "$baseline" "$current" "$tol" <<'PY'
-import json, sys
+echo "== bench gate: $figs, seed $seed, vs $baseline (tolerance ${tol}) =="
+if ! dune exec bench/main.exe -- $figs --seed "$seed" --json "$current" >/dev/null; then
+    echo "bench run FAILED: no figures to compare"
+    rm -f "$current"
+fi
+
+echo "== events/s gate: fig8, fig9 =="
+python3 - "$baseline" "$current" "$tol" <<'PY' || failed="$failed events/s"
+import json, os, sys
 
 baseline_path, current_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
+if not os.path.exists(current_path):
+    sys.exit("events/s gate FAILED: the bench run produced no figures")
 baseline = json.load(open(baseline_path))
 current = json.load(open(current_path))
 
 assert current["schema"] == baseline["schema"] == "dpc-bench-v1"
 if current["scale"] != baseline["scale"]:
-    sys.exit("bench gate: scale mismatch (%s vs %s)" % (current["scale"], baseline["scale"]))
+    sys.exit("events/s gate FAILED: scale mismatch (%s vs %s)" % (current["scale"], baseline["scale"]))
 
 failed = False
 for fig in ("fig8", "fig9"):
@@ -87,37 +102,52 @@ for fig in ("fig8", "fig9"):
     if verdict != "ok":
         failed = True
 
+if failed:
+    sys.exit("events/s gate FAILED: events/s regressed more than %.0f%%" % (tol * 100))
+print("events/s gate ok")
+PY
+
 # Query-storm p99 gate: modeled latency, lower is better, so the check
 # is inverted — the current warm-cache p99 may not exceed the baseline
 # by more than the tolerance.
-base_queries = baseline["figures"].get("queries")
-if base_queries is not None:
-    cur_queries = current["figures"]["queries"]
-    for label, points in sorted(base_queries["series"].items()):
-        if not label.endswith("p99 us (warm cache)"):
-            continue
-        base_p99 = points[-1][1]
-        cur_points = cur_queries["series"].get(label)
-        if not cur_points:
-            print("queries %s: series missing from current run REGRESSED" % label)
-            failed = True
-            continue
-        cur_p99 = cur_points[-1][1]
-        ratio = cur_p99 / base_p99
-        verdict = "ok" if ratio <= 1.0 + tol else "REGRESSED"
-        print("queries %s: %d us vs baseline %d (%.2fx) %s" % (
-            label, cur_p99, base_p99, ratio, verdict))
-        if verdict != "ok":
-            failed = True
+if [ "$with_queries" = "1" ]; then
+    echo "== query p99 gate: modeled warm-cache p99 =="
+    python3 - "$baseline" "$current" "$tol" <<'PY' || failed="$failed query-p99"
+import json, os, sys
+
+baseline_path, current_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
+if not os.path.exists(current_path):
+    sys.exit("query p99 gate FAILED: the bench run produced no figures")
+base_queries = json.load(open(baseline_path))["figures"]["queries"]
+cur_queries = json.load(open(current_path))["figures"].get("queries", {"series": {}})
+
+failed = False
+for label, points in sorted(base_queries["series"].items()):
+    if not label.endswith("p99 us (warm cache)"):
+        continue
+    base_p99 = points[-1][1]
+    cur_points = cur_queries["series"].get(label)
+    if not cur_points:
+        print("queries %s: series missing from current run REGRESSED" % label)
+        failed = True
+        continue
+    cur_p99 = cur_points[-1][1]
+    ratio = cur_p99 / base_p99
+    verdict = "ok" if ratio <= 1.0 + tol else "REGRESSED"
+    print("queries %s: %d us vs baseline %d (%.2fx) %s" % (
+        label, cur_p99, base_p99, ratio, verdict))
+    if verdict != "ok":
+        failed = True
 
 if failed:
-    sys.exit("bench gate FAILED: events/s regressed more than %.0f%%" % (tol * 100))
-print("bench gate ok")
+    sys.exit("query p99 gate FAILED: warm-cache p99 grew more than %.0f%%" % (tol * 100))
+print("query p99 gate ok")
 PY
+fi
 
-alloc_baseline=BENCH_PR15.json
+alloc_baseline=BENCH_PR16.json
 echo "== allocation gate: dpcbench alloc_words_per_event vs $alloc_baseline =="
-python3 - "$alloc_baseline" <<'PY'
+python3 - "$alloc_baseline" <<'PY' || failed="$failed allocation"
 import json, subprocess, sys
 
 baseline = json.load(open(sys.argv[1]))
@@ -145,3 +175,9 @@ if failed:
     sys.exit("allocation gate FAILED: words/event grew more than %.0f%%" % (tol * 100))
 print("allocation gate ok")
 PY
+
+if [ -n "$failed" ]; then
+    echo "bench gate FAILED:$failed" >&2
+    exit 1
+fi
+echo "bench gate ok"

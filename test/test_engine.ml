@@ -552,11 +552,76 @@ let test_budget_fire_planned () =
 let test_budget_sim_send () =
   let _, sim = line_world () in
   let k () = () in
-  (* The queued event (4) and its boxed due time (2). *)
-  check_budget "Sim.send one hop" ~measured:6 (fun () ->
+  (* The boxed due time handed to the event queue (2). *)
+  check_budget "Sim.send one hop" ~measured:2 (fun () ->
     Dpc_net.Sim.send sim ~src:0 ~dst:1 ~bytes:600 k);
   Dpc_net.Sim.run sim;
   check Alcotest.int "both delivered" 2 (Dpc_net.Sim.events_processed sim)
+
+(* The fault-tolerance stack, one message at a time. *)
+
+let test_budget_hashed_decide () =
+  let decide =
+    Dpc_net.Transport.hashed_decide
+      ~config:(Dpc_net.Transport.fault_config ~drop:0.02 ~duplicate:0.01 ())
+      ~seed:7 ~nodes:4
+  in
+  (* The SplitMix hash stays unboxed: nothing. *)
+  check_budget "Transport.hashed_decide" ~measured:0 (fun () ->
+    ignore (decide ~src:1 ~dst:2 ~bytes:600))
+
+let test_budget_reliable_message () =
+  let rel = Dpc_net.Reliable.wrap (Dpc_net.Transport.direct ~nodes:2 ()) in
+  let tr = Dpc_net.Reliable.transport rel in
+  let k () = () in
+  (* The message record (10); the closures for its arrival (5), its ack
+     timer (6, with the recursive group's environment) and its ack (4);
+     the timer's boxed delay (2); and the boxed due times of the three
+     queued events (6). *)
+  check_budget "Reliable message, send through ack" ~measured:33 (fun () ->
+    Dpc_net.Transport.send tr ~src:0 ~dst:1 ~bytes:600 k;
+    Dpc_net.Transport.run tr);
+  check Alcotest.int "each acked once" 2 (Dpc_net.Reliable.stats rel).acks
+
+let test_budget_durable_append () =
+  let delp = Dpc_apps.Forwarding.delp () and env = Dpc_apps.Forwarding.env in
+  let backend = Dpc_core.Backend.make Dpc_core.Backend.S_advanced ~delp ~env ~nodes:3 in
+  let transport, control = Dpc_net.Transport.crashable (Dpc_net.Transport.direct ~nodes:3 ()) in
+  let runtime =
+    Runtime.create ~transport ~delp ~env ~hook:(Dpc_core.Backend.hook backend)
+      ~nodes:(Dpc_core.Backend.nodes backend) ()
+  in
+  let durable =
+    Dpc_core.Durable.attach ~backend ~runtime ~control
+      ~config:{ Dpc_core.Durable.checkpoint_every = 0; rebase_every = 0 } ()
+  in
+  let entry =
+    Journal.Arrival
+      {
+        event = pkt ~at:1 ~src:0 ~dst:2 ~payload:(String.make 500 'x');
+        meta =
+          {
+            Prov_hook.evid = Dpc_util.Sha1.digest_string "input";
+            exist_flag = false;
+            eqkey = Some (Dpc_util.Sha1.digest_string "class");
+            prev = Some (0, Dpc_util.Sha1.digest_string "rid");
+          };
+      }
+  in
+  let append () =
+    Dpc_core.Durable.journal durable 1 entry;
+    Dpc_core.Durable.flush_wal durable 1
+  in
+  (* Grow the node's wal buffer past two entries, then cut: the cut
+     empties the buffer and keeps its capacity. *)
+  for _ = 1 to 4 do
+    append ()
+  done;
+  Dpc_core.Durable.checkpoint_now durable 1;
+  (* The entry's bytes go straight into the buffer, and the flush only
+     moves an offset: nothing. *)
+  check_budget "Durable arrival append + flush" ~measured:0 append;
+  check Alcotest.int "two entries in the wal" 2 (Dpc_core.Durable.node_stats durable 1).wal_entries
 
 (* The record path: the identifiers every firing hashes, and one firing's
    provenance record, under each scheme. *)
@@ -681,6 +746,11 @@ let () =
           Alcotest.test_case "counters on an existing name" `Quick test_budget_counters;
           Alcotest.test_case "fire_planned of forwarding r1" `Quick test_budget_fire_planned;
           Alcotest.test_case "one-hop Sim.send" `Quick test_budget_sim_send;
+          Alcotest.test_case "Transport.hashed_decide" `Quick test_budget_hashed_decide;
+          Alcotest.test_case "one Reliable message, send through ack" `Quick
+            test_budget_reliable_message;
+          Alcotest.test_case "Durable arrival append and flush" `Quick
+            test_budget_durable_append;
           Alcotest.test_case "Tuple.digest" `Quick test_budget_tuple_digest;
           Alcotest.test_case "Equi_keys.key_hash" `Quick test_budget_key_hash;
           Alcotest.test_case "on_fire of DNS r2, ExSPAN" `Quick

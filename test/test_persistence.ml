@@ -322,6 +322,50 @@ let test_random_schedule_no_ties () =
         sched)
     [ 1; 7; 42 ]
 
+(* ------------------------------------------------------------------ *)
+(* Channel sequence advances in the wal *)
+
+(* 200 nodes, so peers take two varint bytes. In memory, no automatic
+   cuts: node 0's wal holds exactly what the property writes. *)
+let seq_world =
+  lazy
+    (let nodes = 200 in
+     let delp = Dpc_apps.Forwarding.delp () and env = Dpc_apps.Forwarding.env in
+     let backend = Backend.make Backend.S_basic ~delp ~env ~nodes in
+     let transport, control =
+       Dpc_net.Transport.crashable (Dpc_net.Transport.direct ~nodes ())
+     in
+     let runtime =
+       Dpc_engine.Runtime.create ~transport ~reliable:Dpc_net.Reliable.default_config ~delp ~env
+         ~hook:(Backend.hook backend) ~nodes:(Backend.nodes backend) ()
+     in
+     let durable =
+       Durable.attach ~backend ~runtime ~control
+         ~config:{ Durable.checkpoint_every = 0; rebase_every = 0 } ()
+     in
+     (durable, Option.get (Dpc_engine.Runtime.reliability runtime)))
+
+(* Reliable reports a sequence advance as plain ints, and Durable writes
+   it straight into the owning node's wal. For any peer and seq those
+   bytes are [Journal.write]'s for the entry the advance stands for:
+   [Next_seq] in the sender's wal, [Expected] in the receiver's. *)
+let prop_seq_advance_bytes =
+  QCheck.Test.make ~name:"sequence advances write Journal.write's bytes" ~count:200
+    QCheck.(pair (int_bound 199) (int_range 1 (1 lsl 40)))
+    (fun (peer, seq) ->
+      let durable, rel = Lazy.force seq_world in
+      (* Wipe node 0's channels and cut its wal, so both advances below
+         are fresh and land in an empty wal. *)
+      Dpc_net.Reliable.forget rel ~node:0;
+      Durable.checkpoint_now durable 0;
+      Dpc_net.Reliable.set_next_seq rel ~src:0 ~dst:peer seq;
+      Dpc_net.Reliable.set_expected rel ~src:peer ~dst:0 seq;
+      Durable.flush_wal durable 0;
+      Durable.wal durable 0
+      = Dpc_util.Serialize.with_scratch (fun w ->
+            Dpc_engine.Journal.write w (Dpc_engine.Journal.Next_seq { peer; seq });
+            Dpc_engine.Journal.write w (Dpc_engine.Journal.Expected { peer; seq })))
+
 let scheme_cases f =
   List.map
     (fun s ->
@@ -353,4 +397,5 @@ let () =
           Alcotest.test_case "prune overlaps" `Quick test_prune_overlaps;
           Alcotest.test_case "random schedule never ties" `Quick test_random_schedule_no_ties;
         ] );
+      ("wal bytes", [ QCheck_alcotest.to_alcotest prop_seq_advance_bytes ]);
     ]

@@ -211,6 +211,39 @@ let outbox_crash_reload =
           Outbox.close recompacted;
           ok_pending && ok_cursor && ok_compacted && ok_reload2))
 
+(* [pending] against a list model, after every step of a random run of
+   sends, cumulative acks (advancing or not) and compactions reloaded
+   from their Mark summaries. An ack drops the covered entries from the
+   live table in place. *)
+let outbox_model =
+  QCheck.Test.make ~count:60 ~name:"outbox pending equals a list model"
+    QCheck.(list_of_size Gen.(int_range 1 60) (triple (int_bound 2) (int_bound 4) small_nat))
+    (fun ops ->
+      with_temp_dir "dpc-outbox-model" (fun dir ->
+          let ob = ref (Outbox.open_ ~dir) in
+          let next = Array.make 3 1 and model = ref [] in
+          let step ok (dst, op, k) =
+            (match op with
+            | 0 | 1 | 2 ->
+                let seq = next.(dst) in
+                next.(dst) <- seq + 1;
+                let payload = Printf.sprintf "p-%d-%d" dst seq in
+                Outbox.record_send !ob ~dst ~seq payload;
+                model := (dst, seq, payload) :: !model
+            | 3 ->
+                let seq = k mod next.(dst) in
+                Outbox.record_ack !ob ~dst ~seq;
+                model := List.filter (fun (d, s, _) -> d <> dst || s > seq) !model
+            | _ ->
+                Outbox.compact !ob;
+                Outbox.close !ob;
+                ob := Outbox.open_ ~dir);
+            ok && Outbox.pending !ob = List.sort compare !model
+          in
+          let ok = List.fold_left step true ops in
+          Outbox.close !ob;
+          ok))
+
 (* A kill mid-append leaves a torn record at the end of the file; the
    reload must keep the valid prefix and drop the tail — safe, because
    an unfinished record's frame was never transmitted. *)
@@ -423,6 +456,57 @@ let test_disk_recovery () =
             before))
     Dpc_core.Backend.all_schemes
 
+(* Group commit on disk: a flush writes the group's byte range of the
+   node's wal buffer through to wal-<epoch>.log, so after many groups, a
+   cut, a crash and a recovery every node's file holds exactly its
+   flushed range. *)
+let test_disk_wal_matches_memory () =
+  with_temp_dir "dpc-wal" (fun dir ->
+      let nodes = Dpc_proc.Scenario.nodes in
+      let delp = Dpc_apps.Forwarding.delp () and env = Dpc_apps.Forwarding.env in
+      let backend = Dpc_core.Backend.make Dpc_core.Backend.S_advanced ~delp ~env ~nodes in
+      let transport, control =
+        Dpc_net.Transport.crashable (Dpc_net.Transport.direct ~nodes ())
+      in
+      let runtime =
+        Dpc_engine.Runtime.create ~transport ~reliable:Dpc_net.Reliable.default_config ~delp ~env
+          ~hook:(Dpc_core.Backend.hook backend) ~nodes:(Dpc_core.Backend.nodes backend) ()
+      in
+      Dpc_engine.Runtime.load_slow runtime (Dpc_proc.Scenario.routes ());
+      let durable =
+        Dpc_core.Durable.attach ~backend ~runtime ~control
+          ~config:{ Dpc_core.Durable.checkpoint_every = 0; rebase_every = 0 }
+          ~disk:dir ()
+      in
+      let phase injects =
+        List.iter (fun ev -> Dpc_engine.Runtime.inject runtime ev) injects;
+        Dpc_engine.Runtime.run runtime
+      in
+      phase (Dpc_proc.Scenario.pre_packets ());
+      Dpc_core.Durable.checkpoint_now durable 0;
+      phase (Dpc_proc.Scenario.mid_packets ());
+      Dpc_core.Durable.crash durable 1;
+      Dpc_core.Durable.restart durable 1;
+      phase (Dpc_proc.Scenario.post_packets ());
+      let wal_file node =
+        let node_dir = Filename.concat dir (Printf.sprintf "node-%d" node) in
+        match
+          List.filter
+            (fun f -> String.length f > 4 && String.sub f 0 4 = "wal-")
+            (Array.to_list (Sys.readdir node_dir))
+        with
+        | [ f ] -> In_channel.with_open_bin (Filename.concat node_dir f) In_channel.input_all
+        | files -> Alcotest.failf "node %d has %d wal files" node (List.length files)
+      in
+      for node = 0 to nodes - 1 do
+        let wal = Dpc_core.Durable.wal durable node in
+        check Alcotest.bool (Printf.sprintf "node %d flushed groups" node) true (wal <> "");
+        check Alcotest.string (Printf.sprintf "node %d wal file = flushed range" node) wal
+          (wal_file node)
+      done;
+      check Alcotest.bool "node 1 crashed" true
+        ((Dpc_core.Durable.node_stats durable 1).crashes = 1))
+
 let () =
   Alcotest.run "dpc_proc"
     [
@@ -437,10 +521,15 @@ let () =
         [
           Alcotest.test_case "record / ack / pending" `Quick test_outbox_basic;
           QCheck_alcotest.to_alcotest outbox_crash_reload;
+          QCheck_alcotest.to_alcotest outbox_model;
           Alcotest.test_case "torn tail dropped" `Quick test_outbox_torn_tail;
         ] );
       ("control protocol", [ Alcotest.test_case "round-trip" `Quick test_ctrl_roundtrip ]);
       ("socket transport", [ Alcotest.test_case "duplex pair" `Quick test_socket_pair ]);
       ( "disk recovery",
-        [ Alcotest.test_case "digest equality, all schemes" `Quick test_disk_recovery ] );
+        [
+          Alcotest.test_case "digest equality, all schemes" `Quick test_disk_recovery;
+          Alcotest.test_case "wal file equals the flushed range" `Quick
+            test_disk_wal_matches_memory;
+        ] );
     ]

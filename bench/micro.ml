@@ -49,16 +49,17 @@ let static_analysis =
     (Staged.stage (fun () -> Dpc_analysis.Equi_keys.compute delp))
 
 (* The runtime's path: forwarding r1's compiled plan probing an index over
-   8 routes. *)
+   8 routes, into a reused scratch as at a node. *)
 let rule_fire =
   let delp = Dpc_apps.Forwarding.delp () in
   let plan = Dpc_engine.Eval.plan ~env:Dpc_apps.Forwarding.env (List.hd delp.program.rules) in
+  let scratch = Dpc_engine.Eval.scratch [ plan ] in
   let db = Dpc_engine.Db.create () in
   List.iter
     (fun d -> ignore (Dpc_engine.Db.insert db (Dpc_apps.Forwarding.route ~at:0 ~dst:d ~next:1)))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ];
-  Test.make ~name:"eval/fire_planned(join of 8 routes)"
-    (Staged.stage (fun () -> Dpc_engine.Eval.fire_planned ~db ~plan ~event:packet))
+  Test.make ~name:"eval/fire_into(join of 8 routes)"
+    (Staged.stage (fun () -> Dpc_engine.Eval.fire_into scratch ~db ~plan ~event:packet))
 
 (* End-to-end recording cost: one packet through the 3-node example under
    each scheme, amortized. *)

@@ -20,23 +20,28 @@ let delp () =
       | Error e -> failwith ("Dns.delp: " ^ Delp.error_to_string e)
     end
 
+(* Whether [url] matches [dm] at offset [off], from [dm]'s character [i]
+   on. Top level, so a call builds no closure. *)
+let rec holds_at url off dm i =
+  i = String.length dm || (url.[off + i] = dm.[i] && holds_at url off dm (i + 1))
+
 let is_sub_domain dm url =
   String.equal dm ""
   || String.equal dm url
   ||
   let ld = String.length dm and lu = String.length url in
-  lu > ld
-  && String.equal (String.sub url (lu - ld) ld) dm
-  && url.[lu - ld - 1] = '.'
+  lu > ld && url.[lu - ld - 1] = '.' && holds_at url (lu - ld) dm 0
 
 let env =
-  Dpc_engine.Env.register Dpc_engine.Env.empty "f_isSubDomain" (function
-    | [ Value.Str dm; Value.Str u ] -> Value.Bool (is_sub_domain dm u)
-    | args ->
+  Dpc_engine.Env.register2 Dpc_engine.Env.empty "f_isSubDomain" (fun dm url ->
+    match (dm, url) with
+    | Value.Str dm, Value.Str url ->
+        if is_sub_domain dm url then Value.Bool true else Value.Bool false
+    | _ ->
         raise
           (Dpc_engine.Eval.Eval_error
-             (Printf.sprintf "f_isSubDomain: expected two strings, got %d arguments"
-                (List.length args))))
+             (Printf.sprintf "f_isSubDomain: expected two strings, got %s and %s"
+                (Value.to_string dm) (Value.to_string url))))
 
 let url ~host ~url ~rqid = Tuple.make "url" [ Value.Addr host; Value.Str url; Value.Int rqid ]
 let root_server ~host ~root = Tuple.make "rootServer" [ Value.Addr host; Value.Addr root ]

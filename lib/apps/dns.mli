@@ -9,7 +9,9 @@ val source : string
 val delp : unit -> Dpc_ndlog.Delp.t
 
 val env : Dpc_engine.Env.t
-(** Registers [f_isSubDomain : (domain, url) -> bool]. *)
+(** Registers [f_isSubDomain : (domain, url) -> bool] in its two-argument
+    form ({!Dpc_engine.Env.register2}), so a compiled rule calls it without
+    an argument list. Its type error names the two values it got. *)
 
 val is_sub_domain : string -> string -> bool
 (** [is_sub_domain dm url]: whether [url] falls under domain [dm] at a

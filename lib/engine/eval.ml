@@ -1,6 +1,6 @@
 open Dpc_ndlog
 
-exception Eval_error of string
+exception Eval_error = Env.Eval_error
 
 type binding = (string * Value.t) list
 
@@ -125,7 +125,9 @@ let fire ~env ~db ~(rule : Ast.rule) ~event =
    - each condition atom becomes a {!Db.probe} whose key is read from the
      registers and constants already fixed when it is reached (the
      positions holding them), plus binds and checks for the rest;
-   - each comparison or assignment becomes an expression over registers;
+   - each comparison or assignment becomes an expression over registers,
+     in which a two-argument call of a {!Env.register2} function calls
+     that form directly instead of building an argument list;
    - the head becomes an array of register and constant reads.
 
    The static bound set at each step is exactly the dynamic binding the
@@ -139,6 +141,7 @@ type expr =
   | X_unbound of string
   | X_binop of Ast.binop * expr * expr
   | X_call of string * (Value.t list -> Value.t) option * expr list
+  | X_call2 of (Value.t -> Value.t -> Value.t) * expr * expr
 
 type atom = {
   rel : string;
@@ -201,7 +204,10 @@ let plan ~env (rule : Ast.rule) =
     | Ast.E_const c -> X_const c
     | Ast.E_var v -> ( match reg v with Some r -> X_reg r | None -> X_unbound v)
     | Ast.E_binop (op, a, b) -> X_binop (op, compile_expr a, compile_expr b)
-    | Ast.E_call (f, args) -> X_call (f, Env.lookup env f, List.map compile_expr args)
+    | Ast.E_call (f, args) -> (
+        match (Env.lookup2 env f, args) with
+        | Some fn, [ a; b ] -> X_call2 (fn, compile_expr a, compile_expr b)
+        | _ -> X_call (f, Env.lookup env f, List.map compile_expr args))
   in
   let event = compile_atom rule.event in
   let steps =
@@ -242,6 +248,9 @@ let rec eval regs = function
   | X_binop (op, a, b) -> arith op (eval regs a) (eval regs b)
   | X_call (f, None, _) -> fail "unknown function %s" f
   | X_call (_, Some fn, args) -> fn (eval_args regs args)
+  | X_call2 (fn, a, b) ->
+      let a = eval regs a in
+      fn a (eval regs b)
 
 and eval_args regs = function
   | [] -> []
@@ -291,32 +300,69 @@ let passes regs = function
       true
   | Let_check (r, e) -> Value.equal regs.(r) (eval regs e)
 
-(* Run the steps from [i] depth-first. [used] holds the slow tuples joined
-   so far, newest first; [acc] the derivations found so far, newest
-   first. *)
-let rec run p db regs i used acc =
+(* A firing's working memory, reused by every firing at one node: the
+   register file, the slow tuples joined on the current path (by join
+   depth), and the derivations found, in order. *)
+type scratch = {
+  regs : Value.t array;
+  used : Tuple.t array;
+  mutable heads : Tuple.t array;
+  mutable slows : Tuple.t list array;
+  mutable count : int;
+}
+
+let no_head = Tuple.of_array "" [| Value.Addr 0 |]
+
+let scratch plans =
+  let regs = List.fold_left (fun m (p : plan) -> max m p.regs) 0 plans
+  and joins = List.fold_left (fun m (p : plan) -> max m p.joins) 0 plans in
+  { regs = Array.make regs unset; used = Array.make joins no_head; heads = Array.make 4 no_head;
+    slows = Array.make 4 []; count = 0 }
+
+let derived_head s i = s.heads.(i)
+let derived_slow s i = s.slows.(i)
+
+let push s head slow =
+  if s.count = Array.length s.heads then begin
+    let heads = Array.make (2 * s.count) no_head and slows = Array.make (2 * s.count) [] in
+    Array.blit s.heads 0 heads 0 s.count;
+    Array.blit s.slows 0 slows 0 s.count;
+    s.heads <- heads;
+    s.slows <- slows
+  end;
+  s.heads.(s.count) <- head;
+  s.slows.(s.count) <- slow;
+  s.count <- s.count + 1
+
+(* The slow tuples of the path, oldest (first condition atom) first. *)
+let rec slow_list used i acc = if i < 0 then acc else slow_list used (i - 1) (used.(i) :: acc)
+
+(* Run the steps from [i] depth-first, [depth] slow tuples joined so far. *)
+let rec run s p db i depth =
   if i = Array.length p.steps then
-    let slow = match used with [] | [ _ ] -> used | _ :: _ :: _ -> List.rev used in
-    (instantiate_head p regs, slow) :: acc
+    push s (instantiate_head p s.regs) (slow_list s.used (depth - 1) [])
   else
     match p.steps.(i) with
-    | Join a ->
-        join p db regs i used acc a (Db.probe db ~rel:a.rel ~positions:a.key_pos ~key:a.key regs)
-    | Filter f -> if passes regs f then run p db regs (i + 1) used acc else acc
+    | Join a -> join s p db i depth a (Db.probe db ~rel:a.rel ~positions:a.key_pos ~key:a.key s.regs)
+    | Filter f -> if passes s.regs f then run s p db (i + 1) depth
 
-and join p db regs i used acc a = function
-  | [] -> acc
+and join s p db i depth a = function
+  | [] -> ()
   | tuple :: rest ->
-      let acc = if bind a regs tuple then run p db regs (i + 1) (tuple :: used) acc else acc in
-      join p db regs i used acc a rest
+      if bind a s.regs tuple then begin
+        s.used.(depth) <- tuple;
+        run s p db (i + 1) (depth + 1)
+      end;
+      join s p db i depth a rest
+
+let fire_into s ~db ~plan ~event =
+  s.count <- 0;
+  if match_event plan s.regs event then run s plan db 0 0;
+  s.count
 
 let fire_planned ~db ~plan ~event =
-  let regs = Array.make plan.regs unset in
-  if not (match_event plan regs event) then []
-  else
-    match run plan db regs 0 [] [] with
-    | ([] | [ _ ]) as derivations -> derivations
-    | derivations -> List.rev derivations
+  let s = scratch [ plan ] in
+  List.init (fire_into s ~db ~plan ~event) (fun i -> (s.heads.(i), s.slows.(i)))
 
 (* The steps once more, with the recorded slow tuples as the only
    candidates: a single path, so at most one derivation. *)
@@ -329,7 +375,7 @@ let rec rederive p regs i slow =
     | Join _, [] -> false
     | Filter f, _ -> passes regs f && rederive p regs (i + 1) slow
 
-let fire_with_slow ~plan ~event ~slow =
+let fire_with_slow ~(plan : plan) ~event ~slow =
   let regs = Array.make plan.regs unset in
   if not (match_event plan regs event) then None
   else begin

@@ -8,15 +8,17 @@
     call it; the property tests compare the compiled path below with it.
 
     The runtime fires {!plan}s: each rule compiled once into steps over
-    numbered variable slots, whose condition atoms probe {!Db} indexes.
+    numbered variable slots, whose condition atoms probe {!Db} indexes,
+    into a per-node {!scratch} ({!fire_into}).
     [fire_with_slow] runs the same plan for the symbolic re-derivation used
     at query time (§4 step 2): instead of joining the database — whose
     slow-changing tables may have changed since — it binds the condition
     atoms to the recorded slow tuples and recomputes the head. *)
 
 exception Eval_error of string
-(** Type errors, unknown functions, division by zero. Evaluation is only
-    partial on ill-typed programs; DELP validation does not type-check. *)
+(** Type errors, unknown functions, division by zero: the same exception
+    as {!Env.Eval_error}. Evaluation is only partial on ill-typed
+    programs; DELP validation does not type-check. *)
 
 type binding = (string * Dpc_ndlog.Value.t) list
 
@@ -57,18 +59,49 @@ val plan : env:Env.t -> Dpc_ndlog.Ast.rule -> plan
 
 val plan_rule : plan -> Dpc_ndlog.Ast.rule
 
-val fire_planned :
-  db:Db.t -> plan:plan -> event:Dpc_ndlog.Tuple.t -> (Dpc_ndlog.Tuple.t * Dpc_ndlog.Tuple.t list) list
-(** The same derivations as {!fire} on the planned rule, as a multiset, in
+type scratch
+(** The working memory of a firing: a register file and a growable buffer
+    of derivations. A runtime keeps one per node and every firing at the
+    node reuses it, so a firing allocates only what it keeps. A scratch is
+    not shared between concurrent firings: a node's rules run on one
+    thread, and never re-enter each other (a transport delivers nothing
+    synchronously from [send]). *)
+
+val scratch : plan list -> scratch
+(** A scratch that fits every plan of the list: a register file as large as
+    the largest plan's and a buffer of a few derivations, which grows on
+    demand. *)
+
+val fire_into : scratch -> db:Db.t -> plan:plan -> event:Dpc_ndlog.Tuple.t -> int
+(** Fire [plan] on [event] and write its derivations into the scratch,
+    replacing the previous firing's; returns their number. They are the
+    same derivations as {!fire} on the planned rule, as a multiset, in
     this order: depth-first over the condition atoms, left to right, with
     each atom's candidates in {!Db.probe} bucket order, newest insert
     first. The runtime ships derivations in this order, so simulator
     sequence numbers, Advanced's hmap reference lists and every digest
     depend on it.
 
-    A firing allocates one register array; only a successful derivation
-    allocates its head, its slow list and its result cell (and a candidate
-    that passes its atom, one cell of the slow list being built). *)
+    Matching, probing, binding and a two-argument call of a
+    {!Env.register2} function allocate nothing, so a rejected candidate
+    costs no allocation. A firing allocates each derivation's head and
+    slow list, what its expressions compute (an arithmetic result, the
+    argument list of any other call) and, the first time a firing at the
+    node outgrows it, a larger buffer. [plan] must be one of the plans the
+    scratch was made for. *)
+
+val derived_head : scratch -> int -> Dpc_ndlog.Tuple.t
+(** [derived_head s i] is the head of the [i]th derivation of the last
+    {!fire_into} ([0 <= i <] its result). *)
+
+val derived_slow : scratch -> int -> Dpc_ndlog.Tuple.t list
+(** The slow tuples of the [i]th derivation, one per condition atom, in
+    condition order. *)
+
+val fire_planned :
+  db:Db.t -> plan:plan -> event:Dpc_ndlog.Tuple.t -> (Dpc_ndlog.Tuple.t * Dpc_ndlog.Tuple.t list) list
+(** {!fire_into} on a fresh scratch, as a list of (head, slow tuples) in
+    derivation order. *)
 
 val fire_with_slow :
   plan:plan -> event:Dpc_ndlog.Tuple.t -> slow:Dpc_ndlog.Tuple.t list -> Dpc_ndlog.Tuple.t option

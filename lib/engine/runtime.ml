@@ -15,6 +15,9 @@ type t = {
   interest : string list;
   nodes : Node.t array;
   plans : (string, Eval.plan list) Hashtbl.t;  (* event relation -> rule plans, program order *)
+  (* Per node: a node's events run on one shard, one at a time, so its
+     firings can share a scratch without a lock. *)
+  scratch : Eval.scratch array;
   record_outputs : bool;
   (* Cluster-global accumulators: every shard of a sharded transport
      appends/increments concurrently, so the list is mutex-guarded and
@@ -101,12 +104,14 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(msg_overhead = 28) ?
   in
   (* Compile every rule once; [process] fetches the plans for an event
      relation with one hash lookup instead of filtering the program. *)
+  let compiled = List.map (Eval.plan ~env) delp.program.rules in
   let plans = Hashtbl.create 8 in
   List.iter
-    (fun (rule : Ast.rule) ->
-      let existing = Option.value ~default:[] (Hashtbl.find_opt plans rule.event.rel) in
-      Hashtbl.replace plans rule.event.rel (existing @ [ Eval.plan ~env rule ]))
-    delp.program.rules;
+    (fun plan ->
+      let rel = (Eval.plan_rule plan).event.rel in
+      let existing = Option.value ~default:[] (Hashtbl.find_opt plans rel) in
+      Hashtbl.replace plans rel (existing @ [ plan ]))
+    compiled;
   {
     transport;
     reliability;
@@ -116,6 +121,7 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(msg_overhead = 28) ?
     interest;
     nodes;
     plans;
+    scratch = Array.init n (fun _ -> Eval.scratch compiled);
     record_outputs;
     outputs_lock = Mutex.create ();
     outputs_rev = [];
@@ -206,26 +212,30 @@ let rec process t ~input node event meta =
         tick t node "runtime.dead_ends"
       end
 
-(* Whether any of [plans] fired, or [fired] already. *)
+(* Whether any of [plans] fired, or [fired] already. Each plan's
+   derivations are shipped before the next plan fires. *)
 and fire_plans t node event meta fired = function
   | [] -> fired
   | plan :: rest ->
-      let derivations = Eval.fire_planned ~db:(db t node) ~plan ~event in
-      emit t node (Eval.plan_rule plan) event meta derivations;
-      fire_plans t node event meta (fired || derivations <> []) rest
+      let n = Eval.fire_into t.scratch.(node) ~db:(db t node) ~plan ~event in
+      emit t node (Eval.plan_rule plan) event meta 0 n;
+      fire_plans t node event meta (fired || n > 0) rest
 
-and emit t node rule event meta = function
-  | [] -> ()
-  | (head, slow) :: rest ->
-      if not t.replaying.(node) then Atomic.incr t.fired;
-      tick t node "runtime.fired";
-      if debug_on () then
-        Log.debug (fun m ->
-          m "%s fired at n%d: %s -> %s" rule.Ast.name node (Tuple.to_string event)
-            (Tuple.to_string head));
-      let meta' = t.hook.on_fire ~node ~rule ~event ~slow ~head meta in
-      ship t node head meta';
-      emit t node rule event meta rest
+(* Ship derivations [i] to [n - 1] of the node's last firing. *)
+and emit t node rule event meta i n =
+  if i < n then begin
+    let head = Eval.derived_head t.scratch.(node) i in
+    if not t.replaying.(node) then Atomic.incr t.fired;
+    tick t node "runtime.fired";
+    if debug_on () then
+      Log.debug (fun m ->
+        m "%s fired at n%d: %s -> %s" rule.Ast.name node (Tuple.to_string event)
+          (Tuple.to_string head));
+    let slow = Eval.derived_slow t.scratch.(node) i in
+    let meta' = t.hook.on_fire ~node ~rule ~event ~slow ~head meta in
+    ship t node head meta';
+    emit t node rule event meta (i + 1) n
+  end
 
 and ship t src head meta =
   let dst = Tuple.loc head in

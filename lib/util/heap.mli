@@ -1,6 +1,7 @@
-(** Mutable binary min-heap: [Dpc_net.Shard_sim]'s per-shard event queues,
-    the socket backend's timers and the shortest-path search. The
-    sequential simulators use the allocation-free {!Event_queue}. *)
+(** Mutable binary min-heap: [Dpc_net.Shard_sim]'s per-shard event queues
+    and the socket backend's timers. The sequential simulators use the
+    allocation-free {!Event_queue}; the shortest-path search keeps its own
+    heap on unboxed arrays, with this module's sift steps. *)
 
 type 'a t
 

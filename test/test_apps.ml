@@ -20,6 +20,44 @@ let test_is_sub_domain () =
   check Alcotest.bool "different tld" false (t "hello.com" "www.hello.org");
   check Alcotest.bool "prefix is not suffix" false (t "www.hello" "www.hello.com")
 
+(* The reference: the suffix check through a [String.sub] copy. *)
+let is_sub_domain_by_sub dm url =
+  String.equal dm ""
+  || String.equal dm url
+  ||
+  let ld = String.length dm and lu = String.length url in
+  lu > ld
+  && String.equal (String.sub url (lu - ld) ld) dm
+  && url.[lu - ld - 1] = '.'
+
+(* Pairs over a three-letter alphabet, so that near misses are common: the
+   empty domain, equal strings, a suffix with and without the label
+   boundary, and a domain longer than the URL. *)
+let domain_pair =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(oneofl [ 'a'; 'b'; '.' ]) (int_bound 6) in
+  pair str str >>= fun (dm, pre) ->
+  oneofl
+    [ (dm, pre); ("", pre); (dm, dm); (dm, pre ^ dm); (dm, pre ^ "." ^ dm); (pre ^ "." ^ dm, dm) ]
+
+let prop_is_sub_domain_in_place =
+  QCheck.Test.make ~name:"in place = by String.sub" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair string string) domain_pair)
+    (fun (dm, url) -> Dpc_apps.Dns.is_sub_domain dm url = is_sub_domain_by_sub dm url)
+
+let test_is_sub_domain_errors () =
+  let call args =
+    match Dpc_engine.Env.lookup Dpc_apps.Dns.env "f_isSubDomain" with
+    | Some f -> ignore (f args)
+    | None -> Alcotest.fail "f_isSubDomain is not registered"
+  in
+  Alcotest.check_raises "two non-strings"
+    (Dpc_engine.Eval.Eval_error "f_isSubDomain: expected two strings, got 1 and true") (fun () ->
+      call [ Value.Int 1; Value.Bool true ]);
+  Alcotest.check_raises "three arguments"
+    (Dpc_engine.Eval.Eval_error "f_isSubDomain: expected 2 arguments, got 3") (fun () ->
+      call [ Value.Str "a"; Value.Str "b"; Value.Str "c" ])
+
 (* ------------------------------------------------------------------ *)
 (* A hand-built 5-node DNS hierarchy:
      0 = root, 1 = "com" server, 2 = "hello.com" server,
@@ -201,7 +239,12 @@ let scheme_cases f =
 let () =
   Alcotest.run "dpc_apps"
     [
-      ("is_sub_domain", [ Alcotest.test_case "boundaries" `Quick test_is_sub_domain ]);
+      ( "is_sub_domain",
+        [
+          Alcotest.test_case "boundaries" `Quick test_is_sub_domain;
+          Alcotest.test_case "type errors name the values" `Quick test_is_sub_domain_errors;
+          QCheck_alcotest.to_alcotest prop_is_sub_domain_in_place;
+        ] );
       ("dns resolution", scheme_cases test_dns_resolution);
       ("dns provenance", scheme_cases test_dns_provenance_tree);
       ("dns short path", scheme_cases test_dns_short_path);

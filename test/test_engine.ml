@@ -260,6 +260,67 @@ let test_fire_planned_matches_fire () =
       pkt ~at:3 ~src:0 ~dst:9 ~payload:"dead";
     ]
 
+let test_fire_into_matches_fire_dns () =
+  (* DNS r1-r4 through one shared scratch, the runtime's path, against the
+     reference evaluator. Node 0 has four name servers, so the
+     f_isSubDomain filter rejects some candidates of every request there. *)
+  let module D = Dpc_apps.Dns in
+  let env = D.env and db = Db.create () in
+  List.iter
+    (fun t -> ignore (Db.insert db t))
+    [
+      D.root_server ~host:4 ~root:0;
+      D.name_server ~at:0 ~domain:"com" ~server:1;
+      D.name_server ~at:0 ~domain:"org" ~server:3;
+      D.name_server ~at:0 ~domain:"ello.com" ~server:5;
+      D.name_server ~at:0 ~domain:"" ~server:6;
+      D.name_server ~at:1 ~domain:"hello.com" ~server:2;
+      D.address_record ~at:2 ~url:"www.hello.com" ~ip:"10.0.0.7";
+      D.address_record ~at:2 ~url:"www.hello.com" ~ip:"10.0.0.8";
+    ];
+  let request at url =
+    Tuple.make "request" [ Value.Addr at; Value.Str url; Value.Addr 4; Value.Int 1 ]
+  in
+  let events =
+    [
+      D.url ~host:4 ~url:"www.hello.com" ~rqid:1;
+      request 0 "www.hello.com";
+      request 0 "www.example.org";
+      request 0 "shello.com";
+      request 1 "www.hello.com";
+      request 2 "www.hello.com";
+      Tuple.make "dnsResult"
+        [ Value.Addr 2; Value.Str "www.hello.com"; Value.Str "10.0.0.7"; Value.Addr 4; Value.Int 1 ];
+    ]
+  in
+  let plans = List.map (Eval.plan ~env) (D.delp ()).program.rules in
+  let scratch = Eval.scratch plans in
+  let norm results =
+    List.sort compare
+      (List.map (fun (head, slow) -> (Tuple.canonical head, List.map Tuple.canonical slow)) results)
+  in
+  let derived = ref 0 in
+  List.iter
+    (fun event ->
+      List.iter
+        (fun plan ->
+          let naive = Eval.fire ~env ~db ~rule:(Eval.plan_rule plan) ~event in
+          let n = Eval.fire_into scratch ~db ~plan ~event in
+          let planned =
+            List.init n (fun i -> (Eval.derived_head scratch i, Eval.derived_slow scratch i))
+          in
+          derived := !derived + n;
+          check
+            (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.list Alcotest.string)))
+            (Printf.sprintf "%s on %s" (Eval.plan_rule plan).name (Tuple.to_string event))
+            (norm naive) (norm planned))
+        plans)
+    events;
+  (* r1 once; r2 twice on each request at node 0 (the root domain and one
+     of "com" and "org"; "ello.com" lacks the label boundary) and once at
+     node 1; r3 twice; r4 once. *)
+  check Alcotest.int "derivations" 11 !derived
+
 let test_fire_planned_order () =
   (* Depth-first over the condition atoms, each atom's candidates newest
      insert first: the order the runtime ships derivations in. *)
@@ -533,21 +594,21 @@ let test_budget_counters () =
   check_budget "Node.tick" ~measured:0 (fun () -> Node.tick node "runtime.fired");
   check_budget "Node.add" ~measured:0 (fun () -> Node.add node "runtime.shipped_bytes" 640)
 
-let test_budget_fire_planned () =
+let test_budget_fire_into () =
   let db = Db.create () in
   List.iter
     (fun d -> ignore (Db.insert db (route ~at:0 ~dst:d ~next:1)))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ];
   let event = pkt ~at:0 ~src:0 ~dst:2 ~payload:(String.make 500 'x') in
   let r1 = Eval.plan ~env:Env.empty forwarding_r1 and r2 = Eval.plan ~env:Env.empty forwarding_r2 in
-  check Alcotest.int "r1 derives one head" 1 (List.length (Eval.fire_planned ~db ~plan:r1 ~event));
-  (* Registers (6), head args (5) and tuple (5), the slow list (3), the
-     result pair (3) and cell (3). *)
-  check_budget "fire_planned r1 (8 routes)" ~measured:25 (fun () ->
-    ignore (Eval.fire_planned ~db ~plan:r1 ~event));
-  (* Registers only. *)
-  check_budget "fire_planned r2 (no match)" ~measured:5 (fun () ->
-    ignore (Eval.fire_planned ~db ~plan:r2 ~event))
+  let scratch = Eval.scratch [ r1; r2 ] in
+  check Alcotest.int "r1 derives one head" 1 (Eval.fire_into scratch ~db ~plan:r1 ~event);
+  (* The head's arguments (5) and tuple (5), and its slow list (3). *)
+  check_budget "fire_into r1 (8 routes)" ~measured:13 (fun () ->
+    ignore (Eval.fire_into scratch ~db ~plan:r1 ~event));
+  (* Nothing. *)
+  check_budget "fire_into r2 (no match)" ~measured:0 (fun () ->
+    ignore (Eval.fire_into scratch ~db ~plan:r2 ~event))
 
 let test_budget_sim_send () =
   let _, sim = line_world () in
@@ -639,6 +700,38 @@ let dns_request ~at ~rqid =
   Tuple.make "request"
     [ Value.Addr at; Value.Str "www.example.com"; Value.Addr 7; Value.Int rqid ]
 
+let dns_rule name =
+  List.find (fun (r : Ast.rule) -> String.equal r.name name) (Dpc_apps.Dns.delp ()).program.rules
+
+let test_budget_fire_into_dns () =
+  let r2 = Eval.plan ~env:Dpc_apps.Dns.env (dns_rule "r2") in
+  let db = Db.create () in
+  (* Of four name servers at node 1 only the first covers www.example.com:
+     the others are another domain, a suffix without the label boundary and
+     a domain longer than the URL. *)
+  List.iter
+    (fun (domain, server) ->
+      ignore (Db.insert db (Dpc_apps.Dns.name_server ~at:1 ~domain ~server)))
+    [ ("example.com", 2); ("example.org", 3); ("ample.com", 4); ("www.example.com.au", 5) ];
+  let scratch = Eval.scratch [ r2 ] and event = dns_request ~at:1 ~rqid:0 in
+  check Alcotest.int "one server matches" 1 (Eval.fire_into scratch ~db ~plan:r2 ~event);
+  check tuple_t "to the matching server" (dns_request ~at:2 ~rqid:0)
+    (Eval.derived_head scratch 0);
+  (* The head's arguments (5) and tuple (5), and its slow list (3): the
+     three rejected candidates allocate nothing. *)
+  check_budget "fire_into DNS r2 (4 servers)" ~measured:13 (fun () ->
+    ignore (Eval.fire_into scratch ~db ~plan:r2 ~event))
+
+let test_budget_is_sub_domain () =
+  match Env.lookup2 Dpc_apps.Dns.env "f_isSubDomain" with
+  | None -> Alcotest.fail "f_isSubDomain has no two-argument form"
+  | Some f ->
+      let dm = Value.Str "example.com" and url = Value.Str "www.example.com" in
+      check Alcotest.bool "covers" true (Value.equal (Value.Bool true) (f dm url));
+      (* Nothing: the suffix is compared in place and the result is a
+         static constant. *)
+      check_budget "f_isSubDomain(DM, URL)" ~measured:0 (fun () -> ignore (f dm url))
+
 let test_budget_tuple_digest () =
   (* The digest (4) and nothing else. *)
   check_budget "Tuple.digest of a DNS request" ~measured:4
@@ -670,8 +763,7 @@ let test_budget_key_hash () =
    Advanced (32): as Basic, less the request's vid, which it does not
    record. *)
 let test_budget_on_fire name scheme ~measured () =
-  let delp = Dpc_apps.Dns.delp () in
-  let rule = List.find (fun (r : Ast.rule) -> String.equal r.name "r2") delp.program.rules in
+  let delp = Dpc_apps.Dns.delp () and rule = dns_rule "r2" in
   let backend = Dpc_core.Backend.make scheme ~delp ~env:Dpc_apps.Dns.env ~nodes:3 in
   let hook = Dpc_core.Backend.hook backend in
   let slow = [ Dpc_apps.Dns.name_server ~at:1 ~domain:"example.com" ~server:2 ] in
@@ -722,6 +814,7 @@ let () =
           Alcotest.test_case "fire_with_slow wrong count" `Quick test_fire_with_slow_wrong_count;
           Alcotest.test_case "planned fire matches naive" `Quick test_fire_planned_matches_fire;
           Alcotest.test_case "planned derivation order" `Quick test_fire_planned_order;
+          Alcotest.test_case "planned = naive on DNS" `Quick test_fire_into_matches_fire_dns;
         ] );
       ("env", [ Alcotest.test_case "shadowing" `Quick test_env_shadowing ]);
       ( "runtime",
@@ -744,7 +837,9 @@ let () =
       ( "allocation budgets",
         [
           Alcotest.test_case "counters on an existing name" `Quick test_budget_counters;
-          Alcotest.test_case "fire_planned of forwarding r1" `Quick test_budget_fire_planned;
+          Alcotest.test_case "fire_into of forwarding r1" `Quick test_budget_fire_into;
+          Alcotest.test_case "fire_into of DNS r2" `Quick test_budget_fire_into_dns;
+          Alcotest.test_case "f_isSubDomain two-arg form" `Quick test_budget_is_sub_domain;
           Alcotest.test_case "one-hop Sim.send" `Quick test_budget_sim_send;
           Alcotest.test_case "Transport.hashed_decide" `Quick test_budget_hashed_decide;
           Alcotest.test_case "one Reliable message, send through ack" `Quick

@@ -168,6 +168,117 @@ let test_routing_paths_follow_links () =
           Alcotest.fail "path revisits a node"
   done
 
+(* Every pair's next hop and the exact bits of its distance, as one
+   SHA-1. *)
+let tables_digest topo r =
+  let n = Topology.size topo in
+  let s = Dpc_util.Sha1.start () in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let d = Option.value ~default:infinity (Routing.distance r ~src ~dst) in
+      Dpc_util.Sha1.add s (Printf.sprintf "%d %h;" (Routing.successor r ~src ~dst) d)
+    done
+  done;
+  Dpc_util.Sha1.to_hex (Dpc_util.Sha1.finish s)
+
+let test_routing_paper_tables () =
+  (* Pinned from the search over boxed pairs that the reference below
+     copies: the 100-server DNS tree and the 100-node transit-stub. *)
+  let tree =
+    Tree_topo.generate ~rng:(Dpc_util.Rng.create ~seed:1) ~n:100 ~backbone_depth:27
+      ~link:{ Topology.latency = 0.010; bandwidth = 100e6 /. 8.0 }
+  in
+  let ts = Transit_stub.generate ~rng:(Dpc_util.Rng.create ~seed:1) Transit_stub.paper_params in
+  List.iter
+    (fun (name, topo, expected) ->
+      check Alcotest.string name expected (tables_digest topo (Routing.compute topo)))
+    [
+      ("DNS tree", tree.topology, "0575fd087e4cb05917b150b27f43832228998c1b");
+      ("transit-stub", ts.topology, "4f3962ef35cad2d392e38b374a9bff48f626ffb7");
+    ]
+
+(* The reference: the shortest-path search over boxed (distance, node)
+   pairs through [Dpc_util.Heap] ordered by polymorphic [compare], then a
+   predecessor walk per destination. *)
+let reference_tables topo =
+  let n = Topology.size topo in
+  let neighbors = Array.init n (fun v -> Array.of_list (Topology.neighbors topo v)) in
+  let dijkstra src =
+    let dist = Array.make n infinity in
+    let pred = Array.make n (-1) in
+    dist.(src) <- 0.0;
+    let heap = Dpc_util.Heap.create ~cmp:(fun (d1, _) (d2, _) -> compare d1 d2) in
+    Dpc_util.Heap.push heap (0.0, src);
+    let rec go () =
+      match Dpc_util.Heap.pop heap with
+      | None -> ()
+      | Some (d, v) ->
+          if d <= dist.(v) then
+            Array.iter
+              (fun (w, (l : Topology.link)) ->
+                let nd = d +. l.latency in
+                if nd < dist.(w) then begin
+                  dist.(w) <- nd;
+                  pred.(w) <- v;
+                  Dpc_util.Heap.push heap (nd, w)
+                end)
+              neighbors.(v);
+          go ()
+    in
+    go ();
+    (dist, pred)
+  in
+  let successor = Array.make_matrix n n (-1) in
+  let dist = Array.make_matrix n n infinity in
+  for src = 0 to n - 1 do
+    let d, pred = dijkstra src in
+    for dst = 0 to n - 1 do
+      dist.(src).(dst) <- d.(dst);
+      if dst <> src && d.(dst) < infinity then begin
+        let rec first_hop v = if pred.(v) = src then v else first_hop pred.(v) in
+        successor.(src).(dst) <- first_hop dst
+      end
+    done
+  done;
+  (successor, dist)
+
+(* A connected graph on [n] nodes from [seed]: a random spanning tree plus
+   up to [n] extra links, each of latency 1, 2 or 3, so that equal-length
+   paths are common. *)
+let random_graph n seed =
+  let rng = Dpc_util.Rng.create ~seed in
+  let t = Topology.create ~n in
+  let add a b =
+    let latency = float_of_int (1 + Dpc_util.Rng.int rng 3) in
+    Topology.add_link t a b { Topology.latency; bandwidth = 1e6 }
+  in
+  for v = 1 to n - 1 do
+    add (Dpc_util.Rng.int rng v) v
+  done;
+  for _ = 1 to Dpc_util.Rng.int rng (n + 1) do
+    let a = Dpc_util.Rng.int rng n and b = Dpc_util.Rng.int rng n in
+    if a <> b then add a b
+  done;
+  t
+
+let prop_routing_reference =
+  QCheck.Test.make ~name:"tables = reference" ~count:300
+    QCheck.(pair (int_range 1 16) int)
+    (fun (n, seed) ->
+      let topo = random_graph n seed in
+      let r = Routing.compute topo and successor, dist = reference_tables topo in
+      let ok = ref true in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let d = Option.value ~default:infinity (Routing.distance r ~src ~dst) in
+          ok :=
+            !ok
+            && Routing.successor r ~src ~dst = successor.(src).(dst)
+            && Float.equal d dist.(src).(dst)
+        done
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Simulator *)
 
@@ -732,7 +843,9 @@ let () =
           Alcotest.test_case "prefers low latency" `Quick test_routing_prefers_low_latency;
           Alcotest.test_case "unreachable" `Quick test_routing_unreachable;
           Alcotest.test_case "paths follow links" `Quick test_routing_paths_follow_links;
-        ] );
+          Alcotest.test_case "paper tables pinned" `Quick test_routing_paper_tables;
+        ]
+        @ qsuite [ prop_routing_reference ] );
       ( "sim",
         [
           Alcotest.test_case "event ordering" `Quick test_sim_event_ordering;

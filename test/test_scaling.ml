@@ -94,6 +94,50 @@ let test_clean_digests () =
         all_schemes)
     [ 1; 2; 3 ]
 
+(* DNS, whose r2 filters name servers through f_isSubDomain: the only
+   builtin call among the programs run here, since Delp_gen programs have
+   none. Each node's store tables and database, as one SHA-1 per node. *)
+let dns_digests scheme domains =
+  let module D = Dpc_workload.Dns_workload in
+  let rng = Dpc_util.Rng.create ~seed:3 in
+  let spec = D.generate ~rng ~servers:40 ~backbone_depth:8 ~urls:12 ~clients:5 in
+  let nodes = Dpc_net.Topology.size spec.tree.topology in
+  let delp = Dpc_apps.Dns.delp () and env = Dpc_apps.Dns.env in
+  let backend = Backend.make scheme ~delp ~env ~nodes in
+  let runtime =
+    Dpc_engine.Runtime.create ~transport:(shard_transport ~domains ~nodes) ~domains ~delp ~env
+      ~hook:(Backend.hook backend) ~nodes:(Backend.nodes backend) ()
+  in
+  Dpc_engine.Runtime.load_slow runtime (D.slow_tuples spec);
+  for rqid = 1 to 120 do
+    let host = spec.clients.(Dpc_util.Rng.int rng (Array.length spec.clients))
+    and url = spec.urls.(Dpc_util.Rng.int rng (Array.length spec.urls)) in
+    Dpc_engine.Runtime.inject runtime ~delay:(0.0005 *. float_of_int rqid)
+      (Dpc_apps.Dns.url ~host ~url ~rqid)
+  done;
+  Dpc_engine.Runtime.run runtime;
+  let stats = Dpc_engine.Runtime.stats runtime in
+  check Alcotest.int "every request answered" stats.injected stats.outputs;
+  Array.to_list
+    (Array.mapi
+       (fun i node ->
+         Dpc_util.Sha1.to_hex
+           (Dpc_util.Sha1.digest_string
+              (Backend.digest_node backend i ^ Dpc_engine.Db.canonical (Dpc_engine.Node.db node))))
+       (Backend.nodes backend))
+
+let test_dns_digests () =
+  List.iter
+    (fun scheme ->
+      let base = dns_digests scheme 1 in
+      List.iter
+        (fun domains ->
+          check (Alcotest.list Alcotest.string)
+            (Printf.sprintf "%s, ~domains:%d" (Backend.scheme_name scheme) domains)
+            base (dns_digests scheme domains))
+        (List.tl domain_counts))
+    all_schemes
+
 (* Same domain count twice: run-to-run determinism (no scheduling or
    hash-order leak into the digest). *)
 let test_run_to_run () =
@@ -366,6 +410,7 @@ let () =
         [
           Alcotest.test_case "clean digests across domains" `Quick test_clean_digests;
           Alcotest.test_case "run-to-run at 4 domains" `Quick test_run_to_run;
+          Alcotest.test_case "DNS digests across domains" `Quick test_dns_digests;
           Alcotest.test_case "chaos digests across domains" `Quick test_chaos_digests;
           Alcotest.test_case "crash digests across domains" `Slow test_crash_digests;
           Alcotest.test_case "cache transparency across domains" `Quick test_cache_digests;

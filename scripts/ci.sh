@@ -95,12 +95,6 @@ else
     echo "== odoc not installed; skipping doc build =="
 fi
 
-# Throughput regression gate: fig8/fig9 events/s vs the checked-in
-# baseline (BENCH_PR8.json), >15% regression fails — plus the queries
-# figure's modeled warm-cache p99. Wall-clock based, so it can be
-# skipped on noisy builders with DPC_BENCH_GATE_SKIP=1.
-sh scripts/bench_gate.sh
-
 # Bench smoke: the tiny fig9 run must finish quickly and produce a valid
 # machine-readable report with all three scheme series present.
 echo "== bench smoke (tiny fig9 + json report) =="
@@ -152,5 +146,14 @@ else
     echo "bench determinism FAILED: same-seed runs differ" >&2
     exit 1
 fi
+
+# Throughput regression gate: fig8/fig9 events/s vs the checked-in
+# baseline (BENCH_PR8.json), >15% regression fails — plus the queries
+# figure's modeled warm-cache p99 and the dpcbench allocation check.
+# Wall-clock based, so it can be skipped on noisy builders with
+# DPC_BENCH_GATE_SKIP=1. It runs after the smoke and the determinism
+# diff so that a failing gate (set -e still stops CI here) cannot keep
+# those two steps from running.
+sh scripts/bench_gate.sh
 
 echo "== ci ok =="

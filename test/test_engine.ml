@@ -761,10 +761,16 @@ let test_budget_key_hash () =
    Basic (36): the request's vid (4), the slow vids (3), the rid (4) and
    its tail (2), the ruleExec row (6) and cell (7), and the meta (10).
    Advanced (32): as Basic, less the request's vid, which it does not
-   record. *)
-let test_budget_on_fire name scheme ~measured () =
+   record. Advanced+interclass (33): its ruleExecNode rid ignores the
+   chain, so the node row repeats and only the link row and cell are new.
+   With dirty tracking on ([~track], as under [Durable] with delta cuts),
+   each newly inserted row adds its dirty-list cell (3), and a side entry
+   its (key, tuple) pair and cell (6): ExSPAN 65, Basic 39, Advanced 35,
+   Advanced+interclass 36. *)
+let test_budget_on_fire ?(track = false) name scheme ~measured () =
   let delp = Dpc_apps.Dns.delp () and rule = dns_rule "r2" in
   let backend = Dpc_core.Backend.make scheme ~delp ~env:Dpc_apps.Dns.env ~nodes:3 in
+  Dpc_core.Backend.set_dirty_tracking backend track;
   let hook = Dpc_core.Backend.hook backend in
   let slow = [ Dpc_apps.Dns.name_server ~at:1 ~domain:"example.com" ~server:2 ] in
   let firing rqid =
@@ -855,5 +861,20 @@ let () =
           Alcotest.test_case "on_fire of DNS r2, Advanced" `Quick
             (test_budget_on_fire "Advanced on_fire r2 (miss)" Dpc_core.Backend.S_advanced
                ~measured:32);
+          Alcotest.test_case "on_fire DNS r2, interclass" `Quick
+            (test_budget_on_fire "Advanced+interclass on_fire r2 (miss)"
+               Dpc_core.Backend.S_advanced_interclass ~measured:33);
+          Alcotest.test_case "tracked on_fire, ExSPAN" `Quick
+            (test_budget_on_fire ~track:true "ExSPAN on_fire r2, tracked"
+               Dpc_core.Backend.S_exspan ~measured:65);
+          Alcotest.test_case "tracked on_fire, Basic" `Quick
+            (test_budget_on_fire ~track:true "Basic on_fire r2, tracked" Dpc_core.Backend.S_basic
+               ~measured:39);
+          Alcotest.test_case "tracked on_fire, Advanced" `Quick
+            (test_budget_on_fire ~track:true "Advanced on_fire r2 (miss), tracked"
+               Dpc_core.Backend.S_advanced ~measured:35);
+          Alcotest.test_case "tracked on_fire, interclass" `Quick
+            (test_budget_on_fire ~track:true "Advanced+interclass on_fire r2 (miss), tracked"
+               Dpc_core.Backend.S_advanced_interclass ~measured:36);
         ] );
     ]

@@ -2,10 +2,9 @@
     evaluation compares: ExSPAN (uncompressed), Basic (§4), and Advanced
     (§5, optionally with the §5.4 inter-class layout). *)
 
-type t =
-  | Exspan of Store_exspan.t
-  | Basic of Store_basic.t
-  | Advanced of Store_advanced.t
+type t
+(** One store on the shared kernel ({!Store_kit}): the scheme decides
+    only what a rule firing records and how a query walks it back. *)
 
 type scheme = S_exspan | S_basic | S_advanced | S_advanced_interclass
 

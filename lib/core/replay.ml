@@ -80,10 +80,10 @@ let replay_and_query t ~topology ?evid target =
   let routing = Dpc_net.Routing.compute topology in
   let sim = Dpc_net.Sim.create ~topology ~routing () in
   let transport = Dpc_net.Transport.of_sim sim in
-  let store = Store_exspan.create ~delp:t.delp ~env:t.env ~nodes:t.nodes in
+  let store = Backend.make Backend.S_exspan ~delp:t.delp ~env:t.env ~nodes:t.nodes in
   let runtime =
-    Dpc_engine.Runtime.create ~transport ~delp:t.delp ~env:t.env
-      ~hook:(Store_exspan.hook store) ~nodes:(Store_exspan.nodes store) ()
+    Dpc_engine.Runtime.create ~transport ~delp:t.delp ~env:t.env ~hook:(Backend.hook store)
+      ~nodes:(Backend.nodes store) ()
   in
   Dpc_engine.Runtime.load_slow runtime t.initial_slow;
   (* Replay in arrival order, quiescing between entries so each update is
@@ -96,7 +96,7 @@ let replay_and_query t ~topology ?evid target =
       | E_delete tuple -> ignore (Dpc_engine.Runtime.delete_slow_runtime runtime tuple));
       Dpc_engine.Runtime.run runtime)
     (List.rev t.log_rev);
-  let result = Store_exspan.query store ~cost:Query_cost.emulation ~routing ?evid target in
+  let result = Backend.query store ~cost:Query_cost.emulation ~routing ?evid target in
   {
     result with
     Query_result.latency =

@@ -15,7 +15,14 @@
     path suffix — share rows.
 
     Slow-changing inserts (§5.5) clear [htequi] at every node receiving the
-    [sig] broadcast, forcing re-materialization of each class's chain. *)
+    [sig] broadcast, forcing re-materialization of each class's chain.
+
+    The paper's QUERY (Fig 18) fetches the prov deltas for the tuple,
+    collects the shared chain(s), retrieves the input event by [evid] at
+    the leaf's node, and re-derives intermediate tuples upward
+    ({!Query_acct.chain_walk}). Candidate chains that fail re-derivation
+    (possible under the §5.4 layout, where link rows of different trees
+    may alternate) are discarded. Use it through {!Backend}. *)
 
 type t
 
@@ -31,30 +38,8 @@ val create :
     {!Dpc_engine.Node.t} and row writes tick its [store.*] counters
     (including [store.equi_hits]/[store.equi_misses] at ingress). *)
 
-val set_degraded_sink : t -> (int -> unit) -> unit
-(** Re-route the degraded-query tick: [f querier] runs instead of the
-    default increment of [crash.queries_degraded] on the querier's
-    volatile registry. Installed by the durable layer so the count
-    survives a crash of the querier (see [Durable.attach]). *)
-
-val nodes : t -> Dpc_engine.Node.t array
-(** The cluster owning all per-node state; pass to
-    [Runtime.create ~nodes] so the runtime shares it. *)
-
-val set_query_cache : t -> Query_cache.t option -> unit
-(** Attach (or detach, with [None]) the shared memoization cache — same
-    contract as {!Store_basic.set_query_cache}. The §5.5 [htequi] wipe in
-    [on_slow_update] additionally invalidates the flushed node's entries. *)
-
-val query_cache : t -> Query_cache.t option
-
-val hook : t -> Dpc_engine.Prov_hook.t
-
-val node_storage : t -> int -> Rows.storage
-val total_storage : t -> Rows.storage
-
-val classes_seen : t -> int
-(** Total distinct equivalence keys currently in the [htequi] tables. *)
+val store : t -> Store_kit.store
+(** The store behind {!Backend}'s interface. *)
 
 val orphan_outputs : t -> int
 (** Outputs that arrived with [existFlag = true] but found no [hmap] entry
@@ -62,67 +47,41 @@ val orphan_outputs : t -> int
     provenance is not recorded, mirroring the paper's assumption that
     updates quiesce before querying. *)
 
-val query :
-  t ->
-  cost:Query_cost.t ->
-  routing:Dpc_net.Routing.t ->
-  ?evid:Dpc_util.Sha1.t ->
-  ?up:(int -> bool) ->
-  Dpc_ndlog.Tuple.t ->
-  Query_result.t
-(** The paper's QUERY (Fig 18): fetch the prov deltas for the tuple,
-    recursively collect the shared chain(s), retrieve the input event by
-    [evid] at the leaf's node, and re-derive intermediate tuples upward.
-    Candidate chains that fail re-derivation (possible under the §5.4
-    layout, where link rows of different trees may alternate) are
-    discarded. [up] is the node-liveness predicate — a chain that reaches
-    a down node is abandoned after the bounded retry budget and the
-    result is marked [complete = false] (see {!Store_exspan.query}). *)
-
-val dump : t -> (string * string list * string list list) list
-(** Human-readable table contents [(name, header, rows)] — the shape of the
-    paper's Table 3 (or Table 4 under the inter-class layout). *)
-
-val checkpoint : t -> string
-(** Serialize the full store to bytes, including the equivalence tables
-    ([htequi]/[hmap]), so maintenance can also continue after a restore. *)
-
 val restore :
   delp:Dpc_ndlog.Delp.t ->
   env:Dpc_engine.Env.t ->
   keys:Dpc_analysis.Equi_keys.t ->
   string ->
-  t
-(** Rebuild a store from {!checkpoint} output.
-    @raise Dpc_util.Serialize.Corrupt on malformed input, including an
-    inter-class/plain layout mismatch encoded in the blob. *)
+  Store_kit.store
+(** Rebuild a store from a whole-store checkpoint, in the layout the
+    checkpoint names. @raise Dpc_util.Serialize.Corrupt on malformed
+    input. *)
 
-val checkpoint_node : t -> int -> string
-(** Serialize one node's tables — rows, equivalence state
-    ([htequi]/[hmap], both ingress-local), and side stores — for its
-    durable checkpoint. The store-global orphan counter is excluded. *)
+(** {2 Programs sharing one ruleExecNode table}
 
-val digest_node : t -> int -> string
-(** SHA-1 (hex) of the node's canonical blob without sealing dirty
-    tracking — same contract as {!Store_exspan.digest_node}. *)
+    {!Store_multi} runs each program as an inter-class store of its own
+    whose ruleExecNode rows and slow tuples live in a table every program
+    shares. *)
 
-val restore_node : t -> int -> string -> unit
-(** Reload one node's tables after a {!Dpc_engine.Node.reset}.
-    @raise Dpc_util.Serialize.Corrupt on malformed input or a layout
-    mismatch. *)
+type shared
 
-val set_track_dirty : t -> bool -> unit
-(** Enable dirty-set tracking for delta checkpoints — same contract as
-    {!Store_exspan.set_track_dirty}. *)
+val shared : Dpc_engine.Node.t array -> shared
+val shared_nodes : shared -> Dpc_engine.Node.t array
+val shared_storage : shared -> Rows.storage
 
-val checkpoint_delta : t -> int -> string
-(** One node's changes since its last cut — new rows and side entries,
-    plus the equivalence-state change record: whether [htequi] was wiped
-    by a slow update, the keys added since, and the full current ref list
-    of every [hmap] class that grew. O(changes); clears the dirty set. *)
+val program :
+  shared:shared -> keys:Dpc_analysis.Equi_keys.t -> plan:(string -> Dpc_engine.Eval.plan) -> t
+(** A program's store over [shared]'s cluster; [plan] maps a node row's
+    rule name to the rule that re-derives it. *)
 
-val apply_delta : t -> int -> string -> unit
-(** Replay a {!checkpoint_delta} blob on top of the node's current
-    state (base checkpoint plus earlier deltas, oldest first).
-    @raise Dpc_util.Serialize.Corrupt on malformed input or a layout
-    mismatch. *)
+val link_step :
+  t ->
+  node:int ->
+  rid:Dpc_util.Sha1.t ->
+  label:string ->
+  slow:Dpc_ndlog.Tuple.t list ->
+  slow_vids:Dpc_util.Sha1.t list ->
+  Dpc_engine.Prov_hook.meta ->
+  Dpc_engine.Prov_hook.meta
+(** The §5.4 record step: the ruleExecNode row [rid] (rule [label]) with
+    its slow tuples, and this tree's link row to the previous step. *)

@@ -431,7 +431,21 @@ let test_serialize_list () =
 let test_serialize_corrupt () =
   let r = Serialize.reader "\x05ab" in
   Alcotest.check_raises "string overrun" (Serialize.Corrupt "string overruns input")
-    (fun () -> ignore (Serialize.read_string r))
+    (fun () -> ignore (Serialize.read_string r));
+  (* Ten bytes would read as -1, and a sign bit set in the ninth as a
+     negative int: neither is anything write_varint writes. *)
+  Alcotest.check_raises "over-long varint" (Serialize.Corrupt "varint longer than nine bytes")
+    (fun () ->
+      ignore (Serialize.read_varint (Serialize.reader "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f")));
+  Alcotest.check_raises "negative varint" (Serialize.Corrupt "varint overflows an int")
+    (fun () ->
+      ignore (Serialize.read_varint (Serialize.reader "\xff\xff\xff\xff\xff\xff\xff\xff\x7f")));
+  Alcotest.(check int) "max_int round-trips" max_int
+    (let w = Serialize.writer () in
+     Serialize.write_varint w max_int;
+     Serialize.read_varint (Serialize.reader (Serialize.contents w)));
+  Alcotest.check_raises "count past the input" (Serialize.Corrupt "count overruns input")
+    (fun () -> ignore (Serialize.read_list (Serialize.reader "\x03ab") (fun () -> ())))
 
 let prop_serialize_roundtrip_ints =
   QCheck.Test.make ~name:"int round-trip" ~count:500 QCheck.int (fun v ->

@@ -14,32 +14,29 @@ let is_boundary = function Next_seq _ | Expected _ -> false | _ -> true
 
 module S = Dpc_util.Serialize
 
-let write_digest w d = S.write_string w (Dpc_util.Sha1.to_raw d)
-let read_digest r = Dpc_util.Sha1.of_raw (S.read_string r)
-
 let write_meta w (m : Prov_hook.meta) =
-  write_digest w m.evid;
+  S.write_digest w m.evid;
   S.write_bool w m.exist_flag;
   (match m.eqkey with
   | None -> S.write_bool w false
   | Some k ->
       S.write_bool w true;
-      write_digest w k);
+      S.write_digest w k);
   match m.prev with
   | None -> S.write_bool w false
   | Some (node, rid) ->
       S.write_bool w true;
       S.write_varint w node;
-      write_digest w rid
+      S.write_digest w rid
 
 let read_meta r : Prov_hook.meta =
-  let evid = read_digest r in
+  let evid = S.read_digest r in
   let exist_flag = S.read_bool r in
-  let eqkey = if S.read_bool r then Some (read_digest r) else None in
+  let eqkey = if S.read_bool r then Some (S.read_digest r) else None in
   let prev =
     if S.read_bool r then begin
       let node = S.read_varint r in
-      let rid = read_digest r in
+      let rid = S.read_digest r in
       Some (node, rid)
     end
     else None

@@ -50,4 +50,5 @@ val write_expected : Dpc_util.Serialize.writer -> peer:int -> seq:int -> unit
 (** [write w (Expected { peer; seq })] without building the entry. *)
 
 val read : Dpc_util.Serialize.reader -> entry
-(** @raise Dpc_util.Serialize.Corrupt on an unknown tag or truncation. *)
+(** @raise Dpc_util.Serialize.Corrupt on an unknown tag, a digest that is
+    not 20 bytes, or truncation. *)

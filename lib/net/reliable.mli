@@ -177,4 +177,6 @@ val snapshot : t -> node:int -> string
 val restore : t -> node:int -> string -> unit
 (** Apply a {!snapshot} through {!set_next_seq}/{!set_expected} — i.e.
     monotonically, so replaying an old snapshot over fresher state is a
-    no-op. @raise Dpc_util.Serialize.Corrupt on a malformed blob. *)
+    no-op. Nothing is applied unless the whole blob reads.
+    @raise Dpc_util.Serialize.Corrupt on a malformed blob, including a
+    peer past the cluster. *)

@@ -141,7 +141,14 @@ module Table = struct
     t.count <- 0;
     t.bytes <- 0
 
-  let iter t f = Hashtbl.iter (fun k rows -> List.iter (f k) rows) t.entries
+  let rec iter_rows f k = function
+    | [] -> ()
+    | row :: rest ->
+        f k row;
+        iter_rows f k rest
+
+  (* No closure per key: full cuts iterate every row. *)
+  let iter t f = Hashtbl.iter (fun k rows -> iter_rows f k rows) t.entries
 end
 
 type storage = {

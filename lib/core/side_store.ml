@@ -17,6 +17,7 @@ let put_new t ~key tuple =
 let put t ~key tuple = ignore (put_new t ~key tuple)
 
 let get t ~key = Hashtbl.find_opt t.tuples (Dpc_util.Sha1.to_raw key)
+let find t ~key = Hashtbl.find t.tuples (Dpc_util.Sha1.to_raw key)
 let bytes t = t.bytes
 let count t = Hashtbl.length t.tuples
 let iter t f = Hashtbl.iter (fun k tuple -> f ~key:(Dpc_util.Sha1.of_raw k) tuple) t.tuples

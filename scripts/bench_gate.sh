@@ -14,7 +14,7 @@
 # worse, not that the builder was busy.
 #
 # Last, the allocation gate runs dpcbench on every workload listed in
-# BENCH_PR20.json (all five) and fails when a workload's allocated words
+# BENCH_PR23.json (all five) and fails when a workload's allocated words
 # per event exceed the baseline by more than its tolerance (2 %, the
 # benchmark's own bound). Allocation is counted, not timed: it repeats
 # exactly from run to run, so unlike events/s it can be gated tightly.
@@ -145,7 +145,7 @@ print("query p99 gate ok")
 PY
 fi
 
-alloc_baseline=BENCH_PR20.json
+alloc_baseline=BENCH_PR23.json
 echo "== allocation gate: dpcbench alloc_words_per_event vs $alloc_baseline =="
 python3 - "$alloc_baseline" <<'PY' || failed="$failed allocation"
 import json, subprocess, sys

@@ -507,6 +507,45 @@ let test_disk_wal_matches_memory () =
       check Alcotest.bool "node 1 crashed" true
         ((Dpc_core.Durable.node_stats durable 1).crashes = 1))
 
+(* A kill mid-append can leave any prefix of an entry at the end of a
+   wal, a digest's length byte included: recovery drops that tail
+   ([Journal.read] raises [Corrupt] on it) and rebuilds the state the
+   valid prefix records. *)
+let test_disk_wal_damaged_tail () =
+  with_temp_dir "dpc-wal-tail" (fun dir ->
+      let scheme = Dpc_core.Backend.S_advanced in
+      let backend, runtime, durable = build_disk_world scheme dir in
+      Dpc_engine.Runtime.load_slow runtime (Dpc_proc.Scenario.routes ());
+      List.iter (fun ev -> Dpc_engine.Runtime.inject runtime ev) (Dpc_proc.Scenario.pre_packets ());
+      Dpc_engine.Runtime.run runtime;
+      for node = 0 to Dpc_proc.Scenario.nodes - 1 do
+        Dpc_core.Durable.flush_wal durable node
+      done;
+      let before = digests backend runtime in
+      (* An arrival whose evid claims 19 bytes, after node 1's last entry. *)
+      let node_dir = Filename.concat dir "node-1" in
+      let wal =
+        List.find
+          (fun f -> String.length f > 4 && String.sub f 0 4 = "wal-")
+          (Array.to_list (Sys.readdir node_dir))
+      in
+      let w = Dpc_util.Serialize.writer () in
+      Dpc_util.Serialize.write_varint w 1;
+      Dpc_ndlog.Tuple.serialize w (List.hd (Dpc_proc.Scenario.pre_packets ()));
+      Dpc_util.Serialize.write_string w (String.make 19 'e');
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 (Filename.concat node_dir wal)
+        (fun oc -> output_string oc (Dpc_util.Serialize.contents w));
+      let backend2, runtime2, durable2 = build_disk_world scheme dir in
+      for node = 0 to Dpc_proc.Scenario.nodes - 1 do
+        Dpc_core.Durable.recover durable2 node
+      done;
+      Array.iteri
+        (fun node (store, db) ->
+          let store', db' = (digests backend2 runtime2).(node) in
+          check Alcotest.string (Printf.sprintf "node %d store digest" node) store store';
+          check Alcotest.string (Printf.sprintf "node %d db digest" node) db db')
+        before)
+
 let () =
   Alcotest.run "dpc_proc"
     [
@@ -531,5 +570,6 @@ let () =
           Alcotest.test_case "digest equality, all schemes" `Quick test_disk_recovery;
           Alcotest.test_case "wal file equals the flushed range" `Quick
             test_disk_wal_matches_memory;
+          Alcotest.test_case "damaged wal tail trimmed" `Quick test_disk_wal_damaged_tail;
         ] );
     ]

@@ -1,13 +1,19 @@
 (** Multi-domain sharded transport.
 
     Partitions the node set round-robin into [domains] shards, each owned
-    by one OCaml 5 domain with its own event heap, virtual clock, and
-    byte/message counters. Cross-shard messages cross mutex-guarded
-    inboxes between the barrier-separated phases of a conservative
-    time-window loop: each round processes every event in
-    [T, T + latency), where [T] is the global minimum pending timestamp
-    and [latency] (the minimum wire delay) is the lookahead that makes it
-    impossible for a shard to receive a message from its past.
+    by one OCaml 5 domain with its own {!Dpc_util.Event_queue}, virtual
+    clock, and byte/message counters. The shards run a conservative
+    time-window loop with one barrier per round: each round processes
+    every event in [T, T + latency), where [T] is the global minimum
+    pending timestamp and [latency] (the minimum wire delay) is the
+    lookahead that makes it impossible for a shard to receive a message
+    from its past. An event for another shard goes into an outbox for
+    the (sender, receiver) pair; outboxes alternate by round parity, and
+    the receiver drains the previous round's after the barrier. Before
+    the barrier each shard publishes the earliest time it will hold after
+    that drain, so the minimum of the published times is [T] for the next
+    round. Nothing is locked and nothing is allocated per event beyond
+    the boxed time handed to a queue.
 
     {b Ownership.} All callbacks concerning node [n] — deliveries, timers
     armed with [schedule_on ~node:n] — execute on shard
@@ -17,13 +23,14 @@
 
     {b Determinism.} Every event is keyed [(time, origin, ctr)] where
     [origin] is the creating node and [ctr] a per-origin counter; the key
-    totally orders events identically whatever the shard count. A fault-
-    free run under [~domains:4] executes each node's event sequence — and
-    therefore produces provenance digests — byte-identical to
-    [~domains:1]; under hashed fault or crash schedules the existing
-    confluence oracles close the gap. [run] returning is the merge
-    barrier: the worker-domain joins order every shard effect before
-    anything the caller does next. *)
+    totally orders events identically whatever the shard count. An origin
+    may create 2{^40} events; creating one more raises
+    [Invalid_argument]. A fault-free run under [~domains:4] executes each
+    node's event sequence — and therefore produces provenance digests —
+    byte-identical to [~domains:1]; under hashed fault or crash
+    schedules the existing confluence oracles close the gap. [run]
+    returning is the merge barrier: the worker-domain joins order every
+    shard effect before anything the caller does next. *)
 
 type t
 
@@ -33,9 +40,11 @@ val create :
     lookahead; it must be positive. [jitter] (default [0]) adds a
     per-message extra delay, uniform in [0, jitter), drawn from a pure
     hash of [(seed, src, dst, channel count)] so it is identical whatever
-    the shard count.
+    the shard count; its per-channel counters exist only when [jitter]
+    is positive.
     @raise Invalid_argument if [domains] or [nodes] is not positive,
-    [latency] is not positive, or [jitter] is negative. *)
+    [nodes + domains] is 2{^22} or more, [latency] is not positive, or
+    [jitter] is negative. *)
 
 val transport : t -> Transport.t
 (** The {!Transport.S} view; [Transport.shards] is [domains]. *)
@@ -56,8 +65,10 @@ val run : ?until:float -> t -> unit
 (** Same contract as {!Transport.run} (half-open horizon). [~domains:1]
     runs inline on the calling domain; otherwise one worker domain per
     shard is spawned for the duration of the call and joined before it
-    returns. A callback exception is re-raised here on the caller, after
-    all workers have parked.
+    returns. A callback exception stops every shard at the end of the
+    round that raised it and is re-raised here on the caller, after all
+    workers have exited; the events left behind stay queued for the next
+    [run].
     @raise Invalid_argument on re-entrant use. *)
 
 val now : t -> float

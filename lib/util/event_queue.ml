@@ -4,6 +4,8 @@ let idle () = ()
 
 type t = {
   mutable times : Float.Array.t;
+  (* The tie-breaker at equal times: assigned by [push], or the caller's
+     key under [push_keyed]. *)
   mutable seqs : int array;
   mutable actions : (unit -> unit) array;
   mutable size : int;
@@ -54,7 +56,29 @@ let push q at action =
   Array.unsafe_set q.seqs !hole seq;
   Array.unsafe_set q.actions !hole action
 
+(* Whether an element [(at, key)] comes before the one in slot [i]. *)
+let precedes q at key i =
+  let ti = Float.Array.unsafe_get q.times i in
+  at < ti || (at = ti && key < Array.unsafe_get q.seqs i)
+
+(* A caller's key may be below its parent's at an equal time, so this
+   sift compares (time, key) all the way up. *)
+let push_keyed q at key action =
+  if q.size = Array.length q.seqs then grow q;
+  let hole = ref q.size in
+  q.size <- q.size + 1;
+  while !hole > 0 && precedes q at key ((!hole - 1) / 2) do
+    let parent = (!hole - 1) / 2 in
+    move q ~src:parent ~dst:!hole;
+    hole := parent
+  done;
+  Float.Array.unsafe_set q.times !hole at;
+  Array.unsafe_set q.seqs !hole key;
+  Array.unsafe_set q.actions !hole action
+
 let due q ~until = q.size > 0 && Float.Array.unsafe_get q.times 0 < until
+
+let next_time q = if q.size = 0 then infinity else Float.Array.unsafe_get q.times 0
 
 let before q i j =
   let ti = Float.Array.unsafe_get q.times i and tj = Float.Array.unsafe_get q.times j in

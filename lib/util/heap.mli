@@ -1,7 +1,7 @@
-(** Mutable binary min-heap: [Dpc_net.Shard_sim]'s per-shard event queues
-    and the socket backend's timers. The sequential simulators use the
-    allocation-free {!Event_queue}; the shortest-path search keeps its own
-    heap on unboxed arrays, with this module's sift steps. *)
+(** Mutable binary min-heap: the socket backend's timers. The simulators,
+    [Dpc_net.Shard_sim]'s shards included, use the allocation-free
+    {!Event_queue}; the shortest-path search keeps its own heap on unboxed
+    arrays, with this module's sift steps. *)
 
 type 'a t
 

@@ -578,10 +578,10 @@ let minor_words f =
   f ();
   int_of_float (Gc.minor_words () -. before)
 
-let check_budget name ~measured f =
+let check_budget ?(count = minor_words) name ~measured f =
   let budget = ((measured * 11) + 9) / 10 in
   f ();
-  let words = minor_words f in
+  let words = count f in
   Printf.printf "%s: %d words (budget %d)\n" name words budget;
   if words > budget then Alcotest.failf "%s allocates %d words, budget %d" name words budget
 
@@ -618,6 +618,46 @@ let test_budget_sim_send () =
     Dpc_net.Sim.send sim ~src:0 ~dst:1 ~bytes:600 k);
   Dpc_net.Sim.run sim;
   check Alcotest.int "both delivered" 2 (Dpc_net.Sim.events_processed sim)
+
+(* One message on a one-domain Shard_sim, sent from outside [run]. *)
+let test_budget_shard_send () =
+  let tr = Dpc_net.Shard_sim.transport (Dpc_net.Shard_sim.create ~domains:1 ~nodes:2 ()) in
+  let delivered = ref 0 in
+  let k () = incr delivered in
+  (* The boxed due time handed to the shard's queue (2). The Heap-based
+     shards' event record with its boxed time took 7. *)
+  check_budget "Shard_sim send, one domain" ~measured:2 (fun () ->
+    Dpc_net.Transport.send tr ~src:0 ~dst:1 ~bytes:600 k);
+  (* The send (2); the run allocates nothing. The Heap-based shards took
+     30, with the options of [Heap.peek] and [Heap.pop] and
+     [Fun.protect]'s closures. *)
+  check_budget "Shard_sim send and run, one domain" ~measured:2 (fun () ->
+    Dpc_net.Transport.send tr ~src:0 ~dst:1 ~bytes:600 k;
+    Dpc_net.Transport.run tr);
+  check Alcotest.int "all delivered" 4 !delivered;
+  (* With jitter the channel hash stays unboxed: the boxed due time (2).
+     The Heap-based shards took 30, 23 of them to box the hash's [Int64]s
+     and the delay. *)
+  let tr =
+    Dpc_net.Shard_sim.transport (Dpc_net.Shard_sim.create ~jitter:0.0005 ~domains:1 ~nodes:2 ())
+  in
+  check_budget "Shard_sim send with jitter, one domain" ~measured:2 (fun () ->
+    Dpc_net.Transport.send tr ~src:0 ~dst:1 ~bytes:600 k)
+
+(* Words a call allocates straight into the major heap: the blocks too
+   large for the minor heap. *)
+let direct_major_words f =
+  let _, promoted, major = Gc.counters () in
+  f ();
+  let _, promoted', major' = Gc.counters () in
+  int_of_float (major' -. major -. (promoted' -. promoted))
+
+let test_budget_shard_create () =
+  (* The node counters (1,001 direct major words). Building the jitter
+     counters, a dense nodes x nodes array, even without jitter took
+     1,001,002. *)
+  check_budget ~count:direct_major_words "Shard_sim.create, 1000 nodes, direct major"
+    ~measured:1001 (fun () -> ignore (Dpc_net.Shard_sim.create ~domains:2 ~nodes:1000 ()))
 
 (* The fault-tolerance stack, one message at a time. *)
 
@@ -876,6 +916,8 @@ let () =
           Alcotest.test_case "fire_into of DNS r2" `Quick test_budget_fire_into_dns;
           Alcotest.test_case "f_isSubDomain two-arg form" `Quick test_budget_is_sub_domain;
           Alcotest.test_case "one-hop Sim.send" `Quick test_budget_sim_send;
+          Alcotest.test_case "Shard_sim send and run" `Quick test_budget_shard_send;
+          Alcotest.test_case "Shard_sim.create, no jitter" `Quick test_budget_shard_create;
           Alcotest.test_case "Transport.hashed_decide" `Quick test_budget_hashed_decide;
           Alcotest.test_case "one Reliable message, send through ack" `Quick
             test_budget_reliable_message;

@@ -308,6 +308,84 @@ let test_cache_digests () =
   check Alcotest.bool "cache served hits" true (!hits > 0)
 
 (* ------------------------------------------------------------------ *)
+(* A callback that raises: [run] re-raises it on the caller once every
+   shard has stopped, and the next [run] delivers what was left behind. *)
+
+exception Boom
+
+(* Exit instead of hanging when [f] does not return within [seconds]: a
+   shard that left the window loop early would leave the others waiting
+   at the barrier forever. *)
+let within ~seconds f =
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+      let deadline = Unix.gettimeofday () +. seconds in
+      while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.01
+      done;
+      if not (Atomic.get finished) then begin
+        prerr_endline "Shard_sim.run hung after a callback raised";
+        exit 3
+      end)
+  in
+  Fun.protect ~finally:(fun () -> Atomic.set finished true; Domain.join watchdog) f
+
+(* Eight nodes each take two inputs every 0.5 ms for 5 ms, and each input
+   sends a message three nodes on and another five nodes on, so every
+   node also takes four arrivals at once, from two origins. Node 5's
+   first input at 2 ms raises instead. Returns how many entries each node logged in the first
+   run, and each node's log of (time, what) over both runs. *)
+let raising_run domains =
+  let nodes = 8 in
+  let tr = Dpc_net.Shard_sim.transport (Dpc_net.Shard_sim.create ~domains ~nodes ()) in
+  let logs = Array.make nodes [] in
+  let log node what = logs.(node) <- (Dpc_net.Transport.now tr, what) :: logs.(node) in
+  for batch = 0 to 9 do
+    for node = 0 to nodes - 1 do
+      for copy = 0 to 1 do
+        let name = Printf.sprintf "in%d.%d" batch copy in
+        Dpc_net.Transport.schedule_on tr ~node ~delay:(float_of_int batch *. 0.0005) (fun () ->
+          if node = 5 && batch = 4 && copy = 0 then raise Boom;
+          log node name;
+          List.iter
+            (fun hop ->
+              let dst = (node + hop) mod nodes in
+              Dpc_net.Transport.send tr ~src:node ~dst ~bytes:100 (fun () ->
+                log dst (Printf.sprintf "%s from %d" name node)))
+            [ 3; 5 ])
+      done
+    done
+  done;
+  within ~seconds:30.0 (fun () ->
+    Alcotest.check_raises (Printf.sprintf "~domains:%d re-raises" domains) Boom (fun () ->
+      Dpc_net.Transport.run tr);
+    let first = Array.map List.length logs in
+    Dpc_net.Transport.run tr;
+    (first, Array.map List.rev logs))
+
+let test_raising_callback () =
+  let _, reference = raising_run 1 in
+  (* Every input but the one that raised, and both of its messages. *)
+  check Alcotest.int "all delivered" (3 * 159) (Array.fold_left (fun n l -> n + List.length l) 0 reference);
+  List.iter
+    (fun domains ->
+      let first, logs = raising_run domains in
+      Array.iteri
+        (fun node log ->
+          check Alcotest.bool (Printf.sprintf "~domains:%d node %d left some for the second run" domains node)
+            true (first.(node) < List.length log);
+          let times = List.map fst log in
+          check Alcotest.bool (Printf.sprintf "~domains:%d node %d in time order" domains node) true
+            (List.sort Float.compare times = times);
+          check
+            Alcotest.(list (pair (float 0.0) string))
+            (Printf.sprintf "~domains:%d node %d as on one domain" domains node)
+            reference.(node) log)
+        logs)
+    [ 2; 4 ]
+
+(* ------------------------------------------------------------------ *)
 (* Shard partition: total, disjoint, stable. *)
 
 let test_partition () =
@@ -415,6 +493,7 @@ let () =
           Alcotest.test_case "crash digests across domains" `Slow test_crash_digests;
           Alcotest.test_case "cache transparency across domains" `Quick test_cache_digests;
         ] );
+      ("errors", [ Alcotest.test_case "a raising callback at 2 and 4 domains" `Quick test_raising_callback ]);
       ( "partition",
         [
           Alcotest.test_case "round-robin total and stable" `Quick test_partition;

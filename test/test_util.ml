@@ -220,6 +220,44 @@ let prop_event_queue_order =
       let rec drain ok = if !queued = [] then pop () && ok else drain (pop () && ok) in
       drain ok)
 
+(* The same under keyed pushes: keys are distinct and pushed in any
+   order, and the events pop in (time, key) order; [next_time] reads the
+   head's time, or infinity when the queue is empty. *)
+let prop_event_queue_keyed_order =
+  let op = QCheck.(option (pair (int_bound 12) (int_bound 1_000_000))) in
+  QCheck.Test.make ~name:"event queue pops in (time, key) order" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 120) op)
+    (fun ops ->
+      let q = Event_queue.create () and clock = { Event_queue.now = 0.0 } in
+      let queued = ref [] and used = Hashtbl.create 16 and fired = ref (-1) in
+      let pop () =
+        match List.sort compare !queued with
+        | [] ->
+            Event_queue.is_empty q
+            && (not (Event_queue.due q ~until:infinity))
+            && Event_queue.next_time q = infinity
+        | (at, key) :: _ ->
+            let horizon = Event_queue.due q ~until:(at +. 0.25) && not (Event_queue.due q ~until:at) in
+            let head = Event_queue.next_time q = at and before = clock.now in
+            (Event_queue.pop q clock) ();
+            queued := List.filter (fun (_, k) -> k <> key) !queued;
+            horizon && head && !fired = key && clock.now = Float.max before at
+            && Event_queue.length q = List.length !queued
+      in
+      let step ok = function
+        | Some (_, key) when Hashtbl.mem used key -> ok
+        | Some (quarters, key) ->
+            let at = float_of_int quarters /. 4.0 in
+            Hashtbl.add used key ();
+            Event_queue.push_keyed q at key (fun () -> fired := key);
+            queued := (at, key) :: !queued;
+            ok
+        | None -> pop () && ok
+      in
+      let ok = List.fold_left step true ops in
+      let rec drain ok = if !queued = [] then pop () && ok else drain (pop () && ok) in
+      drain ok)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
@@ -608,7 +646,7 @@ let () =
           Alcotest.test_case "peek and clear" `Quick test_heap_peek_and_clear;
         ]
         @ qsuite [ prop_heap_sorts; prop_heap_seq_breaks_ties_in_insertion_order ] );
-      ("queue", qsuite [ prop_event_queue_order ]);
+      ("queue", qsuite [ prop_event_queue_order; prop_event_queue_keyed_order ]);
       ( "metrics",
         [
           Alcotest.test_case "counters" `Quick test_metrics_counters;

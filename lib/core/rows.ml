@@ -104,51 +104,138 @@ let rid ~rule ~node vids tail =
   Sha1.finish s
 
 module Table = struct
-  (* Rows oldest first, held directly in the table: a key with one row,
-     the common case, costs its bucket and one cons cell. *)
+  (* A chained hash table whose entry holds one row. A key's rows sit
+     side by side in its chain, oldest first, so a key with one row costs
+     one entry and no list cell, and a lookup walks the chain without
+     allocating. *)
+  type 'a chain = Nil | Entry of { key : string; row : 'a; mutable next : 'a chain }
+
   type 'a t = {
     row_bytes : 'a -> int;
-    entries : (string, 'a list) Hashtbl.t;
+    mutable buckets : 'a chain array;  (* length a power of two *)
     mutable count : int;
     mutable bytes : int;
   }
 
-  let create ~row_bytes () = { row_bytes; entries = Hashtbl.create 64; count = 0; bytes = 0 }
+  let initial_buckets = 64
 
-  let added t row =
-    t.count <- t.count + 1;
-    t.bytes <- t.bytes + t.row_bytes row;
-    true
+  let create ~row_bytes () =
+    { row_bytes; buckets = Array.make initial_buckets Nil; count = 0; bytes = 0 }
 
-  let add t ~key row =
-    match Hashtbl.find t.entries key with
-    | exception Not_found ->
-        Hashtbl.add t.entries key [ row ];
-        added t row
-    | rows ->
-        if List.mem row rows then false
+  let index buckets key = Hashtbl.hash key land (Array.length buckets - 1)
+
+  (* The chain from the key's oldest entry on, or [Nil]. *)
+  let rec run key = function
+    | Nil -> Nil
+    | Entry e as c -> if String.equal e.key key then c else run key e.next
+
+  let find t key = run key t.buckets.(index t.buckets key)
+
+  (* Relink every entry into twice as many buckets, each chain in order,
+     so a key's entries stay side by side and oldest first. *)
+  let grow t =
+    let buckets = Array.make (2 * Array.length t.buckets) Nil in
+    let tails = Array.make (Array.length buckets) Nil in
+    let rec move = function
+      | Nil -> ()
+      | Entry e as c ->
+          let next = e.next in
+          let i = index buckets e.key in
+          e.next <- Nil;
+          (match tails.(i) with Entry tail -> tail.next <- c | Nil -> buckets.(i) <- c);
+          tails.(i) <- c;
+          move next
+    in
+    Array.iter move t.buckets;
+    t.buckets <- buckets
+
+  (* Whether [row] is new to the run of [key]'s entries that starts at the
+     given one, which it then joins as the last. *)
+  let rec append key row = function
+    | Nil -> assert false (* only ever given an entry of the run *)
+    | Entry e ->
+        if compare e.row row = 0 then false
         else begin
-          Hashtbl.replace t.entries key (rows @ [ row ]);
-          added t row
+          match e.next with
+          | Entry n when String.equal n.key key -> append key row e.next
+          | Nil | Entry _ ->
+              e.next <- Entry { key; row; next = e.next };
+              true
         end
 
-  let find t key = match Hashtbl.find t.entries key with rows -> rows | exception Not_found -> []
+  (* A key's first row starts its bucket's chain. *)
+  let add t ~key row =
+    let i = index t.buckets key in
+    let fresh =
+      match run key t.buckets.(i) with
+      | Nil ->
+          t.buckets.(i) <- Entry { key; row; next = t.buckets.(i) };
+          true
+      | Entry _ as c -> append key row c
+    in
+    if fresh then begin
+      t.count <- t.count + 1;
+      t.bytes <- t.bytes + t.row_bytes row;
+      if t.count > 2 * Array.length t.buckets then grow t
+    end;
+    fresh
+
+  let only t key =
+    match find t key with
+    | Nil -> raise Not_found
+    | Entry e -> (
+        match e.next with
+        | Entry n when String.equal n.key key -> raise Not_found
+        | Nil | Entry _ -> e.row)
+
+  let rec count_run key n = function
+    | Entry e when String.equal e.key key -> count_run key (n + 1) e.next
+    | Nil | Entry _ -> n
+
+  let count t key = count_run key 0 (find t key)
+
+  let rec exists_run key p = function
+    | Entry e when String.equal e.key key -> p e.row || exists_run key p e.next
+    | Nil | Entry _ -> false
+
+  let exists t key p = exists_run key p (find t key)
+
+  let rec iter_run key f = function
+    | Entry e when String.equal e.key key ->
+        f e.row;
+        iter_run key f e.next
+    | Nil | Entry _ -> ()
+
+  let iter_key t key f = iter_run key f (find t key)
+
+  (* [List.concat_map]'s result and allocation: each [f row]'s cells are
+     copied in front of the rest. *)
+  let rec concat_run key f = function
+    | Entry e when String.equal e.key key ->
+        let head = f e.row in
+        head @ concat_run key f e.next
+    | Nil | Entry _ -> []
+
+  let concat_map t key f = concat_run key f (find t key)
   let rows t = t.count
   let bytes t = t.bytes
 
   let clear t =
-    Hashtbl.reset t.entries;
+    t.buckets <- Array.make initial_buckets Nil;
     t.count <- 0;
     t.bytes <- 0
 
-  let rec iter_rows f k = function
-    | [] -> ()
-    | row :: rest ->
-        f k row;
-        iter_rows f k rest
+  let rec iter_chain f = function
+    | Nil -> ()
+    | Entry e ->
+        f e.key e.row;
+        iter_chain f e.next
 
   (* No closure per key: full cuts iterate every row. *)
-  let iter t f = Hashtbl.iter (fun k rows -> iter_rows f k rows) t.entries
+  let iter t f =
+    for i = 0 to Array.length t.buckets - 1 do
+      iter_chain f t.buckets.(i)
+    done
 end
 
 type storage = {
@@ -247,6 +334,13 @@ let write_opt_digest w = function
 
 let read_opt_digest r = if Serialize.read_bool r then Some (read_digest r) else None
 
+(* [Serialize.write_list]'s bytes, without a closure per row. *)
+let rec write_digests w = function
+  | [] -> ()
+  | d :: rest ->
+      write_digest w d;
+      write_digests w rest
+
 let write_prov_row w r =
   Serialize.write_varint w r.loc;
   write_digest w r.vid;
@@ -264,7 +358,8 @@ let write_rule_exec_row w r =
   Serialize.write_varint w r.rloc;
   write_digest w r.rid;
   Serialize.write_string w r.rule;
-  Serialize.write_list w (write_digest w) r.vids;
+  Serialize.write_varint w (List.length r.vids);
+  write_digests w r.vids;
   write_ref w r.next
 
 let read_rule_exec_row r =

@@ -57,7 +57,9 @@ val rid : rule:string -> node:int -> Dpc_util.Sha1.t list -> rid_tail -> Dpc_uti
     digest. *)
 
 (** Multi-map from a string key to rows, deduplicating identical rows and
-    keeping a running serialized-size counter. *)
+    keeping a running serialized-size counter. Each row is one entry of a
+    chained hash table, with no list cell, and the lookups below allocate
+    nothing of their own. *)
 module Table : sig
   type 'a t
 
@@ -66,13 +68,29 @@ module Table : sig
   val add : 'a t -> key:string -> 'a -> bool
   (** [true] if the row was new under this key (structural comparison). *)
 
-  val find : 'a t -> string -> 'a list
-  (** Rows for a key, oldest first; empty list for unknown keys. *)
+  val only : 'a t -> string -> 'a
+  (** The key's one row.
+      @raise Not_found unless the key has exactly one row. *)
+
+  val count : 'a t -> string -> int
+  (** The number of rows under the key. *)
+
+  val exists : 'a t -> string -> ('a -> bool) -> bool
+  (** Whether one of the key's rows satisfies the predicate, tried oldest
+      first. *)
+
+  val iter_key : 'a t -> string -> ('a -> unit) -> unit
+  (** [f] on each of the key's rows, oldest first. *)
+
+  val concat_map : 'a t -> string -> ('a -> 'b list) -> 'b list
+  (** [List.concat_map f] over the key's rows, oldest first. *)
 
   val rows : 'a t -> int
   val bytes : 'a t -> int
   val clear : 'a t -> unit
+
   val iter : 'a t -> (string -> 'a -> unit) -> unit
+  (** Every row with its key, in no particular order. *)
 end
 
 type storage = {

@@ -272,24 +272,20 @@ let hook t =
    rows. TRANSFORM_TO_D then re-derives the tree from the chain and the
    event retrieved by evid at the leaf's node. *)
 
-let only what = function
-  | [ row ] -> row
-  | [] -> raise (Q.Broken ("missing " ^ what))
-  | _ :: _ :: _ -> raise (Q.Broken ("duplicate " ^ what ^ " rid"))
-
 let step t acct rloc rid emit =
   if t.interclass then begin
-    let row = only "ruleExecNode" (K.find (K.state t.shared rloc).x.exec_nodes rid) in
+    let row = K.only ~what:"ruleExecNode" (K.state t.shared rloc).x.exec_nodes rid in
     Q.charge_entries acct 1;
     Q.charge_bytes acct (Rows.rule_exec_row_bytes ~with_next:false row);
-    let links = K.find (K.state t.kit rloc).x.links rid in
-    Q.charge_entries acct (List.length links);
-    List.iter (fun l -> Q.charge_bytes acct (Rows.link_row_bytes l)) links;
-    if links = [] then raise (Q.Broken "ruleExecNode with no link row");
-    List.iter (fun (l : Rows.link_row) -> emit row l.link_next) links
+    let links = (K.state t.kit rloc).x.links in
+    let n = K.count links rid in
+    Q.charge_entries acct n;
+    K.iter_rows links rid (fun l -> Q.charge_bytes acct (Rows.link_row_bytes l));
+    if n = 0 then raise (Q.Broken "ruleExecNode with no link row");
+    K.iter_rows links rid (fun (l : Rows.link_row) -> emit row l.link_next)
   end
   else begin
-    let row = only "ruleExec" (K.find (K.state t.kit rloc).x.exec rid) in
+    let row = K.only ~what:"ruleExec" (K.state t.kit rloc).x.exec rid in
     Q.charge_entries acct 1;
     Q.charge_bytes acct (Rows.rule_exec_row_bytes ~with_next:true row);
     emit row row.next

@@ -75,16 +75,13 @@ let chain k plans =
   {
     Q.step =
       (fun acct rloc rid emit ->
-        match K.find (K.state k rloc).x.exec rid with
-        | [] ->
-            raise (Q.Broken (Printf.sprintf "missing ruleExec %s at node %d" (Rows.hex rid) rloc))
-        | rows ->
-            List.iter
-              (fun (row : Rows.rule_exec_row) ->
-                Q.charge_entries acct 1;
-                Q.charge_bytes acct (Rows.rule_exec_row_bytes ~with_next:true row);
-                emit row row.next)
-              rows);
+        let exec = (K.state k rloc).x.exec in
+        if K.count exec rid = 0 then
+          raise (Q.Broken (Printf.sprintf "missing ruleExec %s at node %d" (Rows.hex rid) rloc));
+        K.iter_rows exec rid (fun (row : Rows.rule_exec_row) ->
+            Q.charge_entries acct 1;
+            Q.charge_bytes acct (Rows.rule_exec_row_bytes ~with_next:true row);
+            emit row row.next));
     leaf =
       (fun acct _ (leaf : Rows.rule_exec_row) ->
         match List.rev leaf.vids with

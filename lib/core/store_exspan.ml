@@ -50,7 +50,7 @@ let is_base (r : Rows.prov_row) = match r.rid with None -> true | Some _ -> fals
 (* A base row for a tuple at its executing node, built only when it is
    not stored yet. *)
 let add_base k (nd : st K.node) ~node tuple vid =
-  if not (List.exists is_base (K.find nd.x.prov vid)) then
+  if not (K.exists nd.x.prov vid is_base) then
     K.add k nd ~node nd.x.prov { Rows.loc = node; vid; rid = None; evid = None };
   K.put k nd nd.x.tuples ~key:vid tuple
 
@@ -112,12 +112,7 @@ let rec fetch_trees (delp : Delp.t) k acct ~at ~output (rloc, rid) =
   Q.charge_hop acct ~src:at ~dst:rloc;
   Q.require_up acct rloc;
   let st = (K.state k rloc).x in
-  let exec =
-    match K.find st.exec rid with
-    | [ row ] -> row
-    | [] -> raise (Q.Broken (Printf.sprintf "missing ruleExec %s at node %d" (Rows.hex rid) rloc))
-    | _ :: _ :: _ -> raise (Q.Broken "duplicate ruleExec rid")
-  in
+  let exec = K.only ~what:"ruleExec" st.exec rid in
   Q.charge_entries acct 1;
   Q.charge_bytes acct (Rows.rule_exec_row_bytes ~with_next:false exec);
   if not (List.exists (fun (r : Ast.rule) -> String.equal r.name exec.rule) delp.program.rules)
@@ -130,22 +125,25 @@ let rec fetch_trees (delp : Delp.t) k acct ~at ~output (rloc, rid) =
   in
   let resolve_body vid =
     (* Each body tuple's prov row lives at the executing node. *)
-    let rows = K.find st.prov vid in
-    Q.charge_entries acct (max 1 (List.length rows));
-    (rows, Q.fetch acct (K.entries st.tuples) vid)
+    Q.charge_entries acct (max 1 (K.count st.prov vid));
+    Q.fetch acct (K.entries st.tuples) vid
   in
-  let slow = List.map (fun vid -> snd (resolve_body vid)) slow_vids in
-  let event_rows, event_tuple = resolve_body event_vid in
-  let derived_refs = List.filter_map (fun (r : Rows.prov_row) -> r.rid) event_rows in
+  let slow = List.map resolve_body slow_vids in
+  let event_tuple = resolve_body event_vid in
+  (* A walk from a derived row yields at least one tree or raises, so no
+     trees means no derived row: the event is an input. *)
   let triggers =
-    if derived_refs = [] then [ Prov_tree.Event event_tuple ]
-    else
-      List.concat_map
-        (fun rref ->
-          List.map
-            (fun sub -> Prov_tree.Derived sub)
-            (fetch_trees delp k acct ~at:rloc ~output:event_tuple rref))
-        derived_refs
+    match
+      K.concat_map st.prov event_vid (fun (r : Rows.prov_row) ->
+          match r.rid with
+          | None -> []
+          | Some rref ->
+              List.map
+                (fun sub -> Prov_tree.Derived sub)
+                (fetch_trees delp k acct ~at:rloc ~output:event_tuple rref))
+    with
+    | [] -> [ Prov_tree.Event event_tuple ]
+    | derived -> derived
   in
   List.filteri (fun i _ -> i < max_derivations) triggers
   |> List.map (fun trigger -> { Prov_tree.rule = exec.rule; output; trigger; slow })

@@ -40,7 +40,19 @@ let exec_table ~with_next = table exec_codec (Rows.rule_exec_row_bytes ~with_nex
 let link_table () = table link_codec Rows.link_row_bytes
 let side () = { entries = Side_store.create (); added = [] }
 let exec table = Exec table
-let find table digest = Rows.Table.find table.rows (Rows.key digest)
+let count table digest = Rows.Table.count table.rows (Rows.key digest)
+
+let only ~what table digest =
+  match Rows.Table.only table.rows (Rows.key digest) with
+  | row -> row
+  | exception Not_found ->
+      raise
+        (Query_acct.Broken
+           (if count table digest = 0 then "missing " ^ what else "duplicate " ^ what ^ " rid"))
+
+let exists table digest p = Rows.Table.exists table.rows (Rows.key digest) p
+let iter_rows table digest f = Rows.Table.iter_key table.rows (Rows.key digest) f
+let concat_map table digest f = Rows.Table.concat_map table.rows (Rows.key digest) f
 let entries side = side.entries
 
 (* ------------------------------------------------------------------ *)
@@ -200,6 +212,8 @@ type walk =
    result back. Rows that carry an evid (Advanced) are filtered by it
    before the walk, which keeps their charges as they were; then every
    tree is filtered by its event (a no-op for those rows' trees). *)
+let kept e (r : Rows.prov_row) = match r.evid with Some re -> Sha1.equal re e | None -> true
+
 let query k ~walk ~cost ~routing ?evid ?(up = fun _ -> true) output =
   let querier = Tuple.loc output in
   let acct =
@@ -210,33 +224,34 @@ let query k ~walk ~cost ~routing ?evid ?(up = fun _ -> true) output =
     | exception Query_acct.Broken _ -> []
     | () ->
         let htp = Rows.vid_of output in
-        let rows = find (k.layout.prov (state k querier).x) htp in
-        let rows =
+        let prov = k.layout.prov (state k querier).x in
+        let n =
           match evid with
-          | None -> rows
+          | None -> count prov htp
           | Some e ->
-              List.filter
-                (fun (r : Rows.prov_row) ->
-                  match r.evid with Some re -> Sha1.equal re e | None -> true)
-                rows
+              let n = ref 0 in
+              iter_rows prov htp (fun r -> if kept e r then incr n);
+              !n
         in
-        Query_acct.charge_entries acct (max 1 (List.length rows));
+        Query_acct.charge_entries acct (max 1 n);
         let gen node = (state k node).gen in
-        List.concat_map
-          (fun (r : Rows.prov_row) ->
-            match r.rid with
-            | None -> []
-            | Some rref ->
-                (* Advanced's context also covers the event: the same shared
-                   chain serves every event of its class. *)
-                let ctx =
-                  match r.evid with
-                  | Some e -> Sha1.to_raw e ^ Sha1.to_raw htp
-                  | None -> Sha1.to_raw htp
-                in
-                Query_acct.memo k.cache acct ~gen ~rref ~ctx (fun () ->
-                    try walk acct ~querier ~output r rref with Query_acct.Broken _ -> []))
-          rows
+        let walk_row (r : Rows.prov_row) =
+          match r.rid with
+          | None -> []
+          | Some rref ->
+              (* Advanced's context also covers the event: the same shared
+                 chain serves every event of its class. *)
+              let ctx =
+                match r.evid with
+                | Some e -> Sha1.to_raw e ^ Sha1.to_raw htp
+                | None -> Sha1.to_raw htp
+              in
+              Query_acct.memo k.cache acct ~gen ~rref ~ctx (fun () ->
+                  try walk acct ~querier ~output r rref with Query_acct.Broken _ -> [])
+        in
+        match evid with
+        | None -> concat_map prov htp walk_row
+        | Some e -> concat_map prov htp (fun r -> if kept e r then walk_row r else [])
   in
   let trees =
     match evid with
@@ -351,13 +366,12 @@ let write_node w k x ~delta =
   write_section w k x ~delta;
   write_sides w k x ~delta
 
-let node_blob k x = S.with_scratch (fun w -> write_node w k x ~delta:false)
-
 (* [checkpoint_node] and [checkpoint_delta] seal dirty tracking around
-   their blob; [digest_node] deliberately does not. *)
+   their blob; [digest_node] deliberately does not, and hashes the node
+   blob in the scratch arena instead of copying it out. *)
 let checkpoint_node k node =
   let x = (state k node).x in
-  let blob = node_blob k x in
+  let blob = S.with_scratch (fun w -> write_node w k x ~delta:false) in
   clear_dirty k x;
   blob
 
@@ -367,7 +381,9 @@ let checkpoint_delta k node =
   clear_dirty k x;
   blob
 
-let digest_node k node = Sha1.to_hex (Sha1.digest_string (node_blob k (state k node).x))
+let digest_node k node =
+  let x = (state k node).x in
+  Sha1.to_hex (S.digest_scratch (fun w -> write_node w k x ~delta:false))
 
 let expect_magic r ~name magic what =
   if not (String.equal (S.read_string r) magic) then

@@ -27,8 +27,20 @@ val exec_table : with_next:bool -> Rows.rule_exec_row table
 val link_table : unit -> Rows.link_row table
 val side : unit -> side
 
-val find : 'a table -> Dpc_util.Sha1.t -> 'a list
-(** The rows under a digest (a vid or rid), oldest first. *)
+(** The rows under a digest (a vid or rid), through {!Rows.Table}'s
+    lookups: none allocates of its own. *)
+
+val only : what:string -> 'a table -> Dpc_util.Sha1.t -> 'a
+(** The one row under the digest.
+    @raise Query_acct.Broken if there is none ("missing [what]") or more
+    than one. *)
+
+val count : 'a table -> Dpc_util.Sha1.t -> int
+val exists : 'a table -> Dpc_util.Sha1.t -> ('a -> bool) -> bool
+val iter_rows : 'a table -> Dpc_util.Sha1.t -> ('a -> unit) -> unit
+val concat_map : 'a table -> Dpc_util.Sha1.t -> ('a -> 'b list) -> 'b list
+(** See {!Rows.Table.count}, {!Rows.Table.exists}, {!Rows.Table.iter_key}
+    and {!Rows.Table.concat_map}. *)
 
 val entries : side -> Side_store.t
 

@@ -232,16 +232,19 @@ module S = Dpc_util.Serialize
    order — byte-stable for a given store state. [snapshot] SEALS a cut
    around it (the dirty log restarts, so the next [snapshot_delta]
    carries exactly the changes since here); [canonical] is the pure
-   observation the digest oracles take between cuts. *)
-let canonical t =
-  S.with_scratch (fun w ->
-    S.write_sorted w String.compare
-      (fun f -> Hashtbl.iter (fun rel rs -> if Tuple_tbl.length rs.tuples > 0 then f rel rs) t.tables)
-      (fun rel rs ->
-        S.write_string w rel;
-        S.write_sorted w Tuple.compare
-          (fun f -> Tuple_tbl.iter f rs.tuples)
-          (fun tuple _ -> Tuple.serialize w tuple)))
+   observation between cuts, and [digest] hashes it without copying it
+   out of the scratch arena. *)
+let write_canonical w t =
+  S.write_sorted w String.compare
+    (fun f -> Hashtbl.iter (fun rel rs -> if Tuple_tbl.length rs.tuples > 0 then f rel rs) t.tables)
+    (fun rel rs ->
+      S.write_string w rel;
+      S.write_sorted w Tuple.compare
+        (fun f -> Tuple_tbl.iter f rs.tuples)
+        (fun tuple _ -> Tuple.serialize w tuple))
+
+let canonical t = S.with_scratch (fun w -> write_canonical w t)
+let digest t = Dpc_util.Sha1.to_hex (S.digest_scratch (fun w -> write_canonical w t))
 
 let snapshot t =
   let blob = canonical t in

@@ -69,6 +69,10 @@ val canonical : t -> string
 (** The same bytes as {!snapshot} WITHOUT sealing a cut — a pure
     observation for digest comparison, safe between delta cuts. *)
 
+val digest : t -> string
+(** The hex SHA-1 of {!canonical}, hashed in place: it copies none of
+    the store's bytes, and seals no cut. *)
+
 val load : t -> string -> unit
 (** Insert every tuple of a {!snapshot} (set semantics: tuples already
     present are kept once). Does not clear first; clears the dirty log

@@ -45,13 +45,17 @@ let add_canonical s = function
    "b:"/"@", and the length-based threshold is deterministic, so equal
    values always render the same way and distinct values never collide
    (short of a SHA-1 collision). The cache is bounded and reset-on-cap;
-   eviction only costs a re-hash. *)
+   eviction only costs a re-hash. It is made at its cap, so a reset only
+   empties its buckets: one that shrank back would regrow its bucket
+   arrays, about 7,200 words straight into the major heap, every 4,096
+   payloads. *)
 let payload_inline_max = 64
+let payload_cache_cap = 4096
 
 let payload_cache_key : (string, Sha1.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
+  Domain.DLS.new_key (fun () -> Hashtbl.create payload_cache_cap)
 
-let payload_cache_cap = 4096
+let payload_cache_size () = Hashtbl.length (Domain.DLS.get payload_cache_key)
 
 (* A one-shot digest, which the stream API allows mid-stream. *)
 let payload_digest payload =

@@ -36,6 +36,13 @@ val add_interned : Dpc_util.Sha1.stream -> t -> unit
     once. The ["h:"] lead is disjoint from every canonical lead, so the
     rendering stays injective. *)
 
+val payload_cache_cap : int
+(** The most payload digests {!add_interned}'s cache holds per domain
+    (4,096): a miss when it is full empties it first. *)
+
+val payload_cache_size : unit -> int
+(** The payload digests this domain's cache holds now. *)
+
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering: [42], ["data"], [true], [n7]. *)
 

@@ -366,6 +366,7 @@ let worker t ~limit sid =
 
 let finish_sequential t s =
   Domain.DLS.set dls_shard None;
+  t.running <- false;
   if s.clock.now > t.main_clock.now then t.main_clock.now <- s.clock.now
 
 let run_sequential t ~limit =
@@ -381,9 +382,9 @@ let run_sequential t ~limit =
 let run ?until t =
   if t.running then invalid_arg "Shard_sim.run: already running";
   let limit = match until with None -> infinity | Some u -> u in
+  t.running <- true;
   if t.domains = 1 then run_sequential t ~limit
   else begin
-    t.running <- true;
     Atomic.set t.error None;
     let workers = Array.init t.domains (fun sid -> Domain.spawn (fun () -> worker t ~limit sid)) in
     Array.iter Domain.join workers;

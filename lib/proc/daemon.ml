@@ -159,7 +159,7 @@ and handle_control t ~payload ~reply =
            {
              node = t.local;
              store = Backend.digest_node t.backend t.local;
-             db = Scenario.db_digest (Runtime.db t.runtime t.local);
+             db = Dpc_engine.Db.digest (Runtime.db t.runtime t.local);
            })
   | Ctrl.Shutdown -> Socket.stop t.sock
   | Ctrl.Compact ->

@@ -25,9 +25,6 @@ let soak_packets ~round count =
 
 type digests = { store : string; db : string }
 
-let db_digest db =
-  Dpc_util.Sha1.to_hex (Dpc_util.Sha1.digest_string (Dpc_engine.Db.canonical db))
-
 let reference_runtime scheme =
   let delp = Forwarding.delp () in
   let backend = Backend.make scheme ~delp ~env:Forwarding.env ~nodes in
@@ -41,7 +38,7 @@ let reference_runtime scheme =
 
 let digests_of backend runtime =
   Array.init nodes (fun node ->
-      { store = Backend.digest_node backend node; db = db_digest (Runtime.db runtime node) })
+      { store = Backend.digest_node backend node; db = Dpc_engine.Db.digest (Runtime.db runtime node) })
 
 let simulate scheme =
   let backend, runtime = reference_runtime scheme in

@@ -50,10 +50,7 @@ val soak_packets : round:int -> int -> Dpc_ndlog.Tuple.t list
 type digests = { store : string; db : string }
 (** Hex SHA-1 of one node's provenance tables
     ({!Dpc_core.Backend.digest_node}) and relational database
-    ({!db_digest}). *)
-
-val db_digest : Dpc_engine.Db.t -> string
-(** SHA-1 (hex) of {!Dpc_engine.Db.canonical} — non-sealing. *)
+    ({!Dpc_engine.Db.digest}, non-sealing). *)
 
 val simulate : Dpc_core.Backend.scheme -> digests array
 (** Run the whole scenario in-process on a direct transport and return

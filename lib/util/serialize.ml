@@ -49,29 +49,58 @@ let reset = Buffer.clear
    thousands of blobs allocates the backing store once per domain instead
    of once per blob — and a blob bigger than any before grows the arena
    for all that follow. Nested calls on the same domain fall back to a
-   fresh buffer rather than corrupting the arena. *)
-type scratch = { buf : Buffer.t; mutable busy : bool }
+   fresh buffer rather than corrupting the arena. [chunk] is the window
+   a digest reads the arena through. *)
+type scratch = { buf : Buffer.t; chunk : Bytes.t; mutable busy : bool }
 
-let scratch_key = Domain.DLS.new_key (fun () -> { buf = Buffer.create 4096; busy = false })
+let chunk_size = 4096
 
-let with_scratch f =
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+    { buf = Buffer.create 4096; chunk = Bytes.create chunk_size; busy = false })
+
+(* Run [f] against the arena (or, nested, a fresh buffer) and hand what
+   it wrote to [finish] before the arena is released. *)
+let run_scratch f finish =
   let s = Domain.DLS.get scratch_key in
   if s.busy then begin
     let w = Buffer.create 4096 in
     f w;
-    Buffer.contents w
+    finish s w
   end
   else begin
     s.busy <- true;
     Buffer.clear s.buf;
     match f s.buf with
     | () ->
+        let r = finish s s.buf in
         s.busy <- false;
-        Buffer.contents s.buf
+        r
     | exception e ->
         s.busy <- false;
         raise e
   end
+
+let with_scratch f = run_scratch f (fun _ w -> Buffer.contents w)
+
+(* A buffer's bytes can only be read out by copying, so they go to the
+   stream [chunk_size] at a time through the domain's chunk: a digest
+   allocates the same whatever the blob's size. The stream starts only
+   once [f] is done, because writers may take tuple digests, which open
+   streams of their own. *)
+let digest_buffer s w =
+  let st = Sha1.start () in
+  let len = Buffer.length w in
+  let pos = ref 0 in
+  while !pos < len do
+    let n = min chunk_size (len - !pos) in
+    Buffer.blit w !pos s.chunk 0 n;
+    Sha1.add_bytes st s.chunk 0 n;
+    pos := !pos + n
+  done;
+  Sha1.finish st
+
+let digest_scratch f = run_scratch f digest_buffer
 
 (* Canonical order: a table goes out sorted, whatever order its hash
    table holds it in. Its entries go into per-domain scratch arrays that

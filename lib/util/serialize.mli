@@ -45,6 +45,13 @@ val with_scratch : (writer -> unit) -> string
     allocation; use for one-shot blobs on hot paths (checkpoints,
     deltas). Re-entrant calls on the same domain get a fresh writer. *)
 
+val digest_scratch : (writer -> unit) -> Sha1.t
+(** [digest_scratch f] is [Sha1.digest_string (with_scratch f)] without
+    the copy: the SHA-1 of what [f] writes, hashed in place once [f]
+    returns. Past the scratch arena's growth, what it allocates does not
+    depend on how much [f] writes, except in a re-entrant call, whose
+    fresh writer grows with it. *)
+
 val write_sorted :
   writer ->
   ('k -> 'k -> int) ->

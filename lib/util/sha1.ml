@@ -340,6 +340,11 @@ let feed ctx b off len =
 
 let add ctx s = feed ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
+(* [process_block] reads without bounds checks: check the range here. *)
+let add_bytes ctx b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Sha1.add_bytes";
+  feed ctx b off len
+
 let finish ctx =
   (* Pad: 0x80, zeros to 56 mod 64, then the 8-byte big-endian bit count. *)
   Bytes.set ctx.cbuf ctx.fill '\x80';

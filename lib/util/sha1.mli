@@ -33,6 +33,10 @@ val start : unit -> stream
 val add : stream -> string -> unit
 (** [add s piece] appends the bytes of [piece]. *)
 
+val add_bytes : stream -> Bytes.t -> int -> int -> unit
+(** [add_bytes s b off len] appends the [len] bytes of [b] from [off].
+    @raise Invalid_argument if they are not a valid range of [b]. *)
+
 val add_int : stream -> int -> unit
 (** [add_int s n] appends exactly the bytes of [string_of_int n]. *)
 

@@ -114,16 +114,16 @@ let test_tuple_canonical_sensitivity () =
    rendering. Both memoization orders must agree, and payloads spanning
    SHA-1 blocks, the 64/65-byte interning boundary, negative ints and
    bools are covered. *)
+let sha1 = Dpc_util.Sha1.digest_string
+
+let reference_piece = function
+  | Value.Str p when String.length p > 64 ->
+      "h:" ^ string_of_int (String.length p) ^ ":" ^ Dpc_util.Sha1.to_raw (sha1 p)
+  | v -> Value.canonical v
+
+let reference args = sha1 ("packet(" ^ String.concat "," (List.map reference_piece args) ^ ")")
+
 let test_tuple_digest_contract () =
-  let sha1 = Dpc_util.Sha1.digest_string in
-  let reference_piece = function
-    | Value.Str p when String.length p > 64 ->
-        "h:" ^ string_of_int (String.length p) ^ ":" ^ Dpc_util.Sha1.to_raw (sha1 p)
-    | v -> Value.canonical v
-  in
-  let reference args =
-    sha1 ("packet(" ^ String.concat "," (List.map reference_piece args) ^ ")")
-  in
   check Alcotest.int "interning threshold" 64 Value.payload_inline_max;
   List.iter
     (fun (n, b) ->
@@ -157,6 +157,31 @@ let test_tuple_digest_contract () =
             args)
         [ ""; "x"; String.make 55 'p'; String.make 64 'q'; String.make 65 's'; String.make 500 'r' ])
     [ (7, true); (-1, false); (-42, true); (min_int, false); (max_int, true); (0, false) ]
+
+(* The payload-interning cache's bound: it holds at most 4,096 payload
+   digests per domain, and the miss that finds it full empties it first.
+   Over twice that many distinct large payloads, on a domain of its own
+   whose cache starts empty, every digest equals the uncached reference
+   rendering, the first time and again through a new tuple; the cache
+   grows by one a payload and never past its cap. *)
+let test_payload_cache_bound () =
+  let cap = Value.payload_cache_cap in
+  check Alcotest.int "cap" 4096 cap;
+  Domain.join
+    (Domain.spawn (fun () ->
+       check Alcotest.int "a new domain's cache is empty" 0 (Value.payload_cache_size ());
+       for i = 1 to (2 * cap) + 100 do
+         let args = [ Value.Addr 3; Value.Int i; Value.Str (Printf.sprintf "%08d%s" i (String.make 100 'z')) ] in
+         let d = Tuple.digest (Tuple.make "packet" args) in
+         if not (Dpc_util.Sha1.equal d (reference args)) then
+           Alcotest.failf "payload %d: digest differs from the reference" i;
+         if not (Dpc_util.Sha1.equal (Tuple.digest (Tuple.make "packet" args)) d) then
+           Alcotest.failf "payload %d: a repeat digest differs" i;
+         let size = Value.payload_cache_size () in
+         if size > cap then Alcotest.failf "payload %d: the cache holds %d" i size;
+         if size <> ((i - 1) mod cap) + 1 then
+           Alcotest.failf "payload %d: the cache holds %d, not %d" i size (((i - 1) mod cap) + 1)
+       done))
 
 let test_tuple_serialize_roundtrip () =
   let w = Dpc_util.Serialize.writer () in
@@ -470,6 +495,7 @@ let () =
           Alcotest.test_case "canonical sensitivity" `Quick test_tuple_canonical_sensitivity;
           Alcotest.test_case "digest contract with payload interning" `Quick
             test_tuple_digest_contract;
+          Alcotest.test_case "payload cache bound" `Quick test_payload_cache_bound;
           Alcotest.test_case "serialize round-trip" `Quick test_tuple_serialize_roundtrip;
           Alcotest.test_case "wire size" `Quick test_tuple_wire_size_grows_with_payload;
         ] );

@@ -409,7 +409,7 @@ let build_disk_world scheme dir =
 let digests backend runtime =
   Array.init Dpc_proc.Scenario.nodes (fun node ->
       ( Dpc_core.Backend.digest_node backend node,
-        Dpc_proc.Scenario.db_digest (Dpc_engine.Runtime.db runtime node) ))
+        Dpc_engine.Db.digest (Dpc_engine.Runtime.db runtime node) ))
 
 let test_disk_recovery () =
   List.iter

@@ -138,10 +138,52 @@ let test_table_dedup_and_multimap () =
   check Alcotest.bool "duplicate row" false (Rows.Table.add t ~key:"k" prov_row);
   check Alcotest.bool "distinct row, same key" true (Rows.Table.add t ~key:"k" base_row);
   check Alcotest.int "two rows" 2 (Rows.Table.rows t);
-  check Alcotest.int "find returns both, oldest first" 2 (List.length (Rows.Table.find t "k"));
-  check Alcotest.bool "order preserved" true (List.hd (Rows.Table.find t "k") = prov_row);
-  check (Alcotest.list Alcotest.bool) "unknown key" []
-    (List.map (fun _ -> true) (Rows.Table.find t "missing"))
+  let rows_of key =
+    let seen = ref [] in
+    Rows.Table.iter_key t key (fun r -> seen := r :: !seen);
+    List.rev !seen
+  in
+  check Alcotest.int "the key holds both" 2 (Rows.Table.count t "k");
+  check Alcotest.bool "order preserved" true (rows_of "k" = [ prov_row; base_row ]);
+  check Alcotest.int "unknown key" 0 (Rows.Table.count t "missing");
+  check Alcotest.bool "nothing under an unknown key" true (rows_of "missing" = []);
+  (* A third row goes after the second, and a duplicate of the second is
+     rejected too. *)
+  let third = { base_row with Rows.loc = base_row.loc + 1 } in
+  check Alcotest.bool "duplicate later row" false (Rows.Table.add t ~key:"k" base_row);
+  check Alcotest.bool "third row" true (Rows.Table.add t ~key:"k" third);
+  check Alcotest.bool "oldest first" true (rows_of "k" = [ prov_row; base_row; third ]);
+  check Alcotest.bool "concat_map, oldest first" true
+    (Rows.Table.concat_map t "k" (fun r -> [ r; r ])
+    = [ prov_row; prov_row; base_row; base_row; third; third ]);
+  check Alcotest.bool "exists" true (Rows.Table.exists t "k" (fun r -> r = third));
+  check Alcotest.bool "exists, unknown key" false (Rows.Table.exists t "missing" (fun _ -> true));
+  let raises key = match Rows.Table.only t key with _ -> false | exception Not_found -> true in
+  check Alcotest.bool "only: several rows" true (raises "k");
+  check Alcotest.bool "only: no row" true (raises "missing");
+  ignore (Rows.Table.add t ~key:"j" prov_row);
+  check Alcotest.bool "only: one row" true (Rows.Table.only t "j" = prov_row)
+
+(* Past many growths of the bucket array, every key still finds its rows,
+   oldest first, and their count. *)
+let test_table_growth () =
+  let t = Rows.Table.create ~row_bytes:(Rows.prov_row_bytes ~with_evid:true) () in
+  let row key i = { prov_row with Rows.loc = (key * 10) + i } in
+  let keys = 2000 in
+  for i = 0 to 2 do
+    for key = 0 to keys - 1 do
+      if key mod 3 >= i then ignore (Rows.Table.add t ~key:(string_of_int key) (row key i))
+    done
+  done;
+  check Alcotest.int "rows"
+    (List.fold_left ( + ) 0 (List.init keys (fun key -> (key mod 3) + 1)))
+    (Rows.Table.rows t);
+  for key = 0 to keys - 1 do
+    let seen = ref [] in
+    Rows.Table.iter_key t (string_of_int key) (fun r -> seen := r :: !seen);
+    let want = List.init ((key mod 3) + 1) (row key) in
+    if List.rev !seen <> want then Alcotest.failf "key %d: rows out of order or lost" key
+  done
 
 let test_table_byte_counter () =
   let t = Rows.Table.create ~row_bytes:(Rows.prov_row_bytes ~with_evid:true) () in
@@ -163,7 +205,14 @@ let test_table_iter_visits_all () =
   ignore (Rows.Table.add t ~key:"b" base_row);
   let n = ref 0 in
   Rows.Table.iter t (fun _ _ -> incr n);
-  check Alcotest.int "two visits" 2 !n
+  check Alcotest.int "two visits" 2 !n;
+  (* A key's further rows are visited too, each with its key. *)
+  ignore (Rows.Table.add t ~key:"a" base_row);
+  let seen = ref [] in
+  Rows.Table.iter t (fun k r -> seen := (k, r) :: !seen);
+  check Alcotest.bool "three visits" true
+    (List.sort compare !seen
+    = List.sort compare [ ("a", prov_row); ("a", base_row); ("b", base_row) ])
 
 (* ------------------------------------------------------------------ *)
 (* Side_store *)
@@ -264,6 +313,7 @@ let () =
         [
           Alcotest.test_case "dedup and multimap" `Quick test_table_dedup_and_multimap;
           Alcotest.test_case "byte counter" `Quick test_table_byte_counter;
+          Alcotest.test_case "growth" `Quick test_table_growth;
           Alcotest.test_case "iter" `Quick test_table_iter_visits_all;
         ] );
       ( "side store",

@@ -385,6 +385,24 @@ let test_raising_callback () =
         logs)
     [ 2; 4 ]
 
+(* A [run] called from a callback is refused on one domain as on two, and
+   the simulator still runs afterwards. *)
+let test_nested_run () =
+  List.iter
+    (fun domains ->
+      let sim = Dpc_net.Shard_sim.create ~domains ~nodes:2 () in
+      let tr = Dpc_net.Shard_sim.transport sim in
+      let delivered = ref 0 in
+      Dpc_net.Transport.send tr ~src:0 ~dst:1 ~bytes:10 (fun () -> Dpc_net.Shard_sim.run sim);
+      check Alcotest.bool (Printf.sprintf "~domains:%d nested run refused" domains) true
+        (match Dpc_net.Shard_sim.run sim with
+        | () -> false
+        | exception Invalid_argument _ -> true);
+      Dpc_net.Transport.send tr ~src:0 ~dst:1 ~bytes:10 (fun () -> incr delivered);
+      Dpc_net.Shard_sim.run sim;
+      check Alcotest.int (Printf.sprintf "~domains:%d a later run delivers" domains) 1 !delivered)
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Shard partition: total, disjoint, stable. *)
 
@@ -493,7 +511,11 @@ let () =
           Alcotest.test_case "crash digests across domains" `Slow test_crash_digests;
           Alcotest.test_case "cache transparency across domains" `Quick test_cache_digests;
         ] );
-      ("errors", [ Alcotest.test_case "a raising callback at 2 and 4 domains" `Quick test_raising_callback ]);
+      ( "errors",
+        [
+          Alcotest.test_case "a raising callback at 2 and 4 domains" `Quick test_raising_callback;
+          Alcotest.test_case "a nested run at 1 and 2 domains" `Quick test_nested_run;
+        ] );
       ( "partition",
         [
           Alcotest.test_case "round-robin total and stable" `Quick test_partition;

@@ -418,6 +418,88 @@ let test_corrupt_headers () =
        Dpc_ndlog.Tuple.serialize w (tag ~at:2 "x");
        write_string w (String.make 19 'e')))
 
+(* ------------------------------------------------------------------ *)
+(* In-place digests: [Backend.digest_node] and [Db.digest] hash the bytes
+   the node blob and [Db.canonical] writers leave in the scratch arena,
+   read through Serialize's 4,096-byte chunk instead of copied out. Each
+   must equal the SHA-1 of the bytes the materializing call returns, on
+   either side of a chunk boundary and from inside a call that holds the
+   arena. *)
+
+let check = Alcotest.check
+let chunk = 4096
+let sha1_hex s = Dpc_util.Sha1.to_hex (Dpc_util.Sha1.digest_string s)
+
+let test_digest_scratch () =
+  List.iter
+    (fun len ->
+      let write w = Dpc_util.Serialize.write_string w (String.make len 'd') in
+      check Alcotest.string
+        (Printf.sprintf "a %d-byte string" len)
+        (sha1_hex (Dpc_util.Serialize.with_scratch write))
+        (Dpc_util.Sha1.to_hex (Dpc_util.Serialize.digest_scratch write)))
+    (* Blobs of 1, 64, 4,095, 4,096, 4,097, 8,192 and 10,003 bytes. *)
+    [ 0; 63; 4093; 4094; 4095; 8190; 10000 ]
+
+let check_node_digest what backend node =
+  let digest = Backend.digest_node backend node in
+  check Alcotest.string what (sha1_hex (Backend.checkpoint_node backend node)) digest
+
+let check_db_digest what db =
+  check Alcotest.string what (sha1_hex (Dpc_engine.Db.canonical db)) (Dpc_engine.Db.digest db)
+
+(* A world that took one packet from node 0 to node 2 with a [len]-byte
+   payload. Node 0 keeps the packet under every scheme, so its blob grows
+   a byte a payload byte, and so does node 2's Db with the [recv] it
+   keeps. *)
+let one_packet scheme len =
+  let w = Fixture_world.create scheme in
+  inject w [ (0, String.make len 'q') ];
+  w
+
+(* The payload length at which [size] of [one_packet] is [target] bytes:
+   [size] grows with the payload, by a byte a byte once its length takes
+   two varint bytes. *)
+let payload_for scheme size target =
+  let size_at len = size (one_packet scheme len) in
+  let rec go len =
+    let n = size_at len in
+    if n = target then len
+    else if n < target then go (len + target - n)
+    else if size_at (len - 1) < target then Alcotest.failf "no payload gives %d bytes" target
+    else go (len - 1)
+  in
+  go 1
+
+let test_in_place_digests scheme () =
+  let w = Fixture_world.create scheme in
+  check_node_digest "a node with no rows" w.backend 1;
+  check_db_digest "an empty Db" (Dpc_engine.Db.create ());
+  batch1 w;
+  check_node_digest "a blob shorter than a chunk" w.backend 2;
+  check_db_digest "a Db shorter than a chunk" w.db;
+  let node_size (w : Fixture_world.t) = String.length (Backend.checkpoint_node w.backend 0) in
+  let one_chunk = one_packet scheme (payload_for scheme node_size chunk) in
+  check Alcotest.int "the blob is one chunk" chunk (node_size one_chunk);
+  check_node_digest "a blob of one chunk" one_chunk.backend 0;
+  let db_size (w : Fixture_world.t) = String.length (Dpc_engine.Db.canonical w.db) in
+  let one_chunk_db = one_packet scheme (payload_for scheme db_size chunk) in
+  check Alcotest.int "the Db is one chunk" chunk (db_size one_chunk_db);
+  check_db_digest "a Db of one chunk" one_chunk_db.db;
+  let long = one_packet scheme ((2 * chunk) + 100) in
+  check_node_digest "a blob of over two chunks" long.backend 0;
+  check_db_digest "a Db of over two chunks" long.db;
+  (* With the arena held by an outer writer: the digests hash writers of
+     their own, and leave the outer blob as it was. *)
+  let outer =
+    Dpc_util.Serialize.with_scratch (fun wr ->
+      Dpc_util.Serialize.write_string wr "outer";
+      check_node_digest "a blob, nested" long.backend 0;
+      check_db_digest "a Db, nested" long.db;
+      Dpc_util.Serialize.write_string wr "after")
+  in
+  check Alcotest.string "the outer blob" "\005outer\005after" outer
+
 let () =
   Alcotest.run "dpc_store_format"
     [
@@ -442,6 +524,11 @@ let () =
           (fun label ->
             Alcotest.test_case label `Quick (test_delta_records_equivalence_changes label))
           [ "advanced"; "advanced-interclass" ] );
+      ( "in-place digests",
+        Alcotest.test_case "digest_scratch at chunk boundaries" `Quick test_digest_scratch
+        :: List.map
+             (fun (scheme, label) -> Alcotest.test_case label `Quick (test_in_place_digests scheme))
+             schemes );
       ( "decoders",
         [
           Alcotest.test_case "corrupt headers" `Quick test_corrupt_headers;

@@ -377,6 +377,105 @@ let test_socket_pair () =
           check Alcotest.int "a received one" 1 sa.data_received))
 
 (* ------------------------------------------------------------------ *)
+(* Golden process formats: a dpc-wire-v1 frame of every kind, a
+   dpc-outbox-v1 ledger before and after compaction, and a dpc-chan-v1
+   channel snapshot, checked in under fixtures/ as the bytes the encoders
+   write for small fixed inputs. The encoders must reproduce them byte
+   for byte and the decoders must read them back. When an encoder changes
+   on purpose, the failing test writes [<fixture>.actual] next to the
+   test binary; review it and copy it over the fixture. *)
+
+let fixture name = Filename.concat "fixtures" name
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let check_fixture name actual =
+  let path = fixture name in
+  let expected = if Sys.file_exists path then read_file path else "" in
+  if not (String.equal expected actual) then begin
+    Out_channel.with_open_bin (name ^ ".actual") (fun oc -> output_string oc actual);
+    Alcotest.failf "%s: encoder wrote %d bytes that differ from the fixture's %d (see %s.actual)"
+      name (String.length actual) (String.length expected) name
+  end
+
+let golden_frames =
+  [
+    frame Wire.Hello ~src:1 ~dst:0 ~seq:0 "";
+    frame Wire.Data ~src:0 ~dst:1 ~seq:3 "payload";
+    frame Wire.Ack ~src:1 ~dst:0 ~seq:3 "";
+    frame Wire.Ctrl ~src:Wire.control_id ~dst:1 ~seq:7 "status";
+  ]
+
+let test_wire_fixture () =
+  check_fixture "wire-frames.bin" (String.concat "" (List.map Wire.encode golden_frames));
+  let d = Wire.Decoder.create () in
+  Wire.Decoder.feed_string d (read_file (fixture "wire-frames.bin"));
+  check Alcotest.bool "decoded frames" true (drain d = golden_frames)
+
+(* Send and Ack records on two channels, then the compacted ledger of
+   Mark records and pending sends. *)
+let test_outbox_fixture () =
+  with_temp_dir "dpc-outbox-fixture" (fun dir ->
+      let ob = Outbox.open_ ~dir in
+      Outbox.record_send ob ~dst:1 ~seq:1 "a";
+      Outbox.record_send ob ~dst:1 ~seq:2 "b";
+      Outbox.record_send ob ~dst:2 ~seq:1 "c";
+      Outbox.record_ack ob ~dst:1 ~seq:1;
+      Outbox.record_send ob ~dst:1 ~seq:3 "d";
+      Outbox.record_ack ob ~dst:2 ~seq:1;
+      let log = Filename.concat dir "outbox.log" in
+      check_fixture "outbox.bin" (read_file log);
+      Outbox.compact ob;
+      check_fixture "outbox-compacted.bin" (read_file log);
+      Outbox.close ob);
+  List.iter
+    (fun name ->
+      with_temp_dir "dpc-outbox-fixture" (fun dir ->
+          Out_channel.with_open_bin (Filename.concat dir "outbox.log") (fun oc ->
+              output_string oc (read_file (fixture name)));
+          let ob = Outbox.open_ ~dir in
+          check
+            (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.string))
+            (name ^ " pending") [ (1, 2, "b"); (1, 3, "d") ] (Outbox.pending ob);
+          check Alcotest.(pair int int) (name ^ " channel 1") (4, 1)
+            (Outbox.next_seq ob ~dst:1, Outbox.acked ob ~dst:1);
+          check Alcotest.(pair int int) (name ^ " channel 2") (2, 1)
+            (Outbox.next_seq ob ~dst:2, Outbox.acked ob ~dst:2);
+          Outbox.close ob))
+    [ "outbox.bin"; "outbox-compacted.bin" ]
+
+(* Node 0 of a live three-node cluster sends three payloads to node 1
+   and two to node 2, receives two from node 1 and one from node 2, and
+   every ack lands: its snapshot has sent, acked and expected state on
+   both peers. *)
+let test_chan_fixture () =
+  with_temp_dir "dpc-chan-fixture" (fun dir ->
+      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
+      let socks = Array.init 3 (fun local -> Socket.create ~nodes:3 ~local ~addr_of ()) in
+      Fun.protect
+        ~finally:(fun () -> Array.iter Socket.close socks)
+        (fun () ->
+          let got = ref 0 in
+          Array.iter (fun s -> Socket.set_deliver s (fun ~src:_ ~payload:_ -> incr got)) socks;
+          List.iter
+            (fun (src, dst, n) ->
+              for i = 1 to n do
+                Socket.send_payload socks.(src) ~dst (Printf.sprintf "%d->%d %d" src dst i)
+              done)
+            [ (0, 1, 3); (0, 2, 2); (1, 0, 2); (2, 0, 1) ];
+          pump (Array.to_list (Array.map Socket.transport socks)) ~tag:"every ack lands"
+            ~until_cond:(fun () -> !got = 8 && Array.for_all (fun s -> Socket.unacked s = 0) socks);
+          check_fixture "chan.bin" (Socket.snapshot_channels socks.(0)));
+      let fresh = Socket.create ~nodes:3 ~local:0 ~addr_of () in
+      Fun.protect
+        ~finally:(fun () -> Socket.close fresh)
+        (fun () ->
+          let blob = read_file (fixture "chan.bin") in
+          Socket.restore_channels fresh blob;
+          check Alcotest.int "restored sender cursor" 4 (Socket.sender_next_seq fresh ~dst:1);
+          check Alcotest.string "chan.bin re-encoded" blob (Socket.snapshot_channels fresh)))
+
+(* ------------------------------------------------------------------ *)
 (* Durable disk recovery, in-process: the same forwarding scenario the
    dpcd oracle runs, on a direct transport with the log mirrored to
    disk; a second world attached to the same directory must rebuild
@@ -565,6 +664,12 @@ let () =
         ] );
       ("control protocol", [ Alcotest.test_case "round-trip" `Quick test_ctrl_roundtrip ]);
       ("socket transport", [ Alcotest.test_case "duplex pair" `Quick test_socket_pair ]);
+      ( "format fixtures",
+        [
+          Alcotest.test_case "dpc-wire-v1 frames" `Quick test_wire_fixture;
+          Alcotest.test_case "dpc-outbox-v1 ledgers" `Quick test_outbox_fixture;
+          Alcotest.test_case "dpc-chan-v1 snapshot" `Quick test_chan_fixture;
+        ] );
       ( "disk recovery",
         [
           Alcotest.test_case "digest equality, all schemes" `Quick test_disk_recovery;

@@ -81,4 +81,8 @@ let () =
       Report.set_wall name (Unix.gettimeofday () -. t0))
     selected;
   if micro then Micro.run ();
-  Report.write ~scale:(Figures.scale_name cfg) ~seed:cfg.Figures.seed
+  Report.write ~scale:(Figures.scale_name cfg) ~seed:cfg.Figures.seed;
+  if !Figures.mismatches > 0 then begin
+    Printf.eprintf "%d shape check(s) failed\n" !Figures.mismatches;
+    exit 1
+  end

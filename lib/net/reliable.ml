@@ -32,19 +32,24 @@ let backoff_delay config ~src ~dst ~attempt =
     let u = Transport.channel_unit_hash ~seed:0x7ea1 ~src ~dst ~n:attempt in
     capped *. (1.0 -. (config.jitter *. u))
 
+(* The receive window's bound: arrivals held above a gap on one channel.
+   One past it is dropped unacked, and the sender's retransmission brings
+   it back once the gap has filled. *)
+let window = 1024
+
 (* One directed (src, dst) channel. The sender's half is [next_seq]; the
    receiver's half is the dedup/reorder window: everything below
-   [expected] has been delivered in order, and [pending] holds arrivals
-   above the gap, waiting for it to fill. The window stays small — it
-   drains as soon as the missing retransmit lands — and most channels
-   never need one: it is created on the first out-of-order arrival. Under
-   a sharded transport the two halves live on different domains, but
-   they are distinct fields: the sender's shard only touches
+   [expected] has been delivered in order, and [pending] holds the bodies
+   of arrivals above the gap, waiting for it to fill. The window stays
+   small — it drains as soon as the missing retransmit lands — and most
+   channels never need one: it is created on the first out-of-order
+   arrival. Under a sharded transport the two halves live on different
+   domains, but they are distinct fields: the sender's shard only touches
    [next_seq], the receiver's only [expected]/[pending]. *)
-type channel = {
+type 'a channel = {
   mutable next_seq : int;
   mutable expected : int;
-  mutable pending : (int, unit -> unit) Hashtbl.t option;
+  mutable pending : (int, 'a) Hashtbl.t option;
   (* Suspension state, owned by the sender's shard. A suspended channel
      has burned its retry budget: instead of dropping the unacked tail it
      parks each message here (re-offered in seq order on resurrection)
@@ -52,7 +57,7 @@ type channel = {
      [probe_gen] invalidates stale probe timers across resurrect/forget
      boundaries. *)
   mutable suspended : bool;
-  mutable parked : msg list;
+  mutable parked : 'a msg list;
   mutable probe_gen : int;
 }
 
@@ -60,17 +65,41 @@ type channel = {
    per-message state of the protocol. The receiver's shard reads only the
    immutable fields; [acked], [attempts] and [fresh] belong to the
    sender's shard. *)
-and msg = {
-  ch : channel;
+and 'a msg = {
+  ch : 'a channel;
   src : int;
   dst : int;
   seq : int;
   wire : int;  (* bytes per transmission, header included *)
-  k : unit -> unit;
+  body : 'a;
   mutable acked : bool;
   mutable attempts : int;  (* transmissions since the last (re-)offer *)
   mutable fresh : bool;  (* not transmitted yet *)
 }
+
+(* A host that owns one node and reaches its peers over byte streams. *)
+type frames_io = {
+  emit : dst:int -> seq:int -> retransmit:bool -> string -> unit;
+  timer : delay:float -> (unit -> unit) -> unit;
+  receive : src:int -> string -> unit;
+}
+
+(* Cumulative acks reach the sender as a count, not as the message, so
+   the frames medium keeps each peer's acked prefix and its unacked
+   messages by sequence. *)
+type frames = {
+  io : frames_io;
+  local : int;
+  acked : int array;
+  unacked : (int, string msg) Hashtbl.t array;
+}
+
+(* How a message travels. Through a transport, it is its delivery
+   closure, sent in process and acked one by one. Over frames, it is a
+   payload in a data frame, acked cumulatively by the host. *)
+type _ medium =
+  | Closures : Transport.t -> (unit -> unit) medium
+  | Frames : frames -> string medium
 
 type stats = {
   data_msgs : int;
@@ -90,15 +119,15 @@ type stats = {
 
 type seq_field = Next_seq | Expected
 
-type t = {
-  inner : Transport.t;
+type 'a link = {
+  medium : 'a medium;
   config : config;
   metrics : (int -> Dpc_util.Metrics.t) option;
   (* The full [src][dst] endpoint matrix, allocated eagerly: channel
      lookup never mutates a shared table, so concurrent shards cannot
      race on it. Each receive window is created by the receiver's shard,
      on its first hold. *)
-  channels : channel array array;
+  channels : 'a channel array array;
   mutable persist : (seq_field -> src:int -> dst:int -> seq:int -> unit) option;
   (* Cluster-wide accounting; senders on every shard bump these. *)
   data_msgs : int Atomic.t;
@@ -114,22 +143,24 @@ type t = {
   resurrections : int Atomic.t;
   parked_total : int Atomic.t;
   probes : int Atomic.t;
+  window_peak : int Atomic.t;
 }
 
-let wrap ?(config = default_config) ?metrics inner =
+type t = (unit -> unit) link
+
+let create ~config ?metrics ~nodes medium =
   if config.timeout <= 0.0 then invalid_arg "Reliable.wrap: timeout must be positive";
   if config.backoff < 1.0 then invalid_arg "Reliable.wrap: backoff must be >= 1";
   if config.max_retries < 0 then invalid_arg "Reliable.wrap: negative max_retries";
   if config.jitter < 0.0 || config.jitter >= 1.0 then
     invalid_arg "Reliable.wrap: jitter must be in [0, 1)";
-  let n = Transport.nodes inner in
   {
-    inner;
+    medium;
     config;
     metrics;
     channels =
-      Array.init n (fun _ ->
-        Array.init n (fun _ ->
+      Array.init nodes (fun _ ->
+        Array.init nodes (fun _ ->
           { next_seq = 0; expected = 0; pending = None; suspended = false; parked = [];
             probe_gen = 0 }));
     persist = None;
@@ -146,7 +177,18 @@ let wrap ?(config = default_config) ?metrics inner =
     resurrections = Atomic.make 0;
     parked_total = Atomic.make 0;
     probes = Atomic.make 0;
+    window_peak = Atomic.make 0;
   }
+
+let wrap ?(config = default_config) ?metrics inner =
+  create ~config ?metrics ~nodes:(Transport.nodes inner) (Closures inner)
+
+let over_frames ~config ~nodes ~local io =
+  if local < 0 || local >= nodes then invalid_arg "Reliable.over_frames: local node out of range";
+  create ~config ~nodes
+    (Frames
+       { io; local; acked = Array.make nodes 0;
+         unacked = Array.init nodes (fun _ -> Hashtbl.create 16) })
 
 let add t node name n =
   match t.metrics with None -> () | Some f -> Dpc_util.Metrics.add (f node) name n
@@ -162,10 +204,10 @@ let channel t ~src ~dst = t.channels.(src).(dst)
 
 (* A data message arrives at its receiver. Deliver in sequence order: run
    the arrival if it is the next expected message, then drain whatever
-   the gap was holding back. Out-of-order arrivals wait in the window;
-   duplicates (below the watermark or already waiting) are dropped. The
-   watermark is advanced (and persisted) BEFORE the delivery closure
-   runs, so a journal written from inside the closure sees the
+   the gap was holding back. Out-of-order arrivals wait in the window,
+   up to [window] of them; duplicates (below the watermark or already
+   waiting) are dropped. The watermark is advanced (and persisted) BEFORE
+   the body runs, so a journal written from inside it sees the
    post-delivery sequence state.
 
    Then ack the cumulative watermark — but only when it covers this
@@ -178,29 +220,46 @@ let channel t ~src ~dst = t.channels.(src).(dst)
    the ack a durable promise. *)
 let is_held ch seq = match ch.pending with None -> false | Some p -> Hashtbl.mem p seq
 
-let hold ch seq k =
-  match ch.pending with
-  | Some p -> Hashtbl.add p seq k
-  | None ->
-      let p = Hashtbl.create 8 in
-      Hashtbl.add p seq k;
-      ch.pending <- Some p
+let window_full ch = match ch.pending with None -> false | Some p -> Hashtbl.length p >= window
 
-let deliver t m =
-  let ch = m.ch and src = m.src and dst = m.dst and seq = m.seq in
+let rec raise_peak peak v =
+  let cur = Atomic.get peak in
+  if v > cur && not (Atomic.compare_and_set peak cur v) then raise_peak peak v
+
+let hold t ch seq body =
+  let p =
+    match ch.pending with
+    | Some p -> p
+    | None ->
+        let p = Hashtbl.create 8 in
+        ch.pending <- Some p;
+        p
+  in
+  Hashtbl.add p seq body;
+  raise_peak t.window_peak (Hashtbl.length p)
+
+(* A delivered body: a closure runs itself, a payload goes to the host. *)
+let run : type a. a link -> src:int -> a -> unit =
+ fun t ~src body -> match t.medium with Closures _ -> body () | Frames f -> f.io.receive ~src body
+
+(* The receiver's half of both media. Returns whether the watermark
+   covers [seq], that is, whether to ack. *)
+let accept t ch ~src ~dst ~seq body =
   if seq < ch.expected || is_held ch seq then begin
     Atomic.incr t.dup_dropped;
     tick t dst "net.dup_dropped"
   end
   else if seq > ch.expected then begin
-    hold ch seq m.k;
-    Atomic.incr t.held;
-    tick t dst "net.held"
+    if not (window_full ch) then begin
+      hold t ch seq body;
+      Atomic.incr t.held;
+      tick t dst "net.held"
+    end
   end
   else begin
     ch.expected <- ch.expected + 1;
     persist t Expected ~src ~dst ~seq:ch.expected;
-    m.k ();
+    run t ~src body;
     (* Re-read the window each step: a delivery may [forget] it. *)
     let draining = ref true in
     while !draining do
@@ -208,23 +267,53 @@ let deliver t m =
       | None -> draining := false
       | Some pending -> (
           match Hashtbl.find pending ch.expected with
-          | k' ->
+          | body' ->
               Hashtbl.remove pending ch.expected;
               ch.expected <- ch.expected + 1;
               persist t Expected ~src ~dst ~seq:ch.expected;
-              k' ()
+              run t ~src body'
           | exception Not_found -> draining := false)
     done
   end;
-  if ch.expected > seq then begin
+  ch.expected > seq
+
+(* A closure's arrival, acked by a closure of its own. *)
+let deliver (t : t) m =
+  let (Closures inner) = t.medium in
+  if accept t m.ch ~src:m.src ~dst:m.dst ~seq:m.seq m.body then begin
     Atomic.incr t.acks;
     ignore (Atomic.fetch_and_add t.ack_bytes_total ack_bytes);
-    tick t dst "net.acks_sent";
-    add t dst "net.ack_bytes" ack_bytes;
-    Transport.send t.inner ~src:dst ~dst:src ~bytes:ack_bytes (fun () -> m.acked <- true)
+    tick t m.dst "net.acks_sent";
+    add t m.dst "net.ack_bytes" ack_bytes;
+    Transport.send inner ~src:m.dst ~dst:m.src ~bytes:ack_bytes (fun () -> m.acked <- true)
   end
 
 (* ---- the sender: transmission, timeout, suspension ------------------ *)
+
+let schedule : type a. a link -> node:int -> delay:float -> (unit -> unit) -> unit =
+ fun t ~node ~delay k ->
+  match t.medium with
+  | Closures inner -> Transport.schedule_on inner ~node ~delay k
+  | Frames f -> f.io.timer ~delay k
+
+(* One transmission of a data message. *)
+let emit : type a. a link -> a msg -> retransmit:bool -> unit =
+ fun t m ~retransmit ->
+  match t.medium with
+  | Closures inner ->
+      Transport.send inner ~src:m.src ~dst:m.dst ~bytes:m.wire (fun () -> deliver t m)
+  | Frames f -> f.io.emit ~dst:m.dst ~seq:m.seq ~retransmit m.body
+
+(* A heal probe and its pong. dpc-wire-v1 has no probe frame, so a
+   channel over frames counts its probe as answered: it resurrects at its
+   first deadline and lets its retransmissions do the probing. *)
+let ping : type a. a link -> src:int -> dst:int -> bool ref -> unit =
+ fun t ~src ~dst pong ->
+  match t.medium with
+  | Closures inner ->
+      Transport.send inner ~src ~dst ~bytes:probe_bytes (fun () ->
+        Transport.send inner ~src:dst ~dst:src ~bytes:probe_bytes (fun () -> pong := true))
+  | Frames _ -> pong := true
 
 (* One transmission, with its ack timeout armed on the sender's own
    shard: the timer reads [acked]/[attempts], which the sender owns.
@@ -232,6 +321,7 @@ let deliver t m =
    to do. *)
 let rec transmit t m =
   m.attempts <- m.attempts + 1;
+  let retransmit = not m.fresh in
   if m.fresh then begin
     m.fresh <- false;
     Atomic.incr t.data_msgs;
@@ -244,9 +334,9 @@ let rec transmit t m =
     tick t m.src "net.retransmits";
     add t m.src "net.retransmit_bytes" m.wire
   end;
-  Transport.send t.inner ~src:m.src ~dst:m.dst ~bytes:m.wire (fun () -> deliver t m);
+  emit t m ~retransmit;
   let delay = backoff_delay t.config ~src:m.src ~dst:m.dst ~attempt:m.attempts in
-  Transport.schedule_on t.inner ~node:m.src ~delay (fun () -> timeout t m)
+  schedule t ~node:m.src ~delay (fun () -> timeout t m)
 
 and timeout t m =
   if not m.acked then
@@ -283,10 +373,9 @@ and probe t ~src ~dst ch ~gen n =
   Atomic.incr t.probes;
   tick t src "net.probes";
   let pong = ref false in
-  Transport.send t.inner ~src ~dst ~bytes:probe_bytes (fun () ->
-    Transport.send t.inner ~src:dst ~dst:src ~bytes:probe_bytes (fun () -> pong := true));
+  ping t ~src ~dst pong;
   let delay = backoff_delay t.config ~src ~dst ~attempt:n in
-  Transport.schedule_on t.inner ~node:src ~delay (fun () ->
+  schedule t ~node:src ~delay (fun () ->
     if ch.suspended && ch.probe_gen = gen then
       if !pong then resurrect t ~src ch else probe t ~src ~dst ch ~gen (n + 1))
 
@@ -308,16 +397,24 @@ and resurrect t ~src ch =
       transmit t m)
     backlog
 
-let send t ~src ~dst ~bytes k =
+(* Hand message [seq] of channel [(src, dst)] to the protocol. Over
+   frames it stays in [unacked] until a cumulative ack covers it. *)
+let offer : type a. a link -> src:int -> dst:int -> seq:int -> bytes:int -> a -> unit =
+ fun t ~src ~dst ~seq ~bytes body ->
+  let ch = channel t ~src ~dst in
+  let m =
+    { ch; src; dst; seq; wire = bytes + data_header_bytes; body; acked = false; attempts = 0;
+      fresh = true }
+  in
+  (match t.medium with Frames f -> Hashtbl.replace f.unacked.(dst) seq m | Closures _ -> ());
+  if ch.suspended then park t m else transmit t m
+
+let send t ~src ~dst ~bytes body =
   let ch = channel t ~src ~dst in
   let seq = ch.next_seq in
   ch.next_seq <- seq + 1;
   persist t Next_seq ~src ~dst ~seq:ch.next_seq;
-  let m =
-    { ch; src; dst; seq; wire = bytes + data_header_bytes; k; acked = false; attempts = 0;
-      fresh = true }
-  in
-  if ch.suspended then park t m else transmit t m
+  offer t ~src ~dst ~seq ~bytes body
 
 (* ------------------------------------------------------------------ *)
 (* Crash support: channel sequence state as data.
@@ -402,27 +499,52 @@ let restore t ~node blob =
   List.iter (fun (dst, seq) -> set_next_seq t ~src:node ~dst seq) senders;
   List.iter (fun (src, seq) -> set_expected t ~src ~dst:node seq) receivers
 
-let transport t : Transport.t =
-  let (module T : Transport.S) = t.inner in
-  (module struct
-    let name = "reliable+" ^ T.name
-    let nodes = T.nodes
-    let shards = T.shards
-    let shard_of = T.shard_of
-    let now = T.now
-    let schedule = T.schedule
-    let schedule_on = T.schedule_on
-    let send ~src ~dst ~bytes k = send t ~src ~dst ~bytes k
+let transport (t : t) =
+  let (Closures inner) = t.medium in
+  Transport.intercept ~name:"reliable" inner (fun ~src ~dst ~bytes k -> send t ~src ~dst ~bytes k)
 
-    let broadcast ~src ~bytes k =
-      for dst = 0 to nodes - 1 do
-        send ~src ~dst ~bytes (fun () -> k dst)
-      done
+(* ------------------------------------------------------------------ *)
+(* A frames host's side: one local node, payload bodies, cumulative acks. *)
 
-    let run = T.run
-    let total_bytes = T.total_bytes
-    let messages = T.messages
-  end)
+let frames (t : string link) =
+  let (Frames f) = t.medium in
+  f
+
+let arrive t ~src ~seq payload =
+  let f = frames t in
+  accept t (channel t ~src ~dst:f.local) ~src ~dst:f.local ~seq payload
+
+let ack_upto t ~dst count =
+  let f = frames t in
+  let advanced = count > f.acked.(dst) in
+  if advanced then begin
+    f.acked.(dst) <- count;
+    let settle seq (m : string msg) = if seq < count then (m.acked <- true; None) else Some m in
+    Hashtbl.filter_map_inplace settle f.unacked.(dst)
+  end;
+  advanced
+
+let requeue t ~dst ~seq payload =
+  let f = frames t in
+  if seq >= f.acked.(dst) && not (Hashtbl.mem f.unacked.(dst) seq) then begin
+    let ch = channel t ~src:f.local ~dst in
+    if seq >= ch.next_seq then ch.next_seq <- seq + 1;
+    offer t ~src:f.local ~dst ~seq ~bytes:(String.length payload) payload
+  end
+
+let reoffer t ~dst =
+  let f = frames t in
+  for seq = f.acked.(dst) to (channel t ~src:f.local ~dst).next_seq - 1 do
+    match Hashtbl.find_opt f.unacked.(dst) seq with
+    | Some m -> f.io.emit ~dst ~seq ~retransmit:false m.body
+    | None -> ()
+  done
+
+let sent t ~src ~dst = (channel t ~src ~dst).next_seq
+let delivered t ~src ~dst = (channel t ~src ~dst).expected
+let acked t ~dst = (frames t).acked.(dst)
+let unacked t ~dst = Hashtbl.length (frames t).unacked.(dst)
+let window_peak t = Atomic.get t.window_peak
 
 let stats t : stats =
   {

@@ -9,13 +9,15 @@
     - every directed [(src, dst)] channel numbers its messages with a
       sequence number ([data_header_bytes] on the wire);
     - the receiver keeps a dedup/reorder window — a contiguous watermark
-      plus the arrivals held above a gap — so each message's callback runs
-      exactly once and in channel order, no matter how many copies arrive
-      or how late. It acks ([ack_bytes] on the wire) only arrivals the
-      watermark covers: a delivered message or a below-watermark
-      duplicate. An arrival held above a gap is NOT acked — the window is
-      volatile, so an ack is a durable promise the receiver can only make
-      for the contiguous prefix (see the crash support below);
+      plus at most {!window} arrivals held above a gap — so each
+      message's body runs exactly once and in channel order, no matter
+      how many copies arrive or how late. It acks ([ack_bytes] on the
+      wire) only arrivals the watermark covers: a delivered message or a
+      below-watermark duplicate. An arrival held above a gap is NOT acked
+      — the window is volatile, so an ack is a durable promise the
+      receiver can only make for the contiguous prefix (see the crash
+      support below). An arrival past a full window is dropped, unacked;
+      its retransmission lands once the gap has filled;
     - the sender retransmits on an ack timeout, backing off exponentially
       up to a cap (with optional deterministic per-channel jitter), and
       after [max_retries] retransmissions {e suspends} the channel: the
@@ -39,11 +41,18 @@
     currently-parked backlog — it must drain to zero once every partition
     heals, which the partition oracle asserts.
 
-    All retransmit and probe timers ride on the inner transport's clock,
-    so a simulated run with faults still quiesces deterministically —
-    {b provided every partition eventually heals}. A suspended channel
-    probes forever; drive an unhealed phase with [run ~until], not
-    [run]. *)
+    {b Two media, one protocol.} Over a {!Transport.t} ({!wrap}, what
+    the simulator runs with {!default_config}), a message is its
+    delivery closure and each covered arrival is acked by a closure sent
+    back. Timers ride on the inner transport's clock, so a simulated run
+    with faults still quiesces deterministically — {b provided every
+    partition eventually heals}: a suspended channel probes forever, so
+    drive an unhealed phase with [run ~until], not [run]. Over frames
+    ({!over_frames}, what {!Socket} runs for [dpcd]), a message is a
+    payload string and acks are cumulative, sent by the host when it
+    chooses. Sequencing, dedup, the window, delivery order,
+    retransmission and suspension are one code path for both, so the
+    chaos, crash and partition oracles test the channels [dpcd] runs. *)
 
 type config = {
   timeout : float;  (** seconds before the first retransmission *)
@@ -101,7 +110,15 @@ type stats = {
   probes : int;  (** heal probes sent *)
 }
 
-type t
+type 'body link
+(** The channels of a cluster whose messages carry a ['body]. *)
+
+type t = (unit -> unit) link
+(** Over a transport: a message is its delivery closure. *)
+
+val window : int
+(** Arrivals one channel holds above a gap (1,024); one more is dropped
+    unacked. *)
 
 val wrap : ?config:config -> ?metrics:(int -> Dpc_util.Metrics.t) -> Transport.t -> t
 (** Layer reliable delivery over a transport. When [metrics] maps a node
@@ -113,7 +130,7 @@ val wrap : ?config:config -> ?metrics:(int -> Dpc_util.Metrics.t) -> Transport.t
     @raise Invalid_argument on a non-positive timeout, backoff below 1,
     negative max_retries, or jitter outside [0, 1). *)
 
-val suspended_channels : t -> int
+val suspended_channels : 'a link -> int
 (** Number of channels currently suspended (parked tail waiting on a
     heal probe). Zero once every partition has healed and every probe
     has been answered. *)
@@ -125,8 +142,12 @@ val transport : t -> Transport.t
     [total_bytes] includes ack and retransmit traffic, and {!stats} says
     how much of it there was. *)
 
-val stats : t -> stats
+val stats : 'a link -> stats
 (** Cluster-wide totals (the per-node breakdown lives in [metrics]). *)
+
+val window_peak : 'a link -> int
+(** The most arrivals any one channel has held at once: {!window} once
+    the bound has dropped an arrival. *)
 
 (** {2 Crash support: channel state as data}
 
@@ -147,36 +168,86 @@ type seq_field =
       (** the receiver's contiguous watermark on channel [(src, dst)] —
           durable state of node [dst] *)
 
-val set_persist : t -> (seq_field -> src:int -> dst:int -> seq:int -> unit) -> unit
+val set_persist : 'a link -> (seq_field -> src:int -> dst:int -> seq:int -> unit) -> unit
 (** Observe every sequence-state advance, for write-ahead logging: the
     callback gets which half of channel [(src, dst)] advanced and its new
     value, as plain ints, so reporting an advance allocates nothing. The
     watermark advance is reported BEFORE the delivery callback runs, so
     journal entries written from inside the callback follow it. *)
 
-val set_next_seq : t -> src:int -> dst:int -> int -> unit
+val set_next_seq : 'a link -> src:int -> dst:int -> int -> unit
 (** Monotonic: raises the channel's [next_seq] to the given value if it is
     currently lower (mutating the live channel record — in-flight
     retransmit closures observe the change). Used by WAL replay. *)
 
-val set_expected : t -> src:int -> dst:int -> int -> unit
+val set_expected : 'a link -> src:int -> dst:int -> int -> unit
 (** Monotonic watermark restore, same contract as {!set_next_seq}. *)
 
-val forget : t -> node:int -> unit
+val forget : 'a link -> node:int -> unit
 (** Wipe the node's volatile channel state, as a crash does: [next_seq]
     of its outgoing channels and the watermark + reorder window of its
     incoming ones drop to zero, in place. Without a subsequent
     {!restore}/{!set_next_seq}, the node would reuse sequence numbers its
     peers have already seen. *)
 
-val snapshot : t -> node:int -> string
+val snapshot : 'a link -> node:int -> string
 (** Serialize the node's channel sequence state (for inclusion in a
     checkpoint). Deterministic: channels are sorted, zero-state channels
     are skipped. *)
 
-val restore : t -> node:int -> string -> unit
+val restore : 'a link -> node:int -> string -> unit
 (** Apply a {!snapshot} through {!set_next_seq}/{!set_expected} — i.e.
     monotonically, so replaying an old snapshot over fresher state is a
     no-op. Nothing is applied unless the whole blob reads.
     @raise Dpc_util.Serialize.Corrupt on a malformed blob, including a
     peer past the cluster. *)
+
+(** {2 Frames: one node's channels over byte streams}
+
+    Sequence numbers count from 0 here; a host that writes them 1-based
+    (dpc-wire-v1 does) converts at its edge. *)
+
+type frames_io = {
+  emit : dst:int -> seq:int -> retransmit:bool -> string -> unit;
+      (** put message [seq] of [(local, dst)] on the wire; [retransmit]
+          is false on its first transmission and on a {!reoffer} *)
+  timer : delay:float -> (unit -> unit) -> unit;
+  receive : src:int -> string -> unit;
+      (** deliver a payload of [(src, local)], after its watermark advance *)
+}
+
+val over_frames : config:config -> nodes:int -> local:int -> frames_io -> string link
+(** Node [local]'s channels in a [nodes]-wide cluster.
+    @raise Invalid_argument as {!wrap} does, or on an out-of-range [local]. *)
+
+val send : 'a link -> src:int -> dst:int -> bytes:int -> 'a -> unit
+(** Sequence a message of [bytes] (header excluded) on [(src, dst)] and
+    transmit it until an ack covers it; {!transport}'s [send] over a
+    transport. *)
+
+val arrive : string link -> src:int -> seq:int -> string -> bool
+(** A data frame of [(src, local)] arrived. Whether the watermark covers
+    it: then the host owes [src] an ack of {!delivered}. *)
+
+val ack_upto : string link -> dst:int -> int -> bool
+(** A cumulative ack from [dst] for every message below the count.
+    Whether it advanced {!acked}. *)
+
+val requeue : string link -> dst:int -> seq:int -> string -> unit
+(** Take an unacked message back after a restart, without a [Next_seq]
+    report. Ignored below {!acked} or when already unacked. *)
+
+val reoffer : string link -> dst:int -> unit
+(** Emit every unacked message to [dst] once, in order, arming no
+    timer: what a fresh connection owes the peer. *)
+
+val sent : 'a link -> src:int -> dst:int -> int
+(** Messages sequenced on [(src, dst)]. *)
+
+val delivered : 'a link -> src:int -> dst:int -> int
+(** The receive watermark of [(src, dst)]. *)
+
+val acked : string link -> dst:int -> int
+(** The acked prefix of [(local, dst)]. *)
+
+val unacked : string link -> dst:int -> int

@@ -6,9 +6,9 @@ type t = {
 }
 
 (* The search frontier: a binary min-heap of (distance, node) entries on two
-   parallel arrays, so distances stay unboxed. Its sift steps are
-   {!Dpc_util.Heap}'s, so entries of equal distance pop in the order a
-   [Heap] ordered on distance alone would pop them. *)
+   parallel arrays, so distances stay unboxed. Its sift steps are those of
+   test_net's reference heap over boxed pairs, so entries of equal
+   distance pop in the order the reference search pops them. *)
 type frontier = { key : float array; node : int array; mutable size : int }
 
 let swap f i j =

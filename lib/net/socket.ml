@@ -1,10 +1,6 @@
 module Clock = Dpc_util.Clock
-module Heap = Dpc_util.Heap
+module Event_queue = Dpc_util.Event_queue
 module Serialize = Dpc_util.Serialize
-
-type config = { retransmit_every : float; dial_retry : float; hold_cap : int }
-
-let default_config = { retransmit_every = 0.25; dial_retry = 0.2; hold_cap = 1024 }
 
 type persist_event =
   | Sent of { dst : int; seq : int; payload : string }
@@ -23,7 +19,14 @@ type stats = {
   chaos_duplicated : int;
   chaos_delayed : int;
   blocked_drops : int;
+  stray_frames : int;
 }
+
+(* TCP needs no backoff: every unacked frame is re-offered every 250 ms
+   until an ack covers it, and a channel never gives up (dpc-wire-v1 has
+   no probe frame to heal one with). *)
+let channel_config =
+  { Reliable.timeout = 0.25; backoff = 1.0; max_timeout = 0.25; max_retries = max_int; jitter = 0.0 }
 
 type addr = A_unix of string | A_tcp of string * int
 
@@ -56,101 +59,70 @@ let sockaddr_of = function
       in
       Unix.ADDR_INET (ip, port)
 
+let sockaddr s = sockaddr_of (parse_addr s)
+
 type conn = {
   fd : Unix.file_descr;
   decoder : Wire.Decoder.t;
   outq : string Queue.t;  (* encoded frames awaiting the wire *)
   mutable out_off : int;  (* bytes of the queue head already written *)
   mutable peer : int;  (* -1 until the hello arrives *)
-  mutable connecting : bool;  (* outgoing dial, connect not yet resolved *)
+  mutable connecting : bool;  (* outgoing dial, handshake not yet done *)
   mutable closed : bool;
-  outbound_to : int option;  (* [Some dst] on our dial to a peer *)
+  dialed : bool;  (* our connection to [peer], not one it dialed *)
 }
-
-type out_chan = {
-  mutable next_seq : int;  (* next sequence to assign; 1-based *)
-  mutable o_acked : int;  (* highest cumulatively acked sequence *)
-  unacked : (int, string) Hashtbl.t;
-}
-
-type in_chan = {
-  mutable expected : int;  (* next sequence we will deliver *)
-  held_frames : (int, string) Hashtbl.t;  (* arrived early, waiting for the gap *)
-  mutable ack_due : bool;
-}
-
-type timer = { at : float; tie : int; fn : unit -> unit }
 
 type t = {
   nodes : int;
   local : int;
   addrs : addr array;
-  config : config;
   epoch : float;
   listen_fd : Unix.file_descr;
-  listen_path : string option;
   scratch : Bytes.t;
   mutable conns : conn list;
   out_conns : (int, conn) Hashtbl.t;
-  redial_armed : (int, unit) Hashtbl.t;
-  out_chans : (int, out_chan) Hashtbl.t;
-  in_chans : (int, in_chan) Hashtbl.t;
-  timers : timer Heap.t;
-  mutable timer_tie : int;
-  mutable deliver : (src:int -> payload:string -> unit) option;
-  mutable control : (payload:string -> reply:(string -> unit) -> unit) option;
-  mutable persist : (persist_event -> unit) option;
-  mutable sync : (unit -> unit) option;
+  (* Timers, by wall-clock seconds since [epoch]: the channels'
+     retransmissions, delayed chaos frames and local deliveries. *)
+  timers : Event_queue.t;
+  timer_clock : Event_queue.clock;
+  channels : string Reliable.link;
+  ack_due : bool array;  (* by peer: an arrival its last ack does not cover *)
+  mutable deliver : src:int -> payload:string -> unit;
+  mutable control : payload:string -> reply:(string -> unit) -> unit;
+  mutable persist : persist_event -> unit;
+  mutable sync : unit -> unit;
   mutable delivered_any : bool;
   mutable stopped : bool;
   mutable bytes_total : int;
   mutable msgs_total : int;
-  mutable m_data_sent : int;
-  mutable m_data_received : int;
-  mutable m_retransmits : int;
-  mutable m_dup_dropped : int;
-  mutable m_held : int;
-  mutable m_acks_sent : int;
-  mutable m_reconnects : int;
+  (* The [stats] counters other than the channels', as [socket.<field>]. *)
+  counters : Dpc_util.Metrics.t;
   (* Injectable link faults: [blocked] peers are a process-level partition
      (dials refused, established connections dropped, inbound frames
      eaten); [chaos] corrupts outgoing data frames the way
      [Transport.faulty] corrupts simulated sends. *)
-  blocked : (int, unit) Hashtbl.t;
+  blocked : bool array;
   mutable chaos : (src:int -> dst:int -> bytes:int -> Transport.fault) option;
-  mutable m_chaos_dropped : int;
-  mutable m_chaos_duplicated : int;
-  mutable m_chaos_delayed : int;
-  mutable m_blocked_drops : int;
 }
 
 let now t = Clock.now () -. t.epoch
 
-let persist t ev = match t.persist with Some f -> f ev | None -> ()
+let schedule_at t at fn = Event_queue.push t.timers at fn
 
-let schedule_at t at fn =
-  t.timer_tie <- t.timer_tie + 1;
-  Heap.push t.timers { at; tie = t.timer_tie; fn }
-
-let out_chan_of t dst =
-  match Hashtbl.find_opt t.out_chans dst with
-  | Some ch -> ch
-  | None ->
-      let ch = { next_seq = 1; o_acked = 0; unacked = Hashtbl.create 16 } in
-      Hashtbl.replace t.out_chans dst ch;
-      ch
-
-let in_chan_of t src =
-  match Hashtbl.find_opt t.in_chans src with
-  | Some ch -> ch
-  | None ->
-      let ch = { expected = 1; held_frames = Hashtbl.create 16; ack_due = false } in
-      Hashtbl.replace t.in_chans src ch;
-      ch
+let count t name = Dpc_util.Metrics.incr t.counters name
 
 let conn_alive c = not (c.closed || c.connecting)
 
 let outq_bytes c = Queue.fold (fun acc s -> acc + String.length s) (-c.out_off) c.outq
+
+let check_peer t what peer =
+  if peer < 0 || peer >= t.nodes || peer = t.local then
+    invalid_arg (Printf.sprintf "Socket.%s: peer %d out of range" what peer)
+
+(* A peer is worth dialing while we owe it data or acks. *)
+let want_peer t peer =
+  Reliable.unacked t.channels ~dst:peer > 0
+  || Reliable.delivered t.channels ~src:peer ~dst:t.local > 0
 
 (* ---- wire I/O ------------------------------------------------------- *)
 
@@ -170,111 +142,87 @@ let rec flush_conn t c =
     | exception Unix.Unix_error (_, _, _) -> close_conn t c
   end
 
+(* A lost connection is redialed on demand: by the next retransmission
+   to the peer, or by the next ack owed to it. *)
 and close_conn t c =
   if not c.closed then begin
     c.closed <- true;
     (try Unix.close c.fd with _ -> ());
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
-    match c.outbound_to with
-    | Some dst ->
-        (match Hashtbl.find_opt t.out_conns dst with
-        | Some c' when c' == c -> Hashtbl.remove t.out_conns dst
-        | _ -> ());
-        arm_redial t dst
-    | None -> ()
+    (* At most one dialed connection per peer is open. *)
+    if c.dialed then Hashtbl.remove t.out_conns c.peer
   end
 
-and arm_redial t dst =
-  if not (Hashtbl.mem t.redial_armed dst) then begin
-    Hashtbl.replace t.redial_armed dst ();
-    schedule_at t
-      (now t +. t.config.dial_retry)
-      (fun () ->
-        Hashtbl.remove t.redial_armed dst;
-        if want_peer t dst then ensure_dial t dst)
-  end
+let new_conn fd ~peer ~connecting ~dialed =
+  {
+    fd;
+    decoder = Wire.Decoder.create ();
+    outq = Queue.create ();
+    out_off = 0;
+    peer;
+    connecting;
+    closed = false;
+    dialed;
+  }
 
-(* A peer is worth (re)dialing while we owe it data or acks. *)
-and want_peer t dst =
-  (match Hashtbl.find_opt t.out_chans dst with
-  | Some ch -> Hashtbl.length ch.unacked > 0
-  | None -> false)
-  || Hashtbl.mem t.in_chans dst
-
-and ensure_dial t dst =
-  if
-    dst <> t.local && dst >= 0 && dst < t.nodes
-    && (not (Hashtbl.mem t.out_conns dst))
-    && not (Hashtbl.mem t.blocked dst)
-  then begin
+(* The select loop finishes every dial, even one that connects at once:
+   the hello, the re-offered tail and the ack go out from the loop, never
+   from inside a delivery batch whose effects are not yet flushed. *)
+let ensure_dial t dst =
+  if (not (Hashtbl.mem t.out_conns dst)) && not t.blocked.(dst) then begin
     let sa = sockaddr_of t.addrs.(dst) in
-    let domain = Unix.domain_of_sockaddr sa in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
-    let mk connecting =
-      {
-        fd;
-        decoder = Wire.Decoder.create ();
-        outq = Queue.create ();
-        out_off = 0;
-        peer = dst;
-        connecting;
-        closed = false;
-        outbound_to = Some dst;
-      }
+    let dialing () =
+      let c = new_conn fd ~peer:dst ~connecting:true ~dialed:true in
+      t.conns <- c :: t.conns;
+      Hashtbl.replace t.out_conns dst c
     in
     match Unix.connect fd sa with
-    | () ->
-        let c = mk false in
-        t.conns <- c :: t.conns;
-        Hashtbl.replace t.out_conns dst c;
-        dial_connected t dst c
-    | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) ->
-        let c = mk true in
-        t.conns <- c :: t.conns;
-        Hashtbl.replace t.out_conns dst c
-    | exception Unix.Unix_error (_, _, _) ->
-        (try Unix.close fd with _ -> ());
-        arm_redial t dst
+    | () -> dialing ()
+    | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) -> dialing ()
+    | exception Unix.Unix_error (_, _, _) -> ( try Unix.close fd with _ -> ())
   end
 
-and enqueue_frame t c frame_bytes =
+let enqueue_frame t c frame_bytes =
   if not c.closed then begin
     Queue.push frame_bytes c.outq;
     flush_conn t c
   end
 
-and dial_connected t dst c =
-  t.m_reconnects <- t.m_reconnects + 1;
-  enqueue_frame t c (Wire.encode { kind = Hello; src = t.local; dst; seq = 0; payload = "" });
-  resend_unacked t dst c ~count_retransmits:false;
-  match Hashtbl.find_opt t.in_chans dst with
-  | Some ch ->
-      ch.ack_due <- false;
-      send_ack_frame t dst c ch
-  | None -> ()
+let send_ack_frame t peer c =
+  count t "socket.acks_sent";
+  t.ack_due.(peer) <- false;
+  enqueue_frame t c
+    (Wire.encode
+       { kind = Ack; src = t.local; dst = peer;
+         seq = Reliable.delivered t.channels ~src:peer ~dst:t.local; payload = "" })
 
-and resend_unacked t dst _c ~count_retransmits =
-  match Hashtbl.find_opt t.out_chans dst with
-  | None -> ()
-  | Some ch ->
-      for seq = ch.o_acked + 1 to ch.next_seq - 1 do
-        match Hashtbl.find_opt ch.unacked seq with
-        | Some payload ->
-            if count_retransmits then t.m_retransmits <- t.m_retransmits + 1;
-            transmit_data t dst (Wire.encode { kind = Data; src = t.local; dst; seq; payload })
-        | None -> ()
-      done
+let send_ack t peer =
+  match Hashtbl.find_opt t.out_conns peer with
+  | Some c when conn_alive c -> send_ack_frame t peer c
+  | _ -> ensure_dial t peer
+
+let dial_connected t dst c =
+  count t "socket.reconnects";
+  enqueue_frame t c (Wire.encode { kind = Hello; src = t.local; dst; seq = 0; payload = "" });
+  Reliable.reoffer t.channels ~dst;
+  if Reliable.delivered t.channels ~src:dst ~dst:t.local > 0 then send_ack_frame t dst c
 
 (* Every outgoing data frame funnels through here so link chaos has one
-   injection point. A dropped frame never reaches the wire — it stays in
-   the unacked set and the retransmit scan re-offers it; a duplicate is
-   enqueued twice (the peer's dedup window eats the copy); a delayed
-   frame is re-offered by a timer, re-checking the connection then. *)
-and transmit_data t dst wire =
+   injection point. A dropped frame never reaches the wire — its channel
+   timer re-offers it; a duplicate is enqueued twice (the peer's dedup
+   window eats the copy); a delayed frame is enqueued by a timer,
+   re-checking the connection then. Wire sequence numbers are 1-based. *)
+let emit t ~dst ~seq ~retransmit payload =
+  let wire = Wire.encode { kind = Data; src = t.local; dst; seq = seq + 1; payload } in
   let enqueue () =
     match Hashtbl.find_opt t.out_conns dst with
-    | Some c when conn_alive c -> enqueue_frame t c wire
+    | Some c when conn_alive c ->
+        (* Skip a re-offer while an earlier burst is still draining:
+           re-queueing on a congested connection only amplifies the
+           backlog. *)
+        if not (retransmit && outq_bytes c >= 1 lsl 20) then enqueue_frame t c wire
     | Some _ -> ()
     | None -> ensure_dial t dst
   in
@@ -283,66 +231,31 @@ and transmit_data t dst wire =
   | Some decide -> (
       match decide ~src:t.local ~dst ~bytes:(String.length wire) with
       | Transport.F_deliver -> enqueue ()
-      | Transport.F_drop -> t.m_chaos_dropped <- t.m_chaos_dropped + 1
+      | Transport.F_drop -> count t "socket.chaos_dropped"
       | Transport.F_duplicate ->
-          t.m_chaos_duplicated <- t.m_chaos_duplicated + 1;
+          count t "socket.chaos_duplicated";
           enqueue ();
           enqueue ()
       | Transport.F_delay extra ->
-          t.m_chaos_delayed <- t.m_chaos_delayed + 1;
+          count t "socket.chaos_delayed";
           schedule_at t (now t +. extra) enqueue)
 
-and send_ack_frame t peer c ch =
-  t.m_acks_sent <- t.m_acks_sent + 1;
-  enqueue_frame t c
-    (Wire.encode { kind = Ack; src = t.local; dst = peer; seq = ch.expected - 1; payload = "" })
-
-let send_ack t peer =
-  let ch = in_chan_of t peer in
-  match Hashtbl.find_opt t.out_conns peer with
-  | Some c when conn_alive c ->
-      ch.ack_due <- false;
-      send_ack_frame t peer c ch
-  | _ ->
-      ch.ack_due <- true;
-      ensure_dial t peer
+(* The channel has advanced its watermark past this payload. *)
+let receive t ~src payload =
+  t.persist (Expected { src; seq = Reliable.delivered t.channels ~src ~dst:t.local + 1 });
+  count t "socket.data_received";
+  t.delivered_any <- true;
+  t.deliver ~src ~payload
 
 (* ---- the data plane -------------------------------------------------- *)
 
 let send_payload t ~dst payload =
-  if dst < 0 || dst >= t.nodes then invalid_arg "Socket.send_payload: destination out of range";
-  if dst = t.local then
-    invalid_arg "Socket.send_payload: local destination goes through Transport.send";
-  let ch = out_chan_of t dst in
-  let seq = ch.next_seq in
-  ch.next_seq <- seq + 1;
-  persist t (Sent { dst; seq; payload });
-  Hashtbl.replace ch.unacked seq payload;
-  t.m_data_sent <- t.m_data_sent + 1;
+  check_peer t "send_payload" dst;
+  t.persist (Sent { dst; seq = Reliable.sent t.channels ~src:t.local ~dst + 1; payload });
+  count t "socket.data_sent";
   t.msgs_total <- t.msgs_total + 1;
-  let wire = Wire.encode { kind = Data; src = t.local; dst; seq; payload } in
-  t.bytes_total <- t.bytes_total + String.length wire;
-  transmit_data t dst wire
-
-let deliver_in_order t src ch first_payload =
-  let deliver_one payload =
-    let seq = ch.expected in
-    persist t (Expected { src; seq = seq + 1 });
-    ch.expected <- seq + 1;
-    t.m_data_received <- t.m_data_received + 1;
-    t.delivered_any <- true;
-    match t.deliver with Some f -> f ~src ~payload | None -> ()
-  in
-  deliver_one first_payload;
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt ch.held_frames ch.expected with
-    | Some payload ->
-        Hashtbl.remove ch.held_frames ch.expected;
-        deliver_one payload
-    | None -> continue := false
-  done;
-  ch.ack_due <- true
+  t.bytes_total <- t.bytes_total + Wire.header_bytes + String.length payload;
+  Reliable.send t.channels ~src:t.local ~dst ~bytes:(String.length payload) payload
 
 let handle_frame t c (f : Wire.frame) =
   match f.kind with
@@ -350,45 +263,22 @@ let handle_frame t c (f : Wire.frame) =
       c.peer <- f.src;
       (* A blocked peer's dial is refused at the handshake: the partition
          is symmetric from this endpoint's point of view. *)
-      if Hashtbl.mem t.blocked f.src then close_conn t c
-  | Data when Hashtbl.mem t.blocked f.src ->
-      t.m_blocked_drops <- t.m_blocked_drops + 1
+      if f.src < t.nodes && t.blocked.(f.src) then close_conn t c
+  | Data | Ack when f.src >= t.nodes || f.src = t.local ->
+      count t "socket.stray_frames"
+  | Data | Ack when t.blocked.(f.src) -> count t "socket.blocked_drops"
   | Data ->
-      if f.dst = t.local then begin
-        let ch = in_chan_of t f.src in
-        if f.seq < ch.expected then begin
-          t.m_dup_dropped <- t.m_dup_dropped + 1;
-          ch.ack_due <- true
-        end
-        else if f.seq = ch.expected then deliver_in_order t f.src ch f.payload
-        else if
-          Hashtbl.length ch.held_frames < t.config.hold_cap
-          && not (Hashtbl.mem ch.held_frames f.seq)
-        then begin
-          Hashtbl.replace ch.held_frames f.seq f.payload;
-          t.m_held <- t.m_held + 1
-        end
-      end
-  | Ack when Hashtbl.mem t.blocked f.src ->
-      t.m_blocked_drops <- t.m_blocked_drops + 1
+      if f.dst = t.local && Reliable.arrive t.channels ~src:f.src ~seq:(f.seq - 1) f.payload then
+        t.ack_due.(f.src) <- true
   | Ack ->
-      let ch = out_chan_of t f.src in
-      if f.seq > ch.o_acked then begin
-        for s = ch.o_acked + 1 to f.seq do
-          Hashtbl.remove ch.unacked s
-        done;
-        ch.o_acked <- f.seq;
-        persist t (Acked { dst = f.src; seq = f.seq })
-      end
-  | Ctrl -> (
-      match t.control with
-      | Some h ->
-          let reply s =
-            enqueue_frame t c
-              (Wire.encode { kind = Ctrl; src = t.local; dst = Wire.control_id; seq = f.seq; payload = s })
-          in
-          h ~payload:f.payload ~reply
-      | None -> ())
+      if Reliable.ack_upto t.channels ~dst:f.src f.seq then
+        t.persist (Acked { dst = f.src; seq = f.seq })
+  | Ctrl ->
+      let reply s =
+        enqueue_frame t c
+          (Wire.encode { kind = Ctrl; src = t.local; dst = Wire.control_id; seq = f.seq; payload = s })
+      in
+      t.control ~payload:f.payload ~reply
 
 let read_conn t c =
   let continue = ref true in
@@ -420,19 +310,7 @@ let accept_pending t =
     match Unix.accept t.listen_fd with
     | fd, _ ->
         Unix.set_nonblock fd;
-        t.conns <-
-          {
-            fd;
-            decoder = Wire.Decoder.create ();
-            outq = Queue.create ();
-            out_off = 0;
-            peer = -1;
-            connecting = false;
-            closed = false;
-            outbound_to = None;
-          }
-          :: t.conns
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> continue := false
+        t.conns <- new_conn fd ~peer:(-1) ~connecting:false ~dialed:false :: t.conns
     | exception Unix.Unix_error (_, _, _) -> continue := false
   done
 
@@ -440,49 +318,23 @@ let check_connect t c =
   match Unix.getsockopt_error c.fd with
   | None ->
       c.connecting <- false;
-      (match c.outbound_to with Some dst -> dial_connected t dst c | None -> ())
+      dial_connected t c.peer c
   | Some _ -> close_conn t c
 
 (* After every receive batch: flush effects to disk, then let the acks out.
    The order is the whole point — an ack is a durable promise. *)
 let finish_batch t =
   if t.delivered_any then begin
-    (match t.sync with Some f -> f () | None -> ());
+    t.sync ();
     t.delivered_any <- false
   end;
-  Hashtbl.iter (fun src ch -> if ch.ack_due then send_ack t src) t.in_chans
+  Array.iteri (fun peer due -> if due then send_ack t peer) t.ack_due
 
 let fire_due_timers t =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.timers with
-    | Some tm when tm.at <= now t ->
-        ignore (Heap.pop t.timers);
-        tm.fn ()
-    | _ -> continue := false
+  while Event_queue.next_time t.timers <= now t do
+    let action = Event_queue.pop t.timers t.timer_clock in
+    action ()
   done
-
-let retransmit_scan t =
-  Hashtbl.iter
-    (fun dst ch ->
-      if Hashtbl.length ch.unacked > 0 then
-        match Hashtbl.find_opt t.out_conns dst with
-        | Some c when conn_alive c ->
-            (* Skip while a previous burst is still draining: re-queueing
-               on a congested connection only amplifies the backlog. *)
-            if outq_bytes c < 1 lsl 20 then resend_unacked t dst c ~count_retransmits:true
-        | Some _ -> ()
-        | None -> ensure_dial t dst)
-    t.out_chans;
-  Hashtbl.iter
-    (fun src ch ->
-      if ch.ack_due then
-        match Hashtbl.find_opt t.out_conns src with
-        | Some c when conn_alive c ->
-            ch.ack_due <- false;
-            send_ack_frame t src c ch
-        | _ -> ensure_dial t src)
-    t.in_chans
 
 let run_loop t ?until () =
   let horizon_open () = match until with Some u -> now t < u | None -> true in
@@ -505,11 +357,8 @@ let run_loop t ?until () =
       in
       let tnow = now t in
       let timeout =
-        let cap acc = function Some x -> Float.min acc x | None -> acc in
-        let upper =
-          cap (cap 0.05 (Option.map (fun u -> u -. tnow) until))
-            (match Heap.peek t.timers with Some tm -> Some (tm.at -. tnow) | None -> None)
-        in
+        let upper = Float.min 0.05 (Event_queue.next_time t.timers -. tnow) in
+        let upper = match until with Some u -> Float.min upper (u -. tnow) | None -> upper in
         Float.max 0. upper
       in
       match Unix.select rd wr [] timeout with
@@ -535,13 +384,15 @@ let run_loop t ?until () =
 
 (* ---- lifecycle ------------------------------------------------------- *)
 
-let create ~nodes ~local ~addr_of ?(config = default_config) () =
+let create ~nodes ~local ~addr_of () =
   if nodes <= 0 then invalid_arg "Socket.create: nodes must be positive";
   if local < 0 || local >= nodes then invalid_arg "Socket.create: local node out of range";
+  (* A write to a connection its peer has closed must fail with EPIPE,
+     which drops the connection, instead of killing the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addrs = Array.init nodes (fun i -> parse_addr (addr_of i)) in
-  let listen_path = match addrs.(local) with A_unix p -> Some p | A_tcp _ -> None in
-  (match listen_path with
-  | Some p when Sys.file_exists p -> ( try Unix.unlink p with _ -> ())
+  (match addrs.(local) with
+  | A_unix p when Sys.file_exists p -> ( try Unix.unlink p with _ -> ())
   | _ -> ());
   let sa = sockaddr_of addrs.(local) in
   let listen_fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
@@ -555,59 +406,47 @@ let create ~nodes ~local ~addr_of ?(config = default_config) () =
    with e ->
      (try Unix.close listen_fd with _ -> ());
      raise e);
-  let t =
-    {
-      nodes;
-      local;
-      addrs;
-      config;
-      epoch = Clock.now ();
-      listen_fd;
-      listen_path;
-      scratch = Bytes.create 65536;
-      conns = [];
-      out_conns = Hashtbl.create 8;
-      redial_armed = Hashtbl.create 8;
-      out_chans = Hashtbl.create 8;
-      in_chans = Hashtbl.create 8;
-      timers = Heap.create ~cmp:(fun a b -> compare (a.at, a.tie) (b.at, b.tie));
-      timer_tie = 0;
-      deliver = None;
-      control = None;
-      persist = None;
-      sync = None;
-      delivered_any = false;
-      stopped = false;
-      bytes_total = 0;
-      msgs_total = 0;
-      m_data_sent = 0;
-      m_data_received = 0;
-      m_retransmits = 0;
-      m_dup_dropped = 0;
-      m_held = 0;
-      m_acks_sent = 0;
-      m_reconnects = 0;
-      blocked = Hashtbl.create 4;
-      chaos = None;
-      m_chaos_dropped = 0;
-      m_chaos_duplicated = 0;
-      m_chaos_delayed = 0;
-      m_blocked_drops = 0;
-    }
+  (* The channels call back into the socket they belong to. *)
+  let rec t =
+    lazy
+      {
+        nodes;
+        local;
+        addrs;
+        epoch = Clock.now ();
+        listen_fd;
+        scratch = Bytes.create 65536;
+        conns = [];
+        out_conns = Hashtbl.create 8;
+        timers = Event_queue.create ();
+        timer_clock = { Event_queue.now = 0.0 };
+        channels =
+          Reliable.over_frames ~config:channel_config ~nodes ~local
+            {
+              emit = (fun ~dst ~seq ~retransmit payload -> emit (Lazy.force t) ~dst ~seq ~retransmit payload);
+              timer = (fun ~delay k -> let t = Lazy.force t in schedule_at t (now t +. delay) k);
+              receive = (fun ~src payload -> receive (Lazy.force t) ~src payload);
+            };
+        ack_due = Array.make nodes false;
+        deliver = (fun ~src:_ ~payload:_ -> ());
+        control = (fun ~payload:_ ~reply:_ -> ());
+        persist = ignore;
+        sync = ignore;
+        delivered_any = false;
+        stopped = false;
+        bytes_total = 0;
+        msgs_total = 0;
+        counters = Dpc_util.Metrics.create ();
+        blocked = Array.make nodes false;
+        chaos = None;
+      }
   in
-  let rec scan () =
-    if not t.stopped then begin
-      retransmit_scan t;
-      schedule_at t (now t +. t.config.retransmit_every) scan
-    end
-  in
-  schedule_at t (now t +. t.config.retransmit_every) scan;
-  t
+  Lazy.force t
 
-let set_deliver t f = t.deliver <- Some f
-let set_control t f = t.control <- Some f
-let set_persist t f = t.persist <- Some f
-let set_sync t f = t.sync <- Some f
+let set_deliver t f = t.deliver <- f
+let set_control t f = t.control <- f
+let set_persist t f = t.persist <- f
+let set_sync t f = t.sync <- f
 
 let set_chaos t ~config ~seed =
   t.chaos <- Some (Transport.hashed_decide ~config ~seed ~nodes:t.nodes)
@@ -615,10 +454,9 @@ let set_chaos t ~config ~seed =
 let clear_chaos t = t.chaos <- None
 
 let set_peer_blocked t ~peer blocked =
-  if peer < 0 || peer >= t.nodes || peer = t.local then
-    invalid_arg "Socket.set_peer_blocked: peer out of range";
-  if blocked && not (Hashtbl.mem t.blocked peer) then begin
-    Hashtbl.replace t.blocked peer ();
+  check_peer t "set_peer_blocked" peer;
+  if blocked && not t.blocked.(peer) then begin
+    t.blocked.(peer) <- true;
     (* Cut the established paths both ways: our dial to the peer and any
        inbound connection it holds to us. Frames already buffered die
        with the connection; the peer's (and our) retransmit discipline
@@ -628,66 +466,54 @@ let set_peer_blocked t ~peer blocked =
     | None -> ());
     List.iter (fun c -> if c.peer = peer then close_conn t c) t.conns
   end
-  else if (not blocked) && Hashtbl.mem t.blocked peer then begin
-    Hashtbl.remove t.blocked peer;
+  else if (not blocked) && t.blocked.(peer) then begin
+    t.blocked.(peer) <- false;
     (* Heal: redial eagerly if we owe the peer anything; the reconnect
        handshake re-offers the whole unacked tail. *)
     if want_peer t peer then ensure_dial t peer
   end
 
-let peer_blocked t ~peer = Hashtbl.mem t.blocked peer
+let peer_blocked t ~peer = t.blocked.(peer)
+
+(* The restart API speaks dpc-wire-v1's 1-based sequences: a sender's
+   next sequence and a receiver's watermark are one past the channel's
+   counts, an acked sequence equals its count. *)
 
 let set_next_seq t ~dst v =
-  let ch = out_chan_of t dst in
-  if v > ch.next_seq then ch.next_seq <- v
+  check_peer t "set_next_seq" dst;
+  Reliable.set_next_seq t.channels ~src:t.local ~dst (v - 1)
 
 let set_expected t ~src v =
-  let ch = in_chan_of t src in
-  if v > ch.expected then begin
-    ch.expected <- v;
-    Hashtbl.iter (fun s _ -> if s < v then Hashtbl.remove ch.held_frames s) (Hashtbl.copy ch.held_frames)
-  end
+  check_peer t "set_expected" src;
+  Reliable.set_expected t.channels ~src ~dst:t.local (v - 1)
 
-let set_acked t ~dst v =
-  let ch = out_chan_of t dst in
-  if v > ch.o_acked then begin
-    for s = ch.o_acked + 1 to v do
-      Hashtbl.remove ch.unacked s
-    done;
-    ch.o_acked <- v
-  end
-
-let sender_next_seq t ~dst = (out_chan_of t dst).next_seq
+let sender_next_seq t ~dst = Reliable.sent t.channels ~src:t.local ~dst + 1
 
 let requeue t ~dst ~seq payload =
-  let ch = out_chan_of t dst in
-  if seq > ch.o_acked then begin
-    Hashtbl.replace ch.unacked seq payload;
-    if seq >= ch.next_seq then ch.next_seq <- seq + 1;
-    ensure_dial t dst
-  end
+  check_peer t "requeue" dst;
+  Reliable.requeue t.channels ~dst ~seq:(seq - 1) payload
 
 let chan_magic = "dpc-chan-v1"
 
 let snapshot_channels t =
+  let peers f = List.filter_map f (List.init t.nodes Fun.id) in
   let outs =
-    Hashtbl.fold
-      (fun dst ch acc -> if ch.next_seq > 1 || ch.o_acked > 0 then (dst, ch) :: acc else acc)
-      t.out_chans []
-    |> List.sort compare
+    peers (fun dst ->
+      let next_seq = sender_next_seq t ~dst and acked = Reliable.acked t.channels ~dst in
+      if next_seq > 1 || acked > 0 then Some (dst, next_seq, acked) else None)
   in
   let ins =
-    Hashtbl.fold (fun src ch acc -> if ch.expected > 1 then (src, ch.expected) :: acc else acc)
-      t.in_chans []
-    |> List.sort compare
+    peers (fun src ->
+      let expected = Reliable.delivered t.channels ~src ~dst:t.local + 1 in
+      if expected > 1 then Some (src, expected) else None)
   in
   Serialize.with_scratch (fun w ->
       Serialize.write_string w chan_magic;
       Serialize.write_list w
-        (fun (dst, ch) ->
+        (fun (dst, next_seq, acked) ->
           Serialize.write_varint w dst;
-          Serialize.write_varint w ch.next_seq;
-          Serialize.write_varint w ch.o_acked)
+          Serialize.write_varint w next_seq;
+          Serialize.write_varint w acked)
         outs;
       Serialize.write_list w
         (fun (src, expected) ->
@@ -700,53 +526,64 @@ let restore_channels t blob =
   let magic = Serialize.read_string r in
   if magic <> chan_magic then
     raise (Serialize.Corrupt (Printf.sprintf "channel snapshot: bad magic %S" magic));
+  let peer () =
+    let p = Serialize.read_varint r in
+    if p < 0 || p >= t.nodes || p = t.local then
+      raise (Serialize.Corrupt (Printf.sprintf "channel snapshot: peer %d outside the cluster" p));
+    p
+  in
   let outs =
     Serialize.read_list r (fun () ->
-        let dst = Serialize.read_varint r in
+        let dst = peer () in
         let next_seq = Serialize.read_varint r in
         let acked = Serialize.read_varint r in
         (dst, next_seq, acked))
   in
   let ins =
     Serialize.read_list r (fun () ->
-        let src = Serialize.read_varint r in
+        let src = peer () in
         let expected = Serialize.read_varint r in
         (src, expected))
   in
   List.iter
     (fun (dst, next_seq, acked) ->
       set_next_seq t ~dst next_seq;
-      set_acked t ~dst acked)
+      ignore (Reliable.ack_upto t.channels ~dst acked))
     outs;
   List.iter (fun (src, expected) -> set_expected t ~src expected) ins
 
-let unacked t = Hashtbl.fold (fun _ ch acc -> acc + Hashtbl.length ch.unacked) t.out_chans 0
+let unacked t =
+  let n = ref 0 in
+  for dst = 0 to t.nodes - 1 do
+    n := !n + Reliable.unacked t.channels ~dst
+  done;
+  !n
 
 let stop t = t.stopped <- true
 
 let close t =
   stop t;
-  List.iter (fun c -> if not c.closed then (c.closed <- true; try Unix.close c.fd with _ -> ())) t.conns;
-  t.conns <- [];
-  Hashtbl.reset t.out_conns;
+  List.iter (close_conn t) t.conns;
   (try Unix.close t.listen_fd with _ -> ());
-  match t.listen_path with
-  | Some p -> ( try Unix.unlink p with _ -> ())
-  | None -> ()
+  match t.addrs.(t.local) with
+  | A_unix p -> ( try Unix.unlink p with _ -> ())
+  | A_tcp _ -> ()
 
 let stats t =
+  let r = Reliable.stats t.channels and c = Dpc_util.Metrics.counter_value t.counters in
   {
-    data_sent = t.m_data_sent;
-    data_received = t.m_data_received;
-    retransmits = t.m_retransmits;
-    dup_dropped = t.m_dup_dropped;
-    held = t.m_held;
-    acks_sent = t.m_acks_sent;
-    reconnects = t.m_reconnects;
-    chaos_dropped = t.m_chaos_dropped;
-    chaos_duplicated = t.m_chaos_duplicated;
-    chaos_delayed = t.m_chaos_delayed;
-    blocked_drops = t.m_blocked_drops;
+    data_sent = c "socket.data_sent";
+    data_received = c "socket.data_received";
+    retransmits = r.retransmits;
+    dup_dropped = r.dup_dropped;
+    held = r.held;
+    acks_sent = c "socket.acks_sent";
+    reconnects = c "socket.reconnects";
+    chaos_dropped = c "socket.chaos_dropped";
+    chaos_duplicated = c "socket.chaos_duplicated";
+    chaos_delayed = c "socket.chaos_delayed";
+    blocked_drops = c "socket.blocked_drops";
+    stray_frames = c "socket.stray_frames";
   }
 
 let transport t : Transport.t =
@@ -774,18 +611,9 @@ let transport t : Transport.t =
       t.bytes_total <- t.bytes_total + bytes;
       schedule_at t (now ()) fn
 
-    let broadcast ~src:_ ~bytes fn =
+    let broadcast ~src ~bytes fn =
       for dst = 0 to t.nodes - 1 do
-        if dst = t.local then begin
-          t.msgs_total <- t.msgs_total + 1;
-          t.bytes_total <- t.bytes_total + bytes;
-          schedule_at t (now ()) (fun () -> fn dst)
-        end
-        else
-          failwith
-            (Printf.sprintf
-               "Socket transport hosts node %d only: broadcast to %d needs the runtime remote hook"
-               t.local dst)
+        send ~src ~dst ~bytes (fun () -> fn dst)
       done
 
     let run ?until () = run_loop t ?until ()

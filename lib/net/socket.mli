@@ -4,23 +4,26 @@
     Where every other backend simulates the cluster inside one process,
     a socket transport hosts exactly ONE node ([local]) and reaches the
     other [nodes - 1] over the network: each process listens on its own
-    address ([addr_of local]) and dials its peers lazily, reconnecting
-    with backoff whenever a peer dies or is not up yet. The clock is the
-    wall clock, timers run on a heap inside a [select] loop, and
-    deliveries still go through the event queue — run-to-completion of
-    the current handler holds exactly as it does on the simulator.
+    address ([addr_of local]) and dials its peers on demand, redialing
+    whenever a retransmission or an owed ack finds the peer's connection
+    gone. The clock is the wall clock, timers run on an
+    {!Dpc_util.Event_queue} inside a [select] loop, and deliveries still
+    go through that queue — run-to-completion of the current handler
+    holds exactly as it does on the simulator.
 
-    {b Reliable's wire discipline, on the wire.} TCP gives FIFO bytes on
-    one connection, but a [kill -9] kills connections with the process —
-    so exactly-once effects across crashes need the same machinery
-    {!Reliable} implements in-process: every directed channel numbers
-    its data frames, the receiver keeps a contiguous watermark (plus a
-    hold-back window for reordered arrivals) and acks cumulatively, and
-    the sender retransmits unacked frames on a timer and on every
-    reconnect. The receiver persists its watermark advance BEFORE
-    running the delivery callback (see {!set_persist}) and acks only
-    after {!set_sync} has flushed the effects — an ack is a durable
-    promise, as {!Reliable}'s crash model demands.
+    {b The channels are {!Reliable}'s.} TCP gives FIFO bytes on one
+    connection, but a [kill -9] kills connections with the process — so
+    exactly-once effects across crashes need the simulator's channel
+    protocol, and a {!Reliable.over_frames} link runs it here; the socket
+    carries its frames. [dpcd]'s config re-offers every unacked frame
+    every 250 ms, with no backoff and no retry limit, so a channel is
+    never suspended (dpc-wire-v1 has no probe frame); a re-offer is
+    skipped while the connection still queues 1 MB, and a fresh
+    connection re-offers the whole unacked tail. Acks are cumulative:
+    the receiver persists its watermark advance BEFORE running the
+    delivery callback (see {!set_persist}) and acks only after
+    {!set_sync} has flushed the effects — an ack is a durable promise,
+    as {!Reliable}'s crash model demands.
 
     {b The durable outbox.} The transport does not persist anything
     itself; it reports through {!set_persist} and expects the host to
@@ -33,16 +36,12 @@
     ([Dpc_engine.Runtime.set_remote]) serializes events as journal
     entries on one side and replays them on the other.
 
+    Sequence numbers on this interface are dpc-wire-v1's, 1-based.
     Addresses are ["unix:/path/to.sock"] or ["tcp:host:port"]. *)
 
-type config = {
-  retransmit_every : float;  (** unacked-frame rescan period, seconds *)
-  dial_retry : float;  (** delay before re-dialing a failed peer connection *)
-  hold_cap : int;  (** held out-of-order frames per channel before new ones are dropped *)
-}
-
-val default_config : config
-(** 250 ms retransmit scan, 200 ms dial retry, 1024 held frames. *)
+val sockaddr : string -> Unix.sockaddr
+(** Parse an address. @raise Invalid_argument on a malformed address or
+    a host that does not resolve. *)
 
 (** What the host must make durable, reported synchronously and in
     order. [Sent] fires BEFORE the frame's first transmission; [Expected]
@@ -64,16 +63,20 @@ type stats = {
   chaos_duplicated : int;  (** data frames enqueued twice by injected chaos *)
   chaos_delayed : int;  (** data frames held back by injected chaos *)
   blocked_drops : int;  (** inbound frames eaten because their peer is blocked *)
+  stray_frames : int;
+      (** data and ack frames dropped because their [src] is this node or
+          past the cluster *)
 }
 
 type t
 
-val create :
-  nodes:int -> local:int -> addr_of:(int -> string) -> ?config:config -> unit -> t
+val create : nodes:int -> local:int -> addr_of:(int -> string) -> unit -> t
 (** Bind [addr_of local] and return a transport addressing the whole
     [nodes]-wide cluster with only [local] hosted here. Peers are dialed
-    on demand. @raise Invalid_argument on a bad node count, an
-    out-of-range [local], or a malformed address;
+    on demand. Ignores [SIGPIPE] for the process, so a write to a
+    connection the peer has closed drops the connection.
+    @raise Invalid_argument on a bad node count, an out-of-range [local],
+    or a malformed address;
     @raise Unix.Unix_error if the listen address cannot be bound. *)
 
 val transport : t -> Transport.t
@@ -85,12 +88,12 @@ val transport : t -> Transport.t
     horizon instead of quiescence, which no single process can decide. *)
 
 val send_payload : t -> dst:int -> string -> unit
-(** Queue a payload on channel [(local, dst)]: assigns the next sequence
-    number, reports [Sent] through the persist hook, then transmits (or
-    leaves the frame in the unacked outbox until the peer is dialable).
-    Retransmission and dedup make the delivery exactly-once at the
-    peer's {!set_deliver}. @raise Invalid_argument if [dst] is the local
-    node or out of range. *)
+(** Queue a payload on channel [(local, dst)]: reports [Sent] with its
+    sequence number through the persist hook, then hands it to the
+    channel, which transmits it (or keeps it unacked until the peer is
+    dialable). Retransmission and dedup make the delivery exactly-once
+    at the peer's {!set_deliver}. @raise Invalid_argument if [dst] is
+    the local node or out of range. *)
 
 val set_deliver : t -> (src:int -> payload:string -> unit) -> unit
 (** The data-plane sink: runs exactly once per {!send_payload} at the
@@ -117,7 +120,9 @@ val set_sync : t -> (unit -> unit) -> unit
     hashed per-channel fault schedule over outgoing data frames. Neither
     touches the channel state, so the retransmit/dedup discipline must
     deliver exactly-once effects through both — which is what the
-    process-level chaos and partition oracles assert. *)
+    process-level chaos and partition oracles assert. A data or ack
+    frame whose [src] is this node or past the cluster is dropped and
+    counted ([stray_frames]). *)
 
 val set_peer_blocked : t -> peer:int -> bool -> unit
 (** Block or unblock one peer (idempotent). Blocking closes the dialed
@@ -131,14 +136,17 @@ val peer_blocked : t -> peer:int -> bool
 
 val set_chaos : t -> config:Transport.fault_config -> seed:int -> unit
 (** Corrupt outgoing data frames with {!Transport.hashed_decide} at the
-    given rates: drops never reach the wire (the retransmit scan
+    given rates: drops never reach the wire (the channel's timer
     re-offers), duplicates are enqueued twice, delays re-offer through a
     timer. Hello, ack and control frames are exempt — the control plane
     stays reliable so an oracle can still drive a chaotic cluster. *)
 
 val clear_chaos : t -> unit
 
-(** {2 Restart support} *)
+(** {2 Restart support}
+
+    None of these reports a persist event. Those that name a peer raise
+    [Invalid_argument] on the local node or one past the cluster. *)
 
 val set_next_seq : t -> dst:int -> int -> unit
 (** Monotonically raise the sender sequence of channel [(local, dst)]. *)
@@ -162,8 +170,10 @@ val snapshot_channels : t -> string
     channels skipped. *)
 
 val restore_channels : t -> string -> unit
-(** Monotonically apply a {!snapshot_channels} blob.
-    @raise Dpc_util.Serialize.Corrupt on a malformed blob. *)
+(** Monotonically apply a {!snapshot_channels} blob. Nothing is applied
+    unless the whole blob reads.
+    @raise Dpc_util.Serialize.Corrupt on a malformed blob, including a
+    peer that is this node or past the cluster. *)
 
 val unacked : t -> int
 (** Outstanding data frames across all channels (the outbox depth). *)

@@ -99,6 +99,28 @@ let direct ~nodes:n () : t =
     let messages () = !msgs
   end)
 
+(* Every wrapper below is its inner backend with one member replaced. *)
+let intercept ~name (module T : S) send : t =
+  (module struct
+    let name = name ^ "+" ^ T.name
+    let nodes = T.nodes
+    let shards = T.shards
+    let shard_of = T.shard_of
+    let now = T.now
+    let schedule = T.schedule
+    let schedule_on = T.schedule_on
+    let send = send
+
+    let broadcast ~src ~bytes k =
+      for dst = 0 to nodes - 1 do
+        send ~src ~dst ~bytes (fun () -> k dst)
+      done
+
+    let run = T.run
+    let total_bytes = T.total_bytes
+    let messages = T.messages
+  end)
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection *)
 
@@ -131,48 +153,28 @@ let faulty_with ~decide (module T : S) : t * fault_stats =
     { delivered = Atomic.make 0; dropped = Atomic.make 0; duplicated = Atomic.make 0;
       delayed = Atomic.make 0 }
   in
-  let transport : t =
-    (module struct
-      let name = "faulty+" ^ T.name
-      let nodes = T.nodes
-      let shards = T.shards
-      let shard_of = T.shard_of
-      let now = T.now
-      let schedule = T.schedule
-      let schedule_on = T.schedule_on
-
-      let send ~src ~dst ~bytes k =
-        match decide ~src ~dst ~bytes with
-        | F_deliver ->
-            Atomic.incr stats.delivered;
-            T.send ~src ~dst ~bytes k
-        | F_drop ->
-            (* The transmission happened — the inner backend charges its
-               bytes and advances its counters — but the receiver never
-               sees it. *)
-            Atomic.incr stats.dropped;
-            T.send ~src ~dst ~bytes (fun () -> ())
-        | F_duplicate ->
-            Atomic.incr stats.duplicated;
-            T.send ~src ~dst ~bytes k;
-            T.send ~src ~dst ~bytes k
-        | F_delay extra ->
-            Atomic.incr stats.delayed;
-            T.send ~src ~dst ~bytes (fun () -> T.schedule ~delay:extra k)
-
-      (* Per-destination faults: one broadcast may reach some nodes and
-         not others, which is exactly the nasty case for sig. *)
-      let broadcast ~src ~bytes k =
-        for dst = 0 to nodes - 1 do
-          send ~src ~dst ~bytes (fun () -> k dst)
-        done
-
-      let run = T.run
-      let total_bytes = T.total_bytes
-      let messages = T.messages
-    end)
+  (* Faults are per destination, so one broadcast may reach some nodes
+     and not others, which is exactly the nasty case for sig. *)
+  let send ~src ~dst ~bytes k =
+    match decide ~src ~dst ~bytes with
+    | F_deliver ->
+        Atomic.incr stats.delivered;
+        T.send ~src ~dst ~bytes k
+    | F_drop ->
+        (* The transmission happened — the inner backend charges its
+           bytes and advances its counters — but the receiver never
+           sees it. *)
+        Atomic.incr stats.dropped;
+        T.send ~src ~dst ~bytes (fun () -> ())
+    | F_duplicate ->
+        Atomic.incr stats.duplicated;
+        T.send ~src ~dst ~bytes k;
+        T.send ~src ~dst ~bytes k
+    | F_delay extra ->
+        Atomic.incr stats.delayed;
+        T.send ~src ~dst ~bytes (fun () -> T.schedule ~delay:extra k)
   in
-  (transport, stats)
+  (intercept ~name:"faulty" (module T) send, stats)
 
 let faulty ~config ~rng inner =
   faulty_with inner ~decide:(fun ~src:_ ~dst:_ ~bytes:_ ->
@@ -258,39 +260,19 @@ let crashable (module T : S) : t * crash_control =
       crash_stats = stats;
     }
   in
-  let transport : t =
-    (module struct
-      let name = "crashable+" ^ T.name
-      let nodes = T.nodes
-      let shards = T.shards
-      let shard_of = T.shard_of
-      let now = T.now
-      let schedule = T.schedule
-      let schedule_on = T.schedule_on
-
-      (* The wire still carries the message (bytes are charged, the clock
-         advances), but a down destination never sees the delivery. The
-         up-check runs at ARRIVAL time, not send time: a node that crashes
-         while a message is in flight loses it, and a message sent at a
-         down node before it recovers is lost even if the node is back up
-         when the send is issued — matching a dead NIC, not a full mailbox.
-         Under a sharded transport the check runs on the destination's
-         shard and crash/restart actions are scheduled on the same shard
-         (see [Durable.schedule_crash]), so [up.(dst)] stays single-owner. *)
-      let send ~src ~dst ~bytes k =
-        T.send ~src ~dst ~bytes (fun () ->
-          if up.(dst) then k () else Atomic.incr stats.suppressed)
-
-      let broadcast ~src ~bytes k =
-        for dst = 0 to nodes - 1 do
-          send ~src ~dst ~bytes (fun () -> k dst)
-        done
-
-      let run = T.run
-      let total_bytes = T.total_bytes
-      let messages = T.messages
-    end)
+  (* The wire still carries the message (bytes are charged, the clock
+     advances), but a down destination never sees the delivery. The
+     up-check runs at ARRIVAL time, not send time: a node that crashes
+     while a message is in flight loses it, and a message sent at a down
+     node before it recovers is lost even if the node is back up when the
+     send is issued — matching a dead NIC, not a full mailbox. Under a
+     sharded transport the check runs on the destination's shard and
+     crash/restart actions are scheduled on the same shard (see
+     [Durable.schedule_crash]), so [up.(dst)] stays single-owner. *)
+  let send ~src ~dst ~bytes k =
+    T.send ~src ~dst ~bytes (fun () -> if up.(dst) then k () else Atomic.incr stats.suppressed)
   in
+  let transport = intercept ~name:"crashable" (module T) send in
   (transport, control)
 
 (* ------------------------------------------------------------------ *)
@@ -340,43 +322,24 @@ let partitionable ?metrics (module T : S) : t * partition_control =
       partition_stats = stats;
     }
   in
-  let transport : t =
-    (module struct
-      let name = "partitionable+" ^ T.name
-      let nodes = T.nodes
-      let shards = T.shards
-      let shard_of = T.shard_of
-      let now = T.now
-      let schedule = T.schedule
-      let schedule_on = T.schedule_on
-
-      (* Like [crashable], the wire still carries the transmission — bytes
-         charged, clocks advanced — and the link check runs at ARRIVAL
-         time on the destination's shard. A message in flight when the
-         link is cut dies on the floor; one sent into a cut link that
-         heals before arrival survives. [set_link] flips must therefore be
-         scheduled on [shard_of dst] (see [schedule_plan]) so the check
-         stays single-owner under a sharded backend. *)
-      let send ~src ~dst ~bytes k =
-        T.send ~src ~dst ~bytes (fun () ->
-          if link.((src * nodes) + dst) then k ()
-          else begin
-            Atomic.incr stats.lost;
-            match metrics with
-            | None -> ()
-            | Some f -> Dpc_util.Metrics.incr (f dst) "net.partition.lost"
-          end)
-
-      let broadcast ~src ~bytes k =
-        for dst = 0 to nodes - 1 do
-          send ~src ~dst ~bytes (fun () -> k dst)
-        done
-
-      let run = T.run
-      let total_bytes = T.total_bytes
-      let messages = T.messages
-    end)
+  (* Like [crashable], the wire still carries the transmission — bytes
+     charged, clocks advanced — and the link check runs at ARRIVAL time
+     on the destination's shard. A message in flight when the link is cut
+     dies on the floor; one sent into a cut link that heals before
+     arrival survives. [set_link] flips must therefore be scheduled on
+     [shard_of dst] (see [schedule_plan]) so the check stays single-owner
+     under a sharded backend. *)
+  let send ~src ~dst ~bytes k =
+    T.send ~src ~dst ~bytes (fun () ->
+      if link.((src * n) + dst) then k ()
+      else begin
+        Atomic.incr stats.lost;
+        match metrics with
+        | None -> ()
+        | Some f -> Dpc_util.Metrics.incr (f dst) "net.partition.lost"
+      end)
   in
+  let transport = intercept ~name:"partitionable" (module T) send in
   (transport, control)
 
 (* ---- partition plans ---- *)

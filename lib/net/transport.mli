@@ -93,6 +93,13 @@ val direct : nodes:int -> unit -> t
 (** A fresh zero-latency in-process transport.
     @raise Invalid_argument if [nodes] is not positive. *)
 
+val intercept :
+  name:string -> t -> (src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit) -> t
+(** [intercept ~name inner send] is [inner] with [send] in place of its
+    own, named [name ^ "+" ^ Transport.name inner]. Its [broadcast] sends
+    to every node through [send]; every other member is [inner]'s. The
+    fault wrappers below and {!Reliable} are built on it. *)
+
 (** {2 Fault injection}
 
     [faulty] wraps any backend and corrupts delivery — messages are

@@ -32,25 +32,11 @@ let write_all fd s =
 module Client = struct
   type t = { fd : Unix.file_descr; decoder : Wire.Decoder.t; node : int; mutable seq : int }
 
-  let sockaddr_of addr =
-    match String.index_opt addr ':' with
-    | Some i when String.sub addr 0 i = "unix" ->
-        Unix.ADDR_UNIX (String.sub addr (i + 1) (String.length addr - i - 1))
-    | Some i when String.sub addr 0 i = "tcp" -> (
-        let rest = String.sub addr (i + 1) (String.length addr - i - 1) in
-        match String.rindex_opt rest ':' with
-        | Some j ->
-            let host = String.sub rest 0 j in
-            let port = int_of_string (String.sub rest (j + 1) (String.length rest - j - 1)) in
-            Unix.ADDR_INET ((Unix.gethostbyname host).h_addr_list.(0), port)
-        | None -> failf "malformed tcp address %S" addr)
-    | _ -> failf "malformed address %S" addr
-
   (* The daemon binds its listen socket inside [Daemon.create], so a
      connection refused just means the process has not reached that point
      yet — retry until the deadline. *)
   let connect ~addr ~node ~timeout =
-    let sa = sockaddr_of addr in
+    let sa = Dpc_net.Socket.sockaddr addr in
     let deadline = Unix.gettimeofday () +. timeout in
     let rec attempt () =
       let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
@@ -85,14 +71,6 @@ module Client = struct
         | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
             failf "daemon %d control reply timed out" t.node)
 
-  let request t req =
-    t.seq <- t.seq + 1;
-    let seq = t.seq in
-    write_all t.fd
-      (Wire.encode
-         { kind = Ctrl; src = Wire.control_id; dst = t.node; seq; payload = Ctrl.encode_request req });
-    next_reply t ~seq (Bytes.create 65536)
-
   (* Fire-and-forget: [Shutdown] has no reply. *)
   let send t req =
     t.seq <- t.seq + 1;
@@ -105,6 +83,10 @@ module Client = struct
            seq = t.seq;
            payload = Ctrl.encode_request req;
          })
+
+  let request t req =
+    send t req;
+    next_reply t ~seq:t.seq (Bytes.create 65536)
 end
 
 let expect_ok node what = function
@@ -221,98 +203,58 @@ let digest client =
   | Ctrl.Error msg -> failf "daemon %d digest failed: %s" client.Client.node msg
   | _ -> failf "daemon %d: unexpected reply to digest" client.Client.node
 
-let run_scheme ?chaos ~exe ~dir scheme =
+(* A live cluster, as an oracle's phases see it. *)
+type cluster = {
+  client : int -> Client.t;
+  clients : unit -> Client.t list;  (* the connected ones *)
+  kill : int -> unit;  (* kill -9 the node's daemon and drop its client *)
+  respawn : int -> unit;  (* start the node's daemon again and reconnect *)
+}
+
+(* One oracle run: spawn a daemon per node, load the routes everywhere,
+   drive [phases], hold every node's digests to the simulator's
+   [reference], and shut the daemons down. Spawned processes are always
+   reaped. *)
+let with_cluster ?chaos ~exe ~dir ~reference scheme phases =
   mkdir_p dir;
-  let reference = Scenario.simulate scheme in
   let procs = Array.init Scenario.nodes (fun node -> { node; pid = -1 }) in
   let clients : Client.t option array = Array.make Scenario.nodes None in
   let client node = Option.get clients.(node) in
+  let spawn node = procs.(node).pid <- (spawn ?chaos ~exe ~dir ~scheme node).pid in
   let connect node =
     clients.(node) <- Some (Client.connect ~addr:(addr_of ~dir node) ~node ~timeout:10.0)
   in
-  let all_clients () = Array.to_list clients |> List.filter_map Fun.id in
+  let cluster =
+    {
+      client;
+      clients = (fun () -> Array.to_list clients |> List.filter_map Fun.id);
+      kill =
+        (fun node ->
+          Client.close (client node);
+          clients.(node) <- None;
+          kill_hard procs.(node));
+      respawn =
+        (fun node ->
+          spawn node;
+          connect node);
+    }
+  in
   let cleanup () =
     Array.iter (fun c -> Option.iter Client.close c) clients;
     Array.iter kill_hard procs
   in
   match
     Fun.protect ~finally:cleanup (fun () ->
-        Array.iteri (fun node p -> p.pid <- (spawn ?chaos ~exe ~dir ~scheme node).pid) procs;
-        Array.iteri (fun node _ -> connect node) procs;
+        Array.iter (fun p -> spawn p.node) procs;
+        Array.iter (fun p -> connect p.node) procs;
         (* Routes everywhere: each daemon keeps only its own node's entries
            live, but loading the full table keeps the daemons agnostic of
            which rows they will need. *)
         Array.iter
           (fun p -> expect_ok p.node "load" (Client.request (client p.node) (Ctrl.Load (Scenario.routes ()))))
           procs;
-        quiesce (all_clients ());
-        (* Phase 1: pre packets on the healthy chain. *)
-        List.iter
-          (fun packet -> expect_ok 0 "inject" (Client.request (client 0) (Ctrl.Inject packet)))
-          (Scenario.pre_packets ());
-        quiesce (all_clients ());
-        (* Cut a checkpoint at node 1 so its recovery restores a real cut
-           (channels included) and replays only the tail. *)
-        expect_ok 1 "checkpoint" (Client.request (client 1) Ctrl.Checkpoint);
-        (* Phase 2: kill node 1 the hard way, inject while it is down. *)
-        Client.close (client 1);
-        clients.(1) <- None;
-        kill_hard procs.(1);
-        List.iter
-          (fun packet -> expect_ok 0 "inject" (Client.request (client 0) (Ctrl.Inject packet)))
-          (Scenario.mid_packets ());
-        (* Let node 0 actually attempt (and fail) deliveries toward the dead
-           process — the frames must wait in its durable outbox. *)
-        Unix.sleepf 0.3;
-        let stalled = (status (client 0)).Ctrl.unacked in
-        if stalled = 0 then failf "node 0 reported nothing in flight while node 1 was dead";
-        procs.(1).pid <- (spawn ?chaos ~exe ~dir ~scheme 1).pid;
-        connect 1;
-        let s1 = status (client 1) in
-        if not s1.Ctrl.recovered then failf "respawned node 1 did not recover from disk";
-        quiesce (all_clients ());
-        (* Phase 3: the §5.5 route refresh at node 1. *)
-        (match Client.request (client 1) (Ctrl.Slow_delete (Scenario.refreshed_route ())) with
-        | Ctrl.Deleted true -> ()
-        | Ctrl.Deleted false -> failf "node 1 lost its route across the crash"
-        | Ctrl.Error msg -> failf "node 1 rejected the route delete: %s" msg
-        | _ -> failf "node 1: unexpected reply to the route delete");
-        expect_ok 1 "route reinsert"
-          (Client.request (client 1) (Ctrl.Slow_insert (Scenario.refreshed_route ())));
-        quiesce (all_clients ());
-        (* Phase 4: post packets against the re-materialized chains. *)
-        List.iter
-          (fun packet -> expect_ok 0 "inject" (Client.request (client 0) (Ctrl.Inject packet)))
-          (Scenario.post_packets ());
-        quiesce (all_clients ());
-        (* Phase 5: partition 0 <-> 1 in both directions, inject into the
-           cut, kill node 1 mid-partition, restart it, then heal. The part
-           packets must ride node 0's durable outbox across the outage and
-           the crash, and arrive exactly once after the link comes back. *)
-        expect_ok 0 "block" (Client.request (client 0) (Ctrl.Block 1));
-        expect_ok 1 "block" (Client.request (client 1) (Ctrl.Block 0));
-        List.iter
-          (fun packet -> expect_ok 0 "inject" (Client.request (client 0) (Ctrl.Inject packet)))
-          (Scenario.part_packets ());
-        (* Give node 0's retransmit scan time to keep (not) delivering. *)
-        Unix.sleepf 0.3;
-        let parted = (status (client 0)).Ctrl.unacked in
-        if parted = 0 then failf "node 0 reported nothing in flight across the partition";
-        (* Crash the far side of the cut while it is unreachable. Its
-           volatile block dies with the process; node 0's survives, so the
-           partition stays up one-way until the explicit heal below. *)
-        Client.close (client 1);
-        clients.(1) <- None;
-        kill_hard procs.(1);
-        procs.(1).pid <- (spawn ?chaos ~exe ~dir ~scheme 1).pid;
-        connect 1;
-        if not (status (client 1)).Ctrl.recovered then
-          failf "node 1 did not recover from disk after the mid-partition crash";
-        expect_ok 0 "unblock" (Client.request (client 0) (Ctrl.Unblock 1));
-        quiesce (all_clients ());
-        let sink = status (client 2) in
-        if sink.Ctrl.outputs <> Scenario.total_outputs then
-          failf "node 2 recorded %d outputs, expected %d" sink.Ctrl.outputs Scenario.total_outputs;
+        quiesce (cluster.clients ());
+        let summary = phases cluster in
         (* The verdict: every node's digests against the simulator's. *)
         Array.iteri
           (fun node (expected : Scenario.digests) ->
@@ -324,12 +266,6 @@ let run_scheme ?chaos ~exe ~dir scheme =
               failf "node %d db digest diverged from the simulator (%s vs %s)" node
                 got.Scenario.db expected.Scenario.db)
           reference;
-        let summary =
-          Printf.sprintf
-            "%d outputs, node-1 crash recovered, %d frames stalled while down, %d across the partition%s"
-            Scenario.total_outputs stalled parted
-            (if Option.is_some chaos then ", chaos on" else "")
-        in
         Array.iter
           (fun p -> if Option.is_some clients.(p.node) then Client.send (client p.node) Ctrl.Shutdown)
           procs;
@@ -339,6 +275,74 @@ let run_scheme ?chaos ~exe ~dir scheme =
   | summary -> Ok summary
   | exception Oracle_failure msg -> Error msg
   | exception exn -> Error (Printexc.to_string exn)
+
+let inject c packets =
+  List.iter
+    (fun packet -> expect_ok 0 "inject" (Client.request (c.client 0) (Ctrl.Inject packet)))
+    packets
+
+let expect_outputs c expected =
+  let sink = status (c.client 2) in
+  if sink.Ctrl.outputs <> expected then
+    failf "node 2 recorded %d outputs, expected %d" sink.Ctrl.outputs expected
+
+let run_scheme ?chaos ~exe ~dir scheme =
+  with_cluster ?chaos ~exe ~dir ~reference:(Scenario.simulate scheme) scheme (fun c ->
+      (* Phase 1: pre packets on the healthy chain. *)
+      inject c (Scenario.pre_packets ());
+      quiesce (c.clients ());
+      (* Cut a checkpoint at node 1 so its recovery restores a real cut
+         (channels included) and replays only the tail. *)
+      expect_ok 1 "checkpoint" (Client.request (c.client 1) Ctrl.Checkpoint);
+      (* Phase 2: kill node 1 the hard way, inject while it is down. *)
+      c.kill 1;
+      inject c (Scenario.mid_packets ());
+      (* Let node 0 actually attempt (and fail) deliveries toward the dead
+         process — the frames must wait in its durable outbox. *)
+      Unix.sleepf 0.3;
+      let stalled = (status (c.client 0)).Ctrl.unacked in
+      if stalled = 0 then failf "node 0 reported nothing in flight while node 1 was dead";
+      c.respawn 1;
+      let s1 = status (c.client 1) in
+      if not s1.Ctrl.recovered then failf "respawned node 1 did not recover from disk";
+      quiesce (c.clients ());
+      (* Phase 3: the §5.5 route refresh at node 1. *)
+      (match Client.request (c.client 1) (Ctrl.Slow_delete (Scenario.refreshed_route ())) with
+      | Ctrl.Deleted true -> ()
+      | Ctrl.Deleted false -> failf "node 1 lost its route across the crash"
+      | Ctrl.Error msg -> failf "node 1 rejected the route delete: %s" msg
+      | _ -> failf "node 1: unexpected reply to the route delete");
+      expect_ok 1 "route reinsert"
+        (Client.request (c.client 1) (Ctrl.Slow_insert (Scenario.refreshed_route ())));
+      quiesce (c.clients ());
+      (* Phase 4: post packets against the re-materialized chains. *)
+      inject c (Scenario.post_packets ());
+      quiesce (c.clients ());
+      (* Phase 5: partition 0 <-> 1 in both directions, inject into the
+         cut, kill node 1 mid-partition, restart it, then heal. The part
+         packets must ride node 0's durable outbox across the outage and
+         the crash, and arrive exactly once after the link comes back. *)
+      expect_ok 0 "block" (Client.request (c.client 0) (Ctrl.Block 1));
+      expect_ok 1 "block" (Client.request (c.client 1) (Ctrl.Block 0));
+      inject c (Scenario.part_packets ());
+      (* Give node 0's retransmissions time to keep (not) delivering. *)
+      Unix.sleepf 0.3;
+      let parted = (status (c.client 0)).Ctrl.unacked in
+      if parted = 0 then failf "node 0 reported nothing in flight across the partition";
+      (* Crash the far side of the cut while it is unreachable. Its
+         volatile block dies with the process; node 0's survives, so the
+         partition stays up one-way until the explicit heal below. *)
+      c.kill 1;
+      c.respawn 1;
+      if not (status (c.client 1)).Ctrl.recovered then
+        failf "node 1 did not recover from disk after the mid-partition crash";
+      expect_ok 0 "unblock" (Client.request (c.client 0) (Ctrl.Unblock 1));
+      quiesce (c.clients ());
+      expect_outputs c Scenario.total_outputs;
+      Printf.sprintf
+        "%d outputs, node-1 crash recovered, %d frames stalled while down, %d across the partition%s"
+        Scenario.total_outputs stalled parted
+        (if Option.is_some chaos then ", chaos on" else ""))
 
 (* ---- the soak oracle --------------------------------------------------- *)
 
@@ -349,97 +353,47 @@ let run_scheme ?chaos ~exe ~dir scheme =
 let soak_outbox_cap = 1024
 
 let run_soak ?chaos ~exe ~dir ~rounds ~per_round scheme =
-  mkdir_p dir;
   let reference = Scenario.simulate_soak scheme ~rounds ~per_round in
-  let procs = Array.init Scenario.nodes (fun node -> { node; pid = -1 }) in
-  let clients : Client.t option array = Array.make Scenario.nodes None in
-  let client node = Option.get clients.(node) in
-  let all_clients () = Array.to_list clients |> List.filter_map Fun.id in
-  let cleanup () =
-    Array.iter (fun c -> Option.iter Client.close c) clients;
-    Array.iter kill_hard procs
-  in
-  match
-    Fun.protect ~finally:cleanup (fun () ->
-        Array.iteri (fun node p -> p.pid <- (spawn ?chaos ~exe ~dir ~scheme node).pid) procs;
-        Array.iteri
-          (fun node _ ->
-            clients.(node) <- Some (Client.connect ~addr:(addr_of ~dir node) ~node ~timeout:10.0))
-          procs;
-        Array.iter
-          (fun p -> expect_ok p.node "load" (Client.request (client p.node) (Ctrl.Load (Scenario.routes ()))))
-          procs;
-        quiesce (all_clients ());
-        let ledger_peak = ref 0 in
-        for round = 1 to rounds do
-          List.iter
-            (fun packet -> expect_ok 0 "inject" (Client.request (client 0) (Ctrl.Inject packet)))
-            (Scenario.soak_packets ~round per_round);
-          quiesce (all_clients ());
-          (* A quiesced round means every frame is acked, so compaction must
-             shrink each ledger back under a round-independent ceiling. *)
-          List.iter
-            (fun c ->
-              expect_ok c.Client.node "compact" (Client.request c Ctrl.Compact);
-              let after = (status c).Ctrl.outbox_bytes in
-              ledger_peak := max !ledger_peak after;
-              if after > soak_outbox_cap then
-                failf "round %d: node %d outbox still %d bytes after compact (cap %d)" round
-                  c.Client.node after soak_outbox_cap)
-            (all_clients ())
-        done;
-        let sink = status (client 2) in
-        let expected_outputs = rounds * per_round in
-        if sink.Ctrl.outputs <> expected_outputs then
-          failf "node 2 recorded %d outputs, expected %d" sink.Ctrl.outputs expected_outputs;
-        Array.iteri
-          (fun node (expected : Scenario.digests) ->
-            let got = digest (client node) in
-            if got.Scenario.store <> expected.Scenario.store then
-              failf "node %d store digest diverged from the simulator (%s vs %s)" node
-                got.Scenario.store expected.Scenario.store;
-            if got.Scenario.db <> expected.Scenario.db then
-              failf "node %d db digest diverged from the simulator (%s vs %s)" node
-                got.Scenario.db expected.Scenario.db)
-          reference;
-        let summary =
-          Printf.sprintf "%d rounds x %d packets, ledger peak %d bytes (cap %d)" rounds per_round
-            !ledger_peak soak_outbox_cap
-        in
-        Array.iter
-          (fun p -> if Option.is_some clients.(p.node) then Client.send (client p.node) Ctrl.Shutdown)
-          procs;
-        Array.iter reap procs;
-        summary)
-  with
-  | summary -> Ok summary
-  | exception Oracle_failure msg -> Error msg
-  | exception exn -> Error (Printexc.to_string exn)
+  with_cluster ?chaos ~exe ~dir ~reference scheme (fun c ->
+      let ledger_peak = ref 0 in
+      for round = 1 to rounds do
+        inject c (Scenario.soak_packets ~round per_round);
+        quiesce (c.clients ());
+        (* A quiesced round means every frame is acked, so compaction must
+           shrink each ledger back under a round-independent ceiling. *)
+        List.iter
+          (fun client ->
+            expect_ok client.Client.node "compact" (Client.request client Ctrl.Compact);
+            let after = (status client).Ctrl.outbox_bytes in
+            ledger_peak := max !ledger_peak after;
+            if after > soak_outbox_cap then
+              failf "round %d: node %d outbox still %d bytes after compact (cap %d)" round
+                client.Client.node after soak_outbox_cap)
+          (c.clients ())
+      done;
+      expect_outputs c (rounds * per_round);
+      Printf.sprintf "%d rounds x %d packets, ledger peak %d bytes (cap %d)" rounds per_round
+        !ledger_peak soak_outbox_cap)
 
-let run_all ?chaos ~exe ~dir schemes =
+(* Each scheme in its own subdirectory ([<kind>-<scheme>] for a named
+   kind), one PASS/FAIL line each. *)
+let run_each ?kind ~dir run schemes =
   mkdir_p dir;
+  let named sep name = match kind with Some k -> k ^ sep ^ name | None -> name in
   List.fold_left
     (fun ok scheme ->
-      let sub = Filename.concat dir (scheme_arg scheme) in
-      match run_scheme ?chaos ~exe ~dir:sub scheme with
+      let sub = Filename.concat dir (named "-" (scheme_arg scheme)) in
+      match run ~dir:sub scheme with
       | Ok summary ->
-          Printf.printf "PASS %-20s %s\n%!" (scheme_arg scheme) summary;
+          Printf.printf "PASS %s %s\n%!" (named " " (Printf.sprintf "%-20s" (scheme_arg scheme))) summary;
           ok
       | Error msg ->
-          Printf.printf "FAIL %-20s %s (logs under %s)\n%!" (scheme_arg scheme) msg sub;
+          Printf.printf "FAIL %s %s (logs under %s)\n%!"
+            (named " " (Printf.sprintf "%-20s" (scheme_arg scheme))) msg sub;
           false)
     true schemes
+
+let run_all ?chaos ~exe ~dir schemes = run_each ~dir (run_scheme ?chaos ~exe) schemes
 
 let run_soak_all ?chaos ~exe ~dir ~rounds ~per_round schemes =
-  mkdir_p dir;
-  List.fold_left
-    (fun ok scheme ->
-      let sub = Filename.concat dir ("soak-" ^ scheme_arg scheme) in
-      match run_soak ?chaos ~exe ~dir:sub ~rounds ~per_round scheme with
-      | Ok summary ->
-          Printf.printf "PASS soak %-20s %s\n%!" (scheme_arg scheme) summary;
-          ok
-      | Error msg ->
-          Printf.printf "FAIL soak %-20s %s (logs under %s)\n%!" (scheme_arg scheme) msg sub;
-          false)
-    true schemes
+  run_each ~kind:"soak" ~dir (run_soak ?chaos ~exe ~rounds ~per_round) schemes

@@ -1,8 +1,9 @@
 (** The discrete-event queue of [Dpc_net.Sim], [Dpc_net.Transport.direct]
-    and each shard of [Dpc_net.Shard_sim]: a binary min-heap of actions
-    ordered by (time, seq). {!push} assigns [seq] itself, so events at
-    equal times fire in push order; {!push_keyed} takes it from the
-    caller, so they fire in key order.
+    and each shard of [Dpc_net.Shard_sim], and the timer queue of
+    [Dpc_net.Socket], whose times are wall-clock seconds: a binary
+    min-heap of actions ordered by (time, seq). {!push} assigns [seq]
+    itself, so events at equal times fire in push order; {!push_keyed}
+    takes it from the caller, so they fire in key order.
 
     The heap lives in three parallel arrays — unboxed times, seqs and
     actions — so a push allocates only the boxed time it is passed and a

@@ -61,6 +61,20 @@ type totals = {
 let sweep_totals =
   { dropped = 0; duplicated = 0; retransmits = 0; dup_dropped = 0; cache_hits = 0 }
 
+(* The receive window's bound must never bite in the simulator: the most
+   arrivals any channel of a run held stays below it. The largest over
+   the sweeps so far is printed with each sweep's checks. *)
+let window_peak = ref 0
+
+let check_window ~fail r =
+  let peak = Dpc_net.Reliable.window_peak r in
+  window_peak := max !window_peak peak;
+  if peak >= Dpc_net.Reliable.window then fail peak
+
+let report_window () =
+  Printf.printf "largest receive window held: %d (bound %d)\n" !window_peak
+    Dpc_net.Reliable.window
+
 (* Cache-correctness satellite: attach a memoization cache to a finished
    world and read its full observable state twice — once populating, once
    served from the cache. Both passes must reproduce [reference] byte for
@@ -109,7 +123,9 @@ let chaos_instance seed =
       Delp_gen.run_events chaos instance.events;
       let rstats =
         match Dpc_engine.Runtime.reliability chaos.Delp_gen.runtime with
-        | Some r -> Dpc_net.Reliable.stats r
+        | Some r ->
+            check_window r ~fail:(fail "a receive window reached its bound (%d held)");
+            Dpc_net.Reliable.stats r
         | None -> fail "runtime lost its reliability layer"
       in
       if rstats.abandoned > 0 then
@@ -140,7 +156,8 @@ let run_sweep ~instances =
   check Alcotest.bool "messages were duplicated" true (sweep_totals.duplicated > 0);
   check Alcotest.bool "retransmits happened" true (sweep_totals.retransmits > 0);
   check Alcotest.bool "dedup suppressed duplicates" true (sweep_totals.dup_dropped > 0);
-  check Alcotest.bool "query cache served hits" true (sweep_totals.cache_hits > 0)
+  check Alcotest.bool "query cache served hits" true (sweep_totals.cache_hits > 0);
+  report_window ()
 
 let test_sweep_quick () = run_sweep ~instances:10
 
@@ -229,7 +246,9 @@ let crash_instance seed =
         (Dpc_engine.Runtime.nodes world.Delp_gen.runtime |> Array.map (fun _ -> ()));
       let rstats =
         match Dpc_engine.Runtime.reliability world.Delp_gen.runtime with
-        | Some r -> Dpc_net.Reliable.stats r
+        | Some r ->
+            check_window r ~fail:(fail "a receive window reached its bound (%d held)");
+            Dpc_net.Reliable.stats r
         | None -> fail "runtime lost its reliability layer"
       in
       if rstats.abandoned > 0 then
@@ -266,7 +285,8 @@ let run_crash_sweep ~instances =
     (crash_sweep_totals.suppressed > 0);
   check Alcotest.bool "journals were non-trivial" true (crash_sweep_totals.recovered_entries > 0);
   check Alcotest.bool "query cache served hits after recovery" true
-    (crash_sweep_totals.crash_cache_hits > 0)
+    (crash_sweep_totals.crash_cache_hits > 0);
+  report_window ()
 
 let test_crash_quick () = run_crash_sweep ~instances:6
 
@@ -364,6 +384,7 @@ let partition_instance seed =
             | None -> fail "runtime lost its reliability layer"
           in
           let rstats = Dpc_net.Reliable.stats r in
+          check_window r ~fail:(fail "a receive window reached its bound (%d held)");
           (* The health invariant: nothing parked, nothing suspended once
              every outage has healed. *)
           if rstats.abandoned > 0 then
@@ -400,7 +421,8 @@ let run_partition_sweep ~instances =
   check Alcotest.bool "channels resurrected" true (partition_sweep_totals.resurrections > 0);
   check Alcotest.bool "messages were parked" true (partition_sweep_totals.parked > 0);
   check Alcotest.int "every suspension was matched by a resurrection"
-    partition_sweep_totals.suspensions partition_sweep_totals.resurrections
+    partition_sweep_totals.suspensions partition_sweep_totals.resurrections;
+  report_window ()
 
 let test_partition_quick () = run_partition_sweep ~instances:3
 

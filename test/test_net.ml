@@ -197,9 +197,58 @@ let test_routing_paper_tables () =
       ("transit-stub", ts.topology, "4f3962ef35cad2d392e38b374a9bff48f626ffb7");
     ]
 
+(* The reference's frontier: a binary min-heap of boxed (distance, node)
+   entries ordered by distance alone, with the sift steps [Routing]'s
+   frontier copies, so equal distances pop in the same order. *)
+module Ref_heap = struct
+  type t = { mutable data : (float * int) array; mutable size : int }
+
+  let create () = { data = [||]; size = 0 }
+
+  let swap h i j =
+    let tmp = h.data.(i) in
+    h.data.(i) <- h.data.(j);
+    h.data.(j) <- tmp
+
+  let rec sift_up h i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && fst h.data.(i) < fst h.data.(parent) then begin
+      swap h i parent;
+      sift_up h parent
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = if l < h.size && fst h.data.(l) < fst h.data.(i) then l else i in
+    let smallest = if r < h.size && fst h.data.(r) < fst h.data.(smallest) then r else smallest in
+    if smallest <> i then begin
+      swap h i smallest;
+      sift_down h smallest
+    end
+
+  let push h x =
+    if h.size = Array.length h.data then begin
+      let data = Array.make (max 8 (2 * h.size)) x in
+      Array.blit h.data 0 data 0 h.size;
+      h.data <- data
+    end;
+    h.data.(h.size) <- x;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let pop h =
+    if h.size = 0 then None
+    else begin
+      let top = h.data.(0) in
+      h.size <- h.size - 1;
+      h.data.(0) <- h.data.(h.size);
+      sift_down h 0;
+      Some top
+    end
+end
+
 (* The reference: the shortest-path search over boxed (distance, node)
-   pairs through [Dpc_util.Heap] ordered by polymorphic [compare], then a
-   predecessor walk per destination. *)
+   pairs through [Ref_heap], then a predecessor walk per destination. *)
 let reference_tables topo =
   let n = Topology.size topo in
   let neighbors = Array.init n (fun v -> Array.of_list (Topology.neighbors topo v)) in
@@ -207,10 +256,10 @@ let reference_tables topo =
     let dist = Array.make n infinity in
     let pred = Array.make n (-1) in
     dist.(src) <- 0.0;
-    let heap = Dpc_util.Heap.create ~cmp:(fun (d1, _) (d2, _) -> compare d1 d2) in
-    Dpc_util.Heap.push heap (0.0, src);
+    let heap = Ref_heap.create () in
+    Ref_heap.push heap (0.0, src);
     let rec go () =
-      match Dpc_util.Heap.pop heap with
+      match Ref_heap.pop heap with
       | None -> ()
       | Some (d, v) ->
           if d <= dist.(v) then
@@ -220,7 +269,7 @@ let reference_tables topo =
                 if nd < dist.(w) then begin
                   dist.(w) <- nd;
                   pred.(w) <- v;
-                  Dpc_util.Heap.push heap (nd, w)
+                  Ref_heap.push heap (nd, w)
                 end)
               neighbors.(v);
           go ()
@@ -813,6 +862,39 @@ let test_transit_stub_invalid_args () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* The receive window's bound on a direct transport: the channel's first
+   transmission is lost, so the next [Reliable.window] arrivals wait in
+   the window and the one after them finds it full. That arrival is
+   dropped unacked, and its retransmission delivers it after the gap has
+   filled, exactly once and in order. *)
+let test_reliable_window_bound () =
+  let first = ref true in
+  let decide ~src ~dst ~bytes:_ =
+    if src = 0 && dst = 1 && !first then begin
+      first := false;
+      Transport.F_drop
+    end
+    else Transport.F_deliver
+  in
+  let lossy, _ = Transport.faulty_with ~decide (Transport.direct ~nodes:2 ()) in
+  let rel = Reliable.wrap lossy in
+  let tr = Reliable.transport rel in
+  let got = ref [] in
+  let count = Reliable.window + 2 in
+  for i = 0 to count - 1 do
+    Transport.send tr ~src:0 ~dst:1 ~bytes:8 (fun () -> got := i :: !got)
+  done;
+  Transport.run ~until:(Reliable.default_config.timeout /. 2.0) tr;
+  let s = Reliable.stats rel in
+  check Alcotest.int "nothing delivered behind the gap" 0 (List.length !got);
+  check Alcotest.int "the window holds its bound" Reliable.window s.held;
+  check Alcotest.int "the arrival past it is not held" Reliable.window (Reliable.window_peak rel);
+  check Alcotest.int "and nothing is acked" 0 s.acks;
+  Transport.run tr;
+  check (Alcotest.list Alcotest.int) "every message once, in order" (List.init count Fun.id)
+    (List.rev !got);
+  check Alcotest.int "the watermark covers them all" count (Reliable.delivered rel ~src:0 ~dst:1)
+
 let () =
   Alcotest.run "dpc_net"
     [
@@ -880,6 +962,7 @@ let () =
             test_reliable_persist_observes_advances;
           Alcotest.test_case "garbage snapshot rejected" `Quick
             test_reliable_restore_rejects_garbage;
+          Alcotest.test_case "receive window bound" `Quick test_reliable_window_bound;
         ] );
       ( "partition faults",
         [

@@ -376,6 +376,195 @@ let test_socket_pair () =
           check Alcotest.int "a sent five" 5 sa.data_sent;
           check Alcotest.int "a received one" 1 sa.data_received))
 
+let ordered prefix n = List.init n (fun i -> Printf.sprintf "%s %d" prefix (i + 1))
+
+(* Link chaos on both ends and one partition cycle: every payload still
+   arrives exactly once and in channel order, and every ack lands. *)
+let test_socket_chaos () =
+  with_temp_dir "dpc-sock-chaos" (fun dir ->
+      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
+      let a = Socket.create ~nodes:2 ~local:0 ~addr_of () in
+      let b = Socket.create ~nodes:2 ~local:1 ~addr_of () in
+      Fun.protect
+        ~finally:(fun () ->
+          Socket.close a;
+          Socket.close b)
+        (fun () ->
+          let config =
+            Dpc_net.Transport.fault_config ~drop:0.2 ~duplicate:0.1 ~delay:0.1 ~delay_max:0.1 ()
+          in
+          Socket.set_chaos a ~config ~seed:3;
+          Socket.set_chaos b ~config ~seed:4;
+          let got_a = ref [] and got_b = ref [] in
+          Socket.set_deliver a (fun ~src:_ ~payload -> got_a := payload :: !got_a);
+          Socket.set_deliver b (fun ~src:_ ~payload -> got_b := payload :: !got_b);
+          let send_range lo hi =
+            for i = lo to hi do
+              Socket.send_payload a ~dst:1 (Printf.sprintf "a %d" i);
+              Socket.send_payload b ~dst:0 (Printf.sprintf "b %d" i)
+            done
+          in
+          let trs = [ Socket.transport a; Socket.transport b ] in
+          send_range 1 20;
+          pump trs ~tag:"first half" ~until_cond:(fun () -> List.length !got_b >= 10);
+          Socket.set_peer_blocked a ~peer:1 true;
+          send_range 21 40;
+          let heal_at = Unix.gettimeofday () +. 0.3 in
+          pump trs ~tag:"partitioned" ~until_cond:(fun () -> Unix.gettimeofday () >= heal_at);
+          check Alcotest.bool "the partition holds" true (List.length !got_b < 40);
+          Socket.set_peer_blocked a ~peer:1 false;
+          pump trs ~tag:"healed" ~until_cond:(fun () ->
+              List.length !got_a = 40 && List.length !got_b = 40
+              && Socket.unacked a = 0 && Socket.unacked b = 0);
+          check (Alcotest.list Alcotest.string) "a->b once, in order" (ordered "a" 40)
+            (List.rev !got_b);
+          check (Alcotest.list Alcotest.string) "b->a once, in order" (ordered "b" 40)
+            (List.rev !got_a);
+          let faults (s : Socket.stats) = s.chaos_dropped + s.chaos_duplicated + s.chaos_delayed in
+          check Alcotest.bool "chaos struck" true (faults (Socket.stats a) > 0 && faults (Socket.stats b) > 0);
+          check Alcotest.bool "the partition dropped frames" true
+            ((Socket.stats a).blocked_drops + (Socket.stats b).retransmits > 0)))
+
+(* Node 0's seat without a Socket: a dial into node 1 that writes frames
+   in any order, and a listener that reads node 1's acks. *)
+type raw_peer = {
+  out : Unix.file_descr;
+  listener : Unix.file_descr;
+  mutable inbound : Unix.file_descr list;
+  decoder : Wire.Decoder.t;
+  mutable acks : int list;
+}
+
+let raw_peer ~addr_of =
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Socket.sockaddr (addr_of 0));
+  Unix.listen listener 4;
+  Unix.set_nonblock listener;
+  let out = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect out (Socket.sockaddr (addr_of 1));
+  { out; listener; inbound = []; decoder = Wire.Decoder.create (); acks = [] }
+
+let raw_write p frames =
+  let s = String.concat "" (List.map Wire.encode frames) in
+  let off = ref 0 in
+  while !off < String.length s do
+    off := !off + Unix.write_substring p.out s !off (String.length s - !off)
+  done
+
+let raw_poll p =
+  (match Unix.accept p.listener with
+  | fd, _ ->
+      Unix.set_nonblock fd;
+      p.inbound <- fd :: p.inbound
+  | exception Unix.Unix_error _ -> ());
+  let buf = Bytes.create 4096 in
+  List.iter
+    (fun fd ->
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | n -> Wire.Decoder.feed p.decoder buf 0 n
+      | exception Unix.Unix_error _ -> ())
+    p.inbound;
+  List.iter
+    (fun (f : Wire.frame) -> if f.kind = Wire.Ack then p.acks <- f.seq :: p.acks)
+    (drain p.decoder)
+
+let raw_close p = List.iter Unix.close (p.out :: p.listener :: p.inbound)
+
+let data seq = frame Wire.Data ~src:0 ~dst:1 ~seq (string_of_int seq)
+
+(* The window bound over a socket: frame 1 is missing, frames 2 to
+   [window + 1] fill node 1's window, and frame [window + 2] finds it
+   full. That one is dropped without an ack; when frame 1 arrives the
+   ack stops below it, and its second copy is delivered. *)
+let test_socket_window_bound () =
+  with_temp_dir "dpc-sock-window" (fun dir ->
+      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
+      let b = Socket.create ~nodes:2 ~local:1 ~addr_of () in
+      let p = raw_peer ~addr_of in
+      Fun.protect
+        ~finally:(fun () ->
+          Socket.close b;
+          raw_close p)
+        (fun () ->
+          let got = ref [] in
+          Socket.set_deliver b (fun ~src:_ ~payload -> got := int_of_string payload :: !got);
+          let pump_until tag cond =
+            pump [ Socket.transport b ] ~tag ~until_cond:(fun () ->
+                raw_poll p;
+                cond ())
+          in
+          let w = Dpc_net.Reliable.window in
+          raw_write p (frame Wire.Hello ~src:0 ~dst:1 ~seq:0 "" :: List.init (w + 1) (fun i -> data (i + 2)));
+          (* A duplicate of a held frame marks the end of the burst. *)
+          raw_write p [ data 2 ];
+          pump_until "burst read" (fun () -> (Socket.stats b).dup_dropped = 1);
+          let s = Socket.stats b in
+          check Alcotest.int "the window is full" w s.held;
+          check Alcotest.int "nothing delivered behind the gap" 0 (List.length !got);
+          check Alcotest.int "nothing acked" 0 s.acks_sent;
+          raw_write p [ data 1 ];
+          pump_until "gap filled" (fun () -> List.mem (w + 1) p.acks);
+          check (Alcotest.list Alcotest.int) "the held frames, in order"
+            (List.init (w + 1) (fun i -> i + 1)) (List.rev !got);
+          check Alcotest.int "the ack stops below the dropped frame" (w + 1)
+            (List.fold_left max 0 p.acks);
+          raw_write p [ data (w + 2) ];
+          pump_until "second copy delivered" (fun () -> List.mem (w + 2) p.acks);
+          check (Alcotest.list Alcotest.int) "every frame once, in order"
+            (List.init (w + 2) (fun i -> i + 1)) (List.rev !got)))
+
+(* Frames and restores naming a peer outside the cluster. Before, the
+   frames opened channel state for a node that does not exist, and the
+   restore accepted the peer. *)
+let test_socket_stray_peers () =
+  with_temp_dir "dpc-sock-stray" (fun dir ->
+      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
+      let b = Socket.create ~nodes:2 ~local:1 ~addr_of () in
+      let p = raw_peer ~addr_of in
+      Fun.protect
+        ~finally:(fun () ->
+          Socket.close b;
+          raw_close p)
+        (fun () ->
+          let got = ref [] in
+          Socket.set_deliver b (fun ~src ~payload -> got := (src, payload) :: !got);
+          raw_write p
+            [
+              frame Wire.Hello ~src:0 ~dst:1 ~seq:0 "";
+              frame Wire.Data ~src:7 ~dst:1 ~seq:1 "past the cluster";
+              frame Wire.Ack ~src:5 ~dst:1 ~seq:3 "";
+              frame Wire.Data ~src:1 ~dst:1 ~seq:1 "from itself";
+              frame Wire.Data ~src:0 ~dst:1 ~seq:1 "from node 0";
+            ];
+          pump [ Socket.transport b ] ~tag:"valid frame delivered" ~until_cond:(fun () -> !got <> []);
+          check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string)) "only node 0's frame"
+            [ (0, "from node 0") ] !got;
+          check Alcotest.int "strays counted" 3 (Socket.stats b).stray_frames;
+          let blob ~out ~into =
+            Dpc_util.Serialize.with_scratch (fun w ->
+                Dpc_util.Serialize.write_string w "dpc-chan-v1";
+                Dpc_util.Serialize.write_list w
+                  (fun (dst, next_seq, acked) ->
+                    List.iter (Dpc_util.Serialize.write_varint w) [ dst; next_seq; acked ])
+                  out;
+                Dpc_util.Serialize.write_list w
+                  (fun (src, expected) ->
+                    List.iter (Dpc_util.Serialize.write_varint w) [ src; expected ])
+                  into)
+          in
+          let before = Socket.snapshot_channels b in
+          List.iter
+            (fun (what, blob) ->
+              match Socket.restore_channels b blob with
+              | () -> Alcotest.failf "restore accepted %s" what
+              | exception Dpc_util.Serialize.Corrupt _ -> ())
+            [
+              ("a sender past the cluster", blob ~out:[ (0, 4, 2); (2, 3, 1) ] ~into:[]);
+              ("a receiver past the cluster", blob ~out:[ (0, 4, 2) ] ~into:[ (1000, 3) ]);
+              ("the local node as a peer", blob ~out:[] ~into:[ (1, 3) ]);
+            ];
+          check Alcotest.string "nothing applied" before (Socket.snapshot_channels b)))
+
 (* ------------------------------------------------------------------ *)
 (* Golden process formats: a dpc-wire-v1 frame of every kind, a
    dpc-outbox-v1 ledger before and after compaction, and a dpc-chan-v1
@@ -663,7 +852,13 @@ let () =
           Alcotest.test_case "torn tail dropped" `Quick test_outbox_torn_tail;
         ] );
       ("control protocol", [ Alcotest.test_case "round-trip" `Quick test_ctrl_roundtrip ]);
-      ("socket transport", [ Alcotest.test_case "duplex pair" `Quick test_socket_pair ]);
+      ( "socket transport",
+        [
+          Alcotest.test_case "duplex pair" `Quick test_socket_pair;
+          Alcotest.test_case "chaos and a partition cycle" `Quick test_socket_chaos;
+          Alcotest.test_case "receive window bound" `Quick test_socket_window_bound;
+          Alcotest.test_case "peers past the cluster" `Quick test_socket_stray_peers;
+        ] );
       ( "format fixtures",
         [
           Alcotest.test_case "dpc-wire-v1 frames" `Quick test_wire_fixture;

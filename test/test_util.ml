@@ -135,53 +135,6 @@ let prop_sha1_injective_on_samples =
       String.equal a b || not (String.equal (sha1_hex a) (sha1_hex b)))
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  check (Alcotest.list Alcotest.int) "sorted drain" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (drain [])
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
-  check Alcotest.bool "is_empty" true (Heap.is_empty h);
-  check (Alcotest.option Alcotest.int) "pop empty" None (Heap.pop h);
-  check (Alcotest.option Alcotest.int) "peek empty" None (Heap.peek h)
-
-let test_heap_peek_and_clear () =
-  let h = Heap.create ~cmp:compare in
-  Heap.push h 42;
-  Heap.push h 7;
-  check (Alcotest.option Alcotest.int) "peek min" (Some 7) (Heap.peek h);
-  check Alcotest.int "length" 2 (Heap.length h);
-  Heap.clear h;
-  check Alcotest.bool "cleared" true (Heap.is_empty h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int) (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort compare xs)
-
-(* Socket's timer heap keys entries by [(priority, insertion seq)] to get
-   FIFO among equal priorities. Check that the pattern actually yields a
-   stable sort: draining equals a stable sort of the insertion order by
-   priority alone. *)
-let prop_heap_seq_breaks_ties_in_insertion_order =
-  QCheck.Test.make ~name:"equal priorities pop in insertion order" ~count:200
-    QCheck.(list (int_bound 5)) (fun priorities ->
-      let h = Heap.create ~cmp:(fun (pa, sa) (pb, sb) ->
-        match compare pa pb with 0 -> compare sa sb | c -> c)
-      in
-      let items = List.mapi (fun seq p -> (p, seq)) priorities in
-      List.iter (Heap.push h) items;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.stable_sort (fun (pa, _) (pb, _) -> compare pa pb) items)
-
-(* ------------------------------------------------------------------ *)
 (* Event queue *)
 
 (* Any interleaving of pushes and pops: every pop returns the event a
@@ -639,13 +592,6 @@ let () =
             Alcotest.test_case "one-shot digests mid-stream" `Quick
               test_sha1_stream_oneshot_midstream;
           ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "peek and clear" `Quick test_heap_peek_and_clear;
-        ]
-        @ qsuite [ prop_heap_sorts; prop_heap_seq_breaks_ties_in_insertion_order ] );
       ("queue", qsuite [ prop_event_queue_order; prop_event_queue_keyed_order ]);
       ( "metrics",
         [

@@ -32,9 +32,7 @@ let backoff_delay config ~src ~dst ~attempt =
     let u = Transport.channel_unit_hash ~seed:0x7ea1 ~src ~dst ~n:attempt in
     capped *. (1.0 -. (config.jitter *. u))
 
-(* The receive window's bound: arrivals held above a gap on one channel.
-   One past it is dropped unacked, and the sender's retransmission brings
-   it back once the gap has filled. *)
+(* Arrivals one channel holds above a gap; see [accept]. *)
 let window = 1024
 
 (* One directed (src, dst) channel. The sender's half is [next_seq]; the
@@ -296,7 +294,6 @@ let schedule : type a. a link -> node:int -> delay:float -> (unit -> unit) -> un
   | Closures inner -> Transport.schedule_on inner ~node ~delay k
   | Frames f -> f.io.timer ~delay k
 
-(* One transmission of a data message. *)
 let emit : type a. a link -> a msg -> retransmit:bool -> unit =
  fun t m ~retransmit ->
   match t.medium with

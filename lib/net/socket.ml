@@ -79,8 +79,7 @@ type t = {
   epoch : float;
   listen_fd : Unix.file_descr;
   scratch : Bytes.t;
-  mutable conns : conn list;
-  out_conns : (int, conn) Hashtbl.t;
+  mutable conns : conn list;  (* open ones only; at most one dialed per peer *)
   (* Timers, by wall-clock seconds since [epoch]: the channels'
      retransmissions, delayed chaos frames and local deliveries. *)
   timers : Event_queue.t;
@@ -148,10 +147,10 @@ and close_conn t c =
   if not c.closed then begin
     c.closed <- true;
     (try Unix.close c.fd with _ -> ());
-    t.conns <- List.filter (fun c' -> c' != c) t.conns;
-    (* At most one dialed connection per peer is open. *)
-    if c.dialed then Hashtbl.remove t.out_conns c.peer
+    t.conns <- List.filter (fun c' -> c' != c) t.conns
   end
+
+let dialed_to t dst = List.find_opt (fun c -> c.dialed && c.peer = dst) t.conns
 
 let new_conn fd ~peer ~connecting ~dialed =
   {
@@ -169,15 +168,11 @@ let new_conn fd ~peer ~connecting ~dialed =
    the hello, the re-offered tail and the ack go out from the loop, never
    from inside a delivery batch whose effects are not yet flushed. *)
 let ensure_dial t dst =
-  if (not (Hashtbl.mem t.out_conns dst)) && not t.blocked.(dst) then begin
+  if dialed_to t dst = None && not t.blocked.(dst) then begin
     let sa = sockaddr_of t.addrs.(dst) in
     let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
-    let dialing () =
-      let c = new_conn fd ~peer:dst ~connecting:true ~dialed:true in
-      t.conns <- c :: t.conns;
-      Hashtbl.replace t.out_conns dst c
-    in
+    let dialing () = t.conns <- new_conn fd ~peer:dst ~connecting:true ~dialed:true :: t.conns in
     match Unix.connect fd sa with
     | () -> dialing ()
     | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _) -> dialing ()
@@ -199,7 +194,7 @@ let send_ack_frame t peer c =
          seq = Reliable.delivered t.channels ~src:peer ~dst:t.local; payload = "" })
 
 let send_ack t peer =
-  match Hashtbl.find_opt t.out_conns peer with
+  match dialed_to t peer with
   | Some c when conn_alive c -> send_ack_frame t peer c
   | _ -> ensure_dial t peer
 
@@ -217,7 +212,7 @@ let dial_connected t dst c =
 let emit t ~dst ~seq ~retransmit payload =
   let wire = Wire.encode { kind = Data; src = t.local; dst; seq = seq + 1; payload } in
   let enqueue () =
-    match Hashtbl.find_opt t.out_conns dst with
+    match dialed_to t dst with
     | Some c when conn_alive c ->
         (* Skip a re-offer while an earlier burst is still draining:
            re-queueing on a congested connection only amplifies the
@@ -417,7 +412,6 @@ let create ~nodes ~local ~addr_of () =
         listen_fd;
         scratch = Bytes.create 65536;
         conns = [];
-        out_conns = Hashtbl.create 8;
         timers = Event_queue.create ();
         timer_clock = { Event_queue.now = 0.0 };
         channels =
@@ -461,9 +455,6 @@ let set_peer_blocked t ~peer blocked =
        inbound connection it holds to us. Frames already buffered die
        with the connection; the peer's (and our) retransmit discipline
        recovers them after the heal. *)
-    (match Hashtbl.find_opt t.out_conns peer with
-    | Some c -> close_conn t c
-    | None -> ());
     List.iter (fun c -> if c.peer = peer then close_conn t c) t.conns
   end
   else if (not blocked) && t.blocked.(peer) then begin
@@ -473,7 +464,9 @@ let set_peer_blocked t ~peer blocked =
     if want_peer t peer then ensure_dial t peer
   end
 
-let peer_blocked t ~peer = t.blocked.(peer)
+let peer_blocked t ~peer =
+  check_peer t "peer_blocked" peer;
+  t.blocked.(peer)
 
 (* The restart API speaks dpc-wire-v1's 1-based sequences: a sender's
    next sequence and a receiver's watermark are one past the channel's
@@ -553,11 +546,7 @@ let restore_channels t blob =
   List.iter (fun (src, expected) -> set_expected t ~src expected) ins
 
 let unacked t =
-  let n = ref 0 in
-  for dst = 0 to t.nodes - 1 do
-    n := !n + Reliable.unacked t.channels ~dst
-  done;
-  !n
+  List.fold_left (fun n dst -> n + Reliable.unacked t.channels ~dst) 0 (List.init t.nodes Fun.id)
 
 let stop t = t.stopped <- true
 

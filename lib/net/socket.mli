@@ -133,6 +133,7 @@ val set_peer_blocked : t -> peer:int -> bool -> unit
     out of range. *)
 
 val peer_blocked : t -> peer:int -> bool
+(** @raise Invalid_argument as {!set_peer_blocked} does. *)
 
 val set_chaos : t -> config:Transport.fault_config -> seed:int -> unit
 (** Corrupt outgoing data frames with {!Transport.hashed_decide} at the
@@ -145,8 +146,9 @@ val clear_chaos : t -> unit
 
 (** {2 Restart support}
 
-    None of these reports a persist event. Those that name a peer raise
-    [Invalid_argument] on the local node or one past the cluster. *)
+    None of these reports a persist event. [set_next_seq], [set_expected]
+    and [requeue] raise [Invalid_argument] on a peer that is the local
+    node or past the cluster. *)
 
 val set_next_seq : t -> dst:int -> int -> unit
 (** Monotonically raise the sender sequence of channel [(local, dst)]. *)

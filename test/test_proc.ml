@@ -442,13 +442,18 @@ let raw_peer ~addr_of =
   Unix.set_nonblock listener;
   let out = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect out (Socket.sockaddr (addr_of 1));
+  Unix.set_nonblock out;
   { out; listener; inbound = []; decoder = Wire.Decoder.create (); acks = [] }
 
-let raw_write p frames =
+(* Write every frame, running [wait] (the receiver's loop) whenever the
+   socket buffer is full. *)
+let raw_write p ~wait frames =
   let s = String.concat "" (List.map Wire.encode frames) in
   let off = ref 0 in
   while !off < String.length s do
-    off := !off + Unix.write_substring p.out s !off (String.length s - !off)
+    match Unix.write_substring p.out s !off (String.length s - !off) with
+    | n -> off := !off + n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> wait ()
   done
 
 let raw_poll p =
@@ -488,27 +493,31 @@ let test_socket_window_bound () =
         (fun () ->
           let got = ref [] in
           Socket.set_deliver b (fun ~src:_ ~payload -> got := int_of_string payload :: !got);
+          let tb = Socket.transport b in
           let pump_until tag cond =
-            pump [ Socket.transport b ] ~tag ~until_cond:(fun () ->
+            pump [ tb ] ~tag ~until_cond:(fun () ->
                 raw_poll p;
                 cond ())
           in
+          let raw_write = raw_write p ~wait:(fun () ->
+            Dpc_net.Transport.run ~until:(Dpc_net.Transport.now tb +. 0.02) tb)
+          in
           let w = Dpc_net.Reliable.window in
-          raw_write p (frame Wire.Hello ~src:0 ~dst:1 ~seq:0 "" :: List.init (w + 1) (fun i -> data (i + 2)));
+          raw_write (frame Wire.Hello ~src:0 ~dst:1 ~seq:0 "" :: List.init (w + 1) (fun i -> data (i + 2)));
           (* A duplicate of a held frame marks the end of the burst. *)
-          raw_write p [ data 2 ];
+          raw_write [ data 2 ];
           pump_until "burst read" (fun () -> (Socket.stats b).dup_dropped = 1);
           let s = Socket.stats b in
           check Alcotest.int "the window is full" w s.held;
           check Alcotest.int "nothing delivered behind the gap" 0 (List.length !got);
           check Alcotest.int "nothing acked" 0 s.acks_sent;
-          raw_write p [ data 1 ];
+          raw_write [ data 1 ];
           pump_until "gap filled" (fun () -> List.mem (w + 1) p.acks);
           check (Alcotest.list Alcotest.int) "the held frames, in order"
             (List.init (w + 1) (fun i -> i + 1)) (List.rev !got);
           check Alcotest.int "the ack stops below the dropped frame" (w + 1)
             (List.fold_left max 0 p.acks);
-          raw_write p [ data (w + 2) ];
+          raw_write [ data (w + 2) ];
           pump_until "second copy delivered" (fun () -> List.mem (w + 2) p.acks);
           check (Alcotest.list Alcotest.int) "every frame once, in order"
             (List.init (w + 2) (fun i -> i + 1)) (List.rev !got)))
@@ -528,7 +537,7 @@ let test_socket_stray_peers () =
         (fun () ->
           let got = ref [] in
           Socket.set_deliver b (fun ~src ~payload -> got := (src, payload) :: !got);
-          raw_write p
+          raw_write p ~wait:ignore
             [
               frame Wire.Hello ~src:0 ~dst:1 ~seq:0 "";
               frame Wire.Data ~src:7 ~dst:1 ~seq:1 "past the cluster";

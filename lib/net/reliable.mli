@@ -50,7 +50,9 @@
     drive an unhealed phase with [run ~until], not [run]. Over frames
     ({!over_frames}, what {!Socket} runs for [dpcd]), a message is a
     payload string and acks are cumulative, sent by the host when it
-    chooses. Sequencing, dedup, the window, delivery order,
+    chooses; [dpcd]'s config, [{timeout = 0.25; backoff = 1.0;
+    max_timeout = 0.25; max_retries = max_int; jitter = 0.0}], re-offers
+    every unacked frame every 250 ms and never suspends. Sequencing, dedup, the window, delivery order,
     retransmission and suspension are one code path for both, so the
     chaos, crash and partition oracles test the channels [dpcd] runs. *)
 

@@ -161,7 +161,8 @@ let chaos_rates =
 
 (* Health invariant shared by every faulted run: at end of run no message
    is still parked on a suspended channel and no channel is still waiting
-   on a heal probe — the reliable layer fully drained. *)
+   on a heal probe — the reliable layer fully drained — and no receive
+   window ever reached its bound. *)
 let assert_reliable_healthy ~label w =
   match Dpc_engine.Runtime.reliability w.Delp_gen.runtime with
   | None -> Alcotest.failf "%s: runtime lost its reliability layer" label
@@ -170,7 +171,9 @@ let assert_reliable_healthy ~label w =
       if s.abandoned > 0 then
         Alcotest.failf "%s: %d messages still parked at end of run" label s.abandoned;
       let stuck = Dpc_net.Reliable.suspended_channels r in
-      if stuck > 0 then Alcotest.failf "%s: %d channels still suspended at end of run" label stuck
+      if stuck > 0 then Alcotest.failf "%s: %d channels still suspended at end of run" label stuck;
+      if Dpc_net.Reliable.window_peak r >= Dpc_net.Reliable.window then
+        Alcotest.failf "%s: a receive window reached its bound" label
 
 let chaos_world instance scheme domains =
   let nodes = instance.Delp_gen.nodes in

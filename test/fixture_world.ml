@@ -31,7 +31,12 @@ let schemes =
     (Backend.S_advanced_interclass, "advanced-interclass");
   ]
 
-type t = { backend : Backend.t; runtime : Dpc_engine.Runtime.t; db : Dpc_engine.Db.t (* node 2's *) }
+type t = {
+  backend : Backend.t;
+  runtime : Dpc_engine.Runtime.t;
+  db : Dpc_engine.Db.t;  (* node 2's *)
+  routing : Dpc_net.Routing.t;
+}
 
 let create scheme =
   let topo = Dpc_net.Topology.create ~n:3 in
@@ -51,7 +56,7 @@ let create scheme =
   Dpc_engine.Runtime.load_slow runtime
     [ Dpc_apps.Forwarding.route ~at:0 ~dst:2 ~next:1;
       Dpc_apps.Forwarding.route ~at:1 ~dst:2 ~next:2; tag ~at:2 "x" ];
-  { backend; runtime; db }
+  { backend; runtime; db; routing }
 
 let inject w packets =
   List.iter

@@ -355,6 +355,107 @@ let test_cursor_survives_restart name scheme =
   check Alcotest.bool (name ^ ": a multi-tree pool occurred") true !multi
 
 (* ------------------------------------------------------------------ *)
+(* Tree and cursor fixtures. Under every scheme, for the tree pool of one
+   generated instance and the trees of one DNS reply: each tree's
+   [dpc-cursor-v1] cursor, its [Prov_tree.to_string] and its
+   [Delp_gen.tree_shape], the cursors of a limit-1 walk through the pool,
+   and the pool's [Prov_dot] rendering. The files under fixtures/ were
+   written before the tree representation last changed, and must be
+   reproduced byte for byte. A mismatch leaves [<fixture>.actual] beside
+   the test binary; review it and copy it over the fixture. *)
+
+let tree_fixture_seed = 2
+
+let render_pool b scheme pool =
+  Printf.bprintf b "scheme %s: %d trees\n" (Backend.scheme_name scheme) (List.length pool);
+  List.iteri
+    (fun i tree ->
+      Printf.bprintf b "tree %d %s\nshape %s\n%s\n" i (Query_result.cursor_of_tree tree)
+        (Delp_gen.tree_shape tree) (Prov_tree.to_string tree))
+    pool;
+  let rec walk cursor =
+    match (Query_result.paginate ?cursor ~limit:1 pool).next_cursor with
+    | None -> ()
+    | Some c ->
+        Printf.bprintf b "next %s\n" c;
+        walk (Some c)
+  in
+  walk None;
+  Buffer.add_string b (Prov_dot.forest_to_dot pool);
+  Buffer.add_char b '\n'
+
+let delp_gen_pool scheme =
+  let instance = Delp_gen.generate ~rng:(Dpc_util.Rng.create ~seed:tree_fixture_seed) in
+  let w = Delp_gen.build_world instance scheme in
+  Delp_gen.run_events w instance.events;
+  world_tree_pool w
+
+(* The trees of the first reply of 20 Zipf requests on the seed-1 paper
+   hierarchy. *)
+let dns_pool scheme =
+  let rng = Dpc_util.Rng.create ~seed:1 in
+  let t = Dns_workload.setup ~scheme (Dns_workload.paper_spec ~rng ()) () in
+  ignore (Dns_workload.inject_n_requests t ~rng ~total:20 ~duration:1.0);
+  Dns_workload.run t;
+  let reply = List.hd (Dns_workload.replies t) in
+  Query_result.dedup_trees
+    (Backend.query t.backend ~cost:Query_cost.free ~routing:t.routing reply).trees
+
+let tree_fixtures = [ ("trees-delp-gen.txt", delp_gen_pool, 2); ("trees-dns.txt", dns_pool, 1) ]
+
+let read_text_fixture name =
+  let path = Filename.concat "fixtures" name in
+  if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all else ""
+
+let test_tree_fixtures () =
+  let differ =
+  List.filter
+    (fun (name, pool_of, min_trees) ->
+      let b = Buffer.create 65536 in
+      List.iter
+        (fun scheme ->
+          let pool = pool_of scheme in
+          if List.length pool < min_trees then
+            Alcotest.failf "%s, %s: %d trees, want at least %d" name
+              (Backend.scheme_name scheme) (List.length pool) min_trees;
+          render_pool b scheme pool)
+        all_schemes;
+      let actual = Buffer.contents b in
+      let same = String.equal actual (read_text_fixture name) in
+      if not same then
+        Out_channel.with_open_bin (name ^ ".actual") (fun oc -> output_string oc actual);
+      not same)
+    tree_fixtures
+  in
+  match differ with
+  | [] -> ()
+  | (name, _, _) :: _ ->
+      Alcotest.failf "%s: trees or cursors differ from the fixture (see %s.actual)" name name
+
+(* [paginate ~cursor] rejects what it cannot resolve with Invalid_argument
+   and nothing else: random strings, and one-byte mutants of real
+   cursors. *)
+let prop_cursor_fuzz =
+  let pool = delp_gen_pool Backend.S_basic in
+  let cursors = Array.of_list (List.map Query_result.cursor_of_tree pool) in
+  QCheck.Test.make ~name:"paginate ~cursor raises only Invalid_argument" ~count:2000
+    QCheck.(
+      pair (string_gen_of_size Gen.(int_bound 60) Gen.char)
+        (triple (int_bound (Array.length cursors - 1)) (int_bound 100) (int_bound 255)))
+    (fun (random, (i, pos, byte)) ->
+      let real = cursors.(i) in
+      let mutant = Bytes.of_string real in
+      Bytes.set mutant (pos mod String.length real) (Char.chr byte);
+      List.for_all
+        (fun cursor ->
+          match Query_result.paginate ~cursor ~limit:1 pool with
+          | _ -> true
+          | exception Invalid_argument _ -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "cursor %S: %s" cursor (Printexc.to_string e))
+        [ random; Bytes.to_string mutant ])
+
+(* ------------------------------------------------------------------ *)
 (* Cost-model drift: the modeled latency must equal the analytic
    identity over the counted work, exactly — with and without the cache,
    with and without a down node. *)
@@ -515,6 +616,11 @@ let () =
           Alcotest.test_case "bad cursors surface" `Quick test_pagination_errors;
         ] );
       ("cursor survives restart", scheme_cases test_cursor_survives_restart);
+      ( "tree and cursor fixtures",
+        [
+          Alcotest.test_case "trees and cursors match the fixtures" `Quick test_tree_fixtures;
+          QCheck_alcotest.to_alcotest prop_cursor_fuzz;
+        ] );
       ( "cost drift",
         [ Alcotest.test_case "latency equals the analytic identity" `Quick test_cost_drift ] );
       ( "zipfian storm",

@@ -285,30 +285,74 @@ let mutate blob ~kind ~pos ~arg =
       ^ List.nth big_varints (arg mod List.length big_varints)
       ^ String.sub blob (pos + 1) (len - pos - 1)
 
-(* A short journal: every entry kind, with digests in an arrival's meta. *)
-let journal =
+(* A WAL with every entry kind: arrivals with and without [eqkey] and
+   [prev], a [sig] of each op, and payloads over the 64-byte interning
+   boundary. fixtures/wal.bin holds [Journal.write]'s bytes for it. *)
+let wal_fixture = "wal.bin"
+
+let journal_entries =
   let digest = Dpc_util.Sha1.digest_string in
   let packet = Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload:"a" in
+  let big = Dpc_apps.Forwarding.packet ~src:1 ~dst:2 ~payload:(String.make 100 'p') in
+  let meta ?eqkey ?prev evid =
+    { Dpc_engine.Prov_hook.evid = digest evid; exist_flag = Option.is_some eqkey;
+      eqkey = Option.map digest eqkey; prev = Option.map (fun (n, r) -> (n, digest r)) prev }
+  in
+  let open Dpc_engine.Journal in
+  [
+    Input packet;
+    Next_seq { peer = 1; seq = 1 };
+    Arrival { event = packet; meta = meta "e" ~eqkey:"k" ~prev:(0, "r") };
+    Arrival { event = packet; meta = meta "e" };
+    Arrival { event = big; meta = meta "f" ~eqkey:"k" };
+    Arrival { event = big; meta = meta "f" ~prev:(300, "s") };
+    Next_seq { peer = 2; seq = 4 };
+    Expected { peer = 0; seq = 3 };
+    Expected { peer = 129; seq = 100_000 };
+    Sig { op = Dpc_engine.Prov_hook.Slow_insert; tuple = tag ~at:2 "y" };
+    Sig { op = Dpc_engine.Prov_hook.Slow_delete; tuple = tag ~at:2 (String.make 65 't') };
+    Slow_insert (tag ~at:2 "y");
+    Slow_delete (tag ~at:2 "x");
+    Load (tag ~at:2 "x");
+    Input big;
+  ]
+
+let journal =
   let w = S.writer () in
-  List.iter (Dpc_engine.Journal.write w)
-    [
-      Dpc_engine.Journal.Input packet;
-      Next_seq { peer = 1; seq = 1 };
-      Arrival
-        {
-          event = packet;
-          meta =
-            { Dpc_engine.Prov_hook.evid = digest "e"; exist_flag = false;
-              eqkey = Some (digest "k"); prev = Some (0, digest "r") };
-        };
-      Next_seq { peer = 2; seq = 4 };
-      Expected { peer = 0; seq = 3 };
-      Sig { op = Dpc_engine.Prov_hook.Slow_insert; tuple = tag ~at:2 "y" };
-      Slow_insert (tag ~at:2 "y");
-      Slow_delete (tag ~at:2 "x");
-      Load (tag ~at:2 "x");
-    ];
+  List.iter (Dpc_engine.Journal.write w) journal_entries;
   S.contents w
+
+let meta_equal (a : Dpc_engine.Prov_hook.meta) (b : Dpc_engine.Prov_hook.meta) =
+  let sha = Dpc_util.Sha1.equal in
+  sha a.evid b.evid && a.exist_flag = b.exist_flag
+  && Option.equal sha a.eqkey b.eqkey
+  && Option.equal (fun (n, r) (n', r') -> n = n' && sha r r') a.prev b.prev
+
+let entry_equal (a : Dpc_engine.Journal.entry) (b : Dpc_engine.Journal.entry) =
+  let tuple = Dpc_ndlog.Tuple.equal in
+  match (a, b) with
+  | Input x, Input y | Slow_insert x, Slow_insert y | Slow_delete x, Slow_delete y | Load x, Load y
+    ->
+      tuple x y
+  | Arrival x, Arrival y -> tuple x.event y.event && meta_equal x.meta y.meta
+  | Sig x, Sig y -> x.op = y.op && tuple x.tuple y.tuple
+  | Next_seq x, Next_seq y -> x.peer = y.peer && x.seq = y.seq
+  | Expected x, Expected y -> x.peer = y.peer && x.seq = y.seq
+  | (Input _ | Arrival _ | Sig _ | Slow_insert _ | Slow_delete _ | Load _ | Next_seq _
+    | Expected _), _ ->
+      false
+
+let test_wal_encoder () = check_bytes [ (wal_fixture, expected wal_fixture, journal) ]
+
+let test_wal_decoder () =
+  let r = S.reader (read_fixture wal_fixture) in
+  let rec entries acc = if S.at_end r then List.rev acc else entries (Dpc_engine.Journal.read r :: acc) in
+  let decoded = entries [] in
+  Alcotest.check Alcotest.int "entries" (List.length journal_entries) (List.length decoded);
+  List.iteri
+    (fun i (want, got) ->
+      if not (entry_equal want got) then Alcotest.failf "entry %d decodes to a different entry" i)
+    (List.combine journal_entries decoded)
 
 let decode_journal blob =
   let r = S.reader blob in
@@ -340,7 +384,7 @@ let targets =
            Dpc_net.Reliable.restore
              (Dpc_net.Reliable.wrap (Dpc_net.Transport.direct ~nodes:3 ()))
              ~node:1 blob);
-        ("journal", (fun () -> journal), decode_journal);
+        ("journal", (fun () -> read_fixture wal_fixture), decode_journal);
       ])
 
 let prop_decoders_raise_only_corrupt =
@@ -518,6 +562,8 @@ let () =
           Alcotest.test_case "channel encoder" `Quick test_channel_encoder;
           Alcotest.test_case "channel round trip" `Quick test_channel_roundtrip;
           QCheck_alcotest.to_alcotest prop_db_writers_match_reference;
+          Alcotest.test_case "wal encoder" `Quick test_wal_encoder;
+          Alcotest.test_case "wal decoder" `Quick test_wal_decoder;
         ] );
       ( "advanced deltas",
         List.map

@@ -19,15 +19,15 @@ let tuple_id t = "t_" ^ Dpc_util.Sha1.abbrev (Rows.vid_of t)
 
 let rule_id (tree : Prov_tree.t) =
   let trigger =
-    match tree.trigger with
-    | Prov_tree.Event ev -> Tuple.canonical ev
-    | Prov_tree.Derived sub -> Tuple.canonical sub.output
+    match tree with
+    | Event { event; _ } -> Tuple.canonical event
+    | Derived { sub; _ } -> Tuple.canonical (Prov_tree.output sub)
   in
   "r_"
   ^ Dpc_util.Sha1.abbrev
       (Dpc_util.Sha1.digest_concat
-         ((tree.rule :: Tuple.canonical tree.output :: trigger
-           :: List.map Tuple.canonical tree.slow)))
+         ((Prov_tree.rule tree :: Tuple.canonical (Prov_tree.output tree) :: trigger
+           :: List.map Tuple.canonical (Prov_tree.slow tree))))
 
 let emit_tuple buf ~slow t =
   let style = if slow then ", style=filled, fillcolor=lightgray" else "" in
@@ -36,22 +36,23 @@ let emit_tuple buf ~slow t =
        (escape (Tuple.to_string t)) style)
 
 let rec emit buf (tree : Prov_tree.t) =
-  let rid = rule_id tree in
-  Buffer.add_string buf (Printf.sprintf "  %s [shape=ellipse, label=\"%s\"];\n" rid tree.rule);
-  emit_tuple buf ~slow:false tree.output;
-  Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" rid (tuple_id tree.output));
+  let rid = rule_id tree and output = Prov_tree.output tree in
+  Buffer.add_string buf
+    (Printf.sprintf "  %s [shape=ellipse, label=\"%s\"];\n" rid (Prov_tree.rule tree));
+  emit_tuple buf ~slow:false output;
+  Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" rid (tuple_id output));
   List.iter
     (fun b ->
       emit_tuple buf ~slow:true b;
       Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" (tuple_id b) rid))
-    tree.slow;
-  match tree.trigger with
-  | Prov_tree.Event ev ->
-      emit_tuple buf ~slow:false ev;
-      Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" (tuple_id ev) rid)
-  | Prov_tree.Derived sub ->
+    (Prov_tree.slow tree);
+  match tree with
+  | Event { event; _ } ->
+      emit_tuple buf ~slow:false event;
+      Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" (tuple_id event) rid)
+  | Derived { sub; _ } ->
       emit buf sub;
-      Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" (tuple_id sub.output) rid)
+      Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" (tuple_id (Prov_tree.output sub)) rid)
 
 let forest_to_dot ?(name = "provenance") trees =
   let buf = Buffer.create 1024 in

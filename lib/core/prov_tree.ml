@@ -1,50 +1,56 @@
 open Dpc_ndlog
 
-type t = { rule : string; output : Tuple.t; trigger : trigger; slow : Tuple.t list }
-and trigger = Event of Tuple.t | Derived of t
+type t =
+  | Event of { rule : string; output : Tuple.t; slow : Tuple.t list; event : Tuple.t }
+  | Derived of { rule : string; output : Tuple.t; slow : Tuple.t list; sub : t }
 
-let rec event_of t =
-  match t.trigger with Event ev -> ev | Derived sub -> event_of sub
+let rule = function Event { rule; _ } | Derived { rule; _ } -> rule
+let output = function Event { output; _ } | Derived { output; _ } -> output
+let slow = function Event { slow; _ } | Derived { slow; _ } -> slow
 
-let rec depth t = match t.trigger with Event _ -> 1 | Derived sub -> 1 + depth sub
+let rec event_of = function Event { event; _ } -> event | Derived { sub; _ } -> event_of sub
+
+let rec depth = function Event _ -> 1 | Derived { sub; _ } -> 1 + depth sub
 
 let rec rules_root_to_leaf t =
-  t.rule :: (match t.trigger with Event _ -> [] | Derived sub -> rules_root_to_leaf sub)
+  rule t :: (match t with Event _ -> [] | Derived { sub; _ } -> rules_root_to_leaf sub)
 
 let rec tuples t =
-  (t.output :: t.slow)
-  @ (match t.trigger with Event ev -> [ ev ] | Derived sub -> tuples sub)
+  (output t :: slow t)
+  @ (match t with Event { event; _ } -> [ event ] | Derived { sub; _ } -> tuples sub)
+
+let same_slow a b =
+  let a = slow a and b = slow b in
+  List.length a = List.length b && List.for_all2 Tuple.equal a b
 
 let rec equal a b =
-  String.equal a.rule b.rule
-  && Tuple.equal a.output b.output
-  && List.length a.slow = List.length b.slow
-  && List.for_all2 Tuple.equal a.slow b.slow
+  String.equal (rule a) (rule b)
+  && Tuple.equal (output a) (output b)
+  && same_slow a b
   &&
-  match a.trigger, b.trigger with
-  | Event x, Event y -> Tuple.equal x y
-  | Derived x, Derived y -> equal x y
+  match a, b with
+  | Event x, Event y -> Tuple.equal x.event y.event
+  | Derived x, Derived y -> equal x.sub y.sub
   | (Event _ | Derived _), _ -> false
 
 let rec equivalent a b =
-  String.equal a.rule b.rule
-  && List.length a.slow = List.length b.slow
-  && List.for_all2 Tuple.equal a.slow b.slow
+  String.equal (rule a) (rule b)
+  && same_slow a b
   &&
-  match a.trigger, b.trigger with
+  match a, b with
   | Event _, Event _ -> true
-  | Derived x, Derived y -> equivalent x y
+  | Derived x, Derived y -> equivalent x.sub y.sub
   | (Event _ | Derived _), _ -> false
 
 let rec compare_tree a b =
   let ( <?> ) c next = if c <> 0 then c else next () in
-  String.compare a.rule b.rule <?> fun () ->
-  Tuple.compare a.output b.output <?> fun () ->
-  Stdlib.compare (List.map Tuple.canonical a.slow) (List.map Tuple.canonical b.slow)
+  String.compare (rule a) (rule b) <?> fun () ->
+  Tuple.compare (output a) (output b) <?> fun () ->
+  Stdlib.compare (List.map Tuple.canonical (slow a)) (List.map Tuple.canonical (slow b))
   <?> fun () ->
-  match a.trigger, b.trigger with
-  | Event x, Event y -> Tuple.compare x y
-  | Derived x, Derived y -> compare_tree x y
+  match a, b with
+  | Event x, Event y -> Tuple.compare x.event y.event
+  | Derived x, Derived y -> compare_tree x.sub y.sub
   | Event _, Derived _ -> -1
   | Derived _, Event _ -> 1
 
@@ -53,11 +59,11 @@ let compare = compare_tree
 let event_id t = Tuple.digest (event_of t)
 
 let rec pp_indent fmt indent t =
-  Format.fprintf fmt "%s%a  <- %s" indent Tuple.pp t.output t.rule;
-  List.iter (fun b -> Format.fprintf fmt "@,%s  [slow] %a" indent Tuple.pp b) t.slow;
-  match t.trigger with
-  | Event ev -> Format.fprintf fmt "@,%s  [event] %a" indent Tuple.pp ev
-  | Derived sub ->
+  Format.fprintf fmt "%s%a  <- %s" indent Tuple.pp (output t) (rule t);
+  List.iter (fun b -> Format.fprintf fmt "@,%s  [slow] %a" indent Tuple.pp b) (slow t);
+  match t with
+  | Event { event; _ } -> Format.fprintf fmt "@,%s  [event] %a" indent Tuple.pp event
+  | Derived { sub; _ } ->
       Format.fprintf fmt "@,";
       pp_indent fmt (indent ^ "  ") sub
 

@@ -3,16 +3,30 @@
     [tr ::= <rID, P, ev, B1..Bn> | <rID, P, tr, B1..Bn>]: a rule execution
     node derives tuple [P] from a trigger (the input event tuple, or the
     subtree deriving an intermediate event) and the slow-changing tuples
-    [B1..Bn] it joined. The root's [output] is the queried tuple. *)
+    [B1..Bn] it joined. The root's [output] is the queried tuple.
 
-type t = {
-  rule : string;
-  output : Dpc_ndlog.Tuple.t;
-  trigger : trigger;
-  slow : Dpc_ndlog.Tuple.t list;
-}
+    Each form of the grammar is one constructor with an inline record, so
+    a level of a tree is one block of five words: the rule, [P], the slow
+    list and the trigger, with no separate trigger box. The query cache
+    keeps thousands of these trees, one level per rule execution. *)
 
-and trigger = Event of Dpc_ndlog.Tuple.t | Derived of t
+type t =
+  | Event of {
+      rule : string;
+      output : Dpc_ndlog.Tuple.t;
+      slow : Dpc_ndlog.Tuple.t list;
+      event : Dpc_ndlog.Tuple.t;  (** the input event that triggered [rule] *)
+    }  (** [<rID, P, ev, B1..Bn>]: the leaf *)
+  | Derived of {
+      rule : string;
+      output : Dpc_ndlog.Tuple.t;
+      slow : Dpc_ndlog.Tuple.t list;
+      sub : t;  (** the tree deriving the intermediate event that triggered [rule] *)
+    }  (** [<rID, P, tr, B1..Bn>] *)
+
+val rule : t -> string
+val output : t -> Dpc_ndlog.Tuple.t
+val slow : t -> Dpc_ndlog.Tuple.t list
 
 val event_of : t -> Dpc_ndlog.Tuple.t
 (** The input event at the leaf (the paper's [EVENTOF]). *)

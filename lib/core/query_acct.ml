@@ -84,9 +84,7 @@ let memo cache acct ~gen ~rref:(rloc, rid) ~ctx compute =
           acct.touched <- [];
           let trees = compute () in
           if acct.downs = downs0 then
-            Query_cache.add cache ~querier:acct.querier
-              ~deps:(List.map (fun n -> (n, gen n)) acct.touched)
-              key trees;
+            Query_cache.add cache ~querier:acct.querier ~gen ~touched:acct.touched key trees;
           acct.touched <- List.rev_append outer acct.touched;
           trees)
 
@@ -151,25 +149,26 @@ let chains acct ~start ~step rref =
    event and slow vids come from [c.leaf], every other row's event is the
    head re-derived below it. *)
 let rederive acct c prov chain =
-  let fire (row : Rows.rule_exec_row) trigger event slow_vids =
+  let fire (row : Rows.rule_exec_row) event slow_vids =
     let slow = List.map (fetch acct (c.slow row.rloc)) slow_vids in
     let plan = c.plan row.rule in
     charge_rederive acct 1;
     match Dpc_engine.Eval.fire_with_slow ~plan ~event ~slow with
-    | Some head ->
-        ( { Prov_tree.rule = (Dpc_engine.Eval.plan_rule plan).name; output = head; trigger; slow },
-          head )
+    | Some head -> ((Dpc_engine.Eval.plan_rule plan).name, head, slow)
     | None -> raise (Broken "re-derivation failed")
   in
   let rec build = function
     | [] -> raise (Broken "empty chain")
     | [ leaf ] ->
         let event, slow_vids = c.leaf acct prov leaf in
-        fire leaf (Prov_tree.Event event) event slow_vids
+        let rule, output, slow = fire leaf event slow_vids in
+        Prov_tree.Event { rule; output; slow; event }
     | (row : Rows.rule_exec_row) :: rest ->
-        let sub, sub_head = build rest in
+        let sub = build rest in
+        let sub_head = Prov_tree.output sub in
         if Tuple.loc sub_head <> row.rloc then raise (Broken "chain/location mismatch");
-        fire row (Prov_tree.Derived sub) sub_head row.vids
+        let rule, output, slow = fire row sub_head row.vids in
+        Prov_tree.Derived { rule; output; slow; sub }
   in
   build chain
 
@@ -182,7 +181,7 @@ let chain_walk c =
   List.filter_map
     (fun chain ->
       match rederive acct c prov chain with
-      | tree, head when Tuple.equal head output -> Some tree
+      | tree when Tuple.equal (Prov_tree.output tree) output -> Some tree
       | _ -> None
       | exception Broken _ -> None)
     (chains acct ~start:querier ~step rref)

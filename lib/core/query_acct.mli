@@ -41,8 +41,9 @@ val memo :
   Prov_tree.t list
 (** Memoize one unit of reconstruction (everything reachable from [rref]
     in the context [ctx]) in the cache, if any. A hit charges one entry and
-    skips the walk; only walks that met no down node are recorded, with
-    the generations ([gen]) of the nodes they read. *)
+    skips the walk; only walks that met no down node are recorded, the
+    nodes they read packed with their generations ([gen]) into the
+    entry's snapshot ({!Query_cache.add}). *)
 
 val result : t -> Prov_tree.t list -> Query_result.t
 

@@ -1,6 +1,20 @@
+(* An entry's dependency snapshot holds one int per node the walk read:
+   the node in the high [node_bits] bits, its generation when read in the
+   low [gen_bits]. *)
+let node_bits = 22
+let gen_bits = Sys.int_size - 1 - node_bits
+let max_node = (1 lsl node_bits) - 1
+let max_gen = (1 lsl gen_bits) - 1
+let node_of dep = dep lsr gen_bits
+
+(* [Array.exists] without the closure it allocates per call. *)
+let rec exists_dep p deps i = i < Array.length deps && (p deps.(i) || exists_dep p deps (i + 1))
+
+let rec reads deps node i = i < Array.length deps && (node_of deps.(i) = node || reads deps node (i + 1))
+
 type entry = {
   trees : Prov_tree.t list;
-  deps : (int * int) list;  (* (node, generation when read) *)
+  deps : int array;
   mutable last_use : int;
 }
 
@@ -56,7 +70,7 @@ let find t ~querier ~up ~gen key =
           t.tick ~node:querier "query.cache.miss" 1;
           None
       | Some entry ->
-          if List.exists (fun (node, _) -> not (up node)) entry.deps then begin
+          if exists_dep (fun dep -> not (up (node_of dep))) entry.deps 0 then begin
             (* A dep is down: the real walk degrades exactly as it would
                cache-off, so this must be a miss — but the entry itself is
                still valid once the node is back, so keep it. *)
@@ -64,7 +78,8 @@ let find t ~querier ~up ~gen key =
             t.tick ~node:querier "query.cache.miss" 1;
             None
           end
-          else if List.exists (fun (node, g) -> gen node <> g) entry.deps then begin
+          else if exists_dep (fun dep -> gen (node_of dep) <> dep land max_gen) entry.deps 0
+          then begin
             Hashtbl.remove t.table key;
             t.invalidations <- t.invalidations + 1;
             t.tick ~node:querier "query.cache.invalidate" 1;
@@ -96,18 +111,30 @@ let evict_locked t ~querier =
   t.evictions <- t.evictions + n;
   if n > 0 then t.tick ~node:querier "query.cache.evict" n
 
-let add t ~querier ~deps key trees =
-  Mutex.protect t.lock (fun () ->
-      t.clock <- t.clock + 1;
-      Hashtbl.replace t.table key { trees; deps; last_use = t.clock };
-      if Hashtbl.length t.table > t.capacity then evict_locked t ~querier)
+(* Pack [nodes] with their generations into [deps] from index [i]; false
+   if a node or a generation is outside its field. *)
+let rec pack deps ~gen i = function
+  | [] -> true
+  | node :: rest ->
+      let g = gen node in
+      node >= 0 && node <= max_node && g >= 0 && g <= max_gen
+      && begin
+        deps.(i) <- (node lsl gen_bits) lor g;
+        pack deps ~gen (i + 1) rest
+      end
+
+let add t ~querier ~gen ~touched key trees =
+  let deps = Array.make (List.length touched) 0 in
+  if pack deps ~gen 0 touched then
+    Mutex.protect t.lock (fun () ->
+        t.clock <- t.clock + 1;
+        Hashtbl.replace t.table key { trees; deps; last_use = t.clock };
+        if Hashtbl.length t.table > t.capacity then evict_locked t ~querier)
 
 let invalidate_node t node =
   Mutex.protect t.lock (fun () ->
       let doomed =
-        Hashtbl.fold
-          (fun k e acc -> if List.mem_assoc node e.deps then k :: acc else acc)
-          t.table []
+        Hashtbl.fold (fun k e acc -> if reads e.deps node 0 then k :: acc else acc) t.table []
       in
       List.iter (Hashtbl.remove t.table) doomed;
       let n = List.length doomed in

@@ -17,6 +17,13 @@
       bump their per-node generation on every accepted row insert, and a
       lookup whose recorded generations no longer match drops the entry
       (counted as an invalidation) and misses.
+    - {b The dependency snapshot.} An entry keeps one int per node its
+      walk read: the node id in the high 22 bits and its generation in
+      the low [Sys.int_size - 23] bits (40 on a 64-bit host), so a node
+      costs one word instead of a list cell and a pair. The widths bound
+      what can be cached: a walk that read a node past {!max_node}, or a
+      generation past {!max_gen}, is not cached, and its answer is
+      returned as computed.
     - {b §5.5 slow-update flush.} A [sig] broadcast means previously
       reconstructed trees may no longer reflect the store (Advanced
       wipes [htequi]); the stores call {!invalidate_node} from their
@@ -71,11 +78,27 @@ val find :
     down, or when a dep generation moved (the entry is then dropped and
     counted as an invalidation). Hit/miss ticks land on [querier]. *)
 
-val add : t -> querier:int -> deps:(int * int) list -> string -> Prov_tree.t list -> unit
-(** [add t ~querier ~deps key trees] memoizes [trees] under [key] with
-    dependency snapshot [deps = (node, generation-as-read) list]. The
-    caller must only add results of complete walks (no down node hit).
-    May trigger eviction, ticked against [querier]. *)
+val max_node : int
+(** [2{^22} - 1], the largest node id a snapshot holds. *)
+
+val max_gen : int
+(** The largest generation a snapshot holds: [2{^40} - 1] on a 64-bit
+    host, where the two fields take all 62 bits of a non-negative int. *)
+
+val add :
+  t ->
+  querier:int ->
+  gen:(int -> int) ->
+  touched:int list ->
+  string ->
+  Prov_tree.t list ->
+  unit
+(** [add t ~querier ~gen ~touched key trees] memoizes [trees] under [key],
+    packing the snapshot straight from [touched], the nodes the walk read,
+    each with its generation [gen node]. If a node is outside
+    [0..max_node] or a generation outside [0..max_gen], nothing is added.
+    The caller must only add results of complete walks (no down node
+    hit). May trigger eviction, ticked against [querier]. *)
 
 val invalidate_node : t -> int -> unit
 (** Drop every entry that read [node]; ticks

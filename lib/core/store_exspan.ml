@@ -132,21 +132,18 @@ let rec fetch_trees (delp : Delp.t) k acct ~at ~output (rloc, rid) =
   let event_tuple = resolve_body event_vid in
   (* A walk from a derived row yields at least one tree or raises, so no
      trees means no derived row: the event is an input. *)
-  let triggers =
-    match
-      K.concat_map st.prov event_vid (fun (r : Rows.prov_row) ->
-          match r.rid with
-          | None -> []
-          | Some rref ->
-              List.map
-                (fun sub -> Prov_tree.Derived sub)
-                (fetch_trees delp k acct ~at:rloc ~output:event_tuple rref))
-    with
-    | [] -> [ Prov_tree.Event event_tuple ]
-    | derived -> derived
+  let subs =
+    K.concat_map st.prov event_vid (fun (r : Rows.prov_row) ->
+        match r.rid with
+        | None -> []
+        | Some rref -> fetch_trees delp k acct ~at:rloc ~output:event_tuple rref)
   in
-  List.filteri (fun i _ -> i < max_derivations) triggers
-  |> List.map (fun trigger -> { Prov_tree.rule = exec.rule; output; trigger; slow })
+  let rule = exec.rule in
+  match subs with
+  | [] -> [ Prov_tree.Event { rule; output; slow; event = event_tuple } ]
+  | subs ->
+      List.filteri (fun i _ -> i < max_derivations) subs
+      |> List.map (fun sub -> Prov_tree.Derived { rule; output; slow; sub })
 
 let create ~delp ~env:_ ~nodes =
   let k = K.create (Dpc_engine.Node.cluster nodes) layout in

@@ -231,10 +231,6 @@ let mutate_non_keys ~rng ~keys event =
   Tuple.make (Tuple.rel event) args
 
 let rec tree_shape (tree : Dpc_core.Prov_tree.t) =
-  let slow = String.concat "," (List.map Tuple.canonical tree.slow) in
-  let rest =
-    match tree.trigger with
-    | Dpc_core.Prov_tree.Event _ -> "<event>"
-    | Dpc_core.Prov_tree.Derived sub -> tree_shape sub
-  in
-  Printf.sprintf "%s[%s];%s" tree.rule slow rest
+  let slow = String.concat "," (List.map Tuple.canonical (Dpc_core.Prov_tree.slow tree)) in
+  let rest = match tree with Event _ -> "<event>" | Derived { sub; _ } -> tree_shape sub in
+  Printf.sprintf "%s[%s];%s" (Dpc_core.Prov_tree.rule tree) slow rest

@@ -14,7 +14,7 @@
 # worse, not that the builder was busy.
 #
 # Last, the allocation gate runs dpcbench on every workload listed in
-# BENCH_PR26.json (all five) and fails when a workload's allocated words
+# BENCH_PR29.json (all five) and fails when a workload's allocated words
 # per event or its peak heap exceed the baseline by more than their
 # tolerances (2 % and 5 %, the benchmark's own bounds). Both are counted,
 # not timed: allocation repeats exactly from run to run, and so does the
@@ -148,7 +148,7 @@ print("query p99 gate ok")
 PY
 fi
 
-alloc_baseline=BENCH_PR26.json
+alloc_baseline=BENCH_PR29.json
 echo "== allocation gate: dpcbench alloc_words_per_event and peak_heap_mb vs $alloc_baseline =="
 python3 - "$alloc_baseline" <<'PY' || failed="$failed allocation"
 import json, subprocess, sys

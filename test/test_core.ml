@@ -61,27 +61,30 @@ let expected_recv payload = Dpc_apps.Forwarding.recv ~at:2 ~src:0 ~dst:2 ~payloa
 
 (* The provenance tree of Fig 3 for a given payload. *)
 let fig3_tree payload =
-  {
-    Prov_tree.rule = "r2";
-    output = expected_recv payload;
-    slow = [];
-    trigger =
-      Derived
-        {
-          Prov_tree.rule = "r1";
-          output = Tuple.make "packet" [ Value.Addr 2; Value.Addr 0; Value.Addr 2; Value.Str payload ];
-          slow = [ Dpc_apps.Forwarding.route ~at:1 ~dst:2 ~next:2 ];
-          trigger =
-            Derived
-              {
-                Prov_tree.rule = "r1";
-                output =
-                  Tuple.make "packet" [ Value.Addr 1; Value.Addr 0; Value.Addr 2; Value.Str payload ];
-                slow = [ Dpc_apps.Forwarding.route ~at:0 ~dst:2 ~next:1 ];
-                trigger = Event (Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload);
-              };
-        };
-  }
+  Prov_tree.Derived
+    {
+      rule = "r2";
+      output = expected_recv payload;
+      slow = [];
+      sub =
+        Derived
+          {
+            rule = "r1";
+            output =
+              Tuple.make "packet" [ Value.Addr 2; Value.Addr 0; Value.Addr 2; Value.Str payload ];
+            slow = [ Dpc_apps.Forwarding.route ~at:1 ~dst:2 ~next:2 ];
+            sub =
+              Event
+                {
+                  rule = "r1";
+                  output =
+                    Tuple.make "packet"
+                      [ Value.Addr 1; Value.Addr 0; Value.Addr 2; Value.Str payload ];
+                  slow = [ Dpc_apps.Forwarding.route ~at:0 ~dst:2 ~next:1 ];
+                  event = Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload;
+                };
+          };
+    }
 
 let tree_testable = Alcotest.testable Prov_tree.pp Prov_tree.equal
 
@@ -422,19 +425,21 @@ let test_prov_tree_accessors () =
 let test_prov_tree_equivalence_is_shape_sensitive () =
   let t = fig3_tree "data" in
   let shallow =
-    { Prov_tree.rule = "r2"; output = expected_recv "data"; slow = [];
-      trigger = Event (Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload:"data") }
+    Prov_tree.Event
+      { rule = "r2"; output = expected_recv "data"; slow = [];
+        event = Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload:"data" }
   in
   check Alcotest.bool "different depth not equivalent" false (Prov_tree.equivalent t shallow);
   let different_slow =
     match t with
-    | { Prov_tree.trigger = Derived ({ trigger = Derived inner; _ } as mid); _ } ->
-        { t with
-          trigger =
-            Derived
-              { mid with
-                trigger =
-                  Derived { inner with slow = [ Dpc_apps.Forwarding.route ~at:0 ~dst:2 ~next:3 ] } } }
+    | Derived ({ sub = Derived ({ sub = Event inner; _ } as mid); _ } as root) ->
+        Prov_tree.Derived
+          { root with
+            sub =
+              Derived
+                { mid with
+                  sub =
+                    Event { inner with slow = [ Dpc_apps.Forwarding.route ~at:0 ~dst:2 ~next:3 ] } } }
     | _ -> Alcotest.fail "unexpected tree shape"
   in
   check Alcotest.bool "different slow tuples not equivalent" false

@@ -807,15 +807,16 @@ let test_budget_digests scheme name ~measured () =
         (fun () -> ignore (Db.digest w.db)))
     [ ("fixture", small); ("large", large) ]
 
-(* A Basic query of node 2's first output on [Fixture_world] after batch
+(* A Basic query of packet "a"'s output on [Fixture_world] after batch
    1, through an attached query cache and the simulation cost model. A
-   miss, with the cache emptied before each call, walks the chain,
-   re-derives its two levels and adds the entry; a hit finds it. *)
+   miss, with the cache emptied before each call, walks the chain over
+   the three nodes, re-derives its three levels and adds the entry; a
+   hit finds it. *)
 let test_budget_query ~miss ~hit () =
   let w = Fixture_world.create Dpc_core.Backend.S_basic in
   Fixture_world.batch1 w;
   let cache = Dpc_core.Backend.attach_query_cache w.backend in
-  let output = fst (List.hd (Runtime.outputs w.runtime)) in
+  let output = Tuple.make "recv" Value.[ Addr 2; Addr 0; Addr 2; Str "a"; Str "x" ] in
   let query () =
     ignore
       (Dpc_core.Backend.query w.backend ~cost:Dpc_core.Query_cost.simulation ~routing:w.routing
@@ -1030,8 +1031,10 @@ let () =
             (test_budget_cut "Db.snapshot_delta" ~delta:true ~measured:23
                (fun (w : Fixture_world.t) -> Db.snapshot_delta w.db));
           Alcotest.test_case "Reliable.snapshot" `Quick test_budget_channel_snapshot;
+          (* With a (node, generation) pair list per entry and a trigger
+             box per tree level: miss 493, hit 137. *)
           Alcotest.test_case "Basic query, cache miss and hit" `Quick
-            (test_budget_query ~miss:297 ~hit:133);
+            (test_budget_query ~miss:472 ~hit:135);
           (* List-based writers: 518. With a closure per ruleExec row's vids:
              262. *)
           Alcotest.test_case "Advanced checkpoint_node cut" `Quick

@@ -163,19 +163,21 @@ let test_replay_latency_includes_log_cost () =
 (* Prov_dot *)
 
 let sample_tree () =
-  {
-    Prov_tree.rule = "r2";
-    output = Dpc_apps.Forwarding.recv ~at:2 ~src:0 ~dst:2 ~payload:"d\"q";
-    slow = [];
-    trigger =
-      Derived
-        {
-          Prov_tree.rule = "r1";
-          output = Tuple.make "packet" [ Value.Addr 2; Value.Addr 0; Value.Addr 2; Value.Str "d\"q" ];
-          slow = [ Dpc_apps.Forwarding.route ~at:0 ~dst:2 ~next:2 ];
-          trigger = Event (Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload:"d\"q");
-        };
-  }
+  Prov_tree.Derived
+    {
+      rule = "r2";
+      output = Dpc_apps.Forwarding.recv ~at:2 ~src:0 ~dst:2 ~payload:"d\"q";
+      slow = [];
+      sub =
+        Event
+          {
+            rule = "r1";
+            output =
+              Tuple.make "packet" [ Value.Addr 2; Value.Addr 0; Value.Addr 2; Value.Str "d\"q" ];
+            slow = [ Dpc_apps.Forwarding.route ~at:0 ~dst:2 ~next:2 ];
+            event = Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload:"d\"q";
+          };
+    }
 
 let count_occurrences hay needle =
   let n = String.length needle in

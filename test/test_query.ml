@@ -49,7 +49,7 @@ let test_cache_hit_miss () =
   (match Query_cache.find cache ~querier:0 ~up:all_up ~gen key with
   | Some _ -> Alcotest.fail "hit on an empty cache"
   | None -> ());
-  Query_cache.add cache ~querier:0 ~deps:[ (1, 7); (2, 7) ] key [];
+  Query_cache.add cache ~querier:0 ~gen ~touched:[ 1; 2 ] key [];
   (match Query_cache.find cache ~querier:0 ~up:all_up ~gen key with
   | Some [] -> ()
   | Some _ -> Alcotest.fail "hit returned different trees"
@@ -73,7 +73,7 @@ let test_cache_key_disambiguates () =
 let test_cache_generation_staleness () =
   let cache, ticks = make_cache () in
   let key = Query_cache.key ~loc:0 ~rid:(sha "r") ~ctx:"" in
-  Query_cache.add cache ~querier:0 ~deps:[ (1, 7) ] key [];
+  Query_cache.add cache ~querier:0 ~gen:(fun _ -> 7) ~touched:[ 1 ] key [];
   (* Node 1 accepted a write since the entry was recorded. *)
   (match Query_cache.find cache ~querier:0 ~up:all_up ~gen:(fun _ -> 8) key with
   | Some _ -> Alcotest.fail "served a stale entry"
@@ -90,7 +90,7 @@ let test_cache_down_dep_is_miss_not_drop () =
   let cache, _ = make_cache () in
   let key = Query_cache.key ~loc:0 ~rid:(sha "r") ~ctx:"" in
   let gen _ = 7 in
-  Query_cache.add cache ~querier:0 ~deps:[ (1, 7); (2, 7) ] key [];
+  Query_cache.add cache ~querier:0 ~gen ~touched:[ 1; 2 ] key [];
   (* Node 2 is down: the lookup must miss (the real walk then degrades
      exactly like cache-off), but the entry survives the outage. *)
   (match Query_cache.find cache ~querier:0 ~up:(fun n -> n <> 2) ~gen key with
@@ -105,8 +105,8 @@ let test_cache_invalidate_node () =
   let cache, _ = make_cache () in
   let k1 = Query_cache.key ~loc:0 ~rid:(sha "a") ~ctx:""
   and k2 = Query_cache.key ~loc:0 ~rid:(sha "b") ~ctx:"" in
-  Query_cache.add cache ~querier:0 ~deps:[ (1, 7) ] k1 [];
-  Query_cache.add cache ~querier:0 ~deps:[ (2, 7) ] k2 [];
+  Query_cache.add cache ~querier:0 ~gen:(fun _ -> 7) ~touched:[ 1 ] k1 [];
+  Query_cache.add cache ~querier:0 ~gen:(fun _ -> 7) ~touched:[ 2 ] k2 [];
   Query_cache.invalidate_node cache 1;
   let s = Query_cache.stats cache in
   check Alcotest.int "only the dependent entry dropped" 1 s.size;
@@ -118,7 +118,7 @@ let test_cache_invalidate_node () =
 let test_cache_eviction () =
   let cache, ticks = make_cache ~capacity:4 () in
   for i = 1 to 5 do
-    Query_cache.add cache ~querier:0 ~deps:[ (0, 1) ]
+    Query_cache.add cache ~querier:0 ~gen:(fun _ -> 1) ~touched:[ 0 ]
       (Query_cache.key ~loc:i ~rid:(sha (string_of_int i)) ~ctx:"")
       []
   done;
@@ -355,6 +355,64 @@ let test_cursor_survives_restart name scheme =
   check Alcotest.bool (name ^ ": a multi-tree pool occurred") true !multi
 
 (* ------------------------------------------------------------------ *)
+(* The snapshot's bound. One memoized walk from querier 0 that reads
+   [node], under a stub [gen]: a node or generation that fits its field
+   is cached, and dropped once its generation moves; one past the field
+   is not cached, and the walk's trees are returned all the same. *)
+
+let memo_walk cache ~gen node trees =
+  let acct =
+    Query_acct.create ~cost:Query_cost.free ~routing:(line_routing ()) ~up:all_up ~querier:0
+      ~degraded:ignore
+  in
+  Query_acct.memo (Some cache) acct ~gen ~rref:(0, sha "r") ~ctx:"" (fun () ->
+      Query_acct.require_up acct node;
+      trees)
+
+let test_cache_snapshot_bound () =
+  let trees =
+    [ Prov_tree.Event { rule = "r1"; output = recv "a"; slow = []; event = recv "a" } ]
+  in
+  let walk what cache ~gen node =
+    if not (trees_equal trees (memo_walk cache ~gen node trees)) then
+      Alcotest.failf "%s: the walk's trees changed" what
+  in
+  let expect what cache ~size ~hits ~invalidations =
+    let s = Query_cache.stats cache in
+    check Alcotest.(triple int int int) what (size, hits, invalidations)
+      (s.size, s.hits, s.invalidations)
+  in
+  let g = Query_cache.max_gen and n = Query_cache.max_node in
+  (* The largest generation is cached and served; one more write at the
+     node drops the entry, and the walk at the new generation, past the
+     field, is not cached. *)
+  let cache, _ = make_cache () in
+  walk "largest generation" cache ~gen:(fun _ -> g) 1;
+  walk "largest generation, again" cache ~gen:(fun _ -> g) 1;
+  expect "largest generation: cached and hit" cache ~size:1 ~hits:1 ~invalidations:0;
+  walk "generation moved past the field" cache ~gen:(fun _ -> g + 1) 1;
+  expect "generation moved: dropped, not re-cached" cache ~size:0 ~hits:1 ~invalidations:1;
+  let cache, _ = make_cache () in
+  walk "generation past the field" cache ~gen:(fun _ -> g + 1) 1;
+  expect "generation past the field: not cached" cache ~size:0 ~hits:0 ~invalidations:0;
+  (* The largest node is cached and served, is dropped when its generation
+     moves, and only an invalidation of that very node drops it. *)
+  let cache, _ = make_cache () in
+  walk "largest node" cache ~gen:(fun _ -> 7) n;
+  walk "largest node, again" cache ~gen:(fun _ -> 7) n;
+  expect "largest node: cached and hit" cache ~size:1 ~hits:1 ~invalidations:0;
+  walk "largest node, generation moved" cache ~gen:(fun _ -> 8) n;
+  expect "largest node, generation moved: dropped and re-cached" cache ~size:1 ~hits:1
+    ~invalidations:1;
+  Query_cache.invalidate_node cache (n - 1);
+  expect "another node's invalidation keeps it" cache ~size:1 ~hits:1 ~invalidations:1;
+  Query_cache.invalidate_node cache n;
+  expect "its own invalidation drops it" cache ~size:0 ~hits:1 ~invalidations:2;
+  let cache, _ = make_cache () in
+  walk "node past the field" cache ~gen:(fun _ -> 7) (n + 1);
+  expect "node past the field: not cached" cache ~size:0 ~hits:0 ~invalidations:0
+
+(* ------------------------------------------------------------------ *)
 (* Tree and cursor fixtures. Under every scheme, for the tree pool of one
    generated instance and the trees of one DNS reply: each tree's
    [dpc-cursor-v1] cursor, its [Prov_tree.to_string] and its
@@ -403,9 +461,12 @@ let dns_pool scheme =
 
 let tree_fixtures = [ ("trees-delp-gen.txt", delp_gen_pool, 2); ("trees-dns.txt", dns_pool, 1) ]
 
+(* Through dune the suite runs in the test directory's build copy;
+   [make queries] runs it from the repository root. *)
 let read_text_fixture name =
-  let path = Filename.concat "fixtures" name in
-  if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all else ""
+  match List.find_opt Sys.file_exists [ "fixtures/" ^ name; "test/fixtures/" ^ name ] with
+  | Some path -> In_channel.with_open_bin path In_channel.input_all
+  | None -> ""
 
 let test_tree_fixtures () =
   let differ =
@@ -605,6 +666,7 @@ let () =
             test_cache_down_dep_is_miss_not_drop;
           Alcotest.test_case "invalidate node" `Quick test_cache_invalidate_node;
           Alcotest.test_case "eviction" `Quick test_cache_eviction;
+          Alcotest.test_case "snapshot bound" `Quick test_cache_snapshot_bound;
         ] );
       ( "backend integration",
         [ Alcotest.test_case "attach, metrics, detach" `Quick test_backend_cache_metrics ] );

@@ -1,15 +1,16 @@
 (* Query serving tier tests.
 
    Covers the memoization cache (unit semantics: hit/miss, generation
-   staleness, down-dependency handling, LRU eviction, metrics ticks),
-   the §5.5 slow-update invalidation regression (delete a route, the
-   flush must evict the affected entries and the next query must rebuild
-   rather than serve stale trees), proof-tree pagination properties over
-   generated instances (pages concatenate to the full forest, top-k is a
-   prefix, cursors survive checkpoint/restore, bad cursors surface), the
-   analytic query-cost drift identity, and the seeded Zipfian storm
-   sweep (quick by default; DPC_QUERIES_FULL=1 — `make queries` — runs
-   every scheme at full size). *)
+   staleness, down-dependency handling, LRU eviction, metrics ticks, the
+   dependency snapshot's bound), the §5.5 slow-update invalidation
+   regression (delete a route, the flush must evict the affected entries
+   and the next query must rebuild rather than serve stale trees),
+   proof-tree pagination properties over generated instances (pages
+   concatenate to the full forest, top-k is a prefix, cursors survive
+   checkpoint/restore, bad cursors surface), golden trees and cursors
+   with a cursor fuzz, the analytic query-cost drift identity, and the
+   seeded Zipfian storm sweep (quick by default; DPC_QUERIES_FULL=1 —
+   `make queries` — runs every scheme at full size). *)
 
 open Dpc_core
 open Dpc_testkit
@@ -470,23 +471,23 @@ let read_text_fixture name =
 
 let test_tree_fixtures () =
   let differ =
-  List.filter
-    (fun (name, pool_of, min_trees) ->
-      let b = Buffer.create 65536 in
-      List.iter
-        (fun scheme ->
-          let pool = pool_of scheme in
-          if List.length pool < min_trees then
-            Alcotest.failf "%s, %s: %d trees, want at least %d" name
-              (Backend.scheme_name scheme) (List.length pool) min_trees;
-          render_pool b scheme pool)
-        all_schemes;
-      let actual = Buffer.contents b in
-      let same = String.equal actual (read_text_fixture name) in
-      if not same then
-        Out_channel.with_open_bin (name ^ ".actual") (fun oc -> output_string oc actual);
-      not same)
-    tree_fixtures
+    List.filter
+      (fun (name, pool_of, min_trees) ->
+        let b = Buffer.create 65536 in
+        List.iter
+          (fun scheme ->
+            let pool = pool_of scheme in
+            if List.length pool < min_trees then
+              Alcotest.failf "%s, %s: %d trees, want at least %d" name
+                (Backend.scheme_name scheme) (List.length pool) min_trees;
+            render_pool b scheme pool)
+          all_schemes;
+        let actual = Buffer.contents b in
+        let same = String.equal actual (read_text_fixture name) in
+        if not same then
+          Out_channel.with_open_bin (name ^ ".actual") (fun oc -> output_string oc actual);
+        not same)
+      tree_fixtures
   in
   match differ with
   | [] -> ()

@@ -18,7 +18,8 @@
    leaves node 2's Db after the store blobs are taken, so the delta
    records a removal as well as inserts). The Db does not depend on the
    scheme. [Fixture_world.channels] pins [dpc-rel-v1] at a node that has
-   both sent and received.
+   both sent and received, and [wal.bin] a WAL with every journal entry
+   kind.
 
    When an encoder changes on purpose, the failing test writes what it
    produced next to the test binary as [<fixture>.actual]; review it and

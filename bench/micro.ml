@@ -28,15 +28,15 @@ let tuple_digest =
 (* The rid of one firing of DNS r2: a name server row, then the request. *)
 let rid =
   let vids =
-    [
+    [|
       Dpc_ndlog.Tuple.digest (Dpc_apps.Dns.name_server ~at:3 ~domain:"example.com" ~server:4);
       Dpc_ndlog.Tuple.digest
         (Dpc_ndlog.Tuple.make "request"
            Dpc_ndlog.Value.[ Addr 3; Str "www.example.com"; Addr 7; Int 42 ]);
-    ]
+    |]
   in
   Test.make ~name:"rows/rid"
-    (Staged.stage (fun () -> Dpc_core.Rows.rid ~rule:"r2" ~node:3 vids Dpc_core.Rows.No_tail))
+    (Staged.stage (fun () -> Dpc_core.Rows.rid ~rule:"r2" ~node:3 vids))
 
 let equi_key_hash =
   let keys = Dpc_analysis.Equi_keys.compute (Dpc_apps.Forwarding.delp ()) in

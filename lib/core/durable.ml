@@ -331,6 +331,10 @@ let encode_manifest ~epoch ~base ~deltas =
       S.write_varint w base;
       S.write_list w (S.write_varint w) deltas)
 
+(* A record must end where its input does: a reader that skipped bytes
+   would hide a field some writer appended. *)
+let expect_end r what = if not (S.at_end r) then raise (S.Corrupt (what ^ ": trailing bytes"))
+
 let decode_manifest blob =
   let r = S.reader blob in
   let m = S.read_string r in
@@ -338,6 +342,7 @@ let decode_manifest blob =
   let epoch = S.read_varint r in
   let base_id = S.read_varint r in
   let delta_ids = S.read_list r (fun () -> S.read_varint r) in
+  expect_end r "manifest";
   (epoch, base_id, delta_ids)
 
 let write_manifest d =
@@ -366,6 +371,7 @@ let decode_cut blob =
   let store = S.read_string r in
   let db = S.read_string r in
   let channels = if S.read_bool r then Some (S.read_string r) else None in
+  expect_end r "cut";
   (is_delta, { store; db; channels })
 
 let write_cut dir id ~is_delta c = write_file_atomic (cut_path dir id) (encode_cut ~is_delta c)

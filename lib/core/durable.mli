@@ -124,7 +124,8 @@ val encode_manifest : epoch:int -> base:int -> deltas:int list -> string
     [deltas] in order, then [wal-<epoch>.log]. *)
 
 val decode_manifest : string -> int * int * int list
-(** [(epoch, base, deltas)]. *)
+(** [(epoch, base, deltas)]. @raise Dpc_util.Serialize.Corrupt on a
+    malformed manifest, bytes after it included. *)
 
 type checkpoint = { store : string; db : string; channels : string option }
 (** One cut's contents: the store blob (a full checkpoint or a delta),
@@ -133,7 +134,8 @@ type checkpoint = { store : string; db : string; channels : string option }
 
 val encode_cut : is_delta:bool -> checkpoint -> string
 val decode_cut : string -> bool * checkpoint
-(** [(is_delta, contents)]. *)
+(** [(is_delta, contents)]. @raise Dpc_util.Serialize.Corrupt on a
+    malformed cut, bytes after it included. *)
 
 val recovered : t -> int -> bool
 (** Whether attach found existing on-disk state for the node. *)

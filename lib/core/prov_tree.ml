@@ -42,12 +42,23 @@ let rec equivalent a b =
   | Derived x, Derived y -> equivalent x.sub y.sub
   | (Event _ | Derived _), _ -> false
 
+(* The slow lists ordered as the lists of their canonical renderings:
+   equal tuples render alike, so only the first unequal pair is
+   rendered. *)
+let rec compare_slow a b =
+  match a, b with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a, y :: b ->
+      if Tuple.equal x y then compare_slow a b
+      else String.compare (Tuple.canonical x) (Tuple.canonical y)
+
 let rec compare_tree a b =
   let ( <?> ) c next = if c <> 0 then c else next () in
   String.compare (rule a) (rule b) <?> fun () ->
   Tuple.compare (output a) (output b) <?> fun () ->
-  Stdlib.compare (List.map Tuple.canonical (slow a)) (List.map Tuple.canonical (slow b))
-  <?> fun () ->
+  compare_slow (slow a) (slow b) <?> fun () ->
   match a, b with
   | Event x, Event y -> Tuple.compare x.event y.event
   | Derived x, Derived y -> compare_tree x.sub y.sub

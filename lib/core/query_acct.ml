@@ -70,7 +70,7 @@ let require_up acct node =
    for the context [ctx]) in the attached cache, if any. Only walks that
    never hit a down node are recorded; a hit charges one lookup entry and
    skips the hops/rederives entirely — that's the serving-tier win. *)
-let memo cache acct ~gen ~rref:(rloc, rid) ~ctx compute =
+let memo cache acct ~gen ~rloc ~rid ~ctx compute =
   match cache with
   | None -> compute ()
   | Some cache -> (
@@ -111,8 +111,8 @@ let find_plan plans name =
 (* The chain walk (§4, §5.6 Fig 18) *)
 
 type chain = {
-  step : t -> int -> Sha1.t -> (Rows.rule_exec_row -> (int * Sha1.t) option -> unit) -> unit;
-  leaf : t -> Rows.prov_row -> Rows.rule_exec_row -> Tuple.t * Sha1.t list;
+  step : t -> int -> Sha1.t -> (Rows.rule_exec_row -> Dpc_engine.Prov_hook.back -> unit) -> unit;
+  leaf : t -> Rows.prov_row -> Rows.rule_exec_row -> Tuple.t * int;
   slow : int -> Side_store.t;
   plan : string -> Dpc_engine.Eval.plan;
 }
@@ -125,32 +125,41 @@ let max_chains = 64
    tree through it. The walk branches over them — each branch is one
    derivation, and §5.6's QUERY likewise returns a set — and skips rows
    already on its own path (a cycle through shared §5.4 rows). *)
-let chains acct ~start ~step rref =
+let chains acct ~start ~step ~rloc rid =
   let results = ref [] in
-  let rec go at (rloc, rid) acc seen =
+  let rec go at rloc rid acc seen =
     if List.length !results < max_chains then begin
       charge_hop acct ~src:at ~dst:rloc;
       require_up acct rloc;
       let key = (rloc, Rows.key rid) in
       if not (List.mem key seen) then begin
         let seen = key :: seen in
-        step acct rloc rid (fun row next ->
+        step acct rloc rid (fun row (next : Dpc_engine.Prov_hook.back) ->
             match next with
-            | None -> results := List.rev (row :: acc) :: !results
-            | Some next -> go rloc next (row :: acc) seen)
+            | No_back -> results := List.rev (row :: acc) :: !results
+            | Back next -> go rloc next.node next.rid (row :: acc) seen)
       end
     end
   in
-  go start rref [] [];
+  go start rloc rid [] [];
   !results
+
+(* The tuples of [vids.(i)] to [vids.(n - 1)], fetched in order. *)
+let rec fetch_vids acct store vids i n =
+  if i = n then []
+  else begin
+    let tuple = fetch acct store vids.(i) in
+    tuple :: fetch_vids acct store vids (i + 1) n
+  end
 
 (* Step 2: re-derive the intermediate events from the leaf upward,
    assembling the provenance tree. [chain] is root-to-leaf; the leaf's
-   event and slow vids come from [c.leaf], every other row's event is the
-   head re-derived below it. *)
+   event and its number of slow vids come from [c.leaf], every other
+   row's event is the head re-derived below it. A row's slow vids lead
+   its vids. *)
 let rederive acct c prov chain =
-  let fire (row : Rows.rule_exec_row) event slow_vids =
-    let slow = List.map (fetch acct (c.slow row.rloc)) slow_vids in
+  let fire (row : Rows.rule_exec_row) event n_slow =
+    let slow = fetch_vids acct (c.slow row.rloc) row.vids 0 n_slow in
     let plan = c.plan row.rule in
     charge_rederive acct 1;
     match Dpc_engine.Eval.fire_with_slow ~plan ~event ~slow with
@@ -160,14 +169,14 @@ let rederive acct c prov chain =
   let rec build = function
     | [] -> raise (Broken "empty chain")
     | [ leaf ] ->
-        let event, slow_vids = c.leaf acct prov leaf in
-        let rule, output, slow = fire leaf event slow_vids in
+        let event, n_slow = c.leaf acct prov leaf in
+        let rule, output, slow = fire leaf event n_slow in
         Prov_tree.Event { rule; output; slow; event }
     | (row : Rows.rule_exec_row) :: rest ->
         let sub = build rest in
         let sub_head = Prov_tree.output sub in
         if Tuple.loc sub_head <> row.rloc then raise (Broken "chain/location mismatch");
-        let rule, output, slow = fire row sub_head row.vids in
+        let rule, output, slow = fire row sub_head (Array.length row.vids) in
         Prov_tree.Derived { rule; output; slow; sub }
   in
   build chain
@@ -177,11 +186,14 @@ let rederive acct c prov chain =
    allocate no partial applications. *)
 let chain_walk c =
   let step = c.step in
-  fun acct ~querier ~output prov rref ->
-  List.filter_map
-    (fun chain ->
-      match rederive acct c prov chain with
-      | tree when Tuple.equal (Prov_tree.output tree) output -> Some tree
-      | _ -> None
-      | exception Broken _ -> None)
-    (chains acct ~start:querier ~step rref)
+  fun acct ~querier ~output (prov : Rows.prov_row) ->
+  match prov.rid with
+  | No_back -> []
+  | Back { node = rloc; rid } ->
+      List.filter_map
+        (fun chain ->
+          match rederive acct c prov chain with
+          | tree when Tuple.equal (Prov_tree.output tree) output -> Some tree
+          | _ -> None
+          | exception Broken _ -> None)
+        (chains acct ~start:querier ~step ~rloc rid)

@@ -35,12 +35,13 @@ val memo :
   Query_cache.t option ->
   t ->
   gen:(int -> int) ->
-  rref:int * Dpc_util.Sha1.t ->
+  rloc:int ->
+  rid:Dpc_util.Sha1.t ->
   ctx:string ->
   (unit -> Prov_tree.t list) ->
   Prov_tree.t list
-(** Memoize one unit of reconstruction (everything reachable from [rref]
-    in the context [ctx]) in the cache, if any. A hit charges one entry and
+(** Memoize one unit of reconstruction (everything reachable from the rule
+    execution [rid] at [rloc] in the context [ctx]) in the cache, if any. A hit charges one entry and
     skips the walk; only walks that met no down node are recorded, the
     nodes they read packed with their generations ([gen]) into the
     entry's snapshot ({!Query_cache.add}). *)
@@ -61,22 +62,21 @@ type chain = {
     t ->
     int ->
     Dpc_util.Sha1.t ->
-    (Rows.rule_exec_row -> (int * Dpc_util.Sha1.t) option -> unit) ->
+    (Rows.rule_exec_row -> Dpc_engine.Prov_hook.back -> unit) ->
     unit;
       (** [step acct rloc rid emit] charges for the rows stored at [rloc]
-          under [rid] and emits each with its back-pointer ([None] at the
-          leaf) *)
-  leaf : t -> Rows.prov_row -> Rows.rule_exec_row -> Dpc_ndlog.Tuple.t * Dpc_util.Sha1.t list;
-      (** the leaf row's input event, charged, and its slow vids *)
+          under [rid] and emits each with its back-pointer ([No_back] at
+          the leaf) *)
+  leaf : t -> Rows.prov_row -> Rows.rule_exec_row -> Dpc_ndlog.Tuple.t * int;
+      (** the leaf row's input event, charged, and how many of its vids,
+          from the first, are slow vids *)
   slow : int -> Side_store.t;  (** the slow tuples materialized at a node *)
   plan : string -> Dpc_engine.Eval.plan;  (** a row's rule, compiled *)
 }
 
 val chain_walk :
-  chain ->
-  t -> querier:int -> output:Dpc_ndlog.Tuple.t -> Rows.prov_row -> int * Dpc_util.Sha1.t ->
-  Prov_tree.t list
-(** Collect every chain root-to-leaf from the reference (at most 64,
+  chain -> t -> querier:int -> output:Dpc_ndlog.Tuple.t -> Rows.prov_row -> Prov_tree.t list
+(** Collect every chain root-to-leaf from the prov row's reference (at most 64,
     skipping rows already on a chain's path), then re-derive each one
     bottom-up; keep the trees whose head is [output]. A chain that fails
     re-derivation is dropped. *)

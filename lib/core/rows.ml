@@ -1,9 +1,10 @@
 open Dpc_util
+module Prov_hook = Dpc_engine.Prov_hook
 
 type prov_row = {
   loc : int;
   vid : Sha1.t;
-  rid : (int * Sha1.t) option;
+  rid : Prov_hook.back;
   evid : Sha1.t option;
 }
 
@@ -11,24 +12,17 @@ type rule_exec_row = {
   rloc : int;
   rid : Sha1.t;
   rule : string;
-  vids : Sha1.t list;
-  next : (int * Sha1.t) option;
+  vids : Sha1.t array;
+  next : Prov_hook.back;
 }
 
 type link_row = {
   link_rloc : int;
   link_rid : Sha1.t;
-  link_next : (int * Sha1.t) option;
+  link_next : Prov_hook.back;
 }
 
 let write_digest = Serialize.write_digest
-
-let write_ref w = function
-  | None -> Serialize.write_bool w false
-  | Some (node, d) ->
-      Serialize.write_bool w true;
-      Serialize.write_varint w node;
-      write_digest w d
 
 (* Row sizes are computed analytically rather than by running the writers
    above through a scratch buffer: [Table.add] charges every new row on the
@@ -39,26 +33,76 @@ let write_ref w = function
 (* write_string of a 20-byte raw digest: 1-byte varint length + 20 bytes. *)
 let digest_size = 21
 
-let ref_size = function
-  | None -> 1
-  | Some (node, _) -> 1 + Serialize.varint_size node + digest_size
-
 let opt_digest_size = function None -> 1 | Some _ -> 1 + digest_size
 
 let prov_row_bytes ~with_evid r =
-  Serialize.varint_size r.loc + digest_size + ref_size r.rid
+  Serialize.varint_size r.loc + digest_size + Prov_hook.back_bytes r.rid
   + if with_evid then opt_digest_size r.evid else 0
 
 let rule_exec_row_bytes ~with_next r =
   let rule_len = String.length r.rule in
-  let nvids = List.length r.vids in
+  let nvids = Array.length r.vids in
   Serialize.varint_size r.rloc + digest_size
   + Serialize.varint_size rule_len + rule_len
   + Serialize.varint_size nvids + (nvids * digest_size)
-  + if with_next then ref_size r.next else 0
+  + if with_next then Prov_hook.back_bytes r.next else 0
 
 let link_row_bytes r =
-  Serialize.varint_size r.link_rloc + digest_size + ref_size r.link_next
+  Serialize.varint_size r.link_rloc + digest_size + Prov_hook.back_bytes r.link_next
+
+(* The order polymorphic [compare] gave each row when its vids were a
+   list and its references options: field by field in declaration order,
+   a vid list lexicographically (a proper prefix first), an absent evid
+   or reference first. On arrays [compare] would order by length first,
+   and so reorder rows that tie up to their vids. *)
+let compare_opt_digest a b =
+  match a, b with
+  | None, None -> 0
+  | None, Some _ -> -1
+  | Some _, None -> 1
+  | Some x, Some y -> Sha1.compare x y
+
+let compare_vids a b =
+  let la = Array.length a and lb = Array.length b in
+  let rec from i =
+    if i = la then if i = lb then 0 else -1
+    else if i = lb then 1
+    else match Sha1.compare a.(i) b.(i) with 0 -> from (i + 1) | c -> c
+  in
+  from 0
+
+let compare_prov_row a b =
+  match Int.compare a.loc b.loc with
+  | 0 -> (
+      match Sha1.compare a.vid b.vid with
+      | 0 -> (
+          match Prov_hook.compare_back a.rid b.rid with
+          | 0 -> compare_opt_digest a.evid b.evid
+          | c -> c)
+      | c -> c)
+  | c -> c
+
+let compare_rule_exec_row a b =
+  match Int.compare a.rloc b.rloc with
+  | 0 -> (
+      match Sha1.compare a.rid b.rid with
+      | 0 -> (
+          match String.compare a.rule b.rule with
+          | 0 -> (
+              match compare_vids a.vids b.vids with
+              | 0 -> Prov_hook.compare_back a.next b.next
+              | c -> c)
+          | c -> c)
+      | c -> c)
+  | c -> c
+
+let compare_link_row a b =
+  match Int.compare a.link_rloc b.link_rloc with
+  | 0 -> (
+      match Sha1.compare a.link_rid b.link_rid with
+      | 0 -> Prov_hook.compare_back a.link_next b.link_next
+      | c -> c)
+  | c -> c
 
 let vid_of = Dpc_ndlog.Tuple.digest
 let hex = Sha1.to_hex
@@ -70,165 +114,209 @@ let key = Sha1.to_raw
 
 let ref_bytes = 4 + 20
 
-type rid_tail = No_tail | Vid of Sha1.t | Chain of (int * Sha1.t) option
-
-let rec add_vids s = function
+(* The vids of [tuples] from index [i] of [a] on. *)
+let rec fill_vids a i = function
   | [] -> ()
-  | vid :: rest ->
-      Sha1.add s "+";
-      Sha1.add s (Sha1.to_raw vid);
-      add_vids s rest
+  | tuple :: rest ->
+      a.(i) <- vid_of tuple;
+      fill_vids a (i + 1) rest
+
+let vids = function
+  | [] -> [||]
+  | first :: rest as tuples ->
+      let a = Array.make (List.length tuples) (vid_of first) in
+      fill_vids a 1 rest;
+      a
+
+let vids_then tuples last =
+  let a = Array.make (List.length tuples + 1) last in
+  fill_vids a 0 tuples;
+  a
 
 (* One stream over "+"-separated parts: the rule name, the node in
-   decimal, then each vid as its raw 20 bytes. Injective because every
-   part after the variable-length rule name and node is fixed-width, or
-   (the chain tail) distinguished by its lead. The vids must be computed
-   before the stream starts: a tuple digest opens a stream of its own. *)
-let rid ~rule ~node vids tail =
+   decimal, then each vid as its raw 20 bytes, then the tail. Injective
+   because every part after the variable-length rule name and node is
+   fixed-width, or (the chain tail) distinguished by its lead. The vids
+   must be computed before the stream starts: a tuple digest opens a
+   stream of its own. *)
+let start_rid ~rule ~node vids =
   let s = Sha1.start () in
   Sha1.add s rule;
   Sha1.add s "+";
   Sha1.add_int s node;
-  add_vids s vids;
-  (match tail with
-  | No_tail -> ()
-  | Vid vid ->
+  for i = 0 to Array.length vids - 1 do
+    Sha1.add s "+";
+    Sha1.add s (Sha1.to_raw vids.(i))
+  done;
+  s
+
+let rid ~rule ~node vids = Sha1.finish (start_rid ~rule ~node vids)
+
+let rid_then ~rule ~node vids vid =
+  let s = start_rid ~rule ~node vids in
+  Sha1.add s "+";
+  Sha1.add s (Sha1.to_raw vid);
+  Sha1.finish s
+
+let rid_chain ~rule ~node vids (back : Prov_hook.back) =
+  let s = start_rid ~rule ~node vids in
+  (match back with
+  | No_back -> Sha1.add s "+leaf"
+  | Back { node; rid } ->
       Sha1.add s "+";
-      Sha1.add s (Sha1.to_raw vid)
-  | Chain None -> Sha1.add s "+leaf"
-  | Chain (Some (l, r)) ->
+      Sha1.add_int s node;
       Sha1.add s "+";
-      Sha1.add_int s l;
-      Sha1.add s "+";
-      Sha1.add s (Sha1.to_raw r));
+      Sha1.add s (Sha1.to_raw rid));
   Sha1.finish s
 
 module Table = struct
-  (* A chained hash table whose entry holds one row. A key's rows sit
-     side by side in its chain, oldest first, so a key with one row costs
-     one entry and no list cell, and a lookup walks the chain without
+  (* A chained hash table whose entry holds one row and the link to the
+     next: the key is read from the row. A key's rows sit side by side in
+     its chain, oldest first, so a key with one row costs one 3-word
+     entry and no list cell, and a lookup walks the chain without
      allocating. *)
-  type 'a chain = Nil | Entry of { key : string; row : 'a; mutable next : 'a chain }
+  type 'a chain = Nil | Entry of { row : 'a; mutable next : 'a chain }
 
   type 'a t = {
+    key : 'a -> string;
     row_bytes : 'a -> int;
+    initial : int;
     mutable buckets : 'a chain array;  (* length a power of two *)
     mutable count : int;
     mutable bytes : int;
   }
 
-  let initial_buckets = 64
-
-  let create ~row_bytes () =
-    { row_bytes; buckets = Array.make initial_buckets Nil; count = 0; bytes = 0 }
+  let create ?(buckets = 64) ~key ~row_bytes () =
+    if buckets < 1 || buckets land (buckets - 1) <> 0 then
+      invalid_arg "Rows.Table.create: buckets must be a power of two";
+    { key; row_bytes; initial = buckets; buckets = Array.make buckets Nil; count = 0; bytes = 0 }
 
   let index buckets key = Hashtbl.hash key land (Array.length buckets - 1)
+  let has t key = function Entry e -> String.equal (t.key e.row) key | Nil -> false
 
   (* The chain from the key's oldest entry on, or [Nil]. *)
-  let rec run key = function
+  let rec run t key = function
     | Nil -> Nil
-    | Entry e as c -> if String.equal e.key key then c else run key e.next
+    | Entry e as c -> if String.equal (t.key e.row) key then c else run t key e.next
 
-  let find t key = run key t.buckets.(index t.buckets key)
+  let find t key = run t key t.buckets.(index t.buckets key)
 
-  (* Relink every entry into twice as many buckets, each chain in order,
-     so a key's entries stay side by side and oldest first. *)
+  (* Split the chain of old bucket [i] between new buckets [i] and
+     [i + half] in one pass, each part in its order, so a key's entries
+     stay side by side and oldest first. [lo] and [hi] are the last
+     entries placed in each. *)
+  let rec split t buckets i half lo hi = function
+    | Nil -> ()
+    | Entry e as c ->
+        let next = e.next in
+        e.next <- Nil;
+        if Hashtbl.hash (t.key e.row) land half = 0 then begin
+          (match lo with Entry l -> l.next <- c | Nil -> buckets.(i) <- c);
+          split t buckets i half c hi next
+        end
+        else begin
+          (match hi with Entry h -> h.next <- c | Nil -> buckets.(i + half) <- c);
+          split t buckets i half lo c next
+        end
+
   let grow t =
-    let buckets = Array.make (2 * Array.length t.buckets) Nil in
-    let tails = Array.make (Array.length buckets) Nil in
-    let rec move = function
-      | Nil -> ()
-      | Entry e as c ->
-          let next = e.next in
-          let i = index buckets e.key in
-          e.next <- Nil;
-          (match tails.(i) with Entry tail -> tail.next <- c | Nil -> buckets.(i) <- c);
-          tails.(i) <- c;
-          move next
-    in
-    Array.iter move t.buckets;
+    let half = Array.length t.buckets in
+    let buckets = Array.make (2 * half) Nil in
+    for i = 0 to half - 1 do
+      split t buckets i half Nil Nil t.buckets.(i)
+    done;
     t.buckets <- buckets
 
   (* Whether [row] is new to the run of [key]'s entries that starts at the
      given one, which it then joins as the last. *)
-  let rec append key row = function
+  let rec append t key row = function
     | Nil -> assert false (* only ever given an entry of the run *)
     | Entry e ->
         if compare e.row row = 0 then false
+        else if has t key e.next then append t key row e.next
         else begin
-          match e.next with
-          | Entry n when String.equal n.key key -> append key row e.next
-          | Nil | Entry _ ->
-              e.next <- Entry { key; row; next = e.next };
-              true
+          e.next <- Entry { row; next = e.next };
+          true
         end
 
+  (* Count a new row, and double the buckets past two rows a bucket. *)
+  let account t row =
+    t.count <- t.count + 1;
+    t.bytes <- t.bytes + t.row_bytes row;
+    if t.count > 2 * Array.length t.buckets then grow t
+
   (* A key's first row starts its bucket's chain. *)
-  let add t ~key row =
+  let add t row =
+    let key = t.key row in
     let i = index t.buckets key in
     let fresh =
-      match run key t.buckets.(i) with
+      match run t key t.buckets.(i) with
       | Nil ->
-          t.buckets.(i) <- Entry { key; row; next = t.buckets.(i) };
+          t.buckets.(i) <- Entry { row; next = t.buckets.(i) };
           true
-      | Entry _ as c -> append key row c
+      | Entry _ as c -> append t key row c
     in
-    if fresh then begin
-      t.count <- t.count + 1;
-      t.bytes <- t.bytes + t.row_bytes row;
-      if t.count > 2 * Array.length t.buckets then grow t
-    end;
+    if fresh then account t row;
     fresh
+
+  let add_first t row =
+    let key = t.key row in
+    let i = index t.buckets key in
+    match run t key t.buckets.(i) with
+    | Entry _ -> false
+    | Nil ->
+        t.buckets.(i) <- Entry { row; next = t.buckets.(i) };
+        account t row;
+        true
+
+  let first t key = match find t key with Nil -> raise Not_found | Entry e -> e.row
 
   let only t key =
     match find t key with
     | Nil -> raise Not_found
-    | Entry e -> (
-        match e.next with
-        | Entry n when String.equal n.key key -> raise Not_found
-        | Nil | Entry _ -> e.row)
+    | Entry e -> if has t key e.next then raise Not_found else e.row
 
-  let rec count_run key n = function
-    | Entry e when String.equal e.key key -> count_run key (n + 1) e.next
+  let rec count_run t key n = function
+    | Entry e when String.equal (t.key e.row) key -> count_run t key (n + 1) e.next
     | Nil | Entry _ -> n
 
-  let count t key = count_run key 0 (find t key)
+  let count t key = count_run t key 0 (find t key)
 
-  let rec exists_run key p = function
-    | Entry e when String.equal e.key key -> p e.row || exists_run key p e.next
+  let rec exists_run t key p = function
+    | Entry e when String.equal (t.key e.row) key -> p e.row || exists_run t key p e.next
     | Nil | Entry _ -> false
 
-  let exists t key p = exists_run key p (find t key)
+  let exists t key p = exists_run t key p (find t key)
 
-  let rec iter_run key f = function
-    | Entry e when String.equal e.key key ->
+  let rec iter_run t key f = function
+    | Entry e when String.equal (t.key e.row) key ->
         f e.row;
-        iter_run key f e.next
+        iter_run t key f e.next
     | Nil | Entry _ -> ()
 
-  let iter_key t key f = iter_run key f (find t key)
+  let iter_key t key f = iter_run t key f (find t key)
 
   (* [List.concat_map]'s result and allocation: each [f row]'s cells are
      copied in front of the rest. *)
-  let rec concat_run key f = function
-    | Entry e when String.equal e.key key ->
+  let rec concat_run t key f = function
+    | Entry e when String.equal (t.key e.row) key ->
         let head = f e.row in
-        head @ concat_run key f e.next
+        head @ concat_run t key f e.next
     | Nil | Entry _ -> []
 
-  let concat_map t key f = concat_run key f (find t key)
+  let concat_map t key f = concat_run t key f (find t key)
   let rows t = t.count
   let bytes t = t.bytes
 
   let clear t =
-    t.buckets <- Array.make initial_buckets Nil;
+    t.buckets <- Array.make t.initial Nil;
     t.count <- 0;
     t.bytes <- 0
 
   let rec iter_chain f = function
     | Nil -> ()
     | Entry e ->
-        f e.key e.row;
+        f e.row;
         iter_chain f e.next
 
   (* No closure per key: full cuts iterate every row. *)
@@ -271,9 +359,9 @@ let provenance_bytes s = s.prov_bytes + s.rule_exec_bytes
 
 let show_digest d = Dpc_util.Sha1.abbrev d
 
-let show_ref = function
-  | None -> "NULL"
-  | Some (node, d) -> Printf.sprintf "n%d/%s" node (show_digest d)
+let show_ref : Prov_hook.back -> string = function
+  | No_back -> "NULL"
+  | Back { node; rid } -> Printf.sprintf "n%d/%s" node (show_digest rid)
 
 let dump_prov ~with_evid rows_of n =
   let header =
@@ -308,8 +396,9 @@ let dump_rule_exec ~with_next rows_of n =
               show_digest r.rid;
               r.rule;
               (match r.vids with
-              | [] -> "NULL"
-              | vids -> "(" ^ String.concat "," (List.map show_digest vids) ^ ")");
+              | [||] -> "NULL"
+              | vids ->
+                  "(" ^ String.concat "," (Array.to_list (Array.map show_digest vids)) ^ ")");
             ]
             @ (if with_next then [ show_ref r.next ] else []))
           (rows_of node))
@@ -319,13 +408,6 @@ let dump_rule_exec ~with_next rows_of n =
 
 let read_digest = Serialize.read_digest
 
-let read_ref r =
-  if Serialize.read_bool r then begin
-    let node = Serialize.read_varint r in
-    Some (node, read_digest r)
-  end
-  else None
-
 let write_opt_digest w = function
   | None -> Serialize.write_bool w false
   | Some d ->
@@ -334,49 +416,45 @@ let write_opt_digest w = function
 
 let read_opt_digest r = if Serialize.read_bool r then Some (read_digest r) else None
 
-(* [Serialize.write_list]'s bytes, without a closure per row. *)
-let rec write_digests w = function
-  | [] -> ()
-  | d :: rest ->
-      write_digest w d;
-      write_digests w rest
-
 let write_prov_row w r =
   Serialize.write_varint w r.loc;
   write_digest w r.vid;
-  write_ref w r.rid;
+  Prov_hook.write_back w r.rid;
   write_opt_digest w r.evid
 
 let read_prov_row r =
   let loc = Serialize.read_varint r in
   let vid = read_digest r in
-  let rid = read_ref r in
+  let rid = Prov_hook.read_back r in
   let evid = read_opt_digest r in
   { loc; vid; rid; evid }
 
+(* [Serialize.write_list]'s bytes, without a closure per row. *)
 let write_rule_exec_row w r =
   Serialize.write_varint w r.rloc;
   write_digest w r.rid;
   Serialize.write_string w r.rule;
-  Serialize.write_varint w (List.length r.vids);
-  write_digests w r.vids;
-  write_ref w r.next
+  Serialize.write_varint w (Array.length r.vids);
+  for i = 0 to Array.length r.vids - 1 do
+    write_digest w r.vids.(i)
+  done;
+  Prov_hook.write_back w r.next
 
 let read_rule_exec_row r =
   let rloc = Serialize.read_varint r in
   let rid = read_digest r in
   let rule = Serialize.read_string r in
-  let vids = Serialize.read_list r (fun () -> read_digest r) in
-  let next = read_ref r in
+  let vids = Array.init (Serialize.read_count r) (fun _ -> read_digest r) in
+  let next = Prov_hook.read_back r in
   { rloc; rid; rule; vids; next }
 
 let write_link_row w r =
   Serialize.write_varint w r.link_rloc;
   write_digest w r.link_rid;
-  write_ref w r.link_next
+  Prov_hook.write_back w r.link_next
 
 let read_link_row r =
   let link_rloc = Serialize.read_varint r in
   let link_rid = read_digest r in
-  let link_next = read_ref r in
+  let link_next = Prov_hook.read_back r in
   { link_rloc; link_rid; link_next }

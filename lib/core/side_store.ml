@@ -1,23 +1,18 @@
 open Dpc_ndlog
 
-(* Keyed by the raw 20-byte digest. *)
-type t = { tuples : (string, Tuple.t) Hashtbl.t; mutable bytes : int }
+(* One entry per tuple on [Rows.Table], keyed by the raw 20-byte digest
+   read from the tuple's memo. *)
+type t = Tuple.t Rows.Table.t
 
-let create () = { tuples = Hashtbl.create 32; bytes = 0 }
-
-let put_new t ~key tuple =
-  let k = Dpc_util.Sha1.to_raw key in
-  if Hashtbl.mem t.tuples k then false
-  else begin
-    Hashtbl.add t.tuples k tuple;
-    t.bytes <- t.bytes + 20 + Tuple.wire_size tuple;
-    true
-  end
-
-let put t ~key tuple = ignore (put_new t ~key tuple)
-
-let get t ~key = Hashtbl.find_opt t.tuples (Dpc_util.Sha1.to_raw key)
-let find t ~key = Hashtbl.find t.tuples (Dpc_util.Sha1.to_raw key)
-let bytes t = t.bytes
-let count t = Hashtbl.length t.tuples
-let iter t f = Hashtbl.iter (fun k tuple -> f ~key:(Dpc_util.Sha1.of_raw k) tuple) t.tuples
+let key tuple = Dpc_util.Sha1.to_raw (Tuple.digest tuple)
+(* 32 buckets: most side stores stay small (a node keeps input events
+   only where they enter), and every node's are made on first touch. *)
+let create () =
+  Rows.Table.create ~buckets:32 ~key ~row_bytes:(fun tuple -> 20 + Tuple.wire_size tuple) ()
+let put_new = Rows.Table.add_first
+let put t tuple = ignore (put_new t tuple)
+let find t ~key = Rows.Table.first t (Dpc_util.Sha1.to_raw key)
+let get t ~key = match find t ~key with tuple -> Some tuple | exception Not_found -> None
+let bytes = Rows.Table.bytes
+let count = Rows.Table.rows
+let iter t f = Rows.Table.iter t (fun tuple -> f ~key:(Tuple.digest tuple) tuple)

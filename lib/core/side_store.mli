@@ -9,16 +9,19 @@
     separately.
 
     A store instance covers a single node; stores hang one off each
-    {!Dpc_engine.Node.t} they use. *)
+    {!Dpc_engine.Node.t} they use. Every entry is keyed by its tuple's
+    {!Dpc_ndlog.Tuple.digest}: one 3-word {!Rows.Table} entry per tuple,
+    with no stored key. *)
 
 type t
 
 val create : unit -> t
 
-val put : t -> key:Dpc_util.Sha1.t -> Dpc_ndlog.Tuple.t -> unit
-(** Idempotent for an existing key. *)
+val put : t -> Dpc_ndlog.Tuple.t -> unit
+(** Add the tuple under its digest. Idempotent for an existing key: the
+    first tuple under a key wins. *)
 
-val put_new : t -> key:Dpc_util.Sha1.t -> Dpc_ndlog.Tuple.t -> bool
+val put_new : t -> Dpc_ndlog.Tuple.t -> bool
 (** Like {!put}, but reports whether the entry was actually inserted —
     the hook delta checkpointing needs to track first insertions. *)
 

@@ -1,5 +1,6 @@
 open Dpc_ndlog
 open Dpc_util
+module Prov_hook = Dpc_engine.Prov_hook
 module K = Store_kit
 module Q = Query_acct
 module S = Serialize
@@ -12,7 +13,7 @@ type st = {
   slow : K.side;
   events : K.side;  (* evid -> input event at ingress *)
   htequi : (string, unit) Hashtbl.t;  (* equivalence keys seen at this ingress *)
-  hmap : (string, (int * Sha1.t) list ref) Hashtbl.t;  (* class -> chain roots *)
+  hmap : (string, Prov_hook.back list ref) Hashtbl.t;  (* class -> chain roots, all [Back] *)
   mutable hmap_refs : int;  (* total chain roots across hmap, for O(1) equi_bytes *)
   (* The equivalence state's changes since the last cut. Unlike the
      tables it mutates: [htequi] can be wiped wholesale by a slow update
@@ -63,9 +64,11 @@ let fresh () =
    both strictly ingress-local. *)
 
 let write_equi w st ~delta =
-  let write_ref (n, d) =
-    S.write_varint w n;
-    S.write_digest w d
+  let write_ref : Prov_hook.back -> unit = function
+    | Back { node; rid } ->
+        S.write_varint w node;
+        S.write_digest w rid
+    | No_back -> invalid_arg "Store_advanced: an hmap chain root without a rule execution"
   in
   let write_keys iter = S.write_sorted w String.compare iter (fun k () -> S.write_string w k) in
   let write_classes iter =
@@ -96,9 +99,9 @@ let read_equi r st ~delta =
     (S.read_list r (fun () ->
        let k = S.read_string r in
        let refs =
-         S.read_list r (fun () ->
-           let n = S.read_varint r in
-           (n, S.read_digest r))
+         S.read_list r (fun () : Prov_hook.back ->
+           let node = S.read_varint r in
+           Back { node; rid = S.read_digest r })
        in
        (match Hashtbl.find_opt st.hmap k with
        | Some existing -> st.hmap_refs <- st.hmap_refs - List.length !existing
@@ -160,26 +163,26 @@ let on_input t ~node event =
        next wipe, and the wipe empties this list too. *)
     if K.tracking t.kit then st.d_htequi <- k_key :: st.d_htequi
   end;
-  K.put t.kit nd st.events ~key:evid event;
-  { Dpc_engine.Prov_hook.evid; exist_flag; eqkey = Some k; prev = None }
+  K.put t.kit nd st.events event;
+  { Prov_hook.evid; exist_flag; eqkey = Some k; prev = No_back }
 
 (* §5.4 layout: the node row [rid] is shared across classes, and this
    tree's link row points it at the previous step. *)
-let link_step t ~node ~rid ~label ~slow ~slow_vids (meta : Dpc_engine.Prov_hook.meta) =
+let link_step t ~node ~rid ~label ~slow ~slow_vids (meta : Prov_hook.meta) =
   let sh = K.state t.shared node in
   K.put_tuples t.shared sh sh.x.slow slow;
   K.add t.shared sh ~node sh.x.exec_nodes
-    { Rows.rloc = node; rid; rule = label; vids = slow_vids; next = None };
+    { Rows.rloc = node; rid; rule = label; vids = slow_vids; next = No_back };
   let nd = K.state t.kit node in
   K.add t.kit nd ~node nd.x.links { Rows.link_rloc = node; link_rid = rid; link_next = meta.prev };
-  { meta with prev = Some (node, rid) }
+  { meta with prev = Back { node; rid } }
 
-let on_fire t ~node ~(rule : Ast.rule) ~slow (meta : Dpc_engine.Prov_hook.meta) =
+let on_fire t ~node ~(rule : Ast.rule) ~slow (meta : Prov_hook.meta) =
   if meta.exist_flag then meta
   else begin
-    let slow_vids = List.map Rows.vid_of slow in
+    let slow_vids = Rows.vids slow in
     if t.interclass then
-      link_step t ~node ~rid:(Rows.rid ~rule:rule.name ~node slow_vids Rows.No_tail)
+      link_step t ~node ~rid:(Rows.rid ~rule:rule.name ~node slow_vids)
         ~label:rule.name ~slow ~slow_vids meta
     else begin
       let nd = K.state t.kit node in
@@ -188,20 +191,20 @@ let on_fire t ~node ~(rule : Ast.rule) ~slow (meta : Dpc_engine.Prov_hook.meta) 
          hashes the back-pointer too (Table 3's sha1(rule, vids) is
          ambiguous as soon as two classes share a final rule execution
          node). *)
-      let rid = Rows.rid ~rule:rule.name ~node slow_vids (Rows.Chain meta.prev) in
+      let rid = Rows.rid_chain ~rule:rule.name ~node slow_vids meta.prev in
       K.add t.kit nd ~node nd.x.exec
         { Rows.rloc = node; rid; rule = rule.name; vids = slow_vids; next = meta.prev };
-      { meta with prev = Some (node, rid) }
+      { meta with prev = Back { node; rid } }
     end
   end
 
 let rec add_output_rows t nd ~node vid evid = function
   | [] -> ()
   | rref :: rest ->
-      K.add t.kit nd ~node nd.K.x.prov { Rows.loc = node; vid; rid = Some rref; evid };
+      K.add t.kit nd ~node nd.K.x.prov { Rows.loc = node; vid; rid = rref; evid };
       add_output_rows t nd ~node vid evid rest
 
-let on_output t ~node output (meta : Dpc_engine.Prov_hook.meta) =
+let on_output t ~node output (meta : Prov_hook.meta) =
   let nd = K.state t.kit node in
   let st = nd.x in
   let k_key =
@@ -217,8 +220,8 @@ let on_output t ~node output (meta : Dpc_engine.Prov_hook.meta) =
   let evid = Some meta.evid in
   if not meta.exist_flag then begin
     match meta.prev with
-    | None -> invalid_arg "Store_advanced.on_output: materializing execution has no chain"
-    | Some rref ->
+    | No_back -> invalid_arg "Store_advanced.on_output: materializing execution has no chain"
+    | Back _ as rref ->
         let refs =
           match Hashtbl.find st.hmap k_key with
           | r -> r
@@ -232,7 +235,7 @@ let on_output t ~node output (meta : Dpc_engine.Prov_hook.meta) =
           st.hmap_refs <- st.hmap_refs + 1;
           if K.tracking t.kit then Hashtbl.replace st.d_hmap k_key ()
         end;
-        K.add t.kit nd ~node st.prov { Rows.loc = node; vid; rid = Some rref; evid }
+        K.add t.kit nd ~node st.prov { Rows.loc = node; vid; rid = rref; evid }
   end
   else begin
     match Hashtbl.find st.hmap k_key with
@@ -257,7 +260,7 @@ let on_slow_update t ~node =
 
 let hook t =
   {
-    Dpc_engine.Prov_hook.name = (if t.interclass then "advanced+interclass" else "advanced");
+    Prov_hook.name = (if t.interclass then "advanced+interclass" else "advanced");
     on_input = (fun ~node event -> on_input t ~node event);
     on_fire = (fun ~node ~rule ~event:_ ~slow ~head:_ meta -> on_fire t ~node ~rule ~slow meta);
     on_output = (fun ~node output meta -> on_output t ~node output meta);
@@ -295,7 +298,7 @@ let leaf t acct (prov : Rows.prov_row) (leaf : Rows.rule_exec_row) =
   let evid = match prov.evid with Some e -> e | None -> raise (Q.Broken "prov row without evid") in
   let event = Q.fetch acct (K.entries (K.state t.kit leaf.rloc).x.events) evid in
   if Tuple.loc event <> leaf.rloc then raise (Q.Broken "event at wrong ingress");
-  (event, leaf.vids)
+  (event, Array.length leaf.vids)
 
 let store t =
   K.Store

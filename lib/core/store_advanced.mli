@@ -80,7 +80,7 @@ val link_step :
   rid:Dpc_util.Sha1.t ->
   label:string ->
   slow:Dpc_ndlog.Tuple.t list ->
-  slow_vids:Dpc_util.Sha1.t list ->
+  slow_vids:Dpc_util.Sha1.t array ->
   Dpc_engine.Prov_hook.meta ->
   Dpc_engine.Prov_hook.meta
 (** The §5.4 record step: the ruleExecNode row [rid] (rule [label]) with

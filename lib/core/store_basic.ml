@@ -32,15 +32,18 @@ let layout =
 let on_fire k ~node ~(rule : Ast.rule) ~event ~slow (meta : Dpc_engine.Prov_hook.meta) =
   let nd = K.state k node in
   let event_vid = Rows.vid_of event in
-  let slow_vids = List.map Rows.vid_of slow in
-  (* Same rid as ExSPAN (Table 2 reuses Table 1's rids). *)
-  let rid = Rows.rid ~rule:rule.name ~node slow_vids (Rows.Vid event_vid) in
-  (* The input event's vid is kept in the leaf row (Table 2's rid1 row);
+  (* Same rid as ExSPAN (Table 2 reuses Table 1's rids). The input
+     event's vid is kept in the leaf row (Table 2's rid1 row);
      intermediate event vids are dropped — that is the optimization. *)
-  let vids = if meta.prev = None then slow_vids @ [ event_vid ] else slow_vids in
+  let leaf = match meta.prev with No_back -> true | Back _ -> false in
+  let vids = if leaf then Rows.vids_then slow event_vid else Rows.vids slow in
+  let rid =
+    if leaf then Rows.rid ~rule:rule.name ~node vids
+    else Rows.rid_then ~rule:rule.name ~node vids event_vid
+  in
   K.add k nd ~node nd.x.exec { Rows.rloc = node; rid; rule = rule.name; vids; next = meta.prev };
   K.put_tuples k nd nd.x.slow slow;
-  { meta with prev = Some (node, rid) }
+  { meta with prev = Back { node; rid } }
 
 let on_output k ~node output (meta : Dpc_engine.Prov_hook.meta) =
   let nd = K.state k node in
@@ -54,7 +57,7 @@ let hook k =
       (fun ~node event ->
         let meta = Dpc_engine.Prov_hook.initial_meta event in
         let nd = K.state k node in
-        K.put k nd nd.x.events ~key:meta.evid event;
+        K.put k nd nd.x.events event;
         meta);
     on_fire =
       (fun ~node ~rule ~event ~slow ~head:_ meta -> on_fire k ~node ~rule ~event ~slow meta);
@@ -84,10 +87,9 @@ let chain k plans =
             emit row row.next));
     leaf =
       (fun acct _ (leaf : Rows.rule_exec_row) ->
-        match List.rev leaf.vids with
-        | event_vid :: rest ->
-            (Q.fetch acct (K.entries (K.state k leaf.rloc).x.events) event_vid, List.rev rest)
-        | [] -> raise (Q.Broken "leaf ruleExec with no vids"));
+        let n = Array.length leaf.vids in
+        if n = 0 then raise (Q.Broken "leaf ruleExec with no vids");
+        (Q.fetch acct (K.entries (K.state k leaf.rloc).x.events) leaf.vids.(n - 1), n - 1));
     slow = (fun node -> K.entries (K.state k node).x.slow);
     plan = (fun name -> Q.find_plan plans name);
   }

@@ -35,30 +35,24 @@ let layout =
    longer gets a row — it contributes to no output's provenance. *)
 let record_arrival k ~node event (meta : Dpc_engine.Prov_hook.meta) =
   match meta.prev with
-  | None -> ()
-  | Some _ as rid ->
+  | No_back -> ()
+  | Back _ as rid ->
       let nd = K.state k node in
       let vid = Rows.vid_of event in
       K.add k nd ~node nd.x.prov { Rows.loc = node; vid; rid; evid = None };
-      K.put k nd nd.x.tuples ~key:vid event
+      K.put k nd nd.x.tuples event
 
 (* Every prov row at a node is keyed by its vid and located there, and
    ExSPAN rows carry no evid, so a row without a rule reference under the
    key is exactly the base row. *)
-let is_base (r : Rows.prov_row) = match r.rid with None -> true | Some _ -> false
+let is_base (r : Rows.prov_row) = match r.rid with No_back -> true | Back _ -> false
 
 (* A base row for a tuple at its executing node, built only when it is
    not stored yet. *)
 let add_base k (nd : st K.node) ~node tuple vid =
   if not (K.exists nd.x.prov vid is_base) then
-    K.add k nd ~node nd.x.prov { Rows.loc = node; vid; rid = None; evid = None };
-  K.put k nd nd.x.tuples ~key:vid tuple
-
-(* The body vids in rule-execution order: the slow tuples', then the
-   event's. *)
-let rec body_vids event_vid = function
-  | [] -> [ event_vid ]
-  | tuple :: rest -> Rows.vid_of tuple :: body_vids event_vid rest
+    K.add k nd ~node nd.x.prov { Rows.loc = node; vid; rid = No_back; evid = None };
+  K.put k nd nd.x.tuples tuple
 
 let rec add_slow_bases k nd ~node = function
   | [] -> ()
@@ -70,15 +64,17 @@ let on_fire k ~node ~(rule : Ast.rule) ~event ~slow (meta : Dpc_engine.Prov_hook
   record_arrival k ~node event meta;
   let nd = K.state k node in
   let event_vid = Rows.vid_of event in
-  let vids = body_vids event_vid slow in
-  let rid = Rows.rid ~rule:rule.name ~node vids Rows.No_tail in
-  K.add k nd ~node nd.x.exec { Rows.rloc = node; rid; rule = rule.name; vids; next = None };
+  (* The body vids in rule-execution order: the slow tuples', then the
+     event's. *)
+  let vids = Rows.vids_then slow event_vid in
+  let rid = Rows.rid ~rule:rule.name ~node vids in
+  K.add k nd ~node nd.x.exec { Rows.rloc = node; rid; rule = rule.name; vids; next = No_back };
   (* Base rows for the slow tuples (their location is the executing node). *)
   add_slow_bases k nd ~node slow;
   (* The input event is a base tuple; intermediate events get their prov
      row from [record_arrival]. *)
-  if meta.prev = None then add_base k nd ~node event event_vid;
-  { meta with prev = Some (node, rid) }
+  (match meta.prev with No_back -> add_base k nd ~node event event_vid | Back _ -> ());
+  { meta with prev = Back { node; rid } }
 
 let hook k =
   {
@@ -87,7 +83,7 @@ let hook k =
       (fun ~node event ->
         let meta = Dpc_engine.Prov_hook.initial_meta event in
         let nd = K.state k node in
-        K.put k nd nd.x.tuples ~key:(Rows.vid_of event) event;
+        K.put k nd nd.x.tuples event;
         meta);
     on_fire =
       (fun ~node ~rule ~event ~slow ~head:_ meta -> on_fire k ~node ~rule ~event ~slow meta);
@@ -108,7 +104,7 @@ let max_derivations = 64
    equal-cost routes producing the identical tuple), so the result is a
    list, capped at [max_derivations]. [at] is the node the query currently
    sits on. *)
-let rec fetch_trees (delp : Delp.t) k acct ~at ~output (rloc, rid) =
+let rec fetch_trees (delp : Delp.t) k acct ~at ~output ~rloc rid =
   Q.charge_hop acct ~src:at ~dst:rloc;
   Q.require_up acct rloc;
   let st = (K.state k rloc).x in
@@ -118,25 +114,30 @@ let rec fetch_trees (delp : Delp.t) k acct ~at ~output (rloc, rid) =
   if not (List.exists (fun (r : Ast.rule) -> String.equal r.name exec.rule) delp.program.rules)
   then raise (Q.Broken (Printf.sprintf "unknown rule %s" exec.rule));
   (* vids = slow tuples followed by the event. *)
-  let slow_vids, event_vid =
-    match List.rev exec.vids with
-    | ev :: rest -> (List.rev rest, ev)
-    | [] -> raise (Q.Broken "ruleExec with no body vids")
-  in
+  let n = Array.length exec.vids in
+  if n = 0 then raise (Q.Broken "ruleExec with no body vids");
   let resolve_body vid =
     (* Each body tuple's prov row lives at the executing node. *)
     Q.charge_entries acct (max 1 (K.count st.prov vid));
     Q.fetch acct (K.entries st.tuples) vid
   in
-  let slow = List.map resolve_body slow_vids in
+  let rec resolve_slow i =
+    if i = n - 1 then []
+    else begin
+      let tuple = resolve_body exec.vids.(i) in
+      tuple :: resolve_slow (i + 1)
+    end
+  in
+  let slow = resolve_slow 0 in
+  let event_vid = exec.vids.(n - 1) in
   let event_tuple = resolve_body event_vid in
   (* A walk from a derived row yields at least one tree or raises, so no
      trees means no derived row: the event is an input. *)
   let subs =
     K.concat_map st.prov event_vid (fun (r : Rows.prov_row) ->
         match r.rid with
-        | None -> []
-        | Some rref -> fetch_trees delp k acct ~at:rloc ~output:event_tuple rref)
+        | No_back -> []
+        | Back { node; rid } -> fetch_trees delp k acct ~at:rloc ~output:event_tuple ~rloc:node rid)
   in
   let rule = exec.rule in
   match subs with
@@ -152,7 +153,11 @@ let create ~delp ~env:_ ~nodes =
       kit = k;
       name;
       hook = hook k;
-      walk = (fun acct ~querier ~output _ rref -> fetch_trees delp k acct ~at:querier ~output rref);
+      walk =
+        (fun acct ~querier ~output (r : Rows.prov_row) ->
+          match r.rid with
+          | No_back -> []
+          | Back { node; rid } -> fetch_trees delp k acct ~at:querier ~output ~rloc:node rid);
       dump = (fun () -> K.dump_tables k ~with_evid:false ~with_next:false (fun st -> st.exec));
     }
 

@@ -9,6 +9,7 @@ module S = Serialize
 type 'a codec = {
   metric : string;
   key : 'a -> string;
+  compare : 'a -> 'a -> int;  (* the cut order *)
   write : S.writer -> 'a -> unit;
   read : S.reader -> 'a;
 }
@@ -20,21 +21,23 @@ type 'a codec = {
    inserted". *)
 type 'a table = { rows : 'a Rows.Table.t; mutable dirty : 'a list; codec : 'a codec }
 type exec = Exec : 'a table -> exec [@@unboxed]
-type side = { entries : Side_store.t; mutable added : Sha1.t list }
+type side = { entries : Side_store.t; mutable added : Tuple.t list }
 
 let prov_codec =
   { metric = "store.prov_rows"; key = (fun (r : Rows.prov_row) -> Rows.key r.vid);
-    write = Rows.write_prov_row; read = Rows.read_prov_row }
+    compare = Rows.compare_prov_row; write = Rows.write_prov_row; read = Rows.read_prov_row }
 
 let exec_codec =
   { metric = "store.rule_exec_rows"; key = (fun (r : Rows.rule_exec_row) -> Rows.key r.rid);
-    write = Rows.write_rule_exec_row; read = Rows.read_rule_exec_row }
+    compare = Rows.compare_rule_exec_row; write = Rows.write_rule_exec_row;
+    read = Rows.read_rule_exec_row }
 
 let link_codec =
   { metric = "store.rule_exec_rows"; key = (fun (r : Rows.link_row) -> Rows.key r.link_rid);
-    write = Rows.write_link_row; read = Rows.read_link_row }
+    compare = Rows.compare_link_row; write = Rows.write_link_row; read = Rows.read_link_row }
 
-let table codec row_bytes = { rows = Rows.Table.create ~row_bytes (); dirty = []; codec }
+let table codec row_bytes =
+  { rows = Rows.Table.create ~key:codec.key ~row_bytes (); dirty = []; codec }
 let prov_table ~with_evid = table prov_codec (Rows.prov_row_bytes ~with_evid)
 let exec_table ~with_next = table exec_codec (Rows.rule_exec_row_bytes ~with_next)
 let link_table () = table link_codec Rows.link_row_bytes
@@ -114,22 +117,22 @@ let set_track_dirty k on = k.track_dirty <- on
 let tick k node name = Metrics.incr (Node.metrics k.nodes.(node)) name
 
 let add k nd ~node table row =
-  if Rows.Table.add table.rows ~key:(table.codec.key row) row then begin
+  if Rows.Table.add table.rows row then begin
     nd.gen <- nd.gen + 1;
     if k.track_dirty then table.dirty <- row :: table.dirty;
     tick k node table.codec.metric
   end
 
-let put k nd side ~key tuple =
-  if Side_store.put_new side.entries ~key tuple then begin
+let put k nd side tuple =
+  if Side_store.put_new side.entries tuple then begin
     nd.gen <- nd.gen + 1;
-    if k.track_dirty then side.added <- key :: side.added
+    if k.track_dirty then side.added <- tuple :: side.added
   end
 
 let rec put_tuples k nd side = function
   | [] -> ()
   | tuple :: rest ->
-      put k nd side ~key:(Rows.vid_of tuple) tuple;
+      put k nd side tuple;
       put_tuples k nd side rest
 
 (* Degraded-query accounting. By default the tick lands in the querier's
@@ -184,7 +187,7 @@ let total_storage k =
 
 let rows table =
   let acc = ref [] in
-  Rows.Table.iter table.rows (fun _ r -> acc := r :: !acc);
+  Rows.Table.iter table.rows (fun r -> acc := r :: !acc);
   !acc
 
 (* [select]'s rows at [node], for the scheme's table dumps. *)
@@ -203,9 +206,7 @@ let dump_tables k ~with_evid ~with_next exec =
 (* ------------------------------------------------------------------ *)
 (* The query frame *)
 
-type walk =
-  Query_acct.t -> querier:int -> output:Tuple.t -> Rows.prov_row -> int * Sha1.t ->
-  Prov_tree.t list
+type walk = Query_acct.t -> querier:int -> output:Tuple.t -> Rows.prov_row -> Prov_tree.t list
 
 (* Fetch the queried tuple's prov rows at the querier, walk each row's
    rule reference (memoized per reference and context), then ship the
@@ -237,8 +238,8 @@ let query k ~walk ~cost ~routing ?evid ?(up = fun _ -> true) output =
         let gen node = (state k node).gen in
         let walk_row (r : Rows.prov_row) =
           match r.rid with
-          | None -> []
-          | Some rref ->
+          | No_back -> []
+          | Back { node = rloc; rid } ->
               (* Advanced's context also covers the event: the same shared
                  chain serves every event of its class. *)
               let ctx =
@@ -246,8 +247,8 @@ let query k ~walk ~cost ~routing ?evid ?(up = fun _ -> true) output =
                 | Some e -> Sha1.to_raw e ^ Sha1.to_raw htp
                 | None -> Sha1.to_raw htp
               in
-              Query_acct.memo k.cache acct ~gen ~rref ~ctx (fun () ->
-                  try walk acct ~querier ~output r rref with Query_acct.Broken _ -> [])
+              Query_acct.memo k.cache acct ~gen ~rloc ~rid ~ctx (fun () ->
+                  try walk acct ~querier ~output r with Query_acct.Broken _ -> [])
         in
         match evid with
         | None -> concat_map prov htp walk_row
@@ -293,7 +294,7 @@ type store =
 let article name = (if String.contains "AEIOU" name.[0] then "an " else "a ") ^ name
 
 (* Cuts run on the ingest path: each table goes through
-   [Serialize.write_sorted], rows by structural order and side entries
+   [Serialize.write_sorted], rows in their codec's order and side entries
    by key. *)
 let rec each_row f = function
   | [] -> ()
@@ -302,9 +303,9 @@ let rec each_row f = function
       each_row f rest
 
 let write_rows w table ~delta =
-  S.write_sorted w compare
+  S.write_sorted w table.codec.compare
     (if delta then fun f -> each_row f table.dirty
-     else fun f -> Rows.Table.iter table.rows (fun _ row -> f row ()))
+     else fun f -> Rows.Table.iter table.rows (fun row -> f row ()))
     (fun row () -> table.codec.write w row)
 
 let write_section w k x ~delta =
@@ -321,7 +322,7 @@ let write_sides w k x ~delta =
   for i = 0 to Array.length sides - 1 do
     let s = sides.(i) x in
     S.write_sorted w Sha1.compare
-      (if delta then fun f -> List.iter (fun key -> f key (Side_store.find s.entries ~key)) s.added
+      (if delta then fun f -> List.iter (fun tuple -> f (Tuple.digest tuple) tuple) s.added
        else fun f -> Side_store.iter s.entries (fun ~key tuple -> f key tuple))
       (fun key tuple ->
         S.write_digest w key;
@@ -340,10 +341,16 @@ let read_section k nd ~node r ~delta =
   done;
   match l.extra with Some e -> e.read_extra r nd.x ~delta | None -> ()
 
-let read_side r side =
-  ignore (S.read_list r (fun () ->
-     let key = S.read_digest r in
-     Side_store.put side.entries ~key (Tuple.deserialize r)))
+(* A side entry is keyed by its tuple's digest, which the table reads
+   from the tuple: an entry under any other key is corrupt. *)
+let read_entry r =
+  let key = S.read_digest r in
+  let tuple = Tuple.deserialize r in
+  if not (Sha1.equal key (Tuple.digest tuple)) then
+    raise (S.Corrupt "side entry under another tuple's digest");
+  tuple
+
+let read_side r side = ignore (S.read_list r (fun () -> Side_store.put side.entries (read_entry r)))
 
 let clear_dirty k x =
   let l = k.layout in
@@ -439,8 +446,7 @@ let read_store k r ~nodes =
       ignore (S.read_list r (fun () ->
          let node = S.read_varint r in
          if node >= nodes then raise (S.Corrupt "side entry past the cluster");
-         let key = S.read_digest r in
-         Side_store.put (get (state k node).x).entries ~key (Tuple.deserialize r))))
+         Side_store.put (get (state k node).x).entries (read_entry r))))
     k.layout.sides;
   Option.iter (fun e -> Atomic.set e.tally (S.read_varint r)) k.layout.extra
 

@@ -91,11 +91,11 @@ val add : 'x t -> 'x node -> node:int -> 'a table -> 'a -> unit
     the row while tracking, tick [store.prov_rows] or
     [store.rule_exec_rows]. Allocates nothing beyond the dirty cell. *)
 
-val put : 'x t -> 'x node -> side -> key:Dpc_util.Sha1.t -> Dpc_ndlog.Tuple.t -> unit
-(** Likewise for a side entry (no counter). *)
+val put : 'x t -> 'x node -> side -> Dpc_ndlog.Tuple.t -> unit
+(** Likewise for a side entry, under its tuple's digest (no counter). *)
 
 val put_tuples : 'x t -> 'x node -> side -> Dpc_ndlog.Tuple.t list -> unit
-(** {!put} each tuple under its vid. *)
+(** {!put} each tuple. *)
 
 val set_degraded_sink : 'x t -> (int -> unit) -> unit
 val invalidate_cache : 'x t -> int -> unit
@@ -117,10 +117,10 @@ val dump_tables :
 (** {2 Queries} *)
 
 type walk =
-  Query_acct.t -> querier:int -> output:Dpc_ndlog.Tuple.t -> Rows.prov_row ->
-  int * Dpc_util.Sha1.t -> Prov_tree.t list
+  Query_acct.t -> querier:int -> output:Dpc_ndlog.Tuple.t -> Rows.prov_row -> Prov_tree.t list
 (** How a scheme walks one prov row's rule reference back to trees, from
-    the querier; raising {!Query_acct.Broken} abandons the reference. *)
+    the querier; raising {!Query_acct.Broken} abandons the reference. The
+    frame walks only rows that have one. *)
 
 val query :
   'x t ->
@@ -168,4 +168,5 @@ val restore :
     the store that [create] builds from the scheme's header (read from the
     reader) and the node count.
     @raise Dpc_util.Serialize.Corrupt on malformed input, including a
-    node count the input cannot hold and a side entry past the cluster. *)
+    node count the input cannot hold, a side entry past the cluster and a
+    side entry under another key than its tuple's digest. *)

@@ -69,13 +69,14 @@ let add_program t ~id ~delp ~env =
 (* The shared rid: rule content (not name, not program), executing node,
    slow-changing tuples. *)
 let node_rid ~signature ~node ~slow_vids =
-  Sha1.digest_concat (signature :: string_of_int node :: List.map Rows.hex slow_vids)
+  Sha1.digest_concat
+    (signature :: string_of_int node :: Array.to_list (Array.map Rows.hex slow_vids))
 
 let hook h =
   let on_fire ~node ~rule ~event:_ ~slow ~head:_ (meta : Dpc_engine.Prov_hook.meta) =
     if meta.exist_flag then meta
     else begin
-      let slow_vids = List.map Rows.vid_of slow in
+      let slow_vids = Rows.vids slow in
       let signature = rule_signature rule in
       let rid = node_rid ~signature ~node ~slow_vids in
       Store_advanced.link_step h.program ~node ~rid ~label:(intern_signature h.store signature)

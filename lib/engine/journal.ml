@@ -22,25 +22,13 @@ let write_meta w (m : Prov_hook.meta) =
   | Some k ->
       S.write_bool w true;
       S.write_digest w k);
-  match m.prev with
-  | None -> S.write_bool w false
-  | Some (node, rid) ->
-      S.write_bool w true;
-      S.write_varint w node;
-      S.write_digest w rid
+  Prov_hook.write_back w m.prev
 
 let read_meta r : Prov_hook.meta =
   let evid = S.read_digest r in
   let exist_flag = S.read_bool r in
   let eqkey = if S.read_bool r then Some (S.read_digest r) else None in
-  let prev =
-    if S.read_bool r then begin
-      let node = S.read_varint r in
-      let rid = S.read_digest r in
-      Some (node, rid)
-    end
-    else None
-  in
+  let prev = Prov_hook.read_back r in
   { evid; exist_flag; eqkey; prev }
 
 let write_next_seq w ~peer ~seq =

@@ -8,11 +8,33 @@
     network, which is how the paper's bandwidth-overhead comparison
     arises. *)
 
+(** A provenance back-pointer: (NLoc, NRID), the node and rid of a rule
+    execution, or none. The one reference type of every record: the
+    meta's [prev], the prov rows' rule reference, the ruleExec and link
+    rows' [next], the rid's chain tail and Advanced's [hmap]. A [Back] is
+    one 3-word block, shared by the meta that carries it and every row
+    that stores it. *)
+type back = No_back | Back of { node : int; rid : Dpc_util.Sha1.t }
+
+val compare_back : back -> back -> int
+(** [No_back] first, then by node, then by rid: the order polymorphic
+    [compare] gave the [(int * Sha1.t) option] this type replaced, on
+    which the cut writers' row order rests. *)
+
+(** The one codec: a flag byte, then the node as a varint and the rid as
+    a 20-byte string. *)
+
+val back_bytes : back -> int
+(** The bytes {!write_back} writes, without writing. *)
+
+val write_back : Dpc_util.Serialize.writer -> back -> unit
+val read_back : Dpc_util.Serialize.reader -> back
+
 type meta = {
   evid : Dpc_util.Sha1.t;  (** hash of the input event tuple *)
   exist_flag : bool;  (** equivalence class already materialized (Advanced) *)
   eqkey : Dpc_util.Sha1.t option;  (** hash of the equivalence-key values *)
-  prev : (int * Dpc_util.Sha1.t) option;
+  prev : back;
       (** (NLoc, NRID): the provenance node of the rule execution that
           derived the current event *)
 }

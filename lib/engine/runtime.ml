@@ -65,6 +65,10 @@ and channel_restore = {
 
 let create ~transport ?reliable ?domains ~delp ~env ~hook ?(interest = [])
     ?(record_outputs = true) ?nodes () =
+  (* The payload cache is a memo of this domain's digests, not world
+     state: a world starts it empty, so its hits and misses, and the words
+     they allocate, do not depend on the worlds built before it. *)
+  Value.reset_payload_cache ();
   (match domains with
   | None -> ()
   | Some d ->

@@ -56,6 +56,10 @@ val create :
 
     [nodes] defaults to [Node.cluster (Transport.nodes transport)].
 
+    Creating a runtime empties the calling domain's payload-digest cache
+    ({!Dpc_ndlog.Value.reset_payload_cache}): a world's allocation does
+    not depend on the worlds built before it.
+
     [domains] asserts the intended parallelism: the transport must report
     exactly that many shards (e.g. a [Dpc_net.Shard_sim] created with the
     same [~domains]). Omit it to accept any transport. The runtime itself

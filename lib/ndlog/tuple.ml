@@ -1,16 +1,14 @@
-(* The canonical string and the digest are memoized: the engine
-   re-canonicalizes the same tuple value at every hop (db keys, vids), and
-   the digest is the single most expensive per-firing operation. The memo
-   fields are invisible outside this module — [t] is abstract, and
+(* The digest is memoized: it is the vid every scheme keys on, taken at
+   every hop, and the single most expensive per-firing operation. The
+   memo field is invisible outside this module — [t] is abstract, and
    [equal]/[compare]/[hash] look only at the relation and arguments. *)
 type t = {
   rel : string;
   args : Value.t array;
-  mutable canonical_memo : string;  (* "" = not yet computed *)
   mutable digest_memo : string;  (* the raw digest; "" = not yet computed *)
 }
 
-let build rel args = { rel; args; canonical_memo = ""; digest_memo = "" }
+let build rel args = { rel; args; digest_memo = "" }
 
 let of_array rel args =
   if Array.length args = 0 then invalid_arg "Tuple.make: empty argument list";
@@ -49,29 +47,26 @@ let hash t =
   done;
   !h land max_int
 
+(* Only renderings (DOT labels, test shapes) and the tree order's
+   tie-break take it, so it is built on each call. *)
 let canonical t =
-  if t.canonical_memo <> "" then t.canonical_memo
-  else begin
-    (* Size the buffer from the serialized form (same payload, small
-       per-field framing differences) so a large payload never forces
-       repeated doubling copies. *)
-    let estimate =
-      String.length t.rel + 2
-      + Array.fold_left (fun acc v -> acc + Value.wire_size v + 12) 0 t.args
-    in
-    let buf = Buffer.create estimate in
-    Buffer.add_string buf t.rel;
-    Buffer.add_char buf '(';
-    Array.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Value.canonical v))
-      t.args;
-    Buffer.add_char buf ')';
-    let s = Buffer.contents buf in
-    t.canonical_memo <- s;
-    s
-  end
+  (* Size the buffer from the serialized form (same payload, small
+     per-field framing differences) so a large payload never forces
+     repeated doubling copies. *)
+  let estimate =
+    String.length t.rel + 2
+    + Array.fold_left (fun acc v -> acc + Value.wire_size v + 12) 0 t.args
+  in
+  let buf = Buffer.create estimate in
+  Buffer.add_string buf t.rel;
+  Buffer.add_char buf '(';
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (Value.canonical v))
+    t.args;
+  Buffer.add_char buf ')';
+  Buffer.contents buf
 
 (* The digest streams the canonical rendering into SHA-1 — except that
    large [Str] payloads are INTERNED ([Value.add_interned]): the stream

@@ -27,8 +27,9 @@ val hash : t -> int
 
 val canonical : t -> string
 (** Unambiguous rendering used as SHA-1 input; [vid = sha1 (canonical t)]
-    mirrors the paper's [sha1(packet(@n1, n1, n3, "data"))]. Memoized per
-    tuple value. *)
+    mirrors the paper's [sha1(packet(@n1, n1, n3, "data"))]. Built on
+    each call: the hot paths take {!digest}, which streams the rendering
+    instead. *)
 
 val digest : t -> Dpc_util.Sha1.t
 (** The tuple's SHA-1, memoized per tuple value — the vid every

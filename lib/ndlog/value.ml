@@ -56,6 +56,7 @@ let payload_cache_key : (string, Sha1.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create payload_cache_cap)
 
 let payload_cache_size () = Hashtbl.length (Domain.DLS.get payload_cache_key)
+let reset_payload_cache () = Hashtbl.reset (Domain.DLS.get payload_cache_key)
 
 (* A one-shot digest, which the stream API allows mid-stream. *)
 let payload_digest payload =

@@ -43,6 +43,11 @@ val payload_cache_cap : int
 val payload_cache_size : unit -> int
 (** The payload digests this domain's cache holds now. *)
 
+val reset_payload_cache : unit -> unit
+(** Empty this domain's payload cache, keeping its buckets. Each new
+    {!Dpc_engine.Runtime} does, so what a world hashes and allocates does
+    not depend on the worlds the domain ran before it. *)
+
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering: [42], ["data"], [true], [n7]. *)
 

@@ -60,8 +60,16 @@ let encode_request req =
           S.write_varint w 10;
           S.write_varint w peer)
 
+(* A record must end where its payload does: a reader that skipped bytes
+   would hide a field some writer appended. *)
+let expect_end r what v =
+  if not (S.at_end r) then raise (S.Corrupt (what ^ ": trailing bytes"));
+  v
+
 let decode_request payload =
   let r = S.reader payload in
+  expect_end r "control request"
+  @@
   match S.read_varint r with
   | 0 -> Load (S.read_list r (fun () -> Tuple.deserialize r))
   | 1 -> Inject (Tuple.deserialize r)
@@ -105,6 +113,8 @@ let encode_reply reply =
 
 let decode_reply payload =
   let r = S.reader payload in
+  expect_end r "control reply"
+  @@
   match S.read_varint r with
   | 0 -> Ok
   | 1 -> Deleted (S.read_bool r)

@@ -50,8 +50,10 @@ type reply =
 
 val encode_request : request -> string
 val decode_request : string -> request
-(** @raise Dpc_util.Serialize.Corrupt on a malformed payload. *)
+(** @raise Dpc_util.Serialize.Corrupt on a malformed payload, bytes after
+    the request included. *)
 
 val encode_reply : reply -> string
 val decode_reply : string -> reply
-(** @raise Dpc_util.Serialize.Corrupt on a malformed payload. *)
+(** @raise Dpc_util.Serialize.Corrupt on a malformed payload, bytes after
+    the reply included. *)

@@ -14,10 +14,12 @@
 # worse, not that the builder was busy.
 #
 # Last, the allocation gate runs dpcbench on every workload listed in
-# BENCH_PR29.json (all five) and fails when a workload's allocated words
+# BENCH_PR33.json (all five) and fails when a workload's allocated words
 # per event or its peak heap exceed the baseline by more than their
 # tolerances (2 % and 5 %, the benchmark's own bounds). Both are counted,
-# not timed: allocation repeats exactly from run to run, and so does the
+# not timed: allocation repeats from run to run of one binary (dpcbench's
+# figure lags the exact count by up to a minor heap, but by the same
+# amount each run), and so does the
 # peak heap except on fwd-sharded, whose two domains collect at varying
 # moments (about 2.5 % apart), so unlike events/s they can be gated
 # tightly.
@@ -148,7 +150,7 @@ print("query p99 gate ok")
 PY
 fi
 
-alloc_baseline=BENCH_PR29.json
+alloc_baseline=BENCH_PR33.json
 echo "== allocation gate: dpcbench alloc_words_per_event and peak_heap_mb vs $alloc_baseline =="
 python3 - "$alloc_baseline" <<'PY' || failed="$failed allocation"
 import json, subprocess, sys

@@ -345,6 +345,36 @@ let seq_world =
      in
      (durable, Option.get (Dpc_engine.Runtime.reliability runtime)))
 
+(* With [rebase_every = 3], a base cut is followed by two delta cuts,
+   then the next cut rebases: after checkpoint 0 at attach, cuts 1 to 7
+   run delta, delta, full, delta, delta, full, delta. Read from
+   [node_stats]: a cut is a delta exactly when it raises [delta_cuts]. *)
+let test_rebase_every () =
+  let delp = Dpc_apps.Forwarding.delp () and env = Dpc_apps.Forwarding.env in
+  let backend = Backend.make Backend.S_advanced ~delp ~env ~nodes:3 in
+  let transport, control = Dpc_net.Transport.crashable (Dpc_net.Transport.direct ~nodes:3 ()) in
+  let runtime =
+    Dpc_engine.Runtime.create ~transport ~delp ~env ~hook:(Backend.hook backend)
+      ~nodes:(Backend.nodes backend) ()
+  in
+  let durable =
+    Durable.attach ~backend ~runtime ~control
+      ~config:{ Durable.checkpoint_every = 0; rebase_every = 3 } ()
+  in
+  let stats () = Durable.node_stats durable 1 in
+  check Alcotest.(pair int int) "checkpoint 0 is a base" (1, 0)
+    ((stats ()).checkpoints, (stats ()).delta_cuts);
+  let kinds =
+    List.init 7 (fun _ ->
+      let before = (stats ()).delta_cuts in
+      Durable.checkpoint_now durable 1;
+      if (stats ()).delta_cuts > before then "delta" else "full")
+  in
+  check Alcotest.(list string) "cut kinds"
+    [ "delta"; "delta"; "full"; "delta"; "delta"; "full"; "delta" ]
+    kinds;
+  check Alcotest.int "every cut counted" 8 (stats ()).checkpoints
+
 (* Reliable reports a sequence advance as plain ints, and Durable writes
    it straight into the owning node's wal. For any peer and seq those
    bytes are [Journal.write]'s for the entry the advance stands for:
@@ -392,6 +422,7 @@ let () =
         ] );
       ("mid-run checkpoint + replay", scheme_cases test_midrun_checkpoint);
       ("delta checkpoints", scheme_cases test_delta_drift);
+      ("rebase rule", [ Alcotest.test_case "every third cut is a base" `Quick test_rebase_every ]);
       ( "crash schedule",
         [
           Alcotest.test_case "prune overlaps" `Quick test_prune_overlaps;

@@ -273,53 +273,72 @@ let test_outbox_torn_tail () =
 (* ------------------------------------------------------------------ *)
 (* Control protocol codec *)
 
-let test_ctrl_roundtrip () =
+(* One request and one reply of each tag. *)
+let ctrl_requests =
   let tuple = Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload:"x" in
-  let requests =
-    [
-      Dpc_proc.Ctrl.Load [ tuple; Dpc_apps.Forwarding.route ~at:1 ~dst:2 ~next:2 ];
-      Dpc_proc.Ctrl.Inject tuple;
-      Dpc_proc.Ctrl.Slow_insert tuple;
-      Dpc_proc.Ctrl.Slow_delete tuple;
-      Dpc_proc.Ctrl.Checkpoint;
-      Dpc_proc.Ctrl.Status;
-      Dpc_proc.Ctrl.Digest;
-      Dpc_proc.Ctrl.Shutdown;
-      Dpc_proc.Ctrl.Compact;
-      Dpc_proc.Ctrl.Block 2;
-      Dpc_proc.Ctrl.Unblock 2;
-    ]
-  in
+  [
+    Dpc_proc.Ctrl.Load [ tuple; Dpc_apps.Forwarding.route ~at:1 ~dst:2 ~next:2 ];
+    Dpc_proc.Ctrl.Inject tuple;
+    Dpc_proc.Ctrl.Slow_insert tuple;
+    Dpc_proc.Ctrl.Slow_delete tuple;
+    Dpc_proc.Ctrl.Checkpoint;
+    Dpc_proc.Ctrl.Status;
+    Dpc_proc.Ctrl.Digest;
+    Dpc_proc.Ctrl.Shutdown;
+    Dpc_proc.Ctrl.Compact;
+    Dpc_proc.Ctrl.Block 2;
+    Dpc_proc.Ctrl.Unblock 2;
+  ]
+
+let ctrl_replies =
+  [
+    Dpc_proc.Ctrl.Ok;
+    Dpc_proc.Ctrl.Deleted true;
+    Dpc_proc.Ctrl.Status_r
+      {
+        node = 1;
+        recovered = true;
+        unacked = 3;
+        data_sent = 10;
+        data_received = 7;
+        fired = 21;
+        outputs = 13;
+        wal_entries = 5;
+        outbox_bytes = 420;
+      };
+    Dpc_proc.Ctrl.Digest_r { node = 2; store = "abc"; db = "def" };
+    Dpc_proc.Ctrl.Error "nope";
+  ]
+
+let test_ctrl_roundtrip () =
   List.iter
     (fun req ->
       check Alcotest.bool "request round-trips" true
         (Dpc_proc.Ctrl.decode_request (Dpc_proc.Ctrl.encode_request req) = req))
-    requests;
-  let replies =
-    [
-      Dpc_proc.Ctrl.Ok;
-      Dpc_proc.Ctrl.Deleted true;
-      Dpc_proc.Ctrl.Status_r
-        {
-          node = 1;
-          recovered = true;
-          unacked = 3;
-          data_sent = 10;
-          data_received = 7;
-          fired = 21;
-          outputs = 13;
-          wal_entries = 5;
-          outbox_bytes = 420;
-        };
-      Dpc_proc.Ctrl.Digest_r { node = 2; store = "abc"; db = "def" };
-      Dpc_proc.Ctrl.Error "nope";
-    ]
-  in
+    ctrl_requests;
   List.iter
     (fun reply ->
       check Alcotest.bool "reply round-trips" true
         (Dpc_proc.Ctrl.decode_reply (Dpc_proc.Ctrl.encode_reply reply) = reply))
-    replies
+    ctrl_replies
+
+(* [decode] raises [Corrupt] on [blob] followed by one junk byte. *)
+let check_trailing_byte what decode blob =
+  match decode (blob ^ "\x00") with
+  | _ -> Alcotest.failf "%s with a trailing byte decoded" what
+  | exception Dpc_util.Serialize.Corrupt _ -> ()
+
+let test_ctrl_trailing_byte () =
+  List.iteri
+    (fun i req ->
+      check_trailing_byte (Printf.sprintf "request %d" i) Dpc_proc.Ctrl.decode_request
+        (Dpc_proc.Ctrl.encode_request req))
+    ctrl_requests;
+  List.iteri
+    (fun i reply ->
+      check_trailing_byte (Printf.sprintf "reply %d" i) Dpc_proc.Ctrl.decode_reply
+        (Dpc_proc.Ctrl.encode_reply reply))
+    ctrl_replies
 
 (* ------------------------------------------------------------------ *)
 (* A live socket pair: two transports in one process, pumped alternately. *)
@@ -697,6 +716,11 @@ let test_cut_fixture () =
   check Alcotest.bool "decoded cut" true
     (Durable.decode_cut (read_file (fixture "cut-delta.bin")) = (true, golden_cut))
 
+let test_manifest_cut_trailing_byte () =
+  let module Durable = Dpc_core.Durable in
+  check_trailing_byte "manifest.bin" Durable.decode_manifest (read_file (fixture "manifest.bin"));
+  check_trailing_byte "cut-delta.bin" Durable.decode_cut (read_file (fixture "cut-delta.bin"))
+
 (* ------------------------------------------------------------------ *)
 (* Durable disk recovery, in-process: the same forwarding scenario the
    dpcd oracle runs, on a direct transport with the log mirrored to
@@ -911,7 +935,11 @@ let () =
           QCheck_alcotest.to_alcotest outbox_model;
           Alcotest.test_case "torn tail dropped" `Quick test_outbox_torn_tail;
         ] );
-      ("control protocol", [ Alcotest.test_case "round-trip" `Quick test_ctrl_roundtrip ]);
+      ( "control protocol",
+        [
+          Alcotest.test_case "round-trip" `Quick test_ctrl_roundtrip;
+          Alcotest.test_case "trailing byte rejected" `Quick test_ctrl_trailing_byte;
+        ] );
       ( "socket transport",
         [
           Alcotest.test_case "duplex pair" `Quick test_socket_pair;
@@ -926,6 +954,8 @@ let () =
           Alcotest.test_case "dpc-chan-v1 snapshot" `Quick test_chan_fixture;
           Alcotest.test_case "dpc-manifest-v1 manifest" `Quick test_manifest_fixture;
           Alcotest.test_case "dpc-cut-v1 delta cut" `Quick test_cut_fixture;
+          Alcotest.test_case "manifest and cut, trailing byte rejected" `Quick
+            test_manifest_cut_trailing_byte;
         ] );
       ( "disk recovery",
         [

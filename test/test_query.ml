@@ -356,6 +356,66 @@ let test_cursor_survives_restart name scheme =
   check Alcotest.bool (name ^ ": a multi-tree pool occurred") true !multi
 
 (* ------------------------------------------------------------------ *)
+(* Boundaries of the cache's eviction and of the chain walk. *)
+
+(* An overflow by one entry drops the least recently used half: with a
+   capacity of 4, the two most recently used of the five entries stay.
+   Using an entry makes it recent. *)
+let test_cache_eviction_keeps_recent_half () =
+  let key i = Query_cache.key ~loc:i ~rid:(sha (string_of_int i)) ~ctx:"" in
+  let gen _ = 1 in
+  let survivors ~hit =
+    let cache, _ = make_cache ~capacity:4 () in
+    for i = 1 to 4 do
+      Query_cache.add cache ~querier:0 ~gen ~touched:[ 0 ] (key i) []
+    done;
+    Option.iter
+      (fun i -> ignore (Query_cache.find cache ~querier:0 ~up:all_up ~gen (key i)))
+      hit;
+    Query_cache.add cache ~querier:0 ~gen ~touched:[ 0 ] (key 5) [];
+    check Alcotest.int "three evicted" 3 (Query_cache.stats cache).evictions;
+    List.filter
+      (fun i -> Query_cache.find cache ~querier:0 ~up:all_up ~gen (key i) <> None)
+      [ 1; 2; 3; 4; 5 ]
+  in
+  check Alcotest.(list int) "the two newest stay" [ 4; 5 ] (survivors ~hit:None);
+  check Alcotest.(list int) "a used entry stays with the newest" [ 1; 5 ] (survivors ~hit:(Some 1))
+
+(* The chain walk collects at most 64 chains. A synthetic step: the root
+   row branches into 100 children, and each child is a leaf, so each
+   branch is one chain; the leaf, called once per chain collected,
+   abandons every one. *)
+let test_chain_walk_cap () =
+  let root = sha "root" in
+  let row rid = { Rows.rloc = 0; rid; rule = "r"; vids = [||]; next = No_back } in
+  let leaves = ref 0 in
+  let chain =
+    {
+      Query_acct.step =
+        (fun _ _ rid emit ->
+          if Dpc_util.Sha1.equal rid root then
+            for i = 1 to 100 do
+              emit (row rid) (Back { node = 0; rid = sha (string_of_int i) })
+            done
+          else emit (row rid) No_back);
+      leaf =
+        (fun _ _ _ ->
+          incr leaves;
+          raise (Query_acct.Broken "synthetic"));
+      slow = (fun _ -> Side_store.create ());
+      plan = (fun name -> raise (Query_acct.Broken name));
+    }
+  in
+  let acct =
+    Query_acct.create ~cost:Query_cost.free ~routing:(line_routing ()) ~up:all_up ~querier:0
+      ~degraded:ignore
+  in
+  let prov = { Rows.loc = 0; vid = sha "out"; rid = Back { node = 0; rid = root }; evid = None } in
+  let trees = Query_acct.chain_walk chain acct ~querier:0 ~output:(recv "a") prov in
+  check Alcotest.int "no tree re-derives" 0 (List.length trees);
+  check Alcotest.int "64 chains collected" 64 !leaves
+
+(* ------------------------------------------------------------------ *)
 (* The snapshot's bound. One memoized walk from querier 0 that reads
    [node], under a stub [gen]: a node or generation that fits its field
    is cached, and dropped once its generation moves; one past the field
@@ -366,7 +426,7 @@ let memo_walk cache ~gen node trees =
     Query_acct.create ~cost:Query_cost.free ~routing:(line_routing ()) ~up:all_up ~querier:0
       ~degraded:ignore
   in
-  Query_acct.memo (Some cache) acct ~gen ~rref:(0, sha "r") ~ctx:"" (fun () ->
+  Query_acct.memo (Some cache) acct ~gen ~rloc:0 ~rid:(sha "r") ~ctx:"" (fun () ->
       Query_acct.require_up acct node;
       trees)
 
@@ -667,6 +727,9 @@ let () =
             test_cache_down_dep_is_miss_not_drop;
           Alcotest.test_case "invalidate node" `Quick test_cache_invalidate_node;
           Alcotest.test_case "eviction" `Quick test_cache_eviction;
+          Alcotest.test_case "eviction keeps the recent half" `Quick
+            test_cache_eviction_keeps_recent_half;
+          Alcotest.test_case "chain walk caps its chains" `Quick test_chain_walk_cap;
           Alcotest.test_case "snapshot bound" `Quick test_cache_snapshot_bound;
         ] );
       ( "backend integration",

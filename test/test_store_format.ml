@@ -297,7 +297,11 @@ let journal_entries =
   let big = Dpc_apps.Forwarding.packet ~src:1 ~dst:2 ~payload:(String.make 100 'p') in
   let meta ?eqkey ?prev evid =
     { Dpc_engine.Prov_hook.evid = digest evid; exist_flag = Option.is_some eqkey;
-      eqkey = Option.map digest eqkey; prev = Option.map (fun (n, r) -> (n, digest r)) prev }
+      eqkey = Option.map digest eqkey;
+      prev =
+        (match prev with
+        | None -> No_back
+        | Some (node, r) -> Back { node; rid = digest r }) }
   in
   let open Dpc_engine.Journal in
   [
@@ -327,7 +331,7 @@ let meta_equal (a : Dpc_engine.Prov_hook.meta) (b : Dpc_engine.Prov_hook.meta) =
   let sha = Dpc_util.Sha1.equal in
   sha a.evid b.evid && a.exist_flag = b.exist_flag
   && Option.equal sha a.eqkey b.eqkey
-  && Option.equal (fun (n, r) (n', r') -> n = n' && sha r r') a.prev b.prev
+  && Dpc_engine.Prov_hook.compare_back a.prev b.prev = 0
 
 let entry_equal (a : Dpc_engine.Journal.entry) (b : Dpc_engine.Journal.entry) =
   let tuple = Dpc_ndlog.Tuple.equal in

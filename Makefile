@@ -1,4 +1,4 @@
-.PHONY: all build test bench chaos crash partitions scaling queries procs soak doc bench-gate ci clean
+.PHONY: all build test bench chaos crash partitions scaling queries procs soak doc bench-gate mutants ci clean
 
 all: build
 
@@ -79,6 +79,12 @@ doc:
 # the queries figure's modeled warm-cache p99 may not regress.
 bench-gate:
 	sh scripts/bench_gate.sh
+
+# Mutation score: each boundary mutant of scripts/mutants.json applied to
+# a fresh export of HEAD, then tier-1 run against it (several minutes;
+# outside tier-1 and ci.sh). Exits 1 if any mutant survives.
+mutants:
+	python3 scripts/mutants.py
 
 ci:
 	sh scripts/ci.sh

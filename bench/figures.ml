@@ -952,9 +952,7 @@ let fig_scaling cfg ctx =
     let ts, routing, rng = transit_stub cfg in
     let pair_list = Pairs.select ~rng ~eligible:ts.stub_nodes ~count:pairs in
     let nodes = Topology.size ts.topology in
-    let transport =
-      Shard_sim.transport (Shard_sim.create ~latency:0.0005 ~seed:cfg.seed ~domains ~nodes ())
-    in
+    let transport = Shard_sim.transport (Shard_sim.create ~latency:0.0005 ~domains ~nodes ()) in
     let d =
       Forwarding_driver.setup_on ~transport ~scheme:Backend.S_advanced ~routing
         ~pairs:pair_list ~record_outputs:false ()

@@ -125,9 +125,6 @@ let edges g =
 
 let is_anchor g v = Hashtbl.mem g.anchor_set v
 
-let anchors g =
-  Hashtbl.fold (fun v () acc -> v :: acc) g.anchor_set [] |> List.sort compare_attr
-
 let bfs g start ~stop =
   let visited = Hashtbl.create 16 in
   let rec go = function

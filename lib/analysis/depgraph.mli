@@ -39,8 +39,6 @@ val edges : t -> (attr * attr) list
 
 val is_anchor : t -> attr -> bool
 
-val anchors : t -> attr list
-
 val reachable : t -> attr -> attr -> bool
 (** Undirected reachability (a vertex reaches itself). *)
 

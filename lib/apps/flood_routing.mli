@@ -29,7 +29,6 @@ val adv : at:int -> dst:int -> cost:int -> Dpc_ndlog.Tuple.t
 (** The input event; inject [adv ~at:d ~dst:d ~cost:0] to announce
     destination [d]. *)
 
-val link_cost : at:int -> next:int -> cost:int -> Dpc_ndlog.Tuple.t
 val route_cand : at:int -> dst:int -> cost:int -> Dpc_ndlog.Tuple.t
 
 val link_costs_of_topology : Dpc_net.Topology.t -> Dpc_ndlog.Tuple.t list

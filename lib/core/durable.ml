@@ -112,38 +112,24 @@ module Outbox = struct
         apply_mark t dst recorded acked
     | tag -> raise (S.Corrupt (Printf.sprintf "outbox: unknown record tag %d" tag))
 
-  let open_ ~dir =
-    let path = Filename.concat dir "outbox.log" in
-    let t = { path; fd = Unix.stdin; chans = Hashtbl.create 8; bytes = 0 } in
-    let existing = Sys.file_exists path in
-    if existing then begin
-      let contents = read_file path in
-      if contents <> "" then begin
-        let r = S.reader contents in
-        (match S.read_string r with
-        | m when m = magic -> ()
-        | m -> raise (S.Corrupt (Printf.sprintf "outbox: bad magic %S in %s" m path))
-        | exception S.Corrupt _ ->
-            raise (S.Corrupt (Printf.sprintf "outbox: unreadable header in %s" path)));
-        (* A kill can tear the last record mid-write; everything after the
-           first undecodable byte was never acknowledged to anyone (the
-           record had not finished persisting, so the frame never went
-           out) and is safely dropped. *)
-        (try
-           while not (S.at_end r) do
-             read_record t r
-           done
-         with S.Corrupt _ -> ());
-        t.bytes <- String.length contents
-      end
-    end;
-    t.fd <- Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
-    if (not existing) || t.bytes = 0 then begin
-      let header = S.with_scratch (fun w -> S.write_string w magic) in
-      write_all t.fd header;
-      t.bytes <- String.length header
-    end;
-    t
+  (* Apply the records after the header; whether a torn record stopped
+     the read. A kill can tear the last record mid-write; everything after
+     the first undecodable byte was never acknowledged to anyone (the
+     record had not finished persisting, so the frame never went out) and
+     is safely dropped. *)
+  let read_records t path contents =
+    let r = S.reader contents in
+    (match S.read_string r with
+    | m when m = magic -> ()
+    | m -> raise (S.Corrupt (Printf.sprintf "outbox: bad magic %S in %s" m path))
+    | exception S.Corrupt _ ->
+        raise (S.Corrupt (Printf.sprintf "outbox: unreadable header in %s" path)));
+    try
+      while not (S.at_end r) do
+        read_record t r
+      done;
+      false
+    with S.Corrupt _ -> true
 
   let append t blob =
     write_all t.fd blob;
@@ -205,6 +191,25 @@ module Outbox = struct
     write_file_atomic t.path blob;
     t.fd <- Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
     t.bytes <- String.length blob
+
+  let open_ ~dir =
+    let path = Filename.concat dir "outbox.log" in
+    let t = { path; fd = Unix.stdin; chans = Hashtbl.create 8; bytes = 0 } in
+    let contents = if Sys.file_exists path then read_file path else "" in
+    let torn = contents <> "" && read_records t path contents in
+    t.bytes <- String.length contents;
+    t.fd <- Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
+    if t.bytes = 0 then begin
+      let header = S.with_scratch (fun w -> S.write_string w magic) in
+      write_all t.fd header;
+      t.bytes <- String.length header
+    end
+    else if torn then
+      (* Records appended after the torn bytes would be lost to the next
+         load, which stops there: rewrite the ledger from its valid
+         prefix first. *)
+      compact t;
+    t
 
   let close t = try Unix.close t.fd with _ -> ()
 end
@@ -276,6 +281,36 @@ type node_stats = {
   queries_degraded : int;
 }
 
+(* Where the nodes' channel sequence state lives: the runtime's
+   [Reliable] link, or the transport of a host that has none
+   ({!set_channel_state}). Cuts, restores, replays and crashes all go
+   through it. *)
+type channels = {
+  snapshot : int -> string option;
+  restore : int -> string -> unit;
+  next_seq : node:int -> peer:int -> seq:int -> unit;
+  expected : node:int -> peer:int -> seq:int -> unit;
+  forget : int -> unit;
+}
+
+let no_channels =
+  {
+    snapshot = (fun _ -> None);
+    restore = (fun _ _ -> ());
+    next_seq = (fun ~node:_ ~peer:_ ~seq:_ -> ());
+    expected = (fun ~node:_ ~peer:_ ~seq:_ -> ());
+    forget = ignore;
+  }
+
+let link_channels r =
+  {
+    snapshot = (fun node -> Some (Reliable.snapshot r ~node));
+    restore = (fun node blob -> Reliable.restore r ~node blob);
+    next_seq = (fun ~node ~peer ~seq -> Reliable.set_next_seq r ~src:node ~dst:peer seq);
+    expected = (fun ~node ~peer ~seq -> Reliable.set_expected r ~src:peer ~dst:node seq);
+    forget = (fun node -> Reliable.forget r ~node);
+  }
+
 type t = {
   backend : Backend.t;
   runtime : Runtime.t;
@@ -286,8 +321,7 @@ type t = {
       (* Nodes whose log was loaded from an existing on-disk state at
          attach; their volatile state is rebuilt by {!recover}, not
          sealed into a fresh checkpoint 0. *)
-  mutable chan_snapshot : (int -> string option) option;
-  mutable chan_restore : (int -> string -> unit) option;
+  mutable channels : channels;
   recovering : bool array;
       (* Recovery replays the journal through the same code paths that
          produced it; this per-node flag keeps those paths from appending
@@ -433,11 +467,7 @@ let cut_bytes c =
 let take_checkpoint t node =
   flush_group t node;
   let log = t.logs.(node) in
-  let channels =
-    match Runtime.reliability t.runtime with
-    | Some r -> Some (Reliable.snapshot r ~node)
-    | None -> ( match t.chan_snapshot with Some f -> f node | None -> None)
-  in
+  let channels = t.channels.snapshot node in
   let as_delta =
     log.checkpoint <> None
     && t.config.rebase_every > 1
@@ -637,8 +667,8 @@ let attach ~backend ~runtime ~control ?(config = default_config) ?disk
       config;
       logs = Array.init n (fun _ -> fresh_log ());
       from_disk = Array.make n false;
-      chan_snapshot = None;
-      chan_restore = None;
+      channels =
+        (match Runtime.reliability runtime with Some r -> link_channels r | None -> no_channels);
       recovering = Array.make n false;
     }
   in
@@ -713,16 +743,28 @@ let crash t node =
     flush_group t node;
     t.control.Transport.crash node;
     Node.reset (Runtime.node t.runtime node);
-    (match Runtime.reliability t.runtime with
-    | None -> ()
-    | Some r -> Reliable.forget r ~node);
+    t.channels.forget node;
     let log = t.logs.(node) in
     log.crashes <- log.crashes + 1;
     rematerialize t node
   end
 
+(* The wal's channel entries, after the engine's: the setters are
+   monotonic, so the newest advance wins whatever the order. Called while
+   the node recovers, so none of them is journaled again. *)
+let rec restore_seqs t node = function
+  | [] -> ()
+  | Journal.Next_seq { peer; seq } :: rest ->
+      t.channels.next_seq ~node ~peer ~seq;
+      restore_seqs t node rest
+  | Journal.Expected { peer; seq } :: rest ->
+      t.channels.expected ~node ~peer ~seq;
+      restore_seqs t node rest
+  | _ :: rest -> restore_seqs t node rest
+
 (* The recovery core shared by in-process [restart] and real-process
-   [recover]: restore the newest cut chain, then replay the wal tail. *)
+   [recover]: restore the newest cut chain, replay the wal tail, then
+   restore the channel sequence state it journaled. *)
 let rebuild t node =
   let log = t.logs.(node) in
   t.recovering.(node) <- true;
@@ -744,11 +786,7 @@ let rebuild t node =
               Db.apply_delta db d.db)
             (List.rev log.deltas);
           let newest = match log.deltas with d :: _ -> d | [] -> base in
-          (match (newest.channels, Runtime.reliability t.runtime) with
-          | Some blob, Some r -> Reliable.restore r ~node blob
-          | Some blob, None -> (
-              match t.chan_restore with Some f -> f node blob | None -> ())
-          | None, _ -> ()));
+          match newest.channels with Some blob -> t.channels.restore node blob | None -> ());
       (* The wal is NOT truncated: a second crash before the next
          compaction replays the same checkpoint plus the same entries
          (and whatever lands after this recovery). *)
@@ -757,7 +795,9 @@ let rebuild t node =
       while not (S.at_end r) do
         entries := Journal.read r :: !entries
       done;
-      Runtime.replay t.runtime ~node (List.rev !entries))
+      let entries = List.rev !entries in
+      Runtime.replay t.runtime ~node entries;
+      restore_seqs t node entries)
 
 let tick_recovery t node t0 =
   let log = t.logs.(node) in
@@ -787,9 +827,10 @@ let recover t node =
   rebuild t node;
   tick_recovery t node t0
 
-let set_channel_state t ~snapshot ~restore =
-  t.chan_snapshot <- Some snapshot;
-  t.chan_restore <- Some restore
+let set_channel_state t ~snapshot ~restore ~next_seq ~expected =
+  if Option.is_some (Runtime.reliability t.runtime) then
+    invalid_arg "Durable.set_channel_state: the runtime's Reliable link holds the channel state";
+  t.channels <- { snapshot; restore; next_seq; expected; forget = ignore }
 
 let journal t node entry = append t node entry
 let flush_wal t node = flush_group t node

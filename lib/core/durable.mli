@@ -52,7 +52,9 @@ module Outbox : sig
   type t
 
   val open_ : dir:string -> t
-  (** Load (or create) [dir]/outbox.log.
+  (** Load (or create) [dir]/outbox.log. A ledger with a torn tail is
+      rewritten, as {!compact} does, from its valid prefix, so the
+      records appended after it survive the next load.
       @raise Dpc_util.Serialize.Corrupt on an unreadable header. *)
 
   val record_send : t -> dst:int -> seq:int -> string -> unit
@@ -93,7 +95,9 @@ val attach :
 (** Wire durability into a built world: installs the runtime's journal
     sink ({!Dpc_engine.Runtime.set_journal}), the reliable layer's
     sequence-state persister ({!Dpc_net.Reliable.set_persist}), and the
-    injection availability predicate, then seals the pre-attach state
+    injection availability predicate, takes the runtime's reliable link
+    (if any) as the source of every node's channel state, then seals the
+    pre-attach state
     (e.g. slow tables loaded by the generator) into each node's
     checkpoint 0. Attach before injecting anything; events processed
     before attach are not journaled and cannot be recovered.
@@ -142,19 +146,29 @@ val recovered : t -> int -> bool
 
 val recover : t -> int -> unit
 (** Rebuild the node's volatile state from the loaded log: restore the
-    newest cut chain, then replay the wal tail through
-    {!Dpc_engine.Runtime.replay}. The real-process counterpart of
-    {!restart} — the process died instead of the simulated node, so
-    there is no wire to reconnect; the caller restores channel state and
-    re-offers the outbox tail itself. Adds to [crash.recovery_ms]. *)
+    newest cut chain, replay the wal tail through
+    {!Dpc_engine.Runtime.replay}, then apply the wal's channel entries
+    through {!set_channel_state}'s record. The real-process counterpart
+    of {!restart} — the process died instead of the simulated node, so
+    there is no wire to reconnect; the caller re-offers the outbox tail
+    itself. Adds to [crash.recovery_ms]. *)
 
 val set_channel_state :
-  t -> snapshot:(int -> string option) -> restore:(int -> string -> unit) -> unit
-(** Where checkpoints get their channel-sequence blob when the reliable
-    layer lives below the transport (a socket backend): [snapshot] is
-    called at each cut, [restore] with the newest cut's blob during
-    {!recover}/{!restart}. Unused (the in-process {!Dpc_net.Reliable}
-    wins) when the runtime was built with [?reliable]. *)
+  t ->
+  snapshot:(int -> string option) ->
+  restore:(int -> string -> unit) ->
+  next_seq:(node:int -> peer:int -> seq:int -> unit) ->
+  expected:(node:int -> peer:int -> seq:int -> unit) ->
+  unit
+(** Where a node's channel sequence state lives when the reliable layer
+    is below the runtime's transport (a socket backend). [snapshot] is
+    called at each cut; {!recover}/{!restart} hands [restore] the newest
+    cut's blob, replays the wal, then hands [next_seq] and [expected]
+    the wal's [Next_seq] and [Expected] entries, in the host's own
+    sequence base (see {!Dpc_engine.Journal.entry}). A runtime built with
+    [?reliable] keeps that state in its {!Dpc_net.Reliable} link, which
+    {!attach} already wires in.
+    @raise Invalid_argument if the runtime has a reliable link. *)
 
 val journal : t -> int -> Dpc_engine.Journal.entry -> unit
 (** Append one entry to the node's journal directly — for entries the
@@ -178,14 +192,15 @@ val outbox : t -> int -> Outbox.t option
 val crash : t -> int -> unit
 (** Take the node down NOW: cut its wire, wipe its volatile state
     ({!Dpc_engine.Node.reset}), and drop its channel windows
-    ({!Dpc_net.Reliable.forget}). Idempotent while down. The durable
+    ({!Dpc_net.Reliable.forget}, under a reliable link). Idempotent while down. The durable
     [crash.*] counters survive and are re-materialized into the wiped
     metrics registry. *)
 
 val restart : t -> int -> unit
 (** Bring the node back: restore its checkpoint, replay its journal tail
-    ({!Dpc_engine.Runtime.replay}), then reconnect the wire — in that
-    order, so no delivery races the rebuild. The journal is retained (not
+    ({!Dpc_engine.Runtime.replay}) and its channel sequence advances,
+    then reconnect the wire — in that order, so no delivery races the
+    rebuild. The journal is retained (not
     truncated), so a second crash before the next compaction recovers
     again from the same checkpoint. Idempotent while up. Wall-clock
     recovery time is added to the [crash.recovery_ms] counter (the one

@@ -106,7 +106,7 @@ let magic tag format = "dpc-" ^ tag ^ format ^ "-v1"
 
 let create nodes layout =
   let init () = { x = layout.fresh (); gen = 0 } in
-  { nodes; key = Node.key ~name:("store." ^ layout.tag) (); layout; init;
+  { nodes; key = Node.key (); layout; init;
     magics = (magic layout.tag "", magic layout.tag "-node", magic layout.tag "-delta");
     track_dirty = false; degraded_sink = None; cache = None; reset_hooked = false }
 

@@ -27,13 +27,6 @@ val match_atom :
 (** Unify an atom against a ground tuple, extending the binding; [None] on
     relation/arity/value mismatch. *)
 
-val eval_expr : Env.t -> binding -> Dpc_ndlog.Ast.expr -> Dpc_ndlog.Value.t
-(** @raise Eval_error on unbound variables, unknown functions, type
-    mismatches, division by zero. *)
-
-val instantiate : Dpc_ndlog.Ast.atom -> binding -> Dpc_ndlog.Tuple.t
-(** @raise Eval_error on unbound variables. *)
-
 val fire :
   env:Env.t ->
   db:Db.t ->
@@ -42,7 +35,9 @@ val fire :
   (Dpc_ndlog.Tuple.t * Dpc_ndlog.Tuple.t list) list
 (** All (head, slow tuples used) derivations of [rule] triggered by
     [event]; empty if the event does not match or no join succeeds. Slow
-    tuples are listed in condition-atom order. *)
+    tuples are listed in condition-atom order.
+    @raise Eval_error on an unbound variable in an expression or the
+    head, an unknown function, a type mismatch or a division by zero. *)
 
 type plan
 (** A rule compiled over a register file, one slot per variable: the event

@@ -30,7 +30,10 @@ type entry =
   | Next_seq of { peer : int; seq : int }
       (** this node's sender sequence on channel [(node, peer)] advanced *)
   | Expected of { peer : int; seq : int }
-      (** this node's receive watermark on channel [(peer, node)] advanced *)
+      (** this node's receive watermark on channel [(peer, node)] advanced.
+          The [seq] of either channel entry is in its medium's base:
+          message counts under an in-process {!Dpc_net.Reliable} link,
+          1-based dpc-wire-v1 numbers under {!Dpc_net.Socket}. *)
 
 val is_boundary : entry -> bool
 (** Whether a checkpoint may be cut right after this entry. Channel

@@ -2,28 +2,24 @@ type binding = ..
 
 type 'a key = {
   uid : int;
-  key_name : string;
   inj : 'a -> binding;
   proj : binding -> 'a;
 }
 
 let next_uid = ref 0
 
-let key (type a) ~name () : a key =
+let key (type a) () : a key =
   let module M = struct
     type binding += K of a
   end in
   incr next_uid;
   {
     uid = !next_uid;
-    key_name = name;
     inj = (fun v -> M.K v);
     (* uids are unique per key, so a binding stored under this key's uid
        with a foreign constructor can only be a bug in this module *)
     proj = (function M.K v -> v | _ -> assert false);
   }
-
-let key_name k = k.key_name
 
 type t = {
   id : int;

@@ -51,11 +51,9 @@ val on_reset : t -> (unit -> unit) -> unit
 
 type 'a key
 
-val key : name:string -> unit -> 'a key
-(** A fresh key. Two calls never compare equal, even with the same name;
-    [name] is for diagnostics only. *)
+val key : unit -> 'a key
+(** A fresh key. Two calls never compare equal. *)
 
-val key_name : _ key -> string
 val set : t -> 'a key -> 'a -> unit
 
 val get_or_init : t -> 'a key -> init:(unit -> 'a) -> 'a

@@ -44,23 +44,14 @@ type t = {
   replaying : bool array;
   (* Real-process support: closures cannot cross a process boundary, so a
      transport that hosts only part of the cluster installs [remote] and
-     gets every cross-process message as a serialized journal entry.
-     [channel_restore] is where replayed channel advances go when the
-     sequence state lives below the transport (a socket backend) instead
-     of in an in-process [Reliable]. *)
+     gets every cross-process message as a serialized journal entry. *)
   mutable remote : remote option;
-  mutable channel_restore : channel_restore option;
 }
 
 and remote = {
   is_local : int -> bool;
   remote_ship : dst:int -> bytes:int -> payload:string -> unit;
   replayed_ship : dst:int -> payload:string -> unit;
-}
-
-and channel_restore = {
-  restore_next_seq : peer:int -> seq:int -> unit;
-  restore_expected : peer:int -> seq:int -> unit;
 }
 
 let create ~transport ?reliable ?domains ~delp ~env ~hook ?(interest = [])
@@ -139,7 +130,6 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(interest = [])
     available = (fun _ -> true);
     replaying = Array.make n false;
     remote = None;
-    channel_restore = None;
   }
 
 let transport t = t.transport
@@ -156,9 +146,6 @@ let set_availability t f = t.available <- f
 
 let set_remote t ~is_local ~ship ~replayed =
   t.remote <- Some { is_local; remote_ship = ship; replayed_ship = replayed }
-
-let set_channel_restore t ~next_seq ~expected =
-  t.channel_restore <- Some { restore_next_seq = next_seq; restore_expected = expected }
 
 let encode_entry entry = Dpc_util.Serialize.with_scratch (fun w -> Journal.write w entry)
 
@@ -373,8 +360,7 @@ let inject t ?(delay = 0.0) event =
    original state — replay mode keeps the per-node metric ticks (the
    registry was wiped with the node) but suppresses sends, journaling,
    and the cluster-global counters (those never died). Channel entries
-   restore the reliable layer's sequence state in place, so surviving
-   retransmit closures pick the watermark back up. *)
+   are skipped: the durable layer that wrote them applies them. *)
 let replay t ~node entries =
   t.replaying.(node) <- true;
   Fun.protect
@@ -392,16 +378,7 @@ let replay t ~node entries =
           | Slow_insert tuple -> ignore (Db.insert (db t node) tuple)
           | Slow_delete tuple -> ignore (Db.remove (db t node) tuple)
           | Load tuple -> ignore (Db.insert (db t node) tuple)
-          | Next_seq { peer; seq } -> (
-              match (t.reliability, t.channel_restore) with
-              | Some r, _ -> Dpc_net.Reliable.set_next_seq r ~src:node ~dst:peer seq
-              | None, Some c -> c.restore_next_seq ~peer ~seq
-              | None, None -> ())
-          | Expected { peer; seq } -> (
-              match (t.reliability, t.channel_restore) with
-              | Some r, _ -> Dpc_net.Reliable.set_expected r ~src:peer ~dst:node seq
-              | None, Some c -> c.restore_expected ~peer ~seq
-              | None, None -> ()))
+          | Next_seq _ | Expected _ -> ())
         entries)
 
 let outputs t = Mutex.protect t.outputs_lock (fun () -> List.rev t.outputs_rev)

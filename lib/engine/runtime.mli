@@ -135,8 +135,9 @@ val run : ?until:float -> t -> unit
 
 (** {2 Crash-fault support}
 
-    The runtime exposes three hooks the durable layer ([Dpc_core.Durable])
-    wires together; none of them is needed on a crash-free run. *)
+    The durable layer ([Dpc_core.Durable]) installs two hooks,
+    {!set_journal} and {!set_availability}, and rebuilds a node with
+    {!replay}; none of them is needed on a crash-free run. *)
 
 val set_journal : t -> (node:int -> Journal.entry -> unit) -> unit
 (** Install the write-ahead sink. From then on the runtime reports, at
@@ -158,12 +159,12 @@ val replay : t -> node:int -> Journal.entry list -> unit
     {!Node.reset}: entries run through the same hook/process pipeline
     that produced the original state, with sends, journaling, and the
     cluster-global {!stats} counters suppressed (per-node metric ticks
-    are kept — the node's registry was wiped with it). Channel entries
-    restore the reliable layer's sequence state monotonically, in
-    place — or go through {!set_channel_restore} when the sequence state
-    lives below the transport. Remote-destined sends regenerated during
-    replay are re-offered through the [replayed] hook of {!set_remote}
-    (see there) instead of being dropped. *)
+    are kept — the node's registry was wiped with it). [Next_seq] and
+    [Expected] entries are skipped: the channel sequence state belongs to
+    the durable layer, which applies them after the replay.
+    Remote-destined sends regenerated during replay are re-offered
+    through the [replayed] hook of {!set_remote} (see there) instead of
+    being dropped. *)
 
 (** {2 Real-process support}
 
@@ -200,11 +201,3 @@ val deliver_remote : t -> node:int -> string -> unit
     @raise Invalid_argument if the entry is not an arrival or sig, or is
     addressed to a different node.
     @raise Dpc_util.Serialize.Corrupt on an undecodable payload. *)
-
-val set_channel_restore :
-  t -> next_seq:(peer:int -> seq:int -> unit) -> expected:(peer:int -> seq:int -> unit) -> unit
-(** Where {!replay} routes [Next_seq]/[Expected] journal entries when
-    there is no in-process reliable layer: a socket host points these at
-    its transport's sequence state ([Dpc_net.Socket.set_next_seq] /
-    [set_expected]). Ignored while [?reliable] is in use — the reliable
-    layer wins. *)

@@ -40,25 +40,6 @@ let rec expr_vars_acc acc = function
 
 let expr_vars e = dedup (List.rev (expr_vars_acc [] e))
 
-let cond_vars = function
-  | C_atom a -> atom_vars a
-  | C_cmp (_, a, b) -> dedup (expr_vars a @ expr_vars b)
-  | C_assign (x, e) -> dedup (x :: expr_vars e)
-
-let rule_body_atoms r =
-  r.event :: List.filter_map (function C_atom a -> Some a | C_cmp _ | C_assign _ -> None) r.conds
-
-let var_positions a =
-  List.filteri (fun _ _ -> true) a.args
-  |> List.mapi (fun i t -> (i, t))
-  |> List.filter_map (function i, Var v -> Some (v, i) | _, Const _ -> None)
-
-let equal_term a b =
-  match a, b with
-  | Var x, Var y -> String.equal x y
-  | Const x, Const y -> Value.equal x y
-  | (Var _ | Const _), _ -> false
-
 let map_term f = function Var v -> Var (f v) | Const c -> Const c
 let map_atom f a = { a with args = List.map (map_term f) a.args }
 

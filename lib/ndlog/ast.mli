@@ -35,14 +35,6 @@ val atom_vars : atom -> string list
 (** Variables in order of first occurrence, without duplicates. *)
 
 val expr_vars : expr -> string list
-val cond_vars : cond -> string list
-val rule_body_atoms : rule -> atom list
-(** Event atom followed by the slow-changing condition atoms. *)
-
-val var_positions : atom -> (string * int) list
-(** [(v, i)] for each position [i] holding variable [v] (duplicates kept). *)
-
-val equal_term : term -> term -> bool
 
 val map_rule_vars : (string -> string) -> rule -> rule
 (** Apply a renaming to every variable occurrence in the rule (head, event,

@@ -11,9 +11,9 @@
     - the receiver keeps a dedup/reorder window — a contiguous watermark
       plus at most {!window} arrivals held above a gap — so each
       message's body runs exactly once and in channel order, no matter
-      how many copies arrive or how late. It acks ([ack_bytes] on the
-      wire) only arrivals the watermark covers: a delivered message or a
-      below-watermark duplicate. An arrival held above a gap is NOT acked
+      how many copies arrive or how late. It acks only arrivals the
+      watermark covers: a delivered message or a below-watermark
+      duplicate. An arrival held above a gap is NOT acked
       — the window is volatile, so an ack is a durable promise the
       receiver can only make for the contiguous prefix (see the crash
       support below). An arrival past a full window is dropped, unacked;
@@ -84,14 +84,6 @@ val data_header_bytes : int
 (** Wire bytes the layer adds to every data transmission (the channel
     sequence number). *)
 
-val ack_bytes : int
-(** Wire size of one acknowledgement message. *)
-
-val probe_bytes : int
-(** Wire size of one heal probe (and of its pong) — the whole per-probe
-    cost of a suspended channel is [2 * probe_bytes] per backoff period,
-    versus a full data retransmission per period before suspension. *)
-
 type stats = {
   data_msgs : int;  (** distinct messages accepted from the sender *)
   data_bytes : int;  (** first-transmission bytes, headers included *)
@@ -123,8 +115,12 @@ val window : int
     unacked. *)
 
 val wrap : ?config:config -> ?metrics:(int -> Dpc_util.Metrics.t) -> Transport.t -> t
-(** Layer reliable delivery over a transport. When [metrics] maps a node
-    id to its registry, the layer records per-node counters:
+(** Layer reliable delivery over a transport. An acknowledgement is a
+    12-byte message. A heal probe and its pong are 10 bytes each, so the
+    whole per-probe cost of a suspended channel is 20 bytes per backoff
+    period, versus a full data retransmission per period before
+    suspension. When [metrics] maps a node id to its registry, the layer
+    records per-node counters:
     [net.data_msgs], [net.retransmits], [net.retransmit_bytes],
     [net.parked], [net.suspensions], [net.resurrections] and
     [net.probes] at the sender; [net.acks_sent], [net.ack_bytes],

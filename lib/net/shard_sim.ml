@@ -80,8 +80,6 @@ type t = {
   nodes : int;
   domains : int;
   latency : float;
-  jitter : float;
-  seed : int;
   shards : shard array;
   (* [outboxes.(outbox_index t ~parity ~src ~dst)] holds what shard [src]
      made for shard [dst] in a round of [parity]. The sender writes the
@@ -96,11 +94,8 @@ type t = {
      another shard is still reading. *)
   published : Float.Array.t;
   (* Per-origin event counters. [node_ctr.(n)] is owned by [n]'s shard
-     (or the main domain outside [run]); the channel counters drive the
-     deterministic jitter hash, are owned by the sending shard, and exist
-     only when there is jitter. *)
+     (or the main domain outside [run]). *)
   node_ctr : int array;
-  chan_ctr : int array;
   mutable main_ctr : int;
   (* The main domain's clock: the maximum clock reached by any shard. *)
   main_clock : Q.clock;
@@ -138,7 +133,7 @@ let partition ~domains ~nodes =
   if nodes <= 0 then invalid_arg "Shard_sim.partition: nodes must be positive";
   Array.init nodes (fun n -> n mod domains)
 
-let create ?(latency = 0.001) ?(jitter = 0.0) ?(seed = 0) ~domains ~nodes () =
+let create ?(latency = 0.001) ~domains ~nodes () =
   if domains <= 0 then invalid_arg "Shard_sim.create: domains must be positive";
   if nodes <= 0 then invalid_arg "Shard_sim.create: nodes must be positive";
   if nodes + domains + 1 > max_origins then invalid_arg "Shard_sim.create: too many nodes";
@@ -147,13 +142,10 @@ let create ?(latency = 0.001) ?(jitter = 0.0) ?(seed = 0) ~domains ~nodes () =
        zero-latency wire would shrink every round to a single timestamp
        and, worse, admit same-time cross-shard causality. *)
     invalid_arg "Shard_sim.create: latency must be positive";
-  if jitter < 0.0 then invalid_arg "Shard_sim.create: negative jitter";
   {
     nodes;
     domains;
     latency;
-    jitter;
-    seed;
     shards =
       Array.init domains (fun sid ->
         { sid; queue = Q.create (); clock = { now = 0.0 }; sent = { at = infinity }; parity = 0;
@@ -163,7 +155,6 @@ let create ?(latency = 0.001) ?(jitter = 0.0) ?(seed = 0) ~domains ~nodes () =
         { times = Float.Array.create 0; keys = [||]; actions = [||]; len = 0 });
     published = Float.Array.make (2 * domains) infinity;
     node_ctr = Array.make nodes 0;
-    chan_ctr = (if jitter > 0.0 then Array.make (nodes * nodes) 0 else [||]);
     main_ctr = 0;
     main_clock = { now = 0.0 };
     running = false;
@@ -216,26 +207,6 @@ let[@inline] post t s ~target at key action =
   ob.len <- ob.len + 1;
   if at < s.sent.at then s.sent.at <- at
 
-(* SplitMix64 finalizer (same construction as [Transport.hashed_decide]):
-   jitter for the [n]th message on a channel hashes (seed, src, dst, n),
-   so latencies are identical whatever the shard count. Inlined, like
-   [post], so that the hash and the delay stay unboxed. *)
-let[@inline] mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let golden = 0x9e3779b97f4a7c15L
-let[@inline] mix_absorb state x = mix64 (Int64.add state (Int64.mul golden (Int64.of_int (x + 1))))
-let[@inline] unit_float h = Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53
-
-let[@inline] jittered_delay t ~src ~dst =
-  let idx = (src * t.nodes) + dst in
-  let n = t.chan_ctr.(idx) in
-  t.chan_ctr.(idx) <- n + 1;
-  let h = mix_absorb (mix_absorb (mix_absorb (Int64.of_int t.seed) src) dst) n in
-  t.latency +. (t.jitter *. unit_float h)
-
 let send t ~src ~dst ~bytes k =
   check_node t ~what:"send" src;
   check_node t ~what:"send" dst;
@@ -244,8 +215,7 @@ let send t ~src ~dst ~bytes k =
   charge.msgs <- charge.msgs + 1;
   charge.bytes <- charge.bytes + bytes;
   let now = match ctx with Some _ -> charge.clock.now | None -> t.main_clock.now in
-  let delay = if t.jitter = 0.0 then t.latency else jittered_delay t ~src ~dst in
-  let at = now +. delay and key = node_key t src and target = shard_of t dst in
+  let at = now +. t.latency and key = node_key t src and target = shard_of t dst in
   (* From the main domain no workers are live, so the event goes straight
      into the target's queue, as it does from the target's own shard; from
      another shard it goes through the outbox and crosses at the next

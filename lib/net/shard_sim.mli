@@ -34,17 +34,16 @@
 
 type t
 
-val create :
-  ?latency:float -> ?jitter:float -> ?seed:int -> domains:int -> nodes:int -> unit -> t
+val create : ?latency:float -> domains:int -> nodes:int -> unit -> t
 (** [latency] (default [0.001]) is the fixed wire delay and the window
-    lookahead; it must be positive. [jitter] (default [0]) adds a
-    per-message extra delay, uniform in [0, jitter), drawn from a pure
-    hash of [(seed, src, dst, channel count)] so it is identical whatever
-    the shard count; its per-channel counters exist only when [jitter]
-    is positive.
+    lookahead; it must be positive. Every message takes exactly
+    [latency]; per-message delays come from the fault wrapper
+    ({!Transport.faulty_with} with a delay-only
+    {!Transport.hashed_decide}, whose per-channel hash keeps them
+    identical whatever the shard count).
     @raise Invalid_argument if [domains] or [nodes] is not positive,
-    [nodes + domains] is 2{^22} or more, [latency] is not positive, or
-    [jitter] is negative. *)
+    [nodes + domains] is 2{^22} or more, or [latency] is not
+    positive. *)
 
 val transport : t -> Transport.t
 (** The {!Transport.S} view; [Transport.shards] is [domains]. *)

@@ -4,8 +4,6 @@ type t = {
   topo : Topology.t;
   routing : Routing.t;
   bucket_width : float;
-  jitter : float;
-  rng : Dpc_util.Rng.t;
   queue : Event_queue.t;
   clock : Event_queue.clock;
   mutable processed : int;
@@ -17,14 +15,11 @@ type t = {
   buckets : (int, int ref) Hashtbl.t;
 }
 
-let create ?(bucket_width = 1.0) ?(jitter = 0.0) ?(seed = 0) ~topology ~routing () =
-  if jitter < 0.0 then invalid_arg "Sim.create: negative jitter";
+let create ?(bucket_width = 1.0) ~topology ~routing () =
   {
     topo = topology;
     routing;
     bucket_width;
-    jitter;
-    rng = Dpc_util.Rng.create ~seed;
     queue = Event_queue.create ();
     clock = { now = 0.0 };
     processed = 0;
@@ -49,11 +44,9 @@ let charge tbl key bytes =
 
 let link_key t a b = (min a b * Topology.size t.topo) + max a b
 
-let jitter_delay t = if t.jitter = 0.0 then 0.0 else Dpc_util.Rng.float t.rng t.jitter
-
 let send t ~src ~dst ~bytes k =
   t.messages <- t.messages + 1;
-  if src = dst then schedule t ~delay:(jitter_delay t) k
+  if src = dst then Event_queue.push t.queue t.clock.now k
   else begin
     if Routing.successor t.routing ~src ~dst < 0 then
       failwith (Printf.sprintf "Sim.send: node %d unreachable from %d" dst src);
@@ -71,7 +64,7 @@ let send t ~src ~dst ~bytes k =
       at := !at +. link.latency +. (float_of_int bytes /. link.bandwidth);
       a := b
     done;
-    Event_queue.push t.queue (!at +. jitter_delay t) k
+    Event_queue.push t.queue !at k
   end
 
 (* The horizon is half-open: an event exactly at [until] stays queued for

@@ -8,19 +8,14 @@
 
 type t
 
-val create :
-  ?bucket_width:float ->
-  ?jitter:float ->
-  ?seed:int ->
-  topology:Topology.t ->
-  routing:Routing.t ->
-  unit ->
-  t
+val create : ?bucket_width:float -> topology:Topology.t -> routing:Routing.t -> unit -> t
 (** [bucket_width] (default 1 s) sets the granularity of the
-    bandwidth-over-time accounting. [jitter] (default 0) adds a uniform
-    random extra delay in [0, jitter] seconds to every message delivery,
-    deterministically from [seed] — messages then overtake each other,
-    which is how the §5.6 out-of-order scenarios are exercised. *)
+    bandwidth-over-time accounting. The simulator models latency only:
+    messages on one path arrive in send order. The §5.6 out-of-order
+    scenarios add per-message delays through the fault wrapper
+    ({!Transport.faulty_with} with a delay-only
+    {!Transport.hashed_decide}), which lets messages overtake each
+    other. *)
 
 val topology : t -> Topology.t
 val routing : t -> Routing.t

@@ -447,8 +447,6 @@ let set_sync t f = t.sync <- f
 let set_chaos t ~config ~seed =
   t.chaos <- Some (Transport.hashed_decide ~config ~seed ~nodes:t.nodes)
 
-let clear_chaos t = t.chaos <- None
-
 let set_peer_blocked t ~peer blocked =
   check_peer t "set_peer_blocked" peer;
   if blocked && not t.blocked.(peer) then begin
@@ -465,10 +463,6 @@ let set_peer_blocked t ~peer blocked =
        handshake re-offers the whole unacked tail. *)
     if want_peer t peer then ensure_dial t peer
   end
-
-let peer_blocked t ~peer =
-  check_peer t "peer_blocked" peer;
-  t.blocked.(peer)
 
 (* The restart API speaks dpc-wire-v1's 1-based sequences: a sender's
    next sequence and a receiver's watermark are one past the channel's

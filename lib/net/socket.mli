@@ -132,17 +132,12 @@ val set_peer_blocked : t -> peer:int -> bool -> unit
     unacked tail. @raise Invalid_argument if [peer] is the local node or
     out of range. *)
 
-val peer_blocked : t -> peer:int -> bool
-(** @raise Invalid_argument as {!set_peer_blocked} does. *)
-
 val set_chaos : t -> config:Transport.fault_config -> seed:int -> unit
 (** Corrupt outgoing data frames with {!Transport.hashed_decide} at the
     given rates: drops never reach the wire (the channel's timer
     re-offers), duplicates are enqueued twice, delays re-offer through a
     timer. Hello, ack and control frames are exempt — the control plane
     stays reliable so an oracle can still drive a chaotic cluster. *)
-
-val clear_chaos : t -> unit
 
 (** {2 Restart support}
 

@@ -1,6 +1,7 @@
 (** The [dpcd] launcher and real-process transparency oracle.
 
-    {!run_scheme} spawns one daemon process per scenario node (each a
+    {!run_all} spawns, for each scheme, one daemon process per scenario
+    node (each a
     fresh [dpcd serve] of the given executable), drives the {!Scenario}
     phases over the control plane, [kill -9]s node 1's process mid-run
     and respawns it against the same data directory, and finally
@@ -19,7 +20,7 @@
     each other, packets pile up in node 0's durable outbox, node 1 is
     killed and restarted {e inside} the outage, and after the heal the
     outbox re-offer must reconcile with the restarted daemon exactly
-    once. {!run_soak} is the long-running variant: sustained rounds of
+    once. {!run_soak_all} is the long-running variant: sustained rounds of
     traffic with a periodic {!Ctrl.request.Compact}, asserting the
     ledger stays under a round-independent byte ceiling. *)
 
@@ -33,39 +34,19 @@ val scheme_arg : Dpc_core.Backend.scheme -> string
 
 val scheme_of_arg : string -> Dpc_core.Backend.scheme option
 
-val run_scheme :
-  ?chaos:Dpc_net.Transport.fault_config * int ->
-  exe:string -> dir:string -> Dpc_core.Backend.scheme -> (string, string) result
-(** Run the oracle for one scheme. [exe] is the [dpcd] binary (the
-    launcher respawns it as [<exe> serve ...]); [dir] is a fresh
-    directory for sockets, daemon logs ([node-<i>.log]), and the
-    daemons' durable state. [chaos] is forwarded to every spawned
-    daemon as [--drop]/[--dup]/[--delay]/[--delay-max]/[--chaos-seed]
-    — hashed frame corruption on the real wire
-    ({!Dpc_net.Socket.set_chaos}). [Ok summary] on digest equality;
-    [Error] describes the first failure. Spawned processes are always
-    reaped, whatever the outcome. *)
-
 val run_all :
   ?chaos:Dpc_net.Transport.fault_config * int ->
   exe:string -> dir:string -> Dpc_core.Backend.scheme list -> bool
-(** {!run_scheme} for each scheme in its own subdirectory, printing one
-    PASS/FAIL line per scheme to stdout; [true] iff all passed. *)
-
-val run_soak :
-  ?chaos:Dpc_net.Transport.fault_config * int ->
-  exe:string ->
-  dir:string ->
-  rounds:int ->
-  per_round:int ->
-  Dpc_core.Backend.scheme ->
-  (string, string) result
-(** The sustained-traffic oracle: [rounds] rounds of [per_round]
-    packets, quiesced and {!Ctrl.request.Compact}ed between rounds.
-    Fails if any daemon's compacted outbox ledger exceeds the
-    round-independent byte ceiling, if the sink's output count is
-    wrong, or if the final digests diverge from
-    {!Scenario.simulate_soak}. *)
+(** Run the oracle for each scheme in its own subdirectory of [dir],
+    printing one PASS/FAIL line per scheme to stdout (a pass with a
+    summary, a failure with the first error); [true] iff all passed.
+    [exe] is the [dpcd] binary (the launcher respawns it as
+    [<exe> serve ...]); a scheme's directory holds the sockets, daemon
+    logs ([node-<i>.log]) and the daemons' durable state. [chaos] is
+    forwarded to every spawned daemon as
+    [--drop]/[--dup]/[--delay]/[--delay-max]/[--chaos-seed] — hashed
+    frame corruption on the real wire ({!Dpc_net.Socket.set_chaos}).
+    Spawned processes are always reaped, whatever the outcome. *)
 
 val run_soak_all :
   ?chaos:Dpc_net.Transport.fault_config * int ->
@@ -75,5 +56,10 @@ val run_soak_all :
   per_round:int ->
   Dpc_core.Backend.scheme list ->
   bool
-(** {!run_soak} per scheme in its own subdirectory with PASS/FAIL
-    lines; [true] iff all passed. *)
+(** The sustained-traffic oracle, per scheme in its own subdirectory
+    with PASS/FAIL lines: [rounds] rounds of [per_round] packets,
+    quiesced and {!Ctrl.request.Compact}ed between rounds. A scheme fails
+    if any daemon's compacted outbox ledger exceeds the round-independent
+    byte ceiling, if the sink's output count is wrong, or if the final
+    digests diverge from {!Scenario.simulate_soak}. [true] iff all
+    passed. *)

@@ -45,14 +45,13 @@ let rec create ~scheme ~nodes ~local ~addr_of ~dir ?(config = default_config) ?c
   in
   let outbox () = Option.get (Durable.outbox durable local) in
   (* Checkpoint cuts carry the transport's channel sequence state; recovery
-     pushes the newest cut's blob back (monotonic, so WAL entries replayed
-     afterwards can only advance it further). *)
+     pushes the newest cut's blob back, then the WAL's watermark advances
+     (monotonic, so they can only advance it further). *)
   Durable.set_channel_state durable
     ~snapshot:(fun node -> if node = local then Some (Socket.snapshot_channels sock) else None)
-    ~restore:(fun node blob -> if node = local then Socket.restore_channels sock blob);
-  Runtime.set_channel_restore runtime
-    ~next_seq:(fun ~peer ~seq -> Socket.set_next_seq sock ~dst:peer seq)
-    ~expected:(fun ~peer ~seq -> Socket.set_expected sock ~src:peer seq);
+    ~restore:(fun node blob -> if node = local then Socket.restore_channels sock blob)
+    ~next_seq:(fun ~node:_ ~peer ~seq -> Socket.set_next_seq sock ~dst:peer seq)
+    ~expected:(fun ~node:_ ~peer ~seq -> Socket.set_expected sock ~src:peer seq);
   (* Replay reconciliation: remote sends regenerated while the WAL replays
      arrive in channel order starting at the restored cut's cursor. A send
      whose position the outbox already recorded needs nothing (its frame is

@@ -20,9 +20,4 @@ let bandwidth_series sim =
     (fun (bucket, bytes) -> (float_of_int bucket, float_of_int bytes))
     (Dpc_net.Sim.bucket_bytes sim)
 
-let runtime_metrics runtime = Dpc_engine.Runtime.metrics_snapshot runtime
-
-let metrics_rows runtime = Dpc_util.Metrics.to_rows (runtime_metrics runtime)
-
-let metrics_counter runtime name =
-  Dpc_util.Metrics.counter (Dpc_engine.Runtime.metrics_snapshot runtime) name
+let metrics_rows runtime = Dpc_util.Metrics.to_rows (Dpc_engine.Runtime.metrics_snapshot runtime)

@@ -17,14 +17,8 @@ val bandwidth_series : Dpc_net.Sim.t -> (float * float) list
 (** [(bucket_start_time, bytes_per_second)] from the simulator's byte
     buckets. *)
 
-val runtime_metrics : Dpc_engine.Runtime.t -> Dpc_util.Metrics.snapshot
-(** Cluster-wide merge of the runtime's per-node metric registries
-    ([runtime.*] plus whatever [store.*] counters the backend recorded,
-    when the runtime and the store share a cluster). *)
-
 val metrics_rows : Dpc_engine.Runtime.t -> string list list
-(** {!runtime_metrics} formatted as [[name; kind; value]] rows for
-    {!Dpc_util.Table_fmt}. *)
-
-val metrics_counter : Dpc_engine.Runtime.t -> string -> int
-(** A single cluster-wide counter value (0 if never recorded). *)
+(** The cluster-wide merge of the runtime's per-node metric registries
+    ([runtime.*] plus whatever [store.*] counters the backend recorded,
+    when the runtime and the store share a cluster), formatted as
+    [[name; kind; value]] rows for {!Dpc_util.Table_fmt}. *)

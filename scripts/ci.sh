@@ -22,6 +22,12 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
+# Every value a lib/ interface exports must be named by some file outside
+# its own module; one used only inside its module stays out of the .mli.
+echo "== unused exports =="
+python3 scripts/check_exports.py
+echo "exports ok"
+
 # Chaos sweeps at full width: 50 seeded DELP instances per scheme under a
 # drop/duplicate/delay transport, and 25 under seeded crash/restart
 # schedules with durable recovery — each oracle-checked against a

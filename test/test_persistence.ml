@@ -396,6 +396,49 @@ let prop_seq_advance_bytes =
             Dpc_engine.Journal.write w (Dpc_engine.Journal.Next_seq { peer; seq });
             Dpc_engine.Journal.write w (Dpc_engine.Journal.Expected { peer; seq })))
 
+(* The wal's sequence advances come back through Durable's channel
+   source: node 1 forwards three packets from 0 to 2 with no cut after
+   checkpoint 0, so its channel state after a crash and restart is the
+   wal's alone, and recovering journals nothing. *)
+let test_channel_state_restart () =
+  let delp = Dpc_apps.Forwarding.delp () and env = Dpc_apps.Forwarding.env in
+  let backend = Backend.make Backend.S_basic ~delp ~env ~nodes:3 in
+  let transport, control = Dpc_net.Transport.crashable (Dpc_net.Transport.direct ~nodes:3 ()) in
+  let runtime =
+    Dpc_engine.Runtime.create ~transport ~reliable:Dpc_net.Reliable.default_config ~delp ~env
+      ~hook:(Backend.hook backend) ~nodes:(Backend.nodes backend) ()
+  in
+  Dpc_engine.Runtime.load_slow runtime
+    [ Dpc_apps.Forwarding.route ~at:0 ~dst:2 ~next:1; Dpc_apps.Forwarding.route ~at:1 ~dst:2 ~next:2 ];
+  let durable =
+    Durable.attach ~backend ~runtime ~control
+      ~config:{ Durable.checkpoint_every = 0; rebase_every = 0 } ()
+  in
+  List.iter
+    (fun payload ->
+      Dpc_engine.Runtime.inject runtime (Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload))
+    [ "a"; "b"; "c" ];
+  Dpc_engine.Runtime.run runtime;
+  let rel = Option.get (Dpc_engine.Runtime.reliability runtime) in
+  let seqs () = (Dpc_net.Reliable.delivered rel ~src:0 ~dst:1, Dpc_net.Reliable.sent rel ~src:1 ~dst:2) in
+  check Alcotest.(pair int int) "three in, three out" (3, 3) (seqs ());
+  Durable.flush_wal durable 1;
+  let wal = Durable.wal durable 1 in
+  Durable.crash durable 1;
+  check Alcotest.(pair int int) "wiped by the crash" (0, 0) (seqs ());
+  Durable.restart durable 1;
+  check Alcotest.(pair int int) "restored from the wal" (3, 3) (seqs ());
+  check Alcotest.string "recovery journals nothing" wal (Durable.wal durable 1);
+  Alcotest.check_raises "a host's record on a runtime with a link"
+    (Invalid_argument
+       "Durable.set_channel_state: the runtime's Reliable link holds the channel state")
+    (fun () ->
+      Durable.set_channel_state durable
+        ~snapshot:(fun _ -> None)
+        ~restore:(fun _ _ -> ())
+        ~next_seq:(fun ~node:_ ~peer:_ ~seq:_ -> ())
+        ~expected:(fun ~node:_ ~peer:_ ~seq:_ -> ()))
+
 let scheme_cases f =
   List.map
     (fun s ->
@@ -429,4 +472,7 @@ let () =
           Alcotest.test_case "random schedule never ties" `Quick test_random_schedule_no_ties;
         ] );
       ("wal bytes", [ QCheck_alcotest.to_alcotest prop_seq_advance_bytes ]);
+      ( "channel state",
+        [ Alcotest.test_case "restart restores the wal's advances" `Quick test_channel_state_restart ]
+      );
     ]

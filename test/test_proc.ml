@@ -270,6 +270,32 @@ let test_outbox_torn_tail () =
       check Alcotest.int "cursor from the prefix" 3 (Outbox.next_seq reloaded ~dst:1);
       Outbox.close reloaded)
 
+(* The send recorded after a torn tail was dropped survives the next
+   reload: the reload must not append it behind the torn bytes, where the
+   load after it stops. *)
+let test_outbox_send_after_torn_tail () =
+  with_temp_dir "dpc-outbox-torn-send" (fun dir ->
+      let ob = Outbox.open_ ~dir in
+      Outbox.record_send ob ~dst:1 ~seq:1 "one";
+      Outbox.record_send ob ~dst:1 ~seq:2 "two";
+      Outbox.close ob;
+      let fd = Unix.openfile (Filename.concat dir "outbox.log") [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
+      (* A Send record to node 1, seq 3, cut inside its payload. *)
+      let torn = "\x00\x01\x03\x05thr" in
+      ignore (Unix.write_substring fd torn 0 (String.length torn));
+      Unix.close fd;
+      let ob = Outbox.open_ ~dir in
+      Outbox.record_send ob ~dst:1 ~seq:3 "three";
+      Outbox.close ob;
+      let reloaded = Outbox.open_ ~dir in
+      check
+        (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.string))
+        "the send after the restart is pending"
+        [ (1, 1, "one"); (1, 2, "two"); (1, 3, "three") ]
+        (Outbox.pending reloaded);
+      check Alcotest.int "and counted in the cursor" 4 (Outbox.next_seq reloaded ~dst:1);
+      Outbox.close reloaded)
+
 (* ------------------------------------------------------------------ *)
 (* Control protocol codec *)
 
@@ -934,6 +960,8 @@ let () =
           QCheck_alcotest.to_alcotest outbox_crash_reload;
           QCheck_alcotest.to_alcotest outbox_model;
           Alcotest.test_case "torn tail dropped" `Quick test_outbox_torn_tail;
+          Alcotest.test_case "send after a torn tail survives a reload" `Quick
+            test_outbox_send_after_torn_tail;
         ] );
       ( "control protocol",
         [

@@ -41,9 +41,35 @@ let render ds =
   String.concat "\n"
     (List.map (fun ((out, evid), d) -> Printf.sprintf "  %s @%s -> %s" out evid d) ds)
 
+(* The sharded simulator with every transmission held back by up to
+   0.5 ms through the fault wrapper. The delays hash per channel, so every
+   domain count sees the same ones. *)
 let shard_transport ~domains ~nodes =
-  Dpc_net.Shard_sim.transport
-    (Dpc_net.Shard_sim.create ~latency:0.001 ~jitter:0.0005 ~seed:42 ~domains ~nodes ())
+  fst
+    (Dpc_net.Transport.faulty_with
+       ~decide:
+         (Dpc_net.Transport.hashed_decide
+            ~config:(Dpc_net.Transport.fault_config ~delay:1.0 ~delay_max:0.0005 ())
+            ~seed:42 ~nodes)
+       (Dpc_net.Shard_sim.transport (Dpc_net.Shard_sim.create ~latency:0.001 ~domains ~nodes ())))
+
+(* Deliveries that overtook an earlier send on their channel, counted by
+   [reorder_probe] over every clean world. *)
+let overtaken = Atomic.make 0
+
+(* Number each channel's sends and check them at final delivery, after
+   the delays of the transport it wraps. The send counter is written on
+   the sender's shard and the delivery mark on the receiver's. *)
+let reorder_probe inner =
+  let n = Dpc_net.Transport.nodes inner in
+  let sent = Array.make (n * n) 0 and delivered = Array.make (n * n) 0 in
+  Dpc_net.Transport.intercept ~name:"probe" inner (fun ~src ~dst ~bytes k ->
+    let c = (src * n) + dst in
+    let i = sent.(c) + 1 in
+    sent.(c) <- i;
+    Dpc_net.Transport.send inner ~src ~dst ~bytes (fun () ->
+      if i < delivered.(c) then Atomic.incr overtaken else delivered.(c) <- i;
+      k ()))
 
 (* ------------------------------------------------------------------ *)
 (* Clean runs: exact structural determinism across domain counts. *)
@@ -51,13 +77,14 @@ let shard_transport ~domains ~nodes =
 let clean_world instance scheme domains =
   let w =
     Delp_gen.build_world
-      ~transport:(shard_transport ~domains ~nodes:instance.Delp_gen.nodes)
+      ~transport:(reorder_probe (shard_transport ~domains ~nodes:instance.Delp_gen.nodes))
       instance scheme
   in
   Delp_gen.run_events w instance.events;
   w
 
 let test_clean_digests () =
+  let overtaken_before = Atomic.get overtaken in
   List.iter
     (fun seed ->
       let instance = Delp_gen.generate ~rng:(Dpc_util.Rng.create ~seed) in
@@ -92,7 +119,8 @@ let test_clean_digests () =
                   (Backend.scheme_name scheme) domains)
             (List.tl domain_counts))
         all_schemes)
-    [ 1; 2; 3 ]
+    [ 1; 2; 3 ];
+  check Alcotest.bool "deliveries were reordered" true (Atomic.get overtaken > overtaken_before)
 
 (* DNS, whose r2 filters name servers through f_isSubDomain: the only
    builtin call among the programs run here, since Delp_gen programs have

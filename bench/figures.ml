@@ -87,11 +87,11 @@ let forwarding_run cfg ~scheme ~pairs ~rate ~duration ~payload ?snapshots_every 
   Forwarding_driver.run d;
   (d, injected, series, rng)
 
-let dns_run cfg ~scheme ~urls ~rate ~duration ?total ?bucket_width ?snapshots_every
+let dns_run cfg ~scheme ~urls ~rate ~duration ?total ?snapshots_every
     ?record_outputs () =
   let rng = Rng.create ~seed:cfg.seed in
   let spec = Dns_workload.generate ~rng ~servers:100 ~backbone_depth:27 ~urls ~clients:10 in
-  let t = Dns_workload.setup ~scheme spec ?bucket_width ?record_outputs () in
+  let t = Dns_workload.setup ~scheme spec ?record_outputs () in
   let series = snapshots ?every:snapshots_every t.sim t.backend ~duration in
   let injected =
     match total with
@@ -506,8 +506,7 @@ let fig15 cfg ctx =
   Printf.printf "workload: %d requests over %.0fs\n" total duration;
   let bytes_of scheme =
     let t, injected, _ =
-      dns_run cfg ~scheme ~urls:38 ~rate:0.0 ~duration ~total ~bucket_width:1.0
-        ~record_outputs:false ()
+      dns_run cfg ~scheme ~urls:38 ~rate:0.0 ~duration ~total ~record_outputs:false ()
     in
     add_events ctx injected;
     Sim.total_bytes t.sim

@@ -42,15 +42,6 @@ let load ~builtin ~file =
     end
   | None, None -> Error "provide a program file or --builtin <name>"
 
-let validate_src name src =
-  match Dpc_ndlog.Parser.parse_program ~name src with
-  | Error e -> Error (Printf.sprintf "parse error: %s" e)
-  | Ok program -> begin
-      match Dpc_ndlog.Delp.validate program with
-      | Error e -> Error (Printf.sprintf "not a valid DELP: %s" (Dpc_ndlog.Delp.error_to_string e))
-      | Ok delp -> Ok delp
-    end
-
 let or_die = function
   | Ok v -> v
   | Error message ->
@@ -69,7 +60,7 @@ let builtin_arg =
 
 let check builtin file =
   let name, src = or_die (load ~builtin ~file) in
-  let delp = or_die (validate_src name src) in
+  let delp = or_die (Dpc_ndlog.Delp.parse ~name src) in
   Printf.printf "%s: valid DELP with %d rules\n" name (List.length delp.program.rules);
   Printf.printf "  input event   : %s/%d\n" delp.input_event
     (Dpc_ndlog.Delp.event_arity delp);
@@ -79,7 +70,7 @@ let check builtin file =
 
 let analyze builtin file dot =
   let name, src = or_die (load ~builtin ~file) in
-  let delp = or_die (validate_src name src) in
+  let delp = or_die (Dpc_ndlog.Delp.parse ~name src) in
   let g = Dpc_analysis.Depgraph.build delp in
   let keys = Dpc_analysis.Equi_keys.compute delp in
   Printf.printf "program %s:\n%s\n\n" name (Dpc_ndlog.Pretty.program_to_string delp.program);

@@ -13,7 +13,6 @@ let compute (delp : Delp.t) =
   in
   { delp; keys }
 
-let delp t = t.delp
 let keys t = t.keys
 
 let check_event t ev =

@@ -11,8 +11,6 @@ type t
 val compute : Dpc_ndlog.Delp.t -> t
 (** Runs the static analysis once; reuse the result at runtime. *)
 
-val delp : t -> Dpc_ndlog.Delp.t
-
 val keys : t -> int list
 (** Sorted attribute indices of the input event relation; always contains
     [0]. *)

@@ -6,14 +6,7 @@ r1 arpRequest(@SW, H, IP, RQID) :- arpQuery(@H, IP, RQID), arpSwitch(@H, SW).
 r2 arpReply(@H, IP, MAC, RQID)  :- arpRequest(@SW, H, IP, RQID), macTable(@SW, IP, MAC).
 |}
 
-let delp () =
-  match Parser.parse_program ~name:"arp" source with
-  | Error e -> failwith ("Arp.delp: parse error: " ^ e)
-  | Ok p -> begin
-      match Delp.validate p with
-      | Ok d -> d
-      | Error e -> failwith ("Arp.delp: " ^ Delp.error_to_string e)
-    end
+let delp () = Result.fold ~ok:Fun.id ~error:failwith (Delp.parse ~name:"arp" source)
 
 let env = Dpc_engine.Env.empty
 

@@ -6,14 +6,7 @@ r1 dhcpRequest(@R, H, RQID) :- discover(@H, RQID), dhcpRelay(@H, R).
 r2 dhcpOffer(@H, IP, RQID)  :- dhcpRequest(@R, H, RQID), addressPool(@R, H, IP).
 |}
 
-let delp () =
-  match Parser.parse_program ~name:"dhcp" source with
-  | Error e -> failwith ("Dhcp.delp: parse error: " ^ e)
-  | Ok p -> begin
-      match Delp.validate p with
-      | Ok d -> d
-      | Error e -> failwith ("Dhcp.delp: " ^ Delp.error_to_string e)
-    end
+let delp () = Result.fold ~ok:Fun.id ~error:failwith (Delp.parse ~name:"dhcp" source)
 
 let env = Dpc_engine.Env.empty
 

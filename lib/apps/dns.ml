@@ -11,14 +11,7 @@ r3 dnsResult(@X, URL, IPADDR, HST, RQID) :- request(@X, URL, HST, RQID),
 r4 reply(@HST, URL, IPADDR, RQID) :- dnsResult(@X, URL, IPADDR, HST, RQID).
 |}
 
-let delp () =
-  match Parser.parse_program ~name:"dns-resolution" source with
-  | Error e -> failwith ("Dns.delp: parse error: " ^ e)
-  | Ok p -> begin
-      match Delp.validate p with
-      | Ok d -> d
-      | Error e -> failwith ("Dns.delp: " ^ Delp.error_to_string e)
-    end
+let delp () = Result.fold ~ok:Fun.id ~error:failwith (Delp.parse ~name:"dns-resolution" source)
 
 (* Whether [url] matches [dm] at offset [off], from [dm]'s character [i]
    on. Top level, so a call builds no closure. *)

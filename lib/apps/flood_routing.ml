@@ -13,14 +13,7 @@ r2 routeCand(@L, D, C) :- adv(@L, D, C), C <= %d.
 |}
     ttl max_cost
 
-let delp () =
-  match Parser.parse_program ~name:"flood-routing" source with
-  | Error e -> failwith ("Flood_routing.delp: parse error: " ^ e)
-  | Ok p -> begin
-      match Delp.validate p with
-      | Ok d -> d
-      | Error e -> failwith ("Flood_routing.delp: " ^ Delp.error_to_string e)
-    end
+let delp () = Result.fold ~ok:Fun.id ~error:failwith (Delp.parse ~name:"flood-routing" source)
 
 let env = Dpc_engine.Env.empty
 

@@ -21,7 +21,6 @@
     which destination it advertises, so advertisements for different
     destinations share provenance chains. *)
 
-val source : string
 val delp : unit -> Dpc_ndlog.Delp.t
 val env : Dpc_engine.Env.t
 

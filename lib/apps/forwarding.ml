@@ -6,14 +6,7 @@ r1 packet(@N, S, D, DT) :- packet(@L, S, D, DT), route(@L, D, N).
 r2 recv(@L, S, D, DT)   :- packet(@L, S, D, DT), D == L.
 |}
 
-let delp () =
-  match Parser.parse_program ~name:"packet-forwarding" source with
-  | Error e -> failwith ("Forwarding.delp: parse error: " ^ e)
-  | Ok p -> begin
-      match Delp.validate p with
-      | Ok d -> d
-      | Error e -> failwith ("Forwarding.delp: " ^ Delp.error_to_string e)
-    end
+let delp () = Result.fold ~ok:Fun.id ~error:failwith (Delp.parse ~name:"packet-forwarding" source)
 
 let env = Dpc_engine.Env.empty
 

@@ -6,16 +6,7 @@ r1 packet(@N, S, D, DT)    :- packet(@L, S, D, DT), route(@L, D, N).
 r2 mirrorLog(@L, S, D, DT) :- packet(@L, S, D, DT), D == L.
 |}
 
-let delp () =
-  match Parser.parse_program ~name:"mirror" source with
-  | Error e -> failwith ("Mirror.delp: parse error: " ^ e)
-  | Ok p -> begin
-      match Delp.validate p with
-      | Ok d -> d
-      | Error e -> failwith ("Mirror.delp: " ^ Delp.error_to_string e)
-    end
-
-let env = Dpc_engine.Env.empty
+let delp () = Result.fold ~ok:Fun.id ~error:failwith (Delp.parse ~name:"mirror" source)
 
 let mirror_log ~at ~src ~dst ~payload =
   Tuple.make "mirrorLog" [ Value.Addr at; Value.Addr src; Value.Addr dst; Value.Str payload ]

@@ -7,9 +7,7 @@
     paper's future work (§8): the shared forwarding executions can be
     stored once in {!Dpc_core.Store_multi}. *)
 
-val source : string
 val delp : unit -> Dpc_ndlog.Delp.t
-val env : Dpc_engine.Env.t
 
 val mirror_log : at:int -> src:int -> dst:int -> payload:string -> Dpc_ndlog.Tuple.t
 (** The output tuple [mirrorLog(@at, src, dst, payload)]. *)

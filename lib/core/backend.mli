@@ -77,10 +77,6 @@ val attach_query_cache : ?capacity:int -> t -> Query_cache.t
 val query_cache : t -> Query_cache.t option
 val detach_query_cache : t -> unit
 
-val set_query_cache : t -> Query_cache.t option -> unit
-(** Install a specific cache instance (e.g. one shared across backends);
-    {!attach_query_cache} is the common path. *)
-
 val dump : t -> (string * string list * string list list) list
 (** The backend's relational tables as [(name, header, rows)], for
     inspection and the example programs. *)
@@ -92,7 +88,8 @@ val restore :
   scheme -> delp:Dpc_ndlog.Delp.t -> env:Dpc_engine.Env.t -> string -> t
 (** Rebuild a store from {!checkpoint} output. The scheme must match the
     one the checkpoint was taken from.
-    @raise Dpc_util.Serialize.Corrupt on malformed or mismatched input. *)
+    @raise Dpc_util.Serialize.Corrupt on malformed or mismatched input,
+    or trailing bytes. *)
 
 val checkpoint_node : t -> int -> string
 (** Serialize one node's tables for its durable checkpoint (used by

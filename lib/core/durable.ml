@@ -162,7 +162,6 @@ module Outbox = struct
     |> List.sort compare
 
   let next_seq t ~dst = (chan_of t dst).recorded + 1
-  let recorded t ~dst = (chan_of t dst).recorded
   let acked t ~dst = (chan_of t dst).acked
   let size_bytes t = t.bytes
 
@@ -365,10 +364,6 @@ let encode_manifest ~epoch ~base ~deltas =
       S.write_varint w base;
       S.write_list w (S.write_varint w) deltas)
 
-(* A record must end where its input does: a reader that skipped bytes
-   would hide a field some writer appended. *)
-let expect_end r what = if not (S.at_end r) then raise (S.Corrupt (what ^ ": trailing bytes"))
-
 let decode_manifest blob =
   let r = S.reader blob in
   let m = S.read_string r in
@@ -376,7 +371,7 @@ let decode_manifest blob =
   let epoch = S.read_varint r in
   let base_id = S.read_varint r in
   let delta_ids = S.read_list r (fun () -> S.read_varint r) in
-  expect_end r "manifest";
+  S.expect_end r "manifest";
   (epoch, base_id, delta_ids)
 
 let write_manifest d =
@@ -405,7 +400,7 @@ let decode_cut blob =
   let store = S.read_string r in
   let db = S.read_string r in
   let channels = if S.read_bool r then Some (S.read_string r) else None in
-  expect_end r "cut";
+  S.expect_end r "cut";
   (is_delta, { store; db; channels })
 
 let write_cut dir id ~is_delta c = write_file_atomic (cut_path dir id) (encode_cut ~is_delta c)

@@ -33,9 +33,6 @@ type config = {
           [0] or [1] makes every cut a full checkpoint. *)
 }
 
-val default_config : config
-(** Compact every 64 boundary entries; rebase every 8th cut. *)
-
 type t
 
 (** {2 The durable outbox ledger}
@@ -72,7 +69,6 @@ module Outbox : sig
   (** 1 + the highest sequence ever recorded toward [dst] — the durable
       channel cursor a restarted sender resumes from. *)
 
-  val recorded : t -> dst:int -> int
   val acked : t -> dst:int -> int
 
   val compact : t -> unit
@@ -97,10 +93,11 @@ val attach :
     sequence-state persister ({!Dpc_net.Reliable.set_persist}), and the
     injection availability predicate, takes the runtime's reliable link
     (if any) as the source of every node's channel state, then seals the
-    pre-attach state
-    (e.g. slow tables loaded by the generator) into each node's
-    checkpoint 0. Attach before injecting anything; events processed
-    before attach are not journaled and cannot be recovered.
+    pre-attach state (e.g. slow tables loaded by the generator) into each
+    node's checkpoint 0. Attach before injecting anything; events
+    processed before attach are not journaled and cannot be recovered.
+    [config] defaults to compacting every 64 boundary entries and
+    rebasing every 8th cut.
 
     [disk] mirrors each node's log onto a real filesystem under
     [disk/node-<i>/] (restricted to the nodes [disk_nodes] selects,

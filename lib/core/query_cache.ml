@@ -152,5 +152,3 @@ let stats t =
         invalidations = t.invalidations;
         size = Hashtbl.length t.table;
       })
-
-let capacity t = t.capacity

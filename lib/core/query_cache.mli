@@ -108,4 +108,3 @@ val clear : t -> unit
 (** Drop everything, without counting invalidations (administrative). *)
 
 val stats : t -> stats
-val capacity : t -> int

@@ -9,18 +9,6 @@ type t = {
   complete : bool;
 }
 
-let empty =
-  {
-    trees = [];
-    latency = 0.0;
-    entries = 0;
-    bytes = 0;
-    rederives = 0;
-    hop_s = 0.0;
-    downs = 0;
-    complete = true;
-  }
-
 let dedup_trees trees = List.sort_uniq Prov_tree.compare trees
 
 (* ------------------------------------------------------------------ *)
@@ -82,7 +70,3 @@ let paginate ?cursor ~limit trees =
     | _ -> Some (cursor_of_tree (last page_trees))
   in
   { page_trees; next_cursor; page_total = total }
-
-let top_k k trees =
-  if k < 0 then invalid_arg "Query_result.top_k: negative k";
-  fst (take k (dedup_trees trees))

@@ -19,8 +19,6 @@ type t = {
           every fully-answered query, including empty ones. *)
 }
 
-val empty : t
-
 val dedup_trees : Prov_tree.t list -> Prov_tree.t list
 (** Sort into the canonical order ({!Prov_tree.compare}) and drop
     duplicates. Every store returns trees through this, which is what
@@ -51,7 +49,3 @@ val paginate : ?cursor:string -> limit:int -> Prov_tree.t list -> page
     @raise Invalid_argument if [limit < 1], the cursor is malformed, or
     it names no tree in the (deduplicated) input — a stale cursor from a
     different result set must surface, not silently restart. *)
-
-val top_k : int -> Prov_tree.t list -> Prov_tree.t list
-(** First [k] trees of the canonical order — a prefix of what pagination
-    would stream. @raise Invalid_argument on negative [k]. *)

@@ -11,8 +11,10 @@ let create () =
   Rows.Table.create ~buckets:32 ~key ~row_bytes:(fun tuple -> 20 + Tuple.wire_size tuple) ()
 let put_new = Rows.Table.add_first
 let put t tuple = ignore (put_new t tuple)
-let find t ~key = Rows.Table.first t (Dpc_util.Sha1.to_raw key)
-let get t ~key = match find t ~key with tuple -> Some tuple | exception Not_found -> None
+let get t ~key =
+  match Rows.Table.first t (Dpc_util.Sha1.to_raw key) with
+  | tuple -> Some tuple
+  | exception Not_found -> None
 let bytes = Rows.Table.bytes
 let count = Rows.Table.rows
 let iter t f = Rows.Table.iter t (fun tuple -> f ~key:(Tuple.digest tuple) tuple)

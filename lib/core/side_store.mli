@@ -27,9 +27,6 @@ val put_new : t -> Dpc_ndlog.Tuple.t -> bool
 
 val get : t -> key:Dpc_util.Sha1.t -> Dpc_ndlog.Tuple.t option
 
-val find : t -> key:Dpc_util.Sha1.t -> Dpc_ndlog.Tuple.t
-(** {!get} without the option. @raise Not_found for an absent key. *)
-
 val bytes : t -> int
 val count : t -> int
 

@@ -409,7 +409,7 @@ let read_node k node blob ~delta =
   for i = 0 to Array.length l.sides - 1 do
     read_side r (l.sides.(i) nd.x)
   done;
-  if not (S.at_end r) then raise (S.Corrupt (Printf.sprintf "trailing bytes in %s %s" l.name what));
+  S.expect_end r what;
   clear_dirty k nd.x
 
 let restore_node k node blob = read_node k node blob ~delta:false
@@ -461,5 +461,5 @@ let restore ~tag ~name blob create =
   match create ~nodes with
   | Store s as store ->
       read_store s.kit r ~nodes;
+      S.expect_end r "checkpoint";
       store
-

@@ -168,5 +168,6 @@ val restore :
     the store that [create] builds from the scheme's header (read from the
     reader) and the node count.
     @raise Dpc_util.Serialize.Corrupt on malformed input, including a
-    node count the input cannot hold, a side entry past the cluster and a
-    side entry under another key than its tuple's digest. *)
+    node count the input cannot hold, a side entry past the cluster, a
+    side entry under another key than its tuple's digest and trailing
+    bytes. *)

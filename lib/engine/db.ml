@@ -3,8 +3,7 @@ open Dpc_ndlog
 module Tuple_tbl = Hashtbl.Make (Tuple)
 
 (* Per-relation state: the primary table, mapping each tuple to its
-   insertion stamp; an incrementally-maintained serialized-byte counter;
-   and any secondary indexes built so far.
+   insertion stamp, and any secondary indexes built so far.
 
    An index on [positions] groups the tuples that agree on the values at
    those positions into one bucket, newest insert first. Buckets hang off
@@ -24,7 +23,6 @@ type index = {
 type rel_state = {
   tuples : int Tuple_tbl.t;
   mutable next_stamp : int;
-  mutable bytes : int;
   mutable indexes : index list;
 }
 
@@ -42,14 +40,11 @@ let create () = { tables = Hashtbl.create 8; track_dirty = false; dirty = Queue.
 
 let set_dirty_tracking t b = t.track_dirty <- b
 
-let debug_recount = ref false
-let set_debug_recount b = debug_recount := b
-
 let rel_state t rel =
   match Hashtbl.find t.tables rel with
   | rs -> rs
   | exception Not_found ->
-      let rs = { tuples = Tuple_tbl.create 16; next_stamp = 0; bytes = 0; indexes = [] } in
+      let rs = { tuples = Tuple_tbl.create 16; next_stamp = 0; indexes = [] } in
       Hashtbl.add t.tables rel rs;
       rs
 
@@ -141,7 +136,6 @@ let insert t tuple =
   else begin
     Tuple_tbl.add rs.tuples tuple rs.next_stamp;
     rs.next_stamp <- rs.next_stamp + 1;
-    rs.bytes <- rs.bytes + Tuple.serialized_size tuple;
     List.iter (fun idx -> bucket_add idx tuple) rs.indexes;
     if t.track_dirty then Queue.add (true, tuple) t.dirty;
     true
@@ -153,7 +147,6 @@ let remove t tuple =
   | rs ->
       if Tuple_tbl.mem rs.tuples tuple then begin
         Tuple_tbl.remove rs.tuples tuple;
-        rs.bytes <- rs.bytes - Tuple.serialized_size tuple;
         List.iter (fun idx -> bucket_remove idx tuple) rs.indexes;
         if t.track_dirty then Queue.add (false, tuple) t.dirty;
         true
@@ -267,36 +260,20 @@ let snapshot_delta t =
 (* Restores clear the dirty log: the loaded state IS the cut, not a
    change since it. *)
 let load t blob =
-  let r = Dpc_util.Serialize.reader blob in
+  let r = S.reader blob in
   ignore
-    (Dpc_util.Serialize.read_list r (fun () ->
-       let _rel = Dpc_util.Serialize.read_string r in
-       ignore
-         (Dpc_util.Serialize.read_list r (fun () -> ignore (insert t (Tuple.deserialize r))))));
+    (S.read_list r (fun () ->
+       let _rel = S.read_string r in
+       ignore (S.read_list r (fun () -> ignore (insert t (Tuple.deserialize r))))));
+  S.expect_end r "db snapshot";
   Queue.clear t.dirty
 
 let apply_delta t blob =
-  let r = Dpc_util.Serialize.reader blob in
+  let r = S.reader blob in
   ignore
-    (Dpc_util.Serialize.read_list r (fun () ->
-       let add = Dpc_util.Serialize.read_bool r in
+    (S.read_list r (fun () ->
+       let add = S.read_bool r in
        let tuple = Tuple.deserialize r in
        if add then ignore (insert t tuple) else ignore (remove t tuple)));
+  S.expect_end r "db delta";
   Queue.clear t.dirty
-
-let recount_bytes t =
-  let w = Dpc_util.Serialize.writer () in
-  List.iter
-    (fun rel -> List.iter (fun tuple -> Tuple.serialize w tuple) (scan t rel))
-    (relations t);
-  Dpc_util.Serialize.size w
-
-let size_bytes t =
-  let n = Hashtbl.fold (fun _ rs acc -> acc + rs.bytes) t.tables 0 in
-  if !debug_recount then begin
-    let full = recount_bytes t in
-    if n <> full then
-      invalid_arg
-        (Printf.sprintf "Db.size_bytes: incremental counter %d <> recount %d" n full)
-  end;
-  n

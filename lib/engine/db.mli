@@ -5,8 +5,7 @@
     {!Dpc_ndlog.Tuple.hash}). Each relation carries secondary hash indexes
     keyed on attribute positions (chosen at rule-compile time by
     {!Eval.plan}). Indexes are built on the first {!probe} and maintained
-    incrementally by {!insert}/{!remove}, as is the per-relation
-    serialized-byte counter behind {!size_bytes}. *)
+    incrementally by {!insert}/{!remove}. *)
 
 type t
 
@@ -57,7 +56,7 @@ val key_matches :
     [positions] must be in range for the tuple. *)
 
 val clear : t -> unit
-(** Drop every relation, index, and byte counter — the store of a node
+(** Drop every relation and index — the store of a node
     whose memory just went away. *)
 
 val snapshot : t -> string
@@ -77,7 +76,8 @@ val load : t -> string -> unit
 (** Insert every tuple of a {!snapshot} (set semantics: tuples already
     present are kept once). Does not clear first; clears the dirty log
     (the loaded state is a cut, not a change since one).
-    @raise Dpc_util.Serialize.Corrupt on a malformed blob. *)
+    @raise Dpc_util.Serialize.Corrupt on a malformed blob or trailing
+    bytes, once it has inserted what it read. *)
 
 val set_dirty_tracking : t -> bool -> unit
 (** Record every effective insert/remove (in order) so {!snapshot_delta}
@@ -92,22 +92,9 @@ val snapshot_delta : t -> string
 val apply_delta : t -> string -> unit
 (** Replay one {!snapshot_delta} blob: apply a base {!load} first, then
     each delta oldest to newest. Clears the dirty log.
-    @raise Dpc_util.Serialize.Corrupt on a malformed blob. *)
+    @raise Dpc_util.Serialize.Corrupt on a malformed blob or trailing
+    bytes, once it has applied what it read. *)
 
 val relations : t -> string list
 val cardinality : t -> string -> int
 val total_tuples : t -> int
-
-val size_bytes : t -> int
-(** Serialized size of the whole store, maintained incrementally (O(1),
-    not O(store)). When {!set_debug_recount} is on, every call verifies
-    the counter against {!recount_bytes} and raises on divergence. *)
-
-val recount_bytes : t -> int
-(** Slow path: re-serialize everything and measure. Equals {!size_bytes}
-    by construction; retained as the oracle for the debug assertion and
-    tests. *)
-
-val set_debug_recount : bool -> unit
-(** Global toggle for the {!size_bytes} self-check (off by default; keep
-    it off on hot paths). *)

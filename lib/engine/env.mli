@@ -24,5 +24,3 @@ val lookup : t -> string -> (Dpc_ndlog.Value.t list -> Dpc_ndlog.Value.t) option
 val lookup2 : t -> string -> (Dpc_ndlog.Value.t -> Dpc_ndlog.Value.t -> Dpc_ndlog.Value.t) option
 (** The two-argument form of the latest registration of the name, if that
     registration was a {!register2}. *)
-
-val names : t -> string list

@@ -22,17 +22,14 @@ let key (type a) () : a key =
   }
 
 type t = {
-  id : int;
   db : Db.t;
   metrics : Dpc_util.Metrics.t;
   props : (int, binding) Hashtbl.t;
   mutable reset_hooks : (unit -> unit) list;
 }
 
-let create ~id =
-  if id < 0 then invalid_arg "Node.create: negative id";
+let create () =
   {
-    id;
     db = Db.create ();
     metrics = Dpc_util.Metrics.create ();
     props = Hashtbl.create 8;
@@ -41,9 +38,8 @@ let create ~id =
 
 let cluster n =
   if n <= 0 then invalid_arg "Node.cluster: size must be positive";
-  Array.init n (fun id -> create ~id)
+  Array.init n (fun _ -> create ())
 
-let id t = t.id
 let db t = t.db
 let metrics t = t.metrics
 let tick t name = Dpc_util.Metrics.incr t.metrics name
@@ -61,8 +57,6 @@ let reset t =
      irrelevant, so the reversed list is fine. *)
   List.iter (fun hook -> hook ()) t.reset_hooks
 
-let set t k v = Hashtbl.replace t.props k.uid (k.inj v)
-
 (* Every store write looks its node state up here, so the hit path
    allocates nothing. *)
 let get_or_init t k ~init =
@@ -70,5 +64,5 @@ let get_or_init t k ~init =
   | b -> k.proj b
   | exception Not_found ->
       let v = init () in
-      set t k v;
+      Hashtbl.replace t.props k.uid (k.inj v);
       v

@@ -10,15 +10,13 @@
 
 type t
 
-val create : id:int -> t
-(** A fresh node with an empty database, empty metrics, no properties.
-    @raise Invalid_argument on a negative id. *)
+val create : unit -> t
+(** A fresh node with an empty database, empty metrics, no properties. *)
 
 val cluster : int -> t array
-(** [cluster n] is [n] fresh nodes with ids [0 .. n-1].
+(** [cluster n] is [n] fresh nodes, for node ids [0 .. n-1].
     @raise Invalid_argument if [n] is not positive. *)
 
-val id : t -> int
 val db : t -> Db.t
 val metrics : t -> Dpc_util.Metrics.t
 
@@ -53,8 +51,6 @@ type 'a key
 
 val key : unit -> 'a key
 (** A fresh key. Two calls never compare equal. *)
-
-val set : t -> 'a key -> 'a -> unit
 
 val get_or_init : t -> 'a key -> init:(unit -> 'a) -> 'a
 (** The value under the key, creating and storing [init ()] first if the

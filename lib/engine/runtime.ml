@@ -133,9 +133,7 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(interest = [])
   }
 
 let transport t = t.transport
-let domains t = Dpc_net.Transport.shards t.transport
 let reliability t = t.reliability
-let delp t = t.delp
 let nodes t = t.nodes
 let node t i = t.nodes.(i)
 let db t node = Node.db t.nodes.(node)

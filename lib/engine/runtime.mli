@@ -76,14 +76,9 @@ val transport : t -> Dpc_net.Transport.t
 (** The transport the runtime actually sends through — the reliable
     wrapper when [?reliable] was given, the raw one otherwise. *)
 
-val domains : t -> int
-(** The transport's shard count (1 on sequential backends). *)
-
 val reliability : t -> Dpc_net.Reliable.t option
 (** The delivery layer created by [?reliable], for its {!Dpc_net.Reliable.stats}
     (ack/retransmit bandwidth adders). [None] on bare transports. *)
-
-val delp : t -> Dpc_ndlog.Delp.t
 
 val nodes : t -> Node.t array
 val node : t -> int -> Node.t

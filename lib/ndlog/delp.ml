@@ -165,6 +165,12 @@ let validate (p : Ast.program) =
         Ok { program = p; input_event; output_rel; event_rels; slow_rels; arities }
   with Invalid e -> Error e
 
+let parse ~name source =
+  match Parser.parse_program ~name source with
+  | Error e -> Error (Printf.sprintf "%s: parse error: %s" name e)
+  | Ok p ->
+      Result.map_error (fun e -> name ^ ": not a valid DELP: " ^ error_to_string e) (validate p)
+
 let arity t rel = List.assoc rel t.arities
 let is_slow t rel = List.mem rel t.slow_rels
 let is_event t rel = List.mem rel t.event_rels

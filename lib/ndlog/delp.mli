@@ -36,6 +36,11 @@ val validate : Ast.program -> (t, error) result
 
 val error_to_string : error -> string
 
+val parse : name:string -> string -> (t, string) result
+(** Parse an NDlog program ({!Parser.parse_program}) and {!validate} it.
+    The error reads ["<name>: parse error: ..."] or ["<name>: not a valid
+    DELP: ..."]. *)
+
 val arity : t -> string -> int
 (** @raise Not_found for an unknown relation. *)
 

@@ -1,12 +1,5 @@
 (** Pretty-printer producing parseable NDlog concrete syntax (tested by
     round-tripping through {!Parser}). *)
 
-val term : Format.formatter -> Ast.term -> unit
-val atom : Format.formatter -> Ast.atom -> unit
-val expr : Format.formatter -> Ast.expr -> unit
-val cond : Format.formatter -> Ast.cond -> unit
-val rule : Format.formatter -> Ast.rule -> unit
-val program : Format.formatter -> Ast.program -> unit
-
 val rule_to_string : Ast.rule -> string
 val program_to_string : Ast.program -> string

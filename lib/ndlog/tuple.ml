@@ -116,15 +116,6 @@ let serialize w t =
     Value.serialize w t.args.(i)
   done
 
-(* Must agree byte-for-byte with [serialize]; Db's incremental byte
-   counters rely on per-tuple sizes summing to the whole-store size. *)
-let serialized_size t =
-  let open Dpc_util.Serialize in
-  let rel_len = String.length t.rel in
-  varint_size rel_len + rel_len
-  + varint_size (Array.length t.args)
-  + Array.fold_left (fun acc v -> acc + Value.serialized_size v) 0 t.args
-
 let deserialize r =
   let open Dpc_util.Serialize in
   let rel = read_string r in

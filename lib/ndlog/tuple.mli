@@ -51,9 +51,5 @@ val to_string : t -> string
 val wire_size : t -> int
 (** Serialized size in bytes, for bandwidth and storage accounting. *)
 
-val serialized_size : t -> int
-(** Exact byte count {!serialize} emits for this tuple, computed without
-    serializing — the unit of Db's incremental storage accounting. *)
-
 val serialize : Dpc_util.Serialize.writer -> t -> unit
 val deserialize : Dpc_util.Serialize.reader -> t

@@ -10,7 +10,6 @@ let equal a b =
   | Addr x, Addr y -> x = y
   | (Int _ | Str _ | Bool _ | Addr _), _ -> false
 
-let compare = Stdlib.compare
 let hash = Hashtbl.hash
 
 let canonical = function
@@ -106,16 +105,6 @@ let wire_size = function
   | Str s -> 4 + String.length s
   | Bool _ -> 1
   | Addr _ -> 4
-
-(* Must agree byte-for-byte with [serialize]: a 1-byte tag varint followed
-   by the payload encoding. *)
-let serialized_size = function
-  | Int _ -> 1 + 8
-  | Str s ->
-      let len = String.length s in
-      1 + Dpc_util.Serialize.varint_size len + len
-  | Bool _ -> 1 + 1
-  | Addr a -> 1 + Dpc_util.Serialize.varint_size a
 
 let serialize w v =
   let open Dpc_util.Serialize in

@@ -11,7 +11,6 @@ type t =
   | Addr of int  (** a node identifier in the distributed system *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 
 val canonical : t -> string
@@ -63,10 +62,6 @@ val str_exn : t -> string
 val wire_size : t -> int
 (** Bytes this value occupies in a serialized message (used for bandwidth
     accounting). *)
-
-val serialized_size : t -> int
-(** Exact byte count {!serialize} emits for this value, computed without
-    serializing. *)
 
 val serialize : Dpc_util.Serialize.writer -> t -> unit
 val deserialize : Dpc_util.Serialize.reader -> t

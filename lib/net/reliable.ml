@@ -493,6 +493,7 @@ let restore t ~node blob =
   in
   let senders = Dpc_util.Serialize.read_list r pair in
   let receivers = Dpc_util.Serialize.read_list r pair in
+  Dpc_util.Serialize.expect_end r "channel snapshot";
   List.iter (fun (dst, seq) -> set_next_seq t ~src:node ~dst seq) senders;
   List.iter (fun (src, seq) -> set_expected t ~src ~dst:node seq) receivers
 

@@ -196,9 +196,10 @@ val snapshot : 'a link -> node:int -> string
 val restore : 'a link -> node:int -> string -> unit
 (** Apply a {!snapshot} through {!set_next_seq}/{!set_expected} — i.e.
     monotonically, so replaying an old snapshot over fresher state is a
-    no-op. Nothing is applied unless the whole blob reads.
+    no-op. Nothing is applied unless the whole blob reads and ends where
+    its last field does.
     @raise Dpc_util.Serialize.Corrupt on a malformed blob, including a
-    peer past the cluster. *)
+    peer past the cluster, or trailing bytes. *)
 
 (** {2 Frames: one node's channels over byte streams}
 

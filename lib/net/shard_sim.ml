@@ -162,8 +162,6 @@ let create ?(latency = 0.001) ~domains ~nodes () =
     barrier = Barrier.create domains;
   }
 
-let domains t = t.domains
-let nodes t = t.nodes
 let shard_of t node = node mod t.domains
 
 let check_node t ~what node =

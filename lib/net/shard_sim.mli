@@ -46,10 +46,11 @@ val create : ?latency:float -> domains:int -> nodes:int -> unit -> t
     positive. *)
 
 val transport : t -> Transport.t
-(** The {!Transport.S} view; [Transport.shards] is [domains]. *)
-
-val domains : t -> int
-val nodes : t -> int
+(** The {!Transport.S} view; [Transport.shards] is [domains]. Its [now]
+    is the calling shard's clock mid-run and, outside {!run}, the
+    maximum clock reached so far. Its [total_bytes] and [messages] sum
+    the per-shard counters, which their owners write: read them from
+    outside {!run}. *)
 
 val shard_of : t -> int -> int
 (** [shard_of t n = n mod domains t]. *)
@@ -69,12 +70,3 @@ val run : ?until:float -> t -> unit
     workers have exited; the events left behind stay queued for the next
     [run].
     @raise Invalid_argument on re-entrant use. *)
-
-val now : t -> float
-(** The calling shard's clock mid-run; outside [run], the maximum clock
-    reached so far. *)
-
-val total_bytes : t -> int
-val messages : t -> int
-(** Cluster-wide accounting, summed over shards; call from outside [run]
-    (the per-shard counters are owner-written). *)

@@ -3,7 +3,6 @@ module Event_queue = Dpc_util.Event_queue
 type t = {
   topo : Topology.t;
   routing : Routing.t;
-  bucket_width : float;
   queue : Event_queue.t;
   clock : Event_queue.clock;
   mutable processed : int;
@@ -12,25 +11,21 @@ type t = {
   (* Byte counters, keyed by int so a charge allocates nothing once the
      counter exists: a link [(a, b)], [a < b], under [a * n + b]. *)
   link_counters : (int, int ref) Hashtbl.t;
-  buckets : (int, int ref) Hashtbl.t;
 }
 
-let create ?(bucket_width = 1.0) ~topology ~routing () =
+let create ~topology ~routing () =
   {
     topo = topology;
     routing;
-    bucket_width;
     queue = Event_queue.create ();
     clock = { now = 0.0 };
     processed = 0;
     total_bytes = 0;
     messages = 0;
     link_counters = Hashtbl.create 64;
-    buckets = Hashtbl.create 64;
   }
 
 let topology t = t.topo
-let routing t = t.routing
 let now t = t.clock.now
 
 let schedule t ~delay action =
@@ -60,7 +55,6 @@ let send t ~src ~dst ~bytes k =
       let link = Topology.link_exn t.topo !a b in
       t.total_bytes <- t.total_bytes + bytes;
       charge t.link_counters (link_key t !a b) bytes;
-      charge t.buckets (int_of_float (!at /. t.bucket_width)) bytes;
       at := !at +. link.latency +. (float_of_int bytes /. link.bandwidth);
       a := b
     done;
@@ -85,9 +79,5 @@ let link_bytes t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.link_counters []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map (fun (k, bytes) -> ((k / n, k mod n), bytes))
-
-let bucket_bytes t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.buckets []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let messages_sent t = t.messages

@@ -3,22 +3,19 @@
     Time is in seconds. Messages are forwarded hop-by-hop along shortest
     paths (store-and-forward): each hop contributes its link latency plus
     the transmission time [bytes / bandwidth], and the bytes are charged to
-    that link's counters — which is what the bandwidth figures (11 and 15)
-    report. *)
+    that link's counter and to the run's total — the totals that the
+    bandwidth figures (11 and 15) report. *)
 
 type t
 
-val create : ?bucket_width:float -> topology:Topology.t -> routing:Routing.t -> unit -> t
-(** [bucket_width] (default 1 s) sets the granularity of the
-    bandwidth-over-time accounting. The simulator models latency only:
-    messages on one path arrive in send order. The §5.6 out-of-order
-    scenarios add per-message delays through the fault wrapper
-    ({!Transport.faulty_with} with a delay-only
-    {!Transport.hashed_decide}), which lets messages overtake each
-    other. *)
+val create : topology:Topology.t -> routing:Routing.t -> unit -> t
+(** The simulator models latency only: messages on one path arrive in
+    send order. The §5.6 out-of-order scenarios add per-message delays
+    through the fault wrapper ({!Transport.faulty_with} with a
+    delay-only {!Transport.hashed_decide}), which lets messages overtake
+    each other. *)
 
 val topology : t -> Topology.t
-val routing : t -> Routing.t
 
 val now : t -> float
 
@@ -46,9 +43,5 @@ val total_bytes : t -> int
 
 val link_bytes : t -> ((int * int) * int) list
 (** Per-link byte counters, endpoints ordered, sorted. *)
-
-val bucket_bytes : t -> (int * int) list
-(** [(bucket_index, bytes)] sorted by bucket; bucket [i] covers
-    [i * bucket_width, (i+1) * bucket_width). *)
 
 val messages_sent : t -> int

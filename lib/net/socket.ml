@@ -22,44 +22,19 @@ type stats = {
   stray_frames : int;
 }
 
-(* TCP needs no backoff: every unacked frame is re-offered every 250 ms
+(* A stream needs no backoff: every unacked frame is re-offered every 250 ms
    until an ack covers it, and a channel never gives up (dpc-wire-v1 has
    no probe frame to heal one with). *)
 let channel_config =
   { Reliable.timeout = 0.25; backoff = 1.0; max_timeout = 0.25; max_retries = max_int; jitter = 0.0 }
 
-type addr = A_unix of string | A_tcp of string * int
+(* The socket path of a ["unix:<path>"] address. *)
+let socket_path s =
+  if String.starts_with ~prefix:"unix:" s && String.length s > 5 then
+    String.sub s 5 (String.length s - 5)
+  else invalid_arg (Printf.sprintf "Socket: address %S is not unix:<path>" s)
 
-let parse_addr s =
-  match String.index_opt s ':' with
-  | Some i when String.sub s 0 i = "unix" ->
-      let path = String.sub s (i + 1) (String.length s - i - 1) in
-      if path = "" then invalid_arg "Socket: empty unix path";
-      A_unix path
-  | Some i when String.sub s 0 i = "tcp" -> (
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match String.rindex_opt rest ':' with
-      | Some j ->
-          let host = String.sub rest 0 j in
-          let port = String.sub rest (j + 1) (String.length rest - j - 1) in
-          (match int_of_string_opt port with
-          | Some p when p > 0 && p < 65536 -> A_tcp (host, p)
-          | _ -> invalid_arg (Printf.sprintf "Socket: bad port in %S" s))
-      | None -> invalid_arg (Printf.sprintf "Socket: tcp address %S needs host:port" s))
-  | _ -> invalid_arg (Printf.sprintf "Socket: address %S is not unix:<path> or tcp:<host>:<port>" s)
-
-let sockaddr_of = function
-  | A_unix path -> Unix.ADDR_UNIX path
-  | A_tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with _ -> (
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with _ -> invalid_arg (Printf.sprintf "Socket: cannot resolve host %S" host))
-      in
-      Unix.ADDR_INET (ip, port)
-
-let sockaddr s = sockaddr_of (parse_addr s)
+let sockaddr s = Unix.ADDR_UNIX (socket_path s)
 
 type conn = {
   fd : Unix.file_descr;
@@ -75,7 +50,7 @@ type conn = {
 type t = {
   nodes : int;
   local : int;
-  addrs : addr array;
+  paths : string array;  (* each node's socket path *)
   epoch : float;
   listen_fd : Unix.file_descr;
   scratch : Bytes.t;
@@ -169,8 +144,8 @@ let new_conn fd ~peer ~connecting ~dialed =
    from inside a delivery batch whose effects are not yet flushed. *)
 let ensure_dial t dst =
   if dialed_to t dst = None && not t.blocked.(dst) then begin
-    let sa = sockaddr_of t.addrs.(dst) in
-    let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+    let sa = Unix.ADDR_UNIX t.paths.(dst) in
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
     let dialing () = t.conns <- new_conn fd ~peer:dst ~connecting:true ~dialed:true :: t.conns in
     match Unix.connect fd sa with
@@ -387,17 +362,11 @@ let create ~nodes ~local ~addr_of () =
   (* A write to a connection its peer has closed must fail with EPIPE,
      which drops the connection, instead of killing the process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let addrs = Array.init nodes (fun i -> parse_addr (addr_of i)) in
-  (match addrs.(local) with
-  | A_unix p when Sys.file_exists p -> ( try Unix.unlink p with _ -> ())
-  | _ -> ());
-  let sa = sockaddr_of addrs.(local) in
-  let listen_fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-  (match addrs.(local) with
-  | A_tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true
-  | A_unix _ -> ());
+  let paths = Array.init nodes (fun i -> socket_path (addr_of i)) in
+  if Sys.file_exists paths.(local) then ( try Unix.unlink paths.(local) with _ -> ());
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
-     Unix.bind listen_fd sa;
+     Unix.bind listen_fd (Unix.ADDR_UNIX paths.(local));
      Unix.listen listen_fd 64;
      Unix.set_nonblock listen_fd
    with e ->
@@ -409,7 +378,7 @@ let create ~nodes ~local ~addr_of () =
       {
         nodes;
         local;
-        addrs;
+        paths;
         epoch = Clock.now ();
         listen_fd;
         scratch = Bytes.create 65536;
@@ -534,6 +503,7 @@ let restore_channels t blob =
         let expected = Serialize.read_varint r in
         (src, expected))
   in
+  Serialize.expect_end r "channel snapshot";
   List.iter
     (fun (dst, next_seq, acked) ->
       set_next_seq t ~dst next_seq;
@@ -550,9 +520,7 @@ let close t =
   stop t;
   List.iter (close_conn t) t.conns;
   (try Unix.close t.listen_fd with _ -> ());
-  match t.addrs.(t.local) with
-  | A_unix p -> ( try Unix.unlink p with _ -> ())
-  | A_tcp _ -> ()
+  try Unix.unlink t.paths.(t.local) with _ -> ()
 
 let stats t =
   let r = Reliable.stats t.channels and c = Dpc_util.Metrics.counter_value t.counters in

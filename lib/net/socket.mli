@@ -37,11 +37,11 @@
     entries on one side and replays them on the other.
 
     Sequence numbers on this interface are dpc-wire-v1's, 1-based.
-    Addresses are ["unix:/path/to.sock"] or ["tcp:host:port"]. *)
+    Addresses are Unix-domain sockets, ["unix:/path/to.sock"]. *)
 
 val sockaddr : string -> Unix.sockaddr
-(** Parse an address. @raise Invalid_argument on a malformed address or
-    a host that does not resolve. *)
+(** Parse an address. @raise Invalid_argument unless it is
+    ["unix:<path>"] with a non-empty path. *)
 
 (** What the host must make durable, reported synchronously and in
     order. [Sent] fires BEFORE the frame's first transmission; [Expected]
@@ -168,9 +168,9 @@ val snapshot_channels : t -> string
 
 val restore_channels : t -> string -> unit
 (** Monotonically apply a {!snapshot_channels} blob. Nothing is applied
-    unless the whole blob reads.
+    unless the whole blob reads and ends where its last field does.
     @raise Dpc_util.Serialize.Corrupt on a malformed blob, including a
-    peer that is this node or past the cluster. *)
+    peer that is this node or past the cluster, or trailing bytes. *)
 
 val unacked : t -> int
 (** Outstanding data frames across all channels (the outbox depth). *)

@@ -30,5 +30,3 @@ type t = {
 
 val generate : rng:Dpc_util.Rng.t -> params -> t
 (** @raise Invalid_argument if any count is non-positive. *)
-
-val node_count : params -> int

@@ -18,7 +18,6 @@ type t = (module S)
 let name (module T : S) = T.name
 let nodes (module T : S) = T.nodes
 let shards (module T : S) = T.shards
-let shard_of (module T : S) node = T.shard_of node
 let now (module T : S) = T.now ()
 let schedule (module T : S) ~delay k = T.schedule ~delay k
 let schedule_on (module T : S) ~node ~delay k = T.schedule_on ~node ~delay k

@@ -76,7 +76,6 @@ type t = (module S)
 val name : t -> string
 val nodes : t -> int
 val shards : t -> int
-val shard_of : t -> int -> int
 val now : t -> float
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 val schedule_on : t -> node:int -> delay:float -> (unit -> unit) -> unit

@@ -76,8 +76,4 @@ module Decoder : sig
       @raise Dpc_util.Serialize.Corrupt as soon as the buffered bytes
       cannot extend to a valid frame; the buffer is left unusable and
       the connection should be dropped. *)
-
-  val buffered : t -> int
-  (** Bytes currently held (a partial frame at most {!max_payload} +
-      {!header_bytes} long). *)
 end

@@ -60,29 +60,25 @@ let encode_request req =
           S.write_varint w 10;
           S.write_varint w peer)
 
-(* A record must end where its payload does: a reader that skipped bytes
-   would hide a field some writer appended. *)
-let expect_end r what v =
-  if not (S.at_end r) then raise (S.Corrupt (what ^ ": trailing bytes"));
-  v
-
 let decode_request payload =
   let r = S.reader payload in
-  expect_end r "control request"
-  @@
-  match S.read_varint r with
-  | 0 -> Load (S.read_list r (fun () -> Tuple.deserialize r))
-  | 1 -> Inject (Tuple.deserialize r)
-  | 2 -> Slow_insert (Tuple.deserialize r)
-  | 3 -> Slow_delete (Tuple.deserialize r)
-  | 4 -> Checkpoint
-  | 5 -> Status
-  | 6 -> Digest
-  | 7 -> Shutdown
-  | 8 -> Compact
-  | 9 -> Block (S.read_varint r)
-  | 10 -> Unblock (S.read_varint r)
-  | tag -> raise (S.Corrupt (Printf.sprintf "control request: unknown tag %d" tag))
+  let request =
+    match S.read_varint r with
+    | 0 -> Load (S.read_list r (fun () -> Tuple.deserialize r))
+    | 1 -> Inject (Tuple.deserialize r)
+    | 2 -> Slow_insert (Tuple.deserialize r)
+    | 3 -> Slow_delete (Tuple.deserialize r)
+    | 4 -> Checkpoint
+    | 5 -> Status
+    | 6 -> Digest
+    | 7 -> Shutdown
+    | 8 -> Compact
+    | 9 -> Block (S.read_varint r)
+    | 10 -> Unblock (S.read_varint r)
+    | tag -> raise (S.Corrupt (Printf.sprintf "control request: unknown tag %d" tag))
+  in
+  S.expect_end r "control request";
+  request
 
 let encode_reply reply =
   S.with_scratch (fun w ->
@@ -113,28 +109,30 @@ let encode_reply reply =
 
 let decode_reply payload =
   let r = S.reader payload in
-  expect_end r "control reply"
-  @@
-  match S.read_varint r with
-  | 0 -> Ok
-  | 1 -> Deleted (S.read_bool r)
-  | 2 ->
-      let node = S.read_varint r in
-      let recovered = S.read_bool r in
-      let unacked = S.read_varint r in
-      let data_sent = S.read_varint r in
-      let data_received = S.read_varint r in
-      let fired = S.read_varint r in
-      let outputs = S.read_varint r in
-      let wal_entries = S.read_varint r in
-      let outbox_bytes = S.read_varint r in
-      Status_r
-        { node; recovered; unacked; data_sent; data_received; fired; outputs; wal_entries;
-          outbox_bytes }
-  | 3 ->
-      let node = S.read_varint r in
-      let store = S.read_string r in
-      let db = S.read_string r in
-      Digest_r { node; store; db }
-  | 4 -> Error (S.read_string r)
-  | tag -> raise (S.Corrupt (Printf.sprintf "control reply: unknown tag %d" tag))
+  let reply =
+    match S.read_varint r with
+    | 0 -> Ok
+    | 1 -> Deleted (S.read_bool r)
+    | 2 ->
+        let node = S.read_varint r in
+        let recovered = S.read_bool r in
+        let unacked = S.read_varint r in
+        let data_sent = S.read_varint r in
+        let data_received = S.read_varint r in
+        let fired = S.read_varint r in
+        let outputs = S.read_varint r in
+        let wal_entries = S.read_varint r in
+        let outbox_bytes = S.read_varint r in
+        Status_r
+          { node; recovered; unacked; data_sent; data_received; fired; outputs; wal_entries;
+            outbox_bytes }
+    | 3 ->
+        let node = S.read_varint r in
+        let store = S.read_string r in
+        let db = S.read_string r in
+        Digest_r { node; store; db }
+    | 4 -> Error (S.read_string r)
+    | tag -> raise (S.Corrupt (Printf.sprintf "control reply: unknown tag %d" tag))
+  in
+  S.expect_end r "control reply";
+  reply

@@ -24,9 +24,11 @@ let real_process_control : Dpc_net.Transport.crash_control =
     crash_stats = { crashes = Atomic.make 0; suppressed = Atomic.make 0 };
   }
 
-let default_config = { Durable.checkpoint_every = 4; rebase_every = 2 }
+(* Small enough that the scenario exercises delta cuts and outbox
+   compaction. *)
+let config = { Durable.checkpoint_every = 4; rebase_every = 2 }
 
-let rec create ~scheme ~nodes ~local ~addr_of ~dir ?(config = default_config) ?chaos () =
+let rec create ~scheme ~nodes ~local ~addr_of ~dir ?chaos () =
   let delp = Dpc_apps.Forwarding.delp () in
   let env = Dpc_apps.Forwarding.env in
   let backend = Backend.make scheme ~delp ~env ~nodes in
@@ -178,7 +180,3 @@ and handle_control t ~payload ~reply =
 let serve t =
   Runtime.run t.runtime;
   Socket.close t.sock
-
-let socket t = t.sock
-let runtime t = t.runtime
-let durable t = t.durable

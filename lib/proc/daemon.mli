@@ -30,23 +30,19 @@ val create :
   local:int ->
   addr_of:(int -> string) ->
   dir:string ->
-  ?config:Dpc_core.Durable.config ->
   ?chaos:Dpc_net.Transport.fault_config * int ->
   unit ->
   t
 (** Build the node and bind its listen address. If [dir/node-<local>/]
     already holds a manifest, the volatile state is rebuilt from disk
     before the function returns — a caller never sees a half-recovered
-    daemon. [config] defaults to [{checkpoint_every = 4; rebase_every =
-    2}], small enough that the scenario exercises delta cuts and outbox
-    compaction. [chaos] is a [(rates, seed)] pair passed to
-    {!Dpc_net.Socket.set_chaos} — hashed per-channel frame corruption,
-    the process-level chaos sweep. *)
+    daemon. It compacts every 4 boundary entries and rebases every 2nd
+    cut ([{checkpoint_every = 4; rebase_every = 2}]), small enough that
+    the scenario exercises delta cuts and outbox compaction. [chaos] is
+    a [(rates, seed)] pair passed to {!Dpc_net.Socket.set_chaos} —
+    hashed per-channel frame corruption, the process-level chaos
+    sweep. *)
 
 val serve : t -> unit
 (** Pump the socket loop until a [Shutdown] control request (or
     {!Dpc_net.Socket.stop}); closes the sockets before returning. *)
-
-val socket : t -> Dpc_net.Socket.t
-val runtime : t -> Dpc_engine.Runtime.t
-val durable : t -> Dpc_core.Durable.t

@@ -23,7 +23,6 @@ let float t x =
   (* 53 significant bits, scaled to [0, 1). *)
   v /. 9007199254740992.0 *. x
 
-let bool t = Int64.logand (next t) 1L = 1L
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";

@@ -14,8 +14,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t x] is uniform in [0, x). *)
 
-val bool : t -> bool
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

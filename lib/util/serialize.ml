@@ -22,13 +22,6 @@ let varint_size v =
   let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
   go 1 v
 
-let write_int64 buf v =
-  for k = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * k)) 0xFFL)))
-  done
-
-let write_float buf f = write_int64 buf (Int64.bits_of_float f)
 let write_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
 
 let write_string buf s =
@@ -259,14 +252,6 @@ let read_varint r =
   in
   go 0 0
 
-let read_int64 r =
-  let v = ref 0L in
-  for k = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (byte r)) (8 * k))
-  done;
-  !v
-
-let read_float r = Int64.float_of_bits (read_int64 r)
 let read_bool r = byte r <> 0
 
 let read_string r =
@@ -293,3 +278,7 @@ let read_digest r =
   Sha1.of_raw raw
 
 let at_end r = r.pos = String.length r.data
+
+(* A record must end where its input does: a reader that skipped bytes
+   would hide a field some writer appended. *)
+let expect_end r what = if not (at_end r) then raise (Corrupt (what ^ ": trailing bytes"))

@@ -18,7 +18,6 @@ val varint_size : int -> int
 (** Bytes {!write_varint} would emit, without writing — for analytic size
     accounting that must match serialization exactly. *)
 
-val write_float : writer -> float -> unit
 val write_bool : writer -> bool -> unit
 val write_string : writer -> string -> unit
 (** Varint length prefix followed by the raw bytes. *)
@@ -76,7 +75,6 @@ val read_varint : reader -> int
 (** @raise Corrupt on a varint {!write_varint} cannot write: one longer
     than nine bytes, or one that overflows into a negative int. *)
 
-val read_float : reader -> float
 val read_bool : reader -> bool
 val read_string : reader -> string
 
@@ -95,5 +93,11 @@ val read_digest : reader -> Sha1.t
 (** @raise Corrupt unless the string is 20 bytes long. *)
 
 val at_end : reader -> bool
+
+val expect_end : reader -> string -> unit
+(** [expect_end r what] returns when [r] has read all of its input. Every
+    decoder of a versioned format calls it last, so a blob followed by
+    anything fails instead of decoding as if the rest were not there.
+    @raise Corrupt ["<what>: trailing bytes"] otherwise. *)
 
 exception Corrupt of string

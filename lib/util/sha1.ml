@@ -438,4 +438,3 @@ let equal = String.equal
 let compare = String.compare
 let hash = Hashtbl.hash
 let abbrev t = String.sub (to_hex t) 0 8
-let pp fmt t = Format.pp_print_string fmt (abbrev t)

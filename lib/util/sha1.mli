@@ -62,5 +62,3 @@ val hash : t -> int
 
 val abbrev : t -> string
 (** First 8 hex characters, for human-readable output. *)
-
-val pp : Format.formatter -> t -> unit

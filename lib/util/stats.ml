@@ -24,31 +24,6 @@ let percentile xs p =
 
 let median xs = percentile xs 50.0
 
-let stddev xs =
-  require_nonempty "Stats.stddev" xs;
-  let m = mean xs in
-  let var =
-    List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-    /. float_of_int (List.length xs)
-  in
-  sqrt var
-
-let minimum xs =
-  require_nonempty "Stats.minimum" xs;
-  List.fold_left min infinity xs
-
 let maximum xs =
   require_nonempty "Stats.maximum" xs;
   List.fold_left max neg_infinity xs
-
-let cdf xs =
-  let a = Array.of_list (sorted xs) in
-  let n = Array.length a in
-  Array.to_list (Array.mapi (fun i x -> (x, float_of_int (i + 1) /. float_of_int n)) a)
-
-let cdf_at xs x =
-  match xs with
-  | [] -> 0.0
-  | _ :: _ ->
-      let below = List.length (List.filter (fun v -> v <= x) xs) in
-      float_of_int below /. float_of_int (List.length xs)

@@ -1,4 +1,4 @@
-(** Summary statistics and empirical CDFs for the evaluation harness. *)
+(** Summary statistics for the evaluation harness. *)
 
 val mean : float list -> float
 (** @raise Invalid_argument on an empty list. *)
@@ -11,16 +11,5 @@ val percentile : float list -> float -> float
     order statistics. @raise Invalid_argument on an empty list or [p]
     outside [0, 100]. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0 for singleton lists.
-    @raise Invalid_argument on an empty list. *)
-
-val minimum : float list -> float
 val maximum : float list -> float
-
-val cdf : float list -> (float * float) list
-(** [cdf xs] is the empirical CDF as [(value, fraction <= value)] pairs,
-    sorted by value, one pair per sample. *)
-
-val cdf_at : float list -> float -> float
-(** Fraction of samples [<= x]. *)
+(** @raise Invalid_argument on an empty list. *)

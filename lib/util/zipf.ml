@@ -29,5 +29,3 @@ let sample t rng =
 let pmf t k =
   if k < 0 || k >= Array.length t.pmf then invalid_arg "Zipf.pmf: rank out of range";
   t.pmf.(k)
-
-let support t = Array.length t.pmf

@@ -16,5 +16,3 @@ val sample : t -> Rng.t -> int
 
 val pmf : t -> int -> float
 (** Probability of rank [k]. @raise Invalid_argument if out of range. *)
-
-val support : t -> int

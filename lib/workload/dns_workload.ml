@@ -66,10 +66,10 @@ type t = {
   routing : Dpc_net.Routing.t;
 }
 
-let setup ~scheme spec ?(bucket_width = 1.0) ?(record_outputs = true) () =
+let setup ~scheme spec ?(record_outputs = true) () =
   let topology = spec.tree.topology in
   let routing = Dpc_net.Routing.compute topology in
-  let sim = Dpc_net.Sim.create ~bucket_width ~topology ~routing () in
+  let sim = Dpc_net.Sim.create ~topology ~routing () in
   let delp = Dpc_apps.Dns.delp () in
   let backend =
     Dpc_core.Backend.make scheme ~delp ~env:Dpc_apps.Dns.env

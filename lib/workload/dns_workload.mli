@@ -40,7 +40,6 @@ type t = {
 val setup :
   scheme:Dpc_core.Backend.scheme ->
   spec ->
-  ?bucket_width:float ->
   ?record_outputs:bool ->
   unit ->
   t

@@ -30,9 +30,9 @@ let build ~sim ~transport ~scheme ~routing ~pairs ~record_outputs ~fault_stats ?
   Dpc_engine.Runtime.load_slow runtime (Dpc_apps.Forwarding.routes_for_pairs routing pairs);
   { sim; transport; runtime; backend; routing; pairs; fault_stats }
 
-let setup ~scheme ~topology ~routing ~pairs ?(bucket_width = 1.0) ?(record_outputs = true)
+let setup ~scheme ~topology ~routing ~pairs ?(record_outputs = true)
     ?faults ?(fault_seed = 0) ?reliable () =
-  let sim = Dpc_net.Sim.create ~bucket_width ~topology ~routing () in
+  let sim = Dpc_net.Sim.create ~topology ~routing () in
   let transport = Dpc_net.Transport.of_sim sim in
   let transport, fault_stats =
     match faults with

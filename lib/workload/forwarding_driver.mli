@@ -18,16 +18,15 @@ type t = {
 }
 
 val sim_exn : t -> Dpc_net.Sim.t
-(** The simulator behind a {!setup}-built driver, for bucket-based
-    bandwidth measurements. @raise Invalid_argument on a driver built
-    with {!setup_on}. *)
+(** The simulator behind a {!setup}-built driver, for its clock and its
+    byte counters. @raise Invalid_argument on a driver built with
+    {!setup_on}. *)
 
 val setup :
   scheme:Dpc_core.Backend.scheme ->
   topology:Dpc_net.Topology.t ->
   routing:Dpc_net.Routing.t ->
   pairs:(int * int) list ->
-  ?bucket_width:float ->
   ?record_outputs:bool ->
   ?faults:Dpc_net.Transport.fault_config ->
   ?fault_seed:int ->
@@ -58,8 +57,7 @@ val setup_on :
     bench runs the forwarding workload over {!Dpc_net.Shard_sim} this
     way. [routing] still provides the pair routes (and query-time
     costs); wire latency is whatever the transport models. Drivers built
-    here have no simulator: {!sim_exn} raises, bucketed bandwidth series
-    are unavailable. *)
+    here have no simulator: {!sim_exn} raises. *)
 
 val inject_stream :
   t -> rate_per_pair:float -> duration:float -> payload_size:int -> int

@@ -15,9 +15,4 @@ let per_node_rates ~backend ~nodes ~duration =
 let total_provenance_bytes backend =
   Dpc_core.Rows.provenance_bytes (Dpc_core.Backend.total_storage backend)
 
-let bandwidth_series sim =
-  List.map
-    (fun (bucket, bytes) -> (float_of_int bucket, float_of_int bytes))
-    (Dpc_net.Sim.bucket_bytes sim)
-
 let metrics_rows runtime = Dpc_util.Metrics.to_rows (Dpc_engine.Runtime.metrics_snapshot runtime)

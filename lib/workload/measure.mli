@@ -13,10 +13,6 @@ val per_node_rates :
 
 val total_provenance_bytes : Dpc_core.Backend.t -> int
 
-val bandwidth_series : Dpc_net.Sim.t -> (float * float) list
-(** [(bucket_start_time, bytes_per_second)] from the simulator's byte
-    buckets. *)
-
 val metrics_rows : Dpc_engine.Runtime.t -> string list list
 (** The cluster-wide merge of the runtime's per-node metric registries
     ([runtime.*] plus whatever [store.*] counters the backend recorded,

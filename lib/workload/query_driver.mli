@@ -40,9 +40,6 @@ type outcome = {
   latencies : float list;  (** modeled seconds, in issue order *)
 }
 
-val fire : t -> ?up:(int -> bool) -> unit -> Dpc_core.Query_result.t
-(** Issue one query at the next sampled rank. *)
-
 val storm : t -> ?up:(int -> bool) -> count:int -> unit -> outcome
 (** [count] queries back to back (a closed burst). *)
 

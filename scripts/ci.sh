@@ -22,8 +22,9 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
-# Every value a lib/ interface exports must be named by some file outside
-# its own module; one used only inside its module stays out of the .mli.
+# Every value a lib/ interface exports must be named through its module
+# (a qualified path, an alias or an open) by some file outside that
+# module; one used only inside its module stays out of the .mli.
 echo "== unused exports =="
 python3 scripts/check_exports.py
 echo "exports ok"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation score of tier-1 over the boundary mutants in scripts/mutants.json.
+"""Mutation score of tier-1 over the mutants in scripts/mutants.json.
 
 For each mutant: export the committed tree (git archive HEAD) into a fresh
 directory, replace the mutant's `from` text (which must occur exactly once

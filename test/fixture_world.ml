@@ -12,12 +12,7 @@ r2 recv(@L, S, D, DT, T) :- packet(@L, S, D, DT), D == L, tag(@L, T).
 |}
 
 let delp () =
-  match Dpc_ndlog.Parser.parse_program ~name:"tagged-forwarding" source with
-  | Error e -> failwith e
-  | Ok p -> (
-      match Dpc_ndlog.Delp.validate p with
-      | Ok d -> d
-      | Error e -> failwith (Dpc_ndlog.Delp.error_to_string e))
+  Result.fold ~ok:Fun.id ~error:failwith (Dpc_ndlog.Delp.parse ~name:"tagged-forwarding" source)
 
 let env = Dpc_engine.Env.empty
 let tag ~at t = Dpc_ndlog.Tuple.make "tag" [ Dpc_ndlog.Value.Addr at; Dpc_ndlog.Value.Str t ]

@@ -6,13 +6,7 @@ open Dpc_analysis
 let check = Alcotest.check
 
 let validate src =
-  match Dpc_ndlog.Parser.parse_program ~name:"test" src with
-  | Error e -> Alcotest.failf "parse error: %s" e
-  | Ok p -> begin
-      match Dpc_ndlog.Delp.validate p with
-      | Ok d -> d
-      | Error e -> Alcotest.failf "validation error: %s" (Dpc_ndlog.Delp.error_to_string e)
-    end
+  match Dpc_ndlog.Delp.parse ~name:"test" src with Ok d -> d | Error e -> Alcotest.fail e
 
 let forwarding () = Dpc_apps.Forwarding.delp ()
 let dns () = Dpc_apps.Dns.delp ()

@@ -33,33 +33,6 @@ let test_db_scan_deterministic () =
   check Alcotest.int "three tuples" 3 (List.length scan1);
   check (Alcotest.list tuple_t) "unknown relation" [] (Db.scan db "nothing")
 
-let test_db_size_bytes_grows () =
-  let db = Db.create () in
-  let s0 = Db.size_bytes db in
-  ignore (Db.insert db (route ~at:0 ~dst:2 ~next:1));
-  let s1 = Db.size_bytes db in
-  check Alcotest.bool "grows" true (s1 > s0)
-
-let test_db_size_bytes_incremental () =
-  (* The O(1) counter must equal the serialize-everything recount at every
-     point of a random insert/remove interleaving (with duplicates and
-     misses). debug_recount additionally makes size_bytes self-check. *)
-  Db.set_debug_recount true;
-  Fun.protect
-    ~finally:(fun () -> Db.set_debug_recount false)
-    (fun () ->
-      let db = Db.create () in
-      let rng = Dpc_util.Rng.create ~seed:5 in
-      let tuple k = route ~at:(k mod 4) ~dst:(k mod 7) ~next:(k mod 3) in
-      for step = 0 to 199 do
-        let k = Dpc_util.Rng.int rng 25 in
-        if Dpc_util.Rng.float rng 1.0 < 0.6 then ignore (Db.insert db (tuple k))
-        else ignore (Db.remove db (tuple k));
-        check Alcotest.int
-          (Printf.sprintf "step %d" step)
-          (Db.recount_bytes db) (Db.size_bytes db)
-      done)
-
 let test_db_lookup_indexed () =
   let db = Db.create () in
   ignore (Db.insert db (route ~at:0 ~dst:2 ~next:1));
@@ -632,7 +605,7 @@ let check_budget ?(count = minor_words) name ~measured f =
   if words > budget then Alcotest.failf "%s allocates %d words, budget %d" name words budget
 
 let test_budget_counters () =
-  let node = Node.create ~id:0 in
+  let node = Node.create () in
   let m = Node.metrics node in
   check_budget "Metrics.incr" ~measured:0 (fun () -> Dpc_util.Metrics.incr m "runtime.fired");
   check_budget "Metrics.add" ~measured:0 (fun () ->
@@ -1025,8 +998,6 @@ let () =
         [
           Alcotest.test_case "set semantics" `Quick test_db_set_semantics;
           Alcotest.test_case "deterministic scan" `Quick test_db_scan_deterministic;
-          Alcotest.test_case "size bytes" `Quick test_db_size_bytes_grows;
-          Alcotest.test_case "incremental size bytes" `Quick test_db_size_bytes_incremental;
           Alcotest.test_case "keyed lookup" `Quick test_db_lookup_indexed;
           Alcotest.test_case "bucket order" `Quick test_db_bucket_order;
         ] );

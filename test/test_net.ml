@@ -406,16 +406,6 @@ let test_sim_until_half_open () =
   check (Alcotest.float 0.0) "clock at its time" 2.0 (Sim.now sim);
   check Alcotest.int "two events processed" 2 (Sim.events_processed sim)
 
-let test_sim_bucket_accounting () =
-  let t = line_topology 2 in
-  let sim = Sim.create ~bucket_width:1.0 ~topology:t ~routing:(Routing.compute t) () in
-  Sim.schedule sim ~delay:0.5 (fun () -> Sim.send sim ~src:0 ~dst:1 ~bytes:10 (fun () -> ()));
-  Sim.schedule sim ~delay:2.5 (fun () -> Sim.send sim ~src:0 ~dst:1 ~bytes:20 (fun () -> ()));
-  Sim.run sim;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "buckets" [ (0, 10); (2, 20) ] (Sim.bucket_bytes sim)
-
 let test_sim_unreachable_send_fails () =
   let t = Topology.create ~n:2 in
   let sim = Sim.create ~topology:t ~routing:(Routing.compute t) () in
@@ -936,7 +926,6 @@ let () =
           Alcotest.test_case "self send" `Quick test_sim_self_send;
           Alcotest.test_case "until limit" `Quick test_sim_until_limit;
           Alcotest.test_case "until is half-open" `Quick test_sim_until_half_open;
-          Alcotest.test_case "bucket accounting" `Quick test_sim_bucket_accounting;
           Alcotest.test_case "unreachable send" `Quick test_sim_unreachable_send_fails;
         ]
         @ qsuite [ prop_sim_heap_order ] );

@@ -747,6 +747,19 @@ let test_manifest_cut_trailing_byte () =
   check_trailing_byte "manifest.bin" Durable.decode_manifest (read_file (fixture "manifest.bin"));
   check_trailing_byte "cut-delta.bin" Durable.decode_cut (read_file (fixture "cut-delta.bin"))
 
+(* The socket's channel decoder finds the junk before it applies anything. *)
+let test_chan_trailing_byte () =
+  with_temp_dir "dpc-chan-trailing" (fun dir ->
+      let addr_of node = Printf.sprintf "unix:%s/n%d.sock" dir node in
+      let fresh = Socket.create ~nodes:3 ~local:0 ~addr_of () in
+      Fun.protect
+        ~finally:(fun () -> Socket.close fresh)
+        (fun () ->
+          let before = Socket.snapshot_channels fresh in
+          check_trailing_byte "chan.bin" (Socket.restore_channels fresh)
+            (read_file (fixture "chan.bin"));
+          check Alcotest.string "nothing applied" before (Socket.snapshot_channels fresh)))
+
 (* ------------------------------------------------------------------ *)
 (* Durable disk recovery, in-process: the same forwarding scenario the
    dpcd oracle runs, on a direct transport with the log mirrored to
@@ -984,6 +997,8 @@ let () =
           Alcotest.test_case "dpc-cut-v1 delta cut" `Quick test_cut_fixture;
           Alcotest.test_case "manifest and cut, trailing byte rejected" `Quick
             test_manifest_cut_trailing_byte;
+          Alcotest.test_case "dpc-chan-v1, trailing byte rejected" `Quick
+            test_chan_trailing_byte;
         ] );
       ( "disk recovery",
         [

@@ -280,15 +280,7 @@ let test_pagination_properties () =
               if not (trees_equal pool (paginate_all ~limit pool)) then
                 Alcotest.failf "seed %d, %s, limit %d: concatenated pages <> full forest" seed
                   (Backend.scheme_name scheme) limit)
-            [ 1; 2; 3 ];
-          (* Top-k is a prefix of the canonical order. *)
-          List.iteri
-            (fun k _ ->
-              let prefix = Query_result.top_k k pool in
-              if not (trees_equal prefix (List.filteri (fun i _ -> i < k) pool)) then
-                Alcotest.failf "seed %d, %s: top_%d is not a prefix" seed
-                  (Backend.scheme_name scheme) k)
-            pool)
+            [ 1; 2; 3 ])
         [ Backend.S_exspan; Backend.S_advanced ])
     [ 1; 2; 3; 4; 5 ];
   (* The property is vacuous on single-tree pools. *)
@@ -315,9 +307,7 @@ let test_pagination_errors () =
     (Invalid_argument "Query_result.paginate: malformed cursor") (fun () ->
       ignore
         (Backend.query_page backend ~cost:Query_cost.free ~routing ~cursor:"bogus" ~limit:1
-           (recv "a")));
-  Alcotest.check_raises "negative top_k" (Invalid_argument "Query_result.top_k: negative k")
-    (fun () -> ignore (Query_result.top_k (-1) pool))
+           (recv "a")))
 
 (* Cursors survive a restart: re-issuing a pre-checkpoint cursor against
    the restored store resumes at exactly the same position. *)

@@ -51,12 +51,11 @@ let test_run_until_boundary () =
 (* Losslessness under reordering: packets racing each other through the
    network must not corrupt any scheme's provenance. The fault wrapper
    holds every transmission back by up to 50 ms, hashed per channel, so
-   the packets overtake each other. The first packet, which materializes
-   the equivalence class, reaches the output before the others start:
-   Advanced orphans a follower that overtakes it, which only per-channel
-   FIFO ([Reliable]) rules out. *)
+   the packets overtake each other. *)
 
-let jittery_world scheme =
+(* The 4-node line 0-1-2-3 under those delays, with the routes from 0 to
+   3 loaded, recording through [hook]. *)
+let line_world ?reliable ?nodes hook =
   let topo = Dpc_net.Topology.create ~n:4 in
   List.iter
     (fun (a, b) -> Dpc_net.Topology.add_link topo a b line_link)
@@ -71,11 +70,9 @@ let jittery_world scheme =
            ~seed:11 ~nodes:4)
       (Dpc_net.Transport.of_sim sim)
   in
-  let delp = Dpc_apps.Forwarding.delp () in
-  let backend = Backend.make scheme ~delp ~env:Dpc_apps.Forwarding.env ~nodes:4 in
   let runtime =
-    Dpc_engine.Runtime.create ~transport ~delp ~env:Dpc_apps.Forwarding.env
-      ~hook:(Backend.hook backend) ()
+    Dpc_engine.Runtime.create ~transport ?reliable ~delp:(Dpc_apps.Forwarding.delp ())
+      ~env:Dpc_apps.Forwarding.env ~hook ?nodes ()
   in
   Dpc_engine.Runtime.load_slow runtime
     [
@@ -83,14 +80,26 @@ let jittery_world scheme =
       Dpc_apps.Forwarding.route ~at:1 ~dst:3 ~next:2;
       Dpc_apps.Forwarding.route ~at:2 ~dst:3 ~next:3;
     ];
-  let inject i =
-    Dpc_engine.Runtime.inject runtime
-      (Dpc_apps.Forwarding.packet ~src:0 ~dst:3 ~payload:(Printf.sprintf "p%d" i))
-  in
-  inject 1;
+  (runtime, routing)
+
+let inject runtime i =
+  Dpc_engine.Runtime.inject runtime
+    (Dpc_apps.Forwarding.packet ~src:0 ~dst:3 ~payload:(Printf.sprintf "p%d" i))
+
+let output i = Dpc_apps.Forwarding.recv ~at:3 ~src:0 ~dst:3 ~payload:(Printf.sprintf "p%d" i)
+let trees_t = Alcotest.list (Alcotest.testable Prov_tree.pp Prov_tree.equal)
+
+(* The first packet, which materializes the equivalence class, reaches
+   the output before the others start: Advanced orphans a follower that
+   overtakes it, which only per-channel FIFO ([Reliable]) rules out. *)
+let jittery_world scheme =
+  let delp = Dpc_apps.Forwarding.delp () in
+  let backend = Backend.make scheme ~delp ~env:Dpc_apps.Forwarding.env ~nodes:4 in
+  let runtime, routing = line_world (Backend.hook backend) in
+  inject runtime 1;
   Dpc_engine.Runtime.run runtime;
   for i = 2 to 25 do
-    inject i
+    inject runtime i
   done;
   Dpc_engine.Runtime.run runtime;
   (backend, routing, runtime)
@@ -110,17 +119,58 @@ let test_losslessness_under_jitter () =
         25
         (Dpc_engine.Runtime.stats runtime).outputs;
       for i = 1 to 25 do
-        let out =
-          Dpc_apps.Forwarding.recv ~at:3 ~src:0 ~dst:3 ~payload:(Printf.sprintf "p%d" i)
-        in
-        let expected = (Backend.query reference ~cost:Query_cost.free ~routing out).trees in
-        let got = (Backend.query backend ~cost:Query_cost.free ~routing out).trees in
-        check
-          (Alcotest.list (Alcotest.testable Prov_tree.pp Prov_tree.equal))
-          (Printf.sprintf "%s: packet %d" (Backend.scheme_name scheme) i)
-          expected got
+        let expected = (Backend.query reference ~cost:Query_cost.free ~routing (output i)).trees in
+        let got = (Backend.query backend ~cost:Query_cost.free ~routing (output i)).trees in
+        check trees_t (Printf.sprintf "%s: packet %d" (Backend.scheme_name scheme) i) expected got
       done)
     [ Backend.S_basic; Backend.S_advanced; Backend.S_advanced_interclass ]
+
+(* All 25 packets injected together, so the first to reach the output
+   need not be p1, whose firings materialized the class at the ingress.
+   The delay-only wrapper delivers every message exactly once, yet a
+   packet that overtakes p1 finds no [hmap] entry at the output:
+   Advanced counts it as an orphan and keeps no tree for it. Under
+   [Reliable], which delivers each channel in send order, p1 arrives
+   first and every tree equals ExSPAN's. Exactly-once delivery alone is
+   not enough; Advanced needs per-channel FIFO. *)
+let test_advanced_without_fifo () =
+  let race ?reliable () =
+    let delp = Dpc_apps.Forwarding.delp () in
+    let keys = Dpc_analysis.Equi_keys.compute delp in
+    let advanced = Store_advanced.create ~delp ~env:Dpc_apps.Forwarding.env ~keys ~nodes:4 () in
+    let (Store_kit.Store s) = Store_advanced.store advanced in
+    let runtime, routing = line_world ?reliable ~nodes:(Store_kit.nodes s.kit) s.hook in
+    let reference = Backend.make Backend.S_exspan ~delp ~env:Dpc_apps.Forwarding.env ~nodes:4 in
+    let reference_runtime, _ = line_world ?reliable (Backend.hook reference) in
+    for i = 1 to 25 do
+      inject runtime i;
+      inject reference_runtime i
+    done;
+    Dpc_engine.Runtime.run runtime;
+    Dpc_engine.Runtime.run reference_runtime;
+    let trees i =
+      (Store_kit.query s.kit ~walk:s.walk ~cost:Query_cost.free ~routing (output i)).trees
+    in
+    let expected i = (Backend.query reference ~cost:Query_cost.free ~routing (output i)).trees in
+    (* Packet numbers in arrival order at the output. *)
+    let number (out, _) =
+      Scanf.sscanf (Dpc_ndlog.Value.str_exn (Dpc_ndlog.Tuple.arg out 3)) "p%d" Fun.id
+    in
+    let arrivals = List.map number (Dpc_engine.Runtime.outputs runtime) in
+    check Alcotest.int "all delivered" 25 (List.length arrivals);
+    let rec before_p1 = function 1 :: _ | [] -> [] | i :: rest -> i :: before_p1 rest in
+    (Store_advanced.orphan_outputs advanced, before_p1 arrivals, trees, expected)
+  in
+  let orphans, overtook, trees, _ = race () in
+  check Alcotest.bool "a packet overtakes p1" true (overtook <> []);
+  check Alcotest.int "each one an orphan" (List.length overtook) orphans;
+  List.iter (fun i -> check trees_t (Printf.sprintf "p%d keeps no tree" i) [] (trees i)) overtook;
+  let orphans, overtook, trees, expected = race ~reliable:Dpc_net.Reliable.default_config () in
+  check (Alcotest.list Alcotest.int) "under Reliable nothing overtakes p1" [] overtook;
+  check Alcotest.int "no orphans" 0 orphans;
+  for i = 1 to 25 do
+    check trees_t (Printf.sprintf "p%d equals ExSPAN" i) (expected i) (trees i)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation *)
@@ -333,7 +383,11 @@ let () =
           Alcotest.test_case "run ~until boundary" `Quick test_run_until_boundary;
         ] );
       ( "losslessness under reordering",
-        [ Alcotest.test_case "all schemes" `Quick test_losslessness_under_jitter ] );
+        [
+          Alcotest.test_case "all schemes" `Quick test_losslessness_under_jitter;
+          Alcotest.test_case "Advanced needs FIFO, not only exactly-once" `Quick
+            test_advanced_without_fifo;
+        ] );
       ( "graceful degradation",
         [
           Alcotest.test_case "wrong program" `Quick test_query_with_wrong_program_is_empty;

@@ -483,9 +483,7 @@ let test_metrics_concurrent () =
       Dpc_util.Metrics.incr shared "hits";
       Dpc_util.Metrics.add shared (if i mod 2 = 0 then "even" else "odd") 2;
       Dpc_util.Metrics.incr locals.(w) "hits";
-      Dpc_util.Metrics.add locals.(w) (if i mod 2 = 0 then "even" else "odd") 2;
-      Dpc_util.Metrics.observe shared "lat" (float_of_int (i land 7));
-      Dpc_util.Metrics.observe locals.(w) "lat" (float_of_int (i land 7))
+      Dpc_util.Metrics.add locals.(w) (if i mod 2 = 0 then "even" else "odd") 2
     done
   in
   let domains = Array.init writers (fun w -> Domain.spawn (work w)) in

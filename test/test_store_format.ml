@@ -522,6 +522,30 @@ let test_corrupt_headers () =
        Dpc_ndlog.Tuple.serialize w (tag ~at:2 "x");
        write_string w (String.make 19 'e')))
 
+(* Each decoder reads its blob to the end: a fixture followed by one junk
+   byte raises [Corrupt]. The channel decoder finds the junk before it
+   applies anything. *)
+let test_trailing_byte () =
+  let rejects name decode =
+    match decode (read_fixture name ^ "\x00") with
+    | () -> Alcotest.failf "%s with a trailing byte decoded" name
+    | exception Dpc_util.Serialize.Corrupt _ -> ()
+  in
+  List.iter
+    (fun (scheme, label) ->
+      let store, _, _ = file_names label in
+      rejects store (decode scheme `Store))
+    schemes;
+  rejects db_node_fixture (Dpc_engine.Db.load (Dpc_engine.Db.create ()));
+  rejects db_delta_fixture (fun blob ->
+    let db = Dpc_engine.Db.create () in
+    Dpc_engine.Db.load db (read_fixture db_node_fixture);
+    Dpc_engine.Db.apply_delta db blob);
+  let rel = Dpc_net.Reliable.wrap (Dpc_net.Transport.direct ~nodes:3 ()) in
+  let before = Dpc_net.Reliable.snapshot rel ~node:1 in
+  rejects channels_fixture (Dpc_net.Reliable.restore rel ~node:1);
+  Alcotest.check Alcotest.string "nothing applied" before (Dpc_net.Reliable.snapshot rel ~node:1)
+
 (* ------------------------------------------------------------------ *)
 (* In-place digests: [Backend.digest_node] and [Db.digest] hash the bytes
    the node blob and [Db.canonical] writers leave in the scratch arena,
@@ -638,6 +662,7 @@ let () =
       ( "decoders",
         [
           Alcotest.test_case "corrupt headers" `Quick test_corrupt_headers;
+          Alcotest.test_case "trailing byte rejected" `Quick test_trailing_byte;
           QCheck_alcotest.to_alcotest prop_decoders_raise_only_corrupt;
         ] );
     ]

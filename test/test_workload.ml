@@ -290,19 +290,6 @@ let test_measure_per_node_rates () =
   check Alcotest.bool "some node stores provenance" true (List.exists (fun r -> r > 0.0) rates);
   check Alcotest.bool "no negative rates" true (List.for_all (fun r -> r >= 0.0) rates)
 
-let test_measure_bandwidth_series () =
-  let ts, routing, rng = transit_stub_world () in
-  let pairs = Pairs.select ~rng ~eligible:ts.stub_nodes ~count:3 in
-  let d =
-    Forwarding_driver.setup ~scheme:Dpc_core.Backend.S_basic ~topology:ts.topology ~routing
-      ~pairs ~bucket_width:1.0 ()
-  in
-  ignore (Forwarding_driver.inject_stream d ~rate_per_pair:10.0 ~duration:3.0 ~payload_size:64);
-  Forwarding_driver.run d;
-  let series = Measure.bandwidth_series (Forwarding_driver.sim_exn d) in
-  check Alcotest.bool "non-empty" true (series <> []);
-  List.iter (fun (_, bps) -> if bps <= 0.0 then Alcotest.fail "empty bucket reported") series
-
 let () =
   Alcotest.run "dpc_workload"
     [
@@ -337,6 +324,5 @@ let () =
         [
           Alcotest.test_case "snapshots" `Quick test_measure_snapshots;
           Alcotest.test_case "per-node rates" `Quick test_measure_per_node_rates;
-          Alcotest.test_case "bandwidth series" `Quick test_measure_bandwidth_series;
         ] );
     ]

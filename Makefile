@@ -56,10 +56,12 @@ queries:
 
 # Real processes: one dpcd daemon per node, Unix-socket transport, WAL +
 # checkpoints + durable outbox on disk. The launcher kill -9s node 1
-# mid-run, recovers it from its data directory, and requires every
-# node's digests to equal the in-process simulator's — all four schemes.
-# mid-partition crash of node 1 (Block/Unblock over the control plane).
-# `make procs` also reruns the sweep with wire chaos on.
+# mid-run, recovers it from its data directory, crashes it again
+# mid-partition (Block/Unblock over the control plane), and requires
+# every node's digests to equal the in-process simulator's — all four
+# schemes. `make procs` also reruns the sweep with wire chaos on. Each
+# run works in a fresh /tmp/dpc-procs-* directory, removed when every
+# scheme passes and kept, with its path printed, on a failure.
 procs:
 	dune exec bin/dpcd.exe -- cluster
 	dune exec bin/dpcd.exe -- cluster --chaos

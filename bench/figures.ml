@@ -102,21 +102,11 @@ let dns_run cfg ~scheme ~urls ~rate ~duration ?total ?snapshots_every
   (t, injected, series)
 
 (* Fig 1's forwarding program on [transport] with [routes] loaded: the
-   world of fig11's no-provenance baseline and of ablations A2-A4. *)
-let forwarding_world ~transport ~delp ?(env = Forwarding.env) ?nodes ~hook routes =
-  let rt = Runtime.create ~transport ~delp ~env ~hook ?nodes () in
+   world of fig11's no-provenance baseline and of ablation A4. *)
+let forwarding_world ~transport ~delp ~hook routes =
+  let rt = Runtime.create ~transport ~delp ~env:Forwarding.env ~hook () in
   Runtime.load_slow rt routes;
   rt
-
-(* [per_pair] packets from every pair, 0.1 s apart (ablations A2, A3). *)
-let inject_pairs rt pairs ~per_pair =
-  List.iteri
-    (fun i (src, dst) ->
-      for seq = 0 to per_pair - 1 do
-        Runtime.inject rt ~delay:(float_of_int seq *. 0.1)
-          (Forwarding.packet ~src ~dst ~payload:(Printf.sprintf "p%d-%d" i seq))
-      done)
-    pairs
 
 (* Fig 2's three-node world: 0 - 1 - 2 over 1 ms links, the forwarding
    program under [scheme] and the two routes that carry 0's packets to
@@ -578,99 +568,6 @@ let ablation_interclass cfg ctx =
   shape_check ctx "ablation-interclass" (inter_bytes < plain_bytes)
     (Printf.sprintf "inter-class saves %.1f%% on crossing DNS traffic"
        (100.0 *. (1.0 -. (float_of_int inter_bytes /. float_of_int plain_bytes))))
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: cross-program compression (§8 future work). *)
-
-let ablation_cross_program cfg ctx =
-  (* Packet forwarding and the mirroring protocol share Fig 1's forwarding
-     rule; both observe the same packet stream over the same routes. *)
-  let ts, routing, rng = transit_stub cfg in
-  let pairs = Pairs.select ~rng ~eligible:ts.stub_nodes ~count:20 in
-  let fwd_delp = Forwarding.delp () in
-  let mirror_delp = Mirror.delp () in
-  let routes = Forwarding.routes_for_pairs routing pairs in
-  let world transport delp ~hook ~nodes =
-    forwarding_world ~transport ~delp ~env:Env.empty ~hook ~nodes routes
-  in
-  (* Shared store hosting both programs. *)
-  let transport = sim_transport ts routing in
-  let store = Store_multi.create ~nodes:100 in
-  let fwd = Store_multi.add_program store ~id:"forwarding" ~delp:fwd_delp ~env:Env.empty in
-  let mirror = Store_multi.add_program store ~id:"mirror" ~delp:mirror_delp ~env:Env.empty in
-  let nodes = Store_multi.nodes store in
-  let fwd_rt = world transport fwd_delp ~hook:(Store_multi.hook fwd) ~nodes in
-  let mirror_rt = world transport mirror_delp ~hook:(Store_multi.hook mirror) ~nodes in
-  inject_pairs fwd_rt pairs ~per_pair:50;
-  inject_pairs mirror_rt pairs ~per_pair:50;
-  Transport.run transport;
-  let shared_bytes = Rows.provenance_bytes (Store_multi.total_storage store) in
-  (* The same workload in two isolated Advanced+interclass stores. *)
-  let isolated delp =
-    let backend = Backend.make Backend.S_advanced_interclass ~delp ~env:Env.empty ~nodes:100 in
-    let rt =
-      world (sim_transport ts routing) delp ~hook:(Backend.hook backend) ~nodes:(Backend.nodes backend)
-    in
-    inject_pairs rt pairs ~per_pair:50;
-    Runtime.run rt;
-    Rows.provenance_bytes (Backend.total_storage backend)
-  in
-  let separate_bytes = isolated fwd_delp + isolated mirror_delp in
-  Table_fmt.print
-    ~header:[ "deployment"; "prov+ruleExec bytes" ]
-    ~rows:
-      [
-        [ "two isolated Advanced+interclass stores"; Table_fmt.human_bytes separate_bytes ];
-        [ "one shared cross-program store"; Table_fmt.human_bytes shared_bytes ];
-      ];
-  shape_check ctx "ablation-cross-program" (shared_bytes < separate_bytes)
-    (Printf.sprintf "sharing the forwarding rule saves %.1f%%"
-       (100.0 *. (1.0 -. (float_of_int shared_bytes /. float_of_int separate_bytes))))
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: reactive maintenance by replay (§3.2 / DTaP), the storage vs
-   query-latency trade. *)
-
-let ablation_replay cfg _ctx =
-  let ts, routing, rng = transit_stub cfg in
-  let pairs = Pairs.select ~rng ~eligible:ts.stub_nodes ~count:10 in
-  let delp = Forwarding.delp () in
-  let routes = Forwarding.routes_for_pairs routing pairs in
-  (* One run per scheme; replay rides along with the Advanced run. *)
-  let replay = Replay.create ~delp ~env:Forwarding.env ~nodes:100 in
-  let row scheme =
-    let with_replay = scheme = Backend.S_advanced in
-    let backend = Backend.make scheme ~delp ~env:Forwarding.env ~nodes:100 in
-    let hook =
-      if with_replay then Replay.combine (Backend.hook backend) (Replay.hook replay)
-      else Backend.hook backend
-    in
-    let rt =
-      forwarding_world ~transport:(sim_transport ts routing) ~delp ~hook
-        ~nodes:(Backend.nodes backend) routes
-    in
-    if with_replay then Replay.record_initial_slow replay routes;
-    inject_pairs rt pairs ~per_pair:20;
-    Runtime.run rt;
-    let outputs = Array.of_list (List.map fst (Runtime.outputs rt)) in
-    let mean_ms n query =
-      let g = Rng.create ~seed:7 in
-      let ls = List.init n (fun _ -> (query (Rng.pick g outputs)).Query_result.latency *. 1000.0) in
-      Printf.sprintf "%.1f" (Stats.mean ls)
-    in
-    let latency = mean_ms 10 (Backend.query backend ~cost:Query_cost.emulation ~routing) in
-    let stored = Table_fmt.human_bytes (Rows.provenance_bytes (Backend.total_storage backend)) in
-    [ label scheme; stored; latency ]
-    ::
-    (if not with_replay then []
-     else
-       let latency = mean_ms 3 (Replay.replay_and_query replay ~topology:ts.topology) in
-       [ [ "Replay log (§3.2)"; Table_fmt.human_bytes (Replay.storage_bytes replay); latency ] ])
-  in
-  Table_fmt.print ~header:[ "strategy"; "storage"; "mean query latency (ms)" ]
-    ~rows:(List.concat_map row schemes);
-  print_endline
-    "(the log stores only input events; queries pay a full re-execution on top of the lookup)"
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: runtime computation overhead of provenance maintenance (the
@@ -1265,11 +1162,6 @@ let all =
     fig "fig16" "16: DNS provenance storage growth over time" fig16;
     fig "ablation_interclass" "A1 (ablation): Inter-equivalence-class compression (§5.4)"
       ablation_interclass;
-    fig "ablation_cross_program" "A2 (ablation): Cross-program compression (§8 future work)"
-      ablation_cross_program;
-    fig "ablation_replay"
-      "A3 (ablation): Reactive maintenance by replay (§3.2): storage vs query latency"
-      ablation_replay;
     fig "ablation_overhead" "A4 (ablation): Runtime overhead of provenance maintenance"
       ablation_overhead
       ~wall:

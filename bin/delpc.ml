@@ -21,8 +21,6 @@ let builtins =
   [
     ("forwarding", Dpc_apps.Forwarding.source);
     ("dns", Dpc_apps.Dns.source);
-    ("dhcp", Dpc_apps.Dhcp.source);
-    ("arp", Dpc_apps.Arp.source);
   ]
 
 let load ~builtin ~file =
@@ -56,7 +54,7 @@ let builtin_arg =
     value
     & opt (some string) None
     & info [ "builtin" ] ~docv:"NAME"
-        ~doc:"Use a built-in program (forwarding, dns, dhcp, arp) instead of a file.")
+        ~doc:"Use a built-in program (forwarding or dns) instead of a file.")
 
 let check builtin file =
   let name, src = or_die (load ~builtin ~file) in

@@ -89,15 +89,20 @@ let serve_cmd =
 
 (* ---- cluster --------------------------------------------------------- *)
 
+(* Remove [path] and everything under it. *)
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 let cluster schemes dir chaos soak rounds per_round =
   let schemes =
     match schemes with [] -> Dpc_core.Backend.all_schemes | chosen -> chosen
   in
-  let dir =
-    match dir with
-    | Some d -> d
-    | None -> Filename.temp_dir "dpc-procs-" ""
-  in
+  let made = Option.is_none dir in
+  let dir = match dir with Some d -> d | None -> Filename.temp_dir "dpc-procs-" "" in
   let chaos = if chaos then Some (chaos_widths, 7) else None in
   Printf.printf "dpcd cluster%s%s: %d node(s) per scheme, state under %s\n%!"
     (if Option.is_some chaos then " [chaos]" else "")
@@ -108,7 +113,16 @@ let cluster schemes dir chaos soak rounds per_round =
       Dpc_proc.Cluster.run_soak_all ?chaos ~exe:Sys.executable_name ~dir ~rounds ~per_round schemes
     else Dpc_proc.Cluster.run_all ?chaos ~exe:Sys.executable_name ~dir schemes
   in
-  if ok then `Ok () else `Error (false, "real-process digests diverged from the simulator")
+  (* A directory this command made goes once every scheme passed, and
+     stays for inspection otherwise. *)
+  if ok then begin
+    if made then remove_tree dir;
+    `Ok ()
+  end
+  else begin
+    if made then Printf.eprintf "dpcd cluster: keeping %s for inspection\n%!" dir;
+    `Error (false, "real-process digests diverged from the simulator")
+  end
 
 let cluster_cmd =
   let schemes =
@@ -119,7 +133,8 @@ let cluster_cmd =
       value
       & opt (some string) None
       & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Working directory (default: a fresh temp dir). Keep short: Unix socket paths live \
+          ~doc:"Working directory, kept afterwards. By default a fresh temp dir, removed once \
+                every scheme passes and kept on a failure. Keep it short: Unix socket paths live \
                 inside it.")
   in
   let chaos =

@@ -153,3 +153,8 @@ let pp fmt g =
     (fun (a, b) -> Format.fprintf fmt "@,  %s -- %s" (attr_to_string a) (attr_to_string b))
     (edges g);
   Format.fprintf fmt "@]"
+
+module For_testing = struct
+  let neighbors = neighbors
+  let reachable = reachable
+end

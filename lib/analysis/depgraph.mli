@@ -31,17 +31,19 @@ val build : Dpc_ndlog.Delp.t -> t
 val vertices : t -> attr list
 (** Sorted, deduplicated. *)
 
-val neighbors : t -> attr -> attr list
-(** Sorted; empty for unknown vertices. *)
-
 val edges : t -> (attr * attr) list
 (** Each undirected edge once, with endpoints ordered. *)
 
 val is_anchor : t -> attr -> bool
 
-val reachable : t -> attr -> attr -> bool
-(** Undirected reachability (a vertex reaches itself). *)
-
 val reaches_anchor : t -> attr -> bool
 
 val pp : Format.formatter -> t -> unit
+
+module For_testing : sig
+  val neighbors : t -> attr -> attr list
+  (** Sorted; empty for unknown vertices. *)
+
+  val reachable : t -> attr -> attr -> bool
+  (** Undirected reachability (a vertex reaches itself). *)
+end

@@ -48,3 +48,9 @@ let pp fmt t =
   Format.fprintf fmt "equivalence keys of %s: {%s}" t.delp.input_event
     (String.concat ", "
        (List.map (fun i -> Printf.sprintf "%s:%d" t.delp.input_event i) t.keys))
+
+module For_testing = struct
+  let keys = keys
+  let key_values = key_values
+  let equivalent = equivalent
+end

@@ -45,5 +45,6 @@ let name_server ~at ~domain ~server =
 let address_record ~at ~url ~ip =
   Tuple.make "addressRecord" [ Value.Addr at; Value.Str url; Value.Str ip ]
 
-let reply ~host ~url ~ip ~rqid =
-  Tuple.make "reply" [ Value.Addr host; Value.Str url; Value.Str ip; Value.Int rqid ]
+module For_testing = struct
+  let is_sub_domain = is_sub_domain
+end

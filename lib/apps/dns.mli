@@ -13,11 +13,6 @@ val env : Dpc_engine.Env.t
     form ({!Dpc_engine.Env.register2}), so a compiled rule calls it without
     an argument list. Its type error names the two values it got. *)
 
-val is_sub_domain : string -> string -> bool
-(** [is_sub_domain dm url]: whether [url] falls under domain [dm] at a
-    label boundary ("hello.com" covers "www.hello.com" and "hello.com" but
-    not "shello.com"); every URL falls under the root domain [""] . *)
-
 val url : host:int -> url:string -> rqid:int -> Dpc_ndlog.Tuple.t
 (** The input event [url(@host, url, rqid)]. *)
 
@@ -25,5 +20,9 @@ val root_server : host:int -> root:int -> Dpc_ndlog.Tuple.t
 val name_server : at:int -> domain:string -> server:int -> Dpc_ndlog.Tuple.t
 val address_record : at:int -> url:string -> ip:string -> Dpc_ndlog.Tuple.t
 
-val reply : host:int -> url:string -> ip:string -> rqid:int -> Dpc_ndlog.Tuple.t
-(** The output tuple. *)
+module For_testing : sig
+  val is_sub_domain : string -> string -> bool
+  (** [is_sub_domain dm url]: whether [url] falls under domain [dm] at a
+      label boundary ("hello.com" covers "www.hello.com" and "hello.com" but
+      not "shello.com"); every URL falls under the root domain [""] . *)
+end

@@ -2,9 +2,9 @@
 
     §3.2 of the paper notes that slow-changing tuples such as [route] are
     themselves derived by another application, and that a user who wants a
-    route's provenance should declare [route] a relation of interest *in
-    that application* and query it separately. This app is that other
-    application: advertisements flood outward from a destination,
+    route's provenance should query it *in that application*, where it is
+    an output. This app is that other application: its [routeCand] tuples
+    are its outputs. Advertisements flood outward from a destination,
     accumulating path cost, and every node within the TTL records a route
     candidate — whose provenance explains exactly which links produced it.
 

@@ -30,7 +30,6 @@ let restore scheme ~delp ~env blob =
       Store_advanced.restore ~delp ~env ~keys:(Dpc_analysis.Equi_keys.compute delp) blob
 
 let nodes (Store s) = Store_kit.nodes s.kit
-let name (Store s) = s.name
 let hook (Store s) = s.hook
 let set_degraded_sink (Store s) f = Store_kit.set_degraded_sink s.kit f
 let node_storage (Store s) node = Store_kit.node_storage s.kit node
@@ -38,10 +37,6 @@ let total_storage (Store s) = Store_kit.total_storage s.kit
 
 let query (Store s) ~cost ~routing ?evid ?up output =
   Store_kit.query s.kit ~walk:s.walk ~cost ~routing ?evid ?up output
-
-let query_page t ~cost ~routing ?evid ?up ?cursor ~limit output =
-  let r = query t ~cost ~routing ?evid ?up output in
-  (r, Query_result.paginate ?cursor ~limit r.Query_result.trees)
 
 let set_query_cache (Store s) cache = Store_kit.set_query_cache s.kit cache
 let query_cache (Store s) = Store_kit.query_cache s.kit
@@ -62,3 +57,7 @@ let restore_node (Store s) node blob = Store_kit.restore_node s.kit node blob
 let set_dirty_tracking (Store s) on = Store_kit.set_track_dirty s.kit on
 let checkpoint_delta (Store s) node = Store_kit.checkpoint_delta s.kit node
 let apply_delta (Store s) node blob = Store_kit.apply_delta s.kit node blob
+
+module For_testing = struct
+  let restore = restore
+end

@@ -20,8 +20,6 @@ val make :
 (** Builds the store; for the Advanced schemes this runs the static
     analysis ({!Dpc_analysis.Equi_keys.compute}) first. *)
 
-val name : t -> string
-
 val nodes : t -> Dpc_engine.Node.t array
 (** The store's cluster; pass to [Runtime.create ~nodes] so the runtime
     and the store share per-node state and metrics. *)
@@ -51,21 +49,6 @@ val query :
     from {!Query_cost} and returns a result marked
     [Query_result.complete = false] instead of hanging or raising. *)
 
-val query_page :
-  t ->
-  cost:Query_cost.t ->
-  routing:Dpc_net.Routing.t ->
-  ?evid:Dpc_util.Sha1.t ->
-  ?up:(int -> bool) ->
-  ?cursor:string ->
-  limit:int ->
-  Dpc_ndlog.Tuple.t ->
-  Query_result.t * Query_result.page
-(** {!query}, then one bounded page of the canonical tree order (see
-    {!Query_result.paginate}). The full result is returned alongside so
-    callers still see latency/completeness accounting.
-    @raise Invalid_argument on a bad [limit] or [cursor]. *)
-
 (** {2 Query serving tier: memoization}
 
     One {!Query_cache.t} is shared by every node of the backend. Attach
@@ -83,13 +66,6 @@ val dump : t -> (string * string list * string list list) list
 
 val checkpoint : t -> string
 (** Serialize the store to bytes (scheme-tagged). *)
-
-val restore :
-  scheme -> delp:Dpc_ndlog.Delp.t -> env:Dpc_engine.Env.t -> string -> t
-(** Rebuild a store from {!checkpoint} output. The scheme must match the
-    one the checkpoint was taken from.
-    @raise Dpc_util.Serialize.Corrupt on malformed or mismatched input,
-    or trailing bytes. *)
 
 val checkpoint_node : t -> int -> string
 (** Serialize one node's tables for its durable checkpoint (used by
@@ -124,3 +100,12 @@ val apply_delta : t -> int -> string -> unit
     state; apply a base {!restore_node} first, then each delta oldest
     to newest. @raise Dpc_util.Serialize.Corrupt on malformed or
     mismatched input. *)
+
+module For_testing : sig
+  val restore :
+    scheme -> delp:Dpc_ndlog.Delp.t -> env:Dpc_engine.Env.t -> string -> t
+  (** Rebuild a store from {!checkpoint} output. The scheme must match the
+      one the checkpoint was taken from.
+      @raise Dpc_util.Serialize.Corrupt on malformed or mismatched input,
+      or trailing bytes. *)
+end

@@ -211,6 +211,12 @@ module Outbox = struct
     t
 
   let close t = try Unix.close t.fd with _ -> ()
+
+  module For_testing = struct
+    let open_ = open_
+    let acked = acked
+    let close = close
+  end
 end
 
 (* What a node needs to come back: the store tables, the slow-table
@@ -856,7 +862,7 @@ let node_stats t node =
   }
 
 let schedule_crash t ~node ~at ~downtime =
-  if downtime <= 0.0 then invalid_arg "Durable.schedule_crash: downtime must be positive";
+  if downtime <= 0.0 then invalid_arg "Durable.schedule: downtime must be positive";
   let tr = Runtime.transport t.runtime in
   let delay_to at = Float.max 0.0 (at -. Transport.now tr) in
   (* On the node's own shard: crash wipes and restart rebuilds state that
@@ -905,3 +911,14 @@ let random_schedule ~seed ~nodes ~count ~horizon ~min_down ~max_down =
 
 let schedule t schedule_list =
   List.iter (fun (node, at, downtime) -> schedule_crash t ~node ~at ~downtime) schedule_list
+
+module For_testing = struct
+  let encode_manifest = encode_manifest
+  let decode_manifest = decode_manifest
+  let encode_cut = encode_cut
+  let decode_cut = decode_cut
+  let wal = wal
+  let crash = crash
+  let restart = restart
+  let prune_overlaps = prune_overlaps
+end

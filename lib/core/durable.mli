@@ -48,12 +48,6 @@ type t
 module Outbox : sig
   type t
 
-  val open_ : dir:string -> t
-  (** Load (or create) [dir]/outbox.log. A ledger with a torn tail is
-      rewritten, as {!compact} does, from its valid prefix, so the
-      records appended after it survive the next load.
-      @raise Dpc_util.Serialize.Corrupt on an unreadable header. *)
-
   val record_send : t -> dst:int -> seq:int -> string -> unit
   (** Append one send, write-through. Call BEFORE first transmission. *)
 
@@ -69,14 +63,23 @@ module Outbox : sig
   (** 1 + the highest sequence ever recorded toward [dst] — the durable
       channel cursor a restarted sender resumes from. *)
 
-  val acked : t -> dst:int -> int
-
   val compact : t -> unit
   (** Atomically rewrite the ledger as per-channel [Mark] summaries plus
       the pending payloads, dropping acked ones. *)
 
   val size_bytes : t -> int
-  val close : t -> unit
+
+  module For_testing : sig
+    val open_ : dir:string -> t
+    (** Load (or create) [dir]/outbox.log, as {!attach}'s disk mode
+        does. A ledger with a torn tail is rewritten, as {!compact} does,
+        from its valid prefix, so the records appended after it survive
+        the next load.
+        @raise Dpc_util.Serialize.Corrupt on an unreadable header. *)
+
+    val acked : t -> dst:int -> int
+    val close : t -> unit
+  end
 end
 
 val attach :
@@ -120,23 +123,10 @@ val attach :
     {!attach}'s disk mode writes, for the format fixtures. The decoders
     raise {!Dpc_util.Serialize.Corrupt} on bytes no encoder wrote. *)
 
-val encode_manifest : epoch:int -> base:int -> deltas:int list -> string
-(** A node's cut chain: recovery reads cut [base], then the delta cuts
-    [deltas] in order, then [wal-<epoch>.log]. *)
-
-val decode_manifest : string -> int * int * int list
-(** [(epoch, base, deltas)]. @raise Dpc_util.Serialize.Corrupt on a
-    malformed manifest, bytes after it included. *)
-
 type checkpoint = { store : string; db : string; channels : string option }
 (** One cut's contents: the store blob (a full checkpoint or a delta),
     the {!Dpc_engine.Db} snapshot or delta, and the channel-sequence
     blob, if the runtime had one. *)
-
-val encode_cut : is_delta:bool -> checkpoint -> string
-val decode_cut : string -> bool * checkpoint
-(** [(is_delta, contents)]. @raise Dpc_util.Serialize.Corrupt on a
-    malformed cut, bytes after it included. *)
 
 val recovered : t -> int -> bool
 (** Whether attach found existing on-disk state for the node. *)
@@ -146,9 +136,9 @@ val recover : t -> int -> unit
     newest cut chain, replay the wal tail through
     {!Dpc_engine.Runtime.replay}, then apply the wal's channel entries
     through {!set_channel_state}'s record. The real-process counterpart
-    of {!restart} — the process died instead of the simulated node, so
-    there is no wire to reconnect; the caller re-offers the outbox tail
-    itself. Adds to [crash.recovery_ms]. *)
+    of {!For_testing.restart} — the process died instead of the simulated
+    node, so there is no wire to reconnect; the caller re-offers the
+    outbox tail itself. Adds to [crash.recovery_ms]. *)
 
 val set_channel_state :
   t ->
@@ -159,9 +149,9 @@ val set_channel_state :
   unit
 (** Where a node's channel sequence state lives when the reliable layer
     is below the runtime's transport (a socket backend). [snapshot] is
-    called at each cut; {!recover}/{!restart} hands [restore] the newest
-    cut's blob, replays the wal, then hands [next_seq] and [expected]
-    the wal's [Next_seq] and [Expected] entries, in the host's own
+    called at each cut; {!recover}/{!For_testing.restart} hands [restore]
+    the newest cut's blob, replays the wal, then hands [next_seq] and
+    [expected] the wal's [Next_seq] and [Expected] entries, in the host's own
     sequence base (see {!Dpc_engine.Journal.entry}). A runtime built with
     [?reliable] keeps that state in its {!Dpc_net.Reliable} link, which
     {!attach} already wires in.
@@ -178,35 +168,8 @@ val flush_wal : t -> int -> unit
     before acknowledging deliveries and before recording an outgoing
     send, so no peer ever holds a promise the journal does not. *)
 
-val wal : t -> int -> string
-(** The node's flushed journal since its last cut, without the open
-    group. In disk mode, the node's [wal-<epoch>.log] holds exactly these
-    bytes. *)
-
 val outbox : t -> int -> Outbox.t option
 (** The node's outbox ledger ([None] unless attached with [?disk]). *)
-
-val crash : t -> int -> unit
-(** Take the node down NOW: cut its wire, wipe its volatile state
-    ({!Dpc_engine.Node.reset}), and drop its channel windows
-    ({!Dpc_net.Reliable.forget}, under a reliable link). Idempotent while down. The durable
-    [crash.*] counters survive and are re-materialized into the wiped
-    metrics registry. *)
-
-val restart : t -> int -> unit
-(** Bring the node back: restore its checkpoint, replay its journal tail
-    ({!Dpc_engine.Runtime.replay}) and its channel sequence advances,
-    then reconnect the wire — in that order, so no delivery races the
-    rebuild. The journal is retained (not
-    truncated), so a second crash before the next compaction recovers
-    again from the same checkpoint. Idempotent while up. Wall-clock
-    recovery time is added to the [crash.recovery_ms] counter (the one
-    non-deterministic metric — CI strips it before diffing runs). *)
-
-val schedule_crash : t -> node:int -> at:float -> downtime:float -> unit
-(** Schedule {!crash} at simulated time [at] and {!restart} at
-    [at +. downtime] on the runtime's transport clock.
-    @raise Invalid_argument if [downtime <= 0]. *)
 
 val random_schedule :
   seed:int ->
@@ -219,21 +182,14 @@ val random_schedule :
 (** A seeded crash schedule [(node, at, downtime)]: [count] candidates
     drawn uniformly over [nodes] and [[0, horizon)] with downtimes in
     [[min_down, max_down)], minus candidates that would overlap an earlier
-    outage of the same node (see {!prune_overlaps}). Sorted by crash
-    time; deterministic for a given seed. *)
-
-val prune_overlaps :
-  nodes:int -> (int * float * float) list -> (int * float * float) list
-(** Sort [(node, at, downtime)] entries by crash time and drop any whose
-    crash lands during — or at the exact restart instant of — a kept
-    outage of the same node: a crash scheduled AT the restart time would
-    tie with the restart in the event queue, making the outcome an
-    ordering accident rather than part of the schedule.
-    @raise Invalid_argument on [nodes <= 0] or an out-of-range node. *)
+    outage of the same node (see {!For_testing.prune_overlaps}). Sorted
+    by crash time; deterministic for a given seed. *)
 
 val schedule : t -> (int * float * float) list -> unit
-(** {!schedule_crash} for every entry of a {!random_schedule}-shaped
-    list. *)
+(** For every [(node, at, downtime)] of a {!random_schedule}-shaped
+    list, crash [node] at simulated time [at] and restart it at
+    [at +. downtime], on the node's own shard of the runtime's transport.
+    @raise Invalid_argument if a [downtime] is not positive. *)
 
 val is_up : t -> int -> bool
 (** The liveness predicate; pass as [?up] to {!Backend.query} so queries
@@ -258,8 +214,9 @@ type node_stats = {
       (** the delta cuts' share of [checkpoint_bytes]; the remainder is
           full rebases (and checkpoint 0) *)
   recovery_ms : int;
-      (** total wall-clock time spent in {!restart}, accumulated as a
-          float and rounded up once here — never summed per-recovery *)
+      (** total wall-clock time spent in {!For_testing.restart} and
+          {!recover}, accumulated as a float and rounded up once here —
+          never summed per-recovery *)
   queries_degraded : int;
       (** queries from this node that touched a down peer (durably
           counted here via {!Backend.set_degraded_sink}, so the tally
@@ -269,3 +226,50 @@ type node_stats = {
 val node_stats : t -> int -> node_stats
 (** The durable counters; all but [wal_entries] also appear as [crash.*]
     metrics in the node's registry. *)
+
+module For_testing : sig
+  val encode_manifest : epoch:int -> base:int -> deltas:int list -> string
+  (** A node's cut chain: recovery reads cut [base], then the delta cuts
+      [deltas] in order, then [wal-<epoch>.log]. *)
+
+  val decode_manifest : string -> int * int * int list
+  (** [(epoch, base, deltas)]. @raise Dpc_util.Serialize.Corrupt on a
+      malformed manifest, bytes after it included. *)
+
+  val encode_cut : is_delta:bool -> checkpoint -> string
+
+  val decode_cut : string -> bool * checkpoint
+  (** [(is_delta, contents)]. @raise Dpc_util.Serialize.Corrupt on a
+      malformed cut, bytes after it included. *)
+
+  val wal : t -> int -> string
+  (** The node's flushed journal since its last cut, without the open
+      group. In disk mode, the node's [wal-<epoch>.log] holds exactly these
+      bytes. *)
+
+  val crash : t -> int -> unit
+  (** Take the node down NOW: cut its wire, wipe its volatile state
+      ({!Dpc_engine.Node.reset}), and drop its channel windows
+      ({!Dpc_net.Reliable.forget}, under a reliable link). Idempotent while down. The durable
+      [crash.*] counters survive and are re-materialized into the wiped
+      metrics registry. *)
+
+  val restart : t -> int -> unit
+  (** Bring the node back: restore its checkpoint, replay its journal tail
+      ({!Dpc_engine.Runtime.replay}) and its channel sequence advances,
+      then reconnect the wire — in that order, so no delivery races the
+      rebuild. The journal is retained (not
+      truncated), so a second crash before the next compaction recovers
+      again from the same checkpoint. Idempotent while up. Wall-clock
+      recovery time is added to the [crash.recovery_ms] counter (the one
+      non-deterministic metric — CI strips it before diffing runs). *)
+
+  val prune_overlaps :
+    nodes:int -> (int * float * float) list -> (int * float * float) list
+  (** Sort [(node, at, downtime)] entries by crash time and drop any whose
+      crash lands during — or at the exact restart instant of — a kept
+      outage of the same node: a crash scheduled AT the restart time would
+      tie with the restart in the event queue, making the outcome an
+      ordering accident rather than part of the schedule.
+      @raise Invalid_argument on [nodes <= 0] or an out-of-range node. *)
+end

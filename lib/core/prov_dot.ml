@@ -73,5 +73,3 @@ let forest_to_dot ?(name = "provenance") trees =
     else true
   in
   String.concat "\n" (List.filter keep lines)
-
-let to_dot ?name tree = forest_to_dot ?name [ tree ]

@@ -2,9 +2,6 @@
     oval rule-execution nodes, boxed tuple nodes, slow-changing tuples
     shaded. *)
 
-val to_dot : ?name:string -> Prov_tree.t -> string
-(** A complete [digraph] for one tree. *)
-
 val forest_to_dot : ?name:string -> Prov_tree.t list -> string
 (** One digraph containing every tree; structurally shared tuples (same
     contents) are merged into a single node, which makes the sharing that

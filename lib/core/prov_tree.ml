@@ -10,11 +10,6 @@ let slow = function Event { slow; _ } | Derived { slow; _ } -> slow
 
 let rec event_of = function Event { event; _ } -> event | Derived { sub; _ } -> event_of sub
 
-let rec depth = function Event _ -> 1 | Derived { sub; _ } -> 1 + depth sub
-
-let rec rules_root_to_leaf t =
-  rule t :: (match t with Event _ -> [] | Derived { sub; _ } -> rules_root_to_leaf sub)
-
 let rec tuples t =
   (output t :: slow t)
   @ (match t with Event { event; _ } -> [ event ] | Derived { sub; _ } -> tuples sub)
@@ -31,15 +26,6 @@ let rec equal a b =
   match a, b with
   | Event x, Event y -> Tuple.equal x.event y.event
   | Derived x, Derived y -> equal x.sub y.sub
-  | (Event _ | Derived _), _ -> false
-
-let rec equivalent a b =
-  String.equal (rule a) (rule b)
-  && same_slow a b
-  &&
-  match a, b with
-  | Event _, Event _ -> true
-  | Derived x, Derived y -> equivalent x.sub y.sub
   | (Event _ | Derived _), _ -> false
 
 (* The slow lists ordered as the lists of their canonical renderings:

@@ -31,20 +31,10 @@ val slow : t -> Dpc_ndlog.Tuple.t list
 val event_of : t -> Dpc_ndlog.Tuple.t
 (** The input event at the leaf (the paper's [EVENTOF]). *)
 
-val depth : t -> int
-(** Number of rule executions in the chain (>= 1). *)
-
-val rules_root_to_leaf : t -> string list
-
 val tuples : t -> Dpc_ndlog.Tuple.t list
 (** Every tuple in the tree: outputs, slow tuples, and the event. *)
 
 val equal : t -> t -> bool
-
-val equivalent : t -> t -> bool
-(** The paper's [~] relation (Appendix A): identical rule sequence and
-    identical slow-changing tuples at every level; the derived tuples and
-    the input event may differ. *)
 
 val compare : t -> t -> int
 

@@ -114,7 +114,7 @@ type chain = {
   step : t -> int -> Sha1.t -> (Rows.rule_exec_row -> Dpc_engine.Prov_hook.back -> unit) -> unit;
   leaf : t -> Rows.prov_row -> Rows.rule_exec_row -> Tuple.t * int;
   slow : int -> Side_store.t;
-  plan : string -> Dpc_engine.Eval.plan;
+  plans : Dpc_engine.Eval.plan list;
 }
 
 let max_chains = 64
@@ -160,7 +160,7 @@ let rec fetch_vids acct store vids i n =
 let rederive acct c prov chain =
   let fire (row : Rows.rule_exec_row) event n_slow =
     let slow = fetch_vids acct (c.slow row.rloc) row.vids 0 n_slow in
-    let plan = c.plan row.rule in
+    let plan = find_plan c.plans row.rule in
     charge_rederive acct 1;
     match Dpc_engine.Eval.fire_with_slow ~plan ~event ~slow with
     | Some head -> ((Dpc_engine.Eval.plan_rule plan).name, head, slow)

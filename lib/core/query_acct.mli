@@ -1,5 +1,5 @@
 (** The query accountant every store charges, the memo-cache hookup, and
-    the chain walk Basic, both Advanced layouts and {!Store_multi} share.
+    the chain walk Basic and both Advanced layouts share.
 
     A query threads one accountant through its walk. Each charge adds one
     term to the modeled latency, a float sum, so a store must charge in a
@@ -52,9 +52,6 @@ val fetch : t -> Side_store.t -> Dpc_util.Sha1.t -> Dpc_ndlog.Tuple.t
 (** A materialized tuple, charged by its wire size.
     @raise Broken if it is not there. *)
 
-val find_plan : Dpc_engine.Eval.plan list -> string -> Dpc_engine.Eval.plan
-(** @raise Broken on an unknown rule. *)
-
 (** {2 The chain walk (§4, §5.6 Fig 18)} *)
 
 type chain = {
@@ -71,7 +68,9 @@ type chain = {
       (** the leaf row's input event, charged, and how many of its vids,
           from the first, are slow vids *)
   slow : int -> Side_store.t;  (** the slow tuples materialized at a node *)
-  plan : string -> Dpc_engine.Eval.plan;  (** a row's rule, compiled *)
+  plans : Dpc_engine.Eval.plan list;
+      (** the program's rules, compiled; a row names its rule, and a name
+          none of them has breaks the branch *)
 }
 
 val chain_walk :

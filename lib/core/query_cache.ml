@@ -152,3 +152,9 @@ let stats t =
         invalidations = t.invalidations;
         size = Hashtbl.length t.table;
       })
+
+module For_testing = struct
+  let max_node = max_node
+  let max_gen = max_gen
+  let clear = clear
+end

@@ -78,13 +78,6 @@ val find :
     down, or when a dep generation moved (the entry is then dropped and
     counted as an invalidation). Hit/miss ticks land on [querier]. *)
 
-val max_node : int
-(** [2{^22} - 1], the largest node id a snapshot holds. *)
-
-val max_gen : int
-(** The largest generation a snapshot holds: [2{^40} - 1] on a 64-bit
-    host, where the two fields take all 62 bits of a non-negative int. *)
-
 val add :
   t ->
   querier:int ->
@@ -104,7 +97,16 @@ val invalidate_node : t -> int -> unit
 (** Drop every entry that read [node]; ticks
     [query.cache.invalidate] on that node once per dropped entry. *)
 
-val clear : t -> unit
-(** Drop everything, without counting invalidations (administrative). *)
-
 val stats : t -> stats
+
+module For_testing : sig
+  val max_node : int
+  (** [2{^22} - 1], the largest node id a snapshot holds. *)
+
+  val max_gen : int
+  (** The largest generation a snapshot holds: [2{^40} - 1] on a 64-bit
+      host, where the two fields take all 62 bits of a non-negative int. *)
+
+  val clear : t -> unit
+  (** Drop everything, without counting invalidations (administrative). *)
+end

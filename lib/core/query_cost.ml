@@ -15,10 +15,6 @@ let simulation =
   { hop_latency = None; per_entry = 0.0018; per_byte = 6e-6; per_rederive = 0.0002;
     down_timeout = 0.2; down_retries = 2 }
 
-let free =
-  { hop_latency = Some 0.0; per_entry = 0.0; per_byte = 0.0; per_rederive = 0.0;
-    down_timeout = 0.0; down_retries = 0 }
-
 let hop t routing ~src ~dst =
   if src = dst then 0.0
   else

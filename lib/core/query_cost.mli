@@ -35,8 +35,5 @@ val emulation : t
 val simulation : t
 (** Topology link latencies, same processing costs. *)
 
-val free : t
-(** Zero cost everywhere, for correctness tests. *)
-
 val hop : t -> Dpc_net.Routing.t -> src:int -> dst:int -> float
 (** Network latency charged for moving the query from [src] to [dst]. *)

@@ -70,3 +70,7 @@ let paginate ?cursor ~limit trees =
     | _ -> Some (cursor_of_tree (last page_trees))
   in
   { page_trees; next_cursor; page_total = total }
+
+module For_testing = struct
+  let paginate = paginate
+end

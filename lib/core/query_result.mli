@@ -39,13 +39,12 @@ type page = {
   page_total : int;  (** total trees across all pages *)
 }
 
-val cursor_of_tree : Prov_tree.t -> string
-(** ["dpc-cursor-v1:<hex sha1 of the tree's canonical rendering>"]. *)
-
-val paginate : ?cursor:string -> limit:int -> Prov_tree.t list -> page
-(** The next [limit] trees after [cursor] (from the top when absent),
-    in canonical order. Start-after semantics: the tree the cursor
-    names is not repeated.
-    @raise Invalid_argument if [limit < 1], the cursor is malformed, or
-    it names no tree in the (deduplicated) input — a stale cursor from a
-    different result set must surface, not silently restart. *)
+module For_testing : sig
+  val paginate : ?cursor:string -> limit:int -> Prov_tree.t list -> page
+  (** The next [limit] trees after [cursor] (from the top when absent),
+      in canonical order. Start-after semantics: the tree the cursor
+      names is not repeated.
+      @raise Invalid_argument if [limit < 1], the cursor is malformed, or
+      it names no tree in the (deduplicated) input — a stale cursor from a
+      different result set must surface, not silently restart. *)
+end

@@ -308,11 +308,6 @@ module Table = struct
   let rows t = t.count
   let bytes t = t.bytes
 
-  let clear t =
-    t.buckets <- Array.make t.initial Nil;
-    t.count <- 0;
-    t.bytes <- 0
-
   let rec iter_chain f = function
     | Nil -> ()
     | Entry e ->

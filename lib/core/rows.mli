@@ -122,8 +122,6 @@ module Table : sig
 
   val rows : 'a t -> int
   val bytes : 'a t -> int
-  val clear : 'a t -> unit
-
   val iter : 'a t -> ('a -> unit) -> unit
   (** Every row, in no particular order. *)
 end

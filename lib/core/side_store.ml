@@ -16,5 +16,4 @@ let get t ~key =
   | tuple -> Some tuple
   | exception Not_found -> None
 let bytes = Rows.Table.bytes
-let count = Rows.Table.rows
 let iter t f = Rows.Table.iter t (fun tuple -> f ~key:(Tuple.digest tuple) tuple)

@@ -28,7 +28,5 @@ val put_new : t -> Dpc_ndlog.Tuple.t -> bool
 val get : t -> key:Dpc_util.Sha1.t -> Dpc_ndlog.Tuple.t option
 
 val bytes : t -> int
-val count : t -> int
-
 val iter : t -> (key:Dpc_util.Sha1.t -> Dpc_ndlog.Tuple.t -> unit) -> unit
 (** Visit every entry, in unspecified order. *)

@@ -28,12 +28,9 @@ type st = {
 
 type t = {
   kit : st K.t;
-  (* Where ruleExecNode rows and slow tuples live: [kit] itself, or a
-     table that several programs share ([Store_multi]). *)
-  shared : st K.t;
   keys : Dpc_analysis.Equi_keys.t;
   interclass : bool;
-  plan : string -> Dpc_engine.Eval.plan;
+  plans : Dpc_engine.Eval.plan list;
   orphans : int Atomic.t;
 }
 
@@ -166,27 +163,22 @@ let on_input t ~node event =
   K.put t.kit nd st.events event;
   { Prov_hook.evid; exist_flag; eqkey = Some k; prev = No_back }
 
-(* §5.4 layout: the node row [rid] is shared across classes, and this
-   tree's link row points it at the previous step. *)
-let link_step t ~node ~rid ~label ~slow ~slow_vids (meta : Prov_hook.meta) =
-  let sh = K.state t.shared node in
-  K.put_tuples t.shared sh sh.x.slow slow;
-  K.add t.shared sh ~node sh.x.exec_nodes
-    { Rows.rloc = node; rid; rule = label; vids = slow_vids; next = No_back };
-  let nd = K.state t.kit node in
-  K.add t.kit nd ~node nd.x.links { Rows.link_rloc = node; link_rid = rid; link_next = meta.prev };
-  { meta with prev = Back { node; rid } }
-
 let on_fire t ~node ~(rule : Ast.rule) ~slow (meta : Prov_hook.meta) =
   if meta.exist_flag then meta
   else begin
     let slow_vids = Rows.vids slow in
-    if t.interclass then
-      link_step t ~node ~rid:(Rows.rid ~rule:rule.name ~node slow_vids)
-        ~label:rule.name ~slow ~slow_vids meta
+    let nd = K.state t.kit node in
+    K.put_tuples t.kit nd nd.x.slow slow;
+    if t.interclass then begin
+      (* §5.4 layout: the node row [rid] is shared across classes, and
+         this tree's link row points it at the previous step. *)
+      let rid = Rows.rid ~rule:rule.name ~node slow_vids in
+      K.add t.kit nd ~node nd.x.exec_nodes
+        { Rows.rloc = node; rid; rule = rule.name; vids = slow_vids; next = No_back };
+      K.add t.kit nd ~node nd.x.links { Rows.link_rloc = node; link_rid = rid; link_next = meta.prev };
+      { meta with prev = Back { node; rid } }
+    end
     else begin
-      let nd = K.state t.kit node in
-      K.put_tuples t.kit nd nd.x.slow slow;
       (* Plain layout: the rid must identify the whole chain suffix, so it
          hashes the back-pointer too (Table 3's sha1(rule, vids) is
          ambiguous as soon as two classes share a final rule execution
@@ -212,9 +204,8 @@ let on_output t ~node output (meta : Prov_hook.meta) =
     | Some k -> Rows.key k
     | None -> invalid_arg "Store_advanced.on_output: meta has no equivalence key"
   in
-  (* hmap associations are per (equivalence class, output relation): with
-     extra relations of interest one class has several recorded output
-     relations, each with its own chain reference(s). *)
+  (* hmap associations are keyed by class and output relation: the store
+     format and its fixtures carry the "class:relation" key. *)
   let k_key = k_key ^ ":" ^ Tuple.rel output in
   let vid = Rows.vid_of output in
   let evid = Some meta.evid in
@@ -277,10 +268,11 @@ let hook t =
 
 let step t acct rloc rid emit =
   if t.interclass then begin
-    let row = K.only ~what:"ruleExecNode" (K.state t.shared rloc).x.exec_nodes rid in
+    let nd = K.state t.kit rloc in
+    let row = K.only ~what:"ruleExecNode" nd.x.exec_nodes rid in
     Q.charge_entries acct 1;
     Q.charge_bytes acct (Rows.rule_exec_row_bytes ~with_next:false row);
-    let links = (K.state t.kit rloc).x.links in
+    let links = nd.x.links in
     let n = K.count links rid in
     Q.charge_entries acct n;
     K.iter_rows links rid (fun l -> Q.charge_bytes acct (Rows.link_row_bytes l));
@@ -304,15 +296,14 @@ let store t =
   K.Store
     {
       kit = t.kit;
-      name = (if t.interclass then "Advanced+interclass" else "Advanced");
       hook = hook t;
       walk =
         Q.chain_walk
           {
             step = (fun acct rloc rid emit -> step t acct rloc rid emit);
             leaf = (fun acct prov row -> leaf t acct prov row);
-            slow = (fun node -> K.entries (K.state t.shared node).x.slow);
-            plan = t.plan;
+            slow = (fun node -> K.entries (K.state t.kit node).x.slow);
+            plans = t.plans;
           };
       dump =
         (fun () ->
@@ -344,7 +335,7 @@ let create ~delp ~env ~keys ?(interclass = false) ~nodes () =
   let orphans = Atomic.make 0 in
   let kit = K.create (Dpc_engine.Node.cluster nodes) (layout ~interclass ~orphans) in
   let plans = List.map (Dpc_engine.Eval.plan ~env) delp.Delp.program.rules in
-  { kit; shared = kit; keys; interclass; plan = (fun name -> Q.find_plan plans name); orphans }
+  { kit; keys; interclass; plans; orphans }
 
 let orphan_outputs t = Atomic.get t.orphans
 
@@ -353,17 +344,6 @@ let restore ~delp ~env ~keys blob =
     let interclass = S.read_bool r in
     fun ~nodes -> store (create ~delp ~env ~keys ~interclass ~nodes ()))
 
-(* ------------------------------------------------------------------ *)
-(* Programs sharing one ruleExecNode table ([Store_multi]) *)
-
-type shared = st K.t
-
-let shared nodes = K.create nodes (layout ~interclass:true ~orphans:(Atomic.make 0))
-
-let program ~shared ~keys ~plan =
-  let orphans = Atomic.make 0 in
-  let kit = K.create (K.nodes shared) (layout ~interclass:true ~orphans) in
-  { kit; shared; keys; interclass = true; plan; orphans }
-
-let shared_nodes = K.nodes
-let shared_storage = K.total_storage
+module For_testing = struct
+  let orphan_outputs = orphan_outputs
+end

@@ -14,8 +14,11 @@
     pointers), so chains that overlap — e.g. crossing traffic sharing a
     path suffix — share rows.
 
-    Slow-changing inserts (§5.5) clear [htequi] at every node receiving the
-    [sig] broadcast, forcing re-materialization of each class's chain.
+    Slow-changing updates (§5.5), inserts and deletes alike, clear
+    [htequi] at every node receiving the [sig] broadcast, forcing
+    re-materialization of each class's chain. [hmap] is keyed by class
+    and output relation (["<class>:<relation>"]), the key the store
+    formats carry.
 
     The paper's QUERY (Fig 18) fetches the prov deltas for the tuple,
     collects the shared chain(s), retrieves the input event by [evid] at
@@ -41,12 +44,6 @@ val create :
 val store : t -> Store_kit.store
 (** The store behind {!Backend}'s interface. *)
 
-val orphan_outputs : t -> int
-(** Outputs that arrived with [existFlag = true] but found no [hmap] entry
-    (possible when a §5.5 reset races in-flight executions); their
-    provenance is not recorded, mirroring the paper's assumption that
-    updates quiesce before querying. *)
-
 val restore :
   delp:Dpc_ndlog.Delp.t ->
   env:Dpc_engine.Env.t ->
@@ -57,31 +54,12 @@ val restore :
     checkpoint names. @raise Dpc_util.Serialize.Corrupt on malformed
     input. *)
 
-(** {2 Programs sharing one ruleExecNode table}
-
-    {!Store_multi} runs each program as an inter-class store of its own
-    whose ruleExecNode rows and slow tuples live in a table every program
-    shares. *)
-
-type shared
-
-val shared : Dpc_engine.Node.t array -> shared
-val shared_nodes : shared -> Dpc_engine.Node.t array
-val shared_storage : shared -> Rows.storage
-
-val program :
-  shared:shared -> keys:Dpc_analysis.Equi_keys.t -> plan:(string -> Dpc_engine.Eval.plan) -> t
-(** A program's store over [shared]'s cluster; [plan] maps a node row's
-    rule name to the rule that re-derives it. *)
-
-val link_step :
-  t ->
-  node:int ->
-  rid:Dpc_util.Sha1.t ->
-  label:string ->
-  slow:Dpc_ndlog.Tuple.t list ->
-  slow_vids:Dpc_util.Sha1.t array ->
-  Dpc_engine.Prov_hook.meta ->
-  Dpc_engine.Prov_hook.meta
-(** The §5.4 record step: the ruleExecNode row [rid] (rule [label]) with
-    its slow tuples, and this tree's link row to the previous step. *)
+module For_testing : sig
+  val orphan_outputs : t -> int
+  (** Outputs that arrived with [existFlag = true] but found no [hmap] entry
+      (possible when a §5.5 reset races in-flight executions, or when a
+      packet overtakes the one materializing its class on a transport
+      without per-channel FIFO); their provenance is not recorded,
+      mirroring the paper's assumption that updates quiesce before
+      querying. *)
+end

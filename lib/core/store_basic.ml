@@ -91,7 +91,7 @@ let chain k plans =
         if n = 0 then raise (Q.Broken "leaf ruleExec with no vids");
         (Q.fetch acct (K.entries (K.state k leaf.rloc).x.events) leaf.vids.(n - 1), n - 1));
     slow = (fun node -> K.entries (K.state k node).x.slow);
-    plan = (fun name -> Q.find_plan plans name);
+    plans;
   }
 
 let create ~delp ~env ~nodes =
@@ -100,7 +100,6 @@ let create ~delp ~env ~nodes =
   K.Store
     {
       kit = k;
-      name;
       hook = hook k;
       walk = Q.chain_walk (chain k plans);
       dump = (fun () -> K.dump_tables k ~with_evid:false ~with_next:true (fun st -> st.exec));

@@ -151,7 +151,6 @@ let create ~delp ~env:_ ~nodes =
   K.Store
     {
       kit = k;
-      name;
       hook = hook k;
       walk =
         (fun acct ~querier ~output (r : Rows.prov_row) ->

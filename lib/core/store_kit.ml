@@ -270,7 +270,6 @@ let query k ~walk ~cost ~routing ?evid ?(up = fun _ -> true) output =
 type store =
   | Store : {
       kit : 'x t;
-      name : string;
       hook : Dpc_engine.Prov_hook.t;
       walk : walk;
       dump : unit -> dump;

@@ -150,7 +150,6 @@ val apply_delta : 'x t -> int -> string -> unit
 type store =
   | Store : {
       kit : 'x t;
-      name : string;
       hook : Dpc_engine.Prov_hook.t;
       walk : walk;
       dump : unit -> dump;

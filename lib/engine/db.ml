@@ -277,3 +277,12 @@ let apply_delta t blob =
        if add then ignore (insert t tuple) else ignore (remove t tuple)));
   S.expect_end r "db delta";
   Queue.clear t.dirty
+
+module For_testing = struct
+  let mem = mem
+  let lookup = lookup
+  let canonical = canonical
+  let relations = relations
+  let cardinality = cardinality
+  let total_tuples = total_tuples
+end

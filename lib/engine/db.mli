@@ -17,8 +17,6 @@ val insert : t -> Dpc_ndlog.Tuple.t -> bool
 val remove : t -> Dpc_ndlog.Tuple.t -> bool
 (** [true] if the tuple was present. *)
 
-val mem : t -> Dpc_ndlog.Tuple.t -> bool
-
 val scan : t -> string -> Dpc_ndlog.Tuple.t list
 (** All tuples of a relation, sorted — deterministic but O(n log n). *)
 
@@ -44,11 +42,6 @@ val probe :
     nothing once the index exists. [positions] must be in range for every
     tuple of the relation. *)
 
-val lookup :
-  t -> rel:string -> positions:int list -> key:Dpc_ndlog.Value.t list -> Dpc_ndlog.Tuple.t list
-(** {!probe} with a constant key: the tuples of [rel] whose attributes at
-    [positions] equal [key] (element-wise, same order). *)
-
 val key_matches :
   positions:int array -> key:key_part array -> Dpc_ndlog.Value.t array -> Dpc_ndlog.Tuple.t -> bool
 (** Whether the tuple's attributes at [positions] equal [key] read against
@@ -63,10 +56,6 @@ val snapshot : t -> string
 (** Deterministic serialization of the whole store: relations sorted by
     name, tuples in {!scan} order. Seals a cut: the dirty log behind
     {!snapshot_delta} restarts here. *)
-
-val canonical : t -> string
-(** The same bytes as {!snapshot} WITHOUT sealing a cut — a pure
-    observation for digest comparison, safe between delta cuts. *)
 
 val digest : t -> string
 (** The hex SHA-1 of {!canonical}, hashed in place: it copies none of
@@ -95,6 +84,21 @@ val apply_delta : t -> string -> unit
     @raise Dpc_util.Serialize.Corrupt on a malformed blob or trailing
     bytes, once it has applied what it read. *)
 
-val relations : t -> string list
-val cardinality : t -> string -> int
-val total_tuples : t -> int
+module For_testing : sig
+  val mem : t -> Dpc_ndlog.Tuple.t -> bool
+
+  val lookup :
+    t -> rel:string -> positions:int list -> key:Dpc_ndlog.Value.t list -> Dpc_ndlog.Tuple.t list
+  (** {!Db.probe} with a constant key: the tuples of [rel] whose attributes at
+      [positions] equal [key] (element-wise, same order). *)
+
+  val canonical : t -> string
+  (** The same bytes as {!snapshot} WITHOUT sealing a cut — a pure
+      observation for digest comparison, safe between delta cuts. *)
+
+  val relations : t -> string list
+
+  val cardinality : t -> string -> int
+
+  val total_tuples : t -> int
+end

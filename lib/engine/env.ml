@@ -19,3 +19,7 @@ let register2 t name fn2 =
 
 let lookup t name = Option.map (fun e -> e.fn) (List.assoc_opt name t)
 let lookup2 t name = Option.bind (List.assoc_opt name t) (fun e -> e.fn2)
+
+module For_testing = struct
+  let register = register
+end

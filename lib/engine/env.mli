@@ -9,9 +9,6 @@ type t
 
 val empty : t
 
-val register : t -> string -> (Dpc_ndlog.Value.t list -> Dpc_ndlog.Value.t) -> t
-(** Functional update; later registrations shadow earlier ones. *)
-
 val register2 :
   t -> string -> (Dpc_ndlog.Value.t -> Dpc_ndlog.Value.t -> Dpc_ndlog.Value.t) -> t
 (** Register a two-argument function. A compiled two-argument call of it
@@ -24,3 +21,8 @@ val lookup : t -> string -> (Dpc_ndlog.Value.t list -> Dpc_ndlog.Value.t) option
 val lookup2 : t -> string -> (Dpc_ndlog.Value.t -> Dpc_ndlog.Value.t -> Dpc_ndlog.Value.t) option
 (** The two-argument form of the latest registration of the name, if that
     registration was a {!register2}. *)
+
+module For_testing : sig
+  val register : t -> string -> (Dpc_ndlog.Value.t list -> Dpc_ndlog.Value.t) -> t
+  (** Functional update; later registrations shadow earlier ones. *)
+end

@@ -384,3 +384,9 @@ let fire_with_slow ~(plan : plan) ~event ~slow =
       fail "fire_with_slow: rule %s expects %d slow tuples, got %d" plan.rule.name plan.joins n;
     if rederive plan regs 0 slow then Some (instantiate_head plan regs) else None
   end
+
+module For_testing = struct
+  let match_atom = match_atom
+  let fire = fire
+  let fire_planned = fire_planned
+end

@@ -22,23 +22,6 @@ exception Eval_error of string
 
 type binding = (string * Dpc_ndlog.Value.t) list
 
-val match_atom :
-  Dpc_ndlog.Ast.atom -> Dpc_ndlog.Tuple.t -> binding -> binding option
-(** Unify an atom against a ground tuple, extending the binding; [None] on
-    relation/arity/value mismatch. *)
-
-val fire :
-  env:Env.t ->
-  db:Db.t ->
-  rule:Dpc_ndlog.Ast.rule ->
-  event:Dpc_ndlog.Tuple.t ->
-  (Dpc_ndlog.Tuple.t * Dpc_ndlog.Tuple.t list) list
-(** All (head, slow tuples used) derivations of [rule] triggered by
-    [event]; empty if the event does not match or no join succeeds. Slow
-    tuples are listed in condition-atom order.
-    @raise Eval_error on an unbound variable in an expression or the
-    head, an unknown function, a type mismatch or a division by zero. *)
-
 type plan
 (** A rule compiled over a register file, one slot per variable: the event
     atom becomes per-position checks and binds; each condition atom a
@@ -48,7 +31,7 @@ type plan
 
 val plan : env:Env.t -> Dpc_ndlog.Ast.rule -> plan
 (** Compile a rule, resolving its functions in [env] (an unknown function
-    fails when a firing first evaluates it, as in {!fire}).
+    fails when a firing first evaluates it, as in {!For_testing.fire}).
     @raise Eval_error on a head variable the body never binds, which
     {!Dpc_ndlog.Delp.validate} rules out. *)
 
@@ -70,7 +53,7 @@ val scratch : plan list -> scratch
 val fire_into : scratch -> db:Db.t -> plan:plan -> event:Dpc_ndlog.Tuple.t -> int
 (** Fire [plan] on [event] and write its derivations into the scratch,
     replacing the previous firing's; returns their number. They are the
-    same derivations as {!fire} on the planned rule, as a multiset, in
+    same derivations as {!For_testing.fire} on the planned rule, as a multiset, in
     this order: depth-first over the condition atoms, left to right, with
     each atom's candidates in {!Db.probe} bucket order, newest insert
     first. The runtime ships derivations in this order, so simulator
@@ -93,14 +76,33 @@ val derived_slow : scratch -> int -> Dpc_ndlog.Tuple.t list
 (** The slow tuples of the [i]th derivation, one per condition atom, in
     condition order. *)
 
-val fire_planned :
-  db:Db.t -> plan:plan -> event:Dpc_ndlog.Tuple.t -> (Dpc_ndlog.Tuple.t * Dpc_ndlog.Tuple.t list) list
-(** {!fire_into} on a fresh scratch, as a list of (head, slow tuples) in
-    derivation order. *)
-
 val fire_with_slow :
   plan:plan -> event:Dpc_ndlog.Tuple.t -> slow:Dpc_ndlog.Tuple.t list -> Dpc_ndlog.Tuple.t option
 (** Re-derive the head from the event and the recorded slow tuples (one per
     condition atom, in order); [None] if they no longer unify or a
     comparison fails. @raise Eval_error when the event matches but the
     number of slow tuples differs from the number of condition atoms. *)
+
+module For_testing : sig
+  val match_atom :
+    Dpc_ndlog.Ast.atom -> Dpc_ndlog.Tuple.t -> binding -> binding option
+  (** Unify an atom against a ground tuple, extending the binding; [None] on
+      relation/arity/value mismatch. *)
+
+  val fire :
+    env:Env.t ->
+    db:Db.t ->
+    rule:Dpc_ndlog.Ast.rule ->
+    event:Dpc_ndlog.Tuple.t ->
+    (Dpc_ndlog.Tuple.t * Dpc_ndlog.Tuple.t list) list
+  (** All (head, slow tuples used) derivations of [rule] triggered by
+      [event]; empty if the event does not match or no join succeeds. Slow
+      tuples are listed in condition-atom order.
+      @raise Eval_error on an unbound variable in an expression or the
+      head, an unknown function, a type mismatch or a division by zero. *)
+
+  val fire_planned :
+    db:Db.t -> plan:plan -> event:Dpc_ndlog.Tuple.t -> (Dpc_ndlog.Tuple.t * Dpc_ndlog.Tuple.t list) list
+  (** {!fire_into} on a fresh scratch, as a list of (head, slow tuples) in
+      derivation order. *)
+end

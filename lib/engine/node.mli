@@ -10,9 +10,6 @@
 
 type t
 
-val create : unit -> t
-(** A fresh node with an empty database, empty metrics, no properties. *)
-
 val cluster : int -> t array
 (** [cluster n] is [n] fresh nodes, for node ids [0 .. n-1].
     @raise Invalid_argument if [n] is not positive. *)

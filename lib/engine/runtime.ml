@@ -15,7 +15,6 @@ type t = {
   reliability : Dpc_net.Reliable.t option;
   delp : Delp.t;
   hook : Prov_hook.t;
-  interest : string list;
   nodes : Node.t array;
   plans : (string, Eval.plan list) Hashtbl.t;  (* event relation -> rule plans, program order *)
   (* Per node: a node's events run on one shard, one at a time, so its
@@ -54,8 +53,7 @@ and remote = {
   replayed_ship : dst:int -> payload:string -> unit;
 }
 
-let create ~transport ?reliable ?domains ~delp ~env ~hook ?(interest = [])
-    ?(record_outputs = true) ?nodes () =
+let create ~transport ?reliable ?domains ~delp ~env ~hook ?(record_outputs = true) ?nodes () =
   (* The payload cache is a memo of this domain's digests, not world
      state: a world starts it empty, so its hits and misses, and the words
      they allocate, do not depend on the worlds built before it. *)
@@ -68,12 +66,6 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(interest = [])
         invalid_arg
           (Printf.sprintf "Runtime.create: ~domains:%d but the transport has %d shard(s)" d
              shards));
-  (match List.filter (fun rel -> not (Delp.is_event delp rel)) interest with
-  | [] -> ()
-  | bad ->
-      invalid_arg
-        (Printf.sprintf "Runtime.create: interest relations [%s] are not derived by the program"
-           (String.concat "; " (List.map (Printf.sprintf "%S") bad))));
   let n = Dpc_net.Transport.nodes transport in
   let nodes =
     match nodes with
@@ -102,7 +94,7 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(interest = [])
   in
   (* Compile every rule once; [process] fetches the plans for an event
      relation with one hash lookup instead of filtering the program. *)
-  let compiled = List.map (Eval.plan ~env) delp.program.rules in
+  let compiled = List.map (Eval.plan ~env) delp.Delp.program.rules in
   let plans = Hashtbl.create 8 in
   List.iter
     (fun plan ->
@@ -115,7 +107,6 @@ let create ~transport ?reliable ?domains ~delp ~env ~hook ?(interest = [])
     reliability;
     delp;
     hook;
-    interest;
     nodes;
     plans;
     scratch = Array.init n (fun _ -> Eval.scratch compiled);
@@ -174,7 +165,7 @@ let debug_on () =
    event relation triggers, in program order; ship each head to its
    location, in derivation order. A head whose relation triggers no rule
    is an output. *)
-let rec process t ~input node event meta =
+let rec process t node event meta =
   match Hashtbl.find t.plans (Tuple.rel event) with
   | exception Not_found ->
       if debug_on () then Log.debug (fun m -> m "output %s at n%d" (Tuple.to_string event) node);
@@ -188,14 +179,6 @@ let rec process t ~input node event meta =
       ignore (Db.insert (db t node) event);
       t.hook.on_output ~node event meta
   | plans ->
-      (* Extra relations of interest get a concrete provenance record on
-         arrival, then execution continues through them. The injected input
-         event itself is a base tuple (nothing derived it), so only derived
-         arrivals are recorded. *)
-      if (not input) && List.mem (Tuple.rel event) t.interest then begin
-        ignore (Db.insert (db t node) event);
-        t.hook.on_output ~node event meta
-      end;
       if not (fire_plans t node event meta false plans) then begin
         if debug_on () then
           Log.debug (fun m -> m "event %s died at n%d" (Tuple.to_string event) node);
@@ -244,7 +227,7 @@ and ship t src head meta =
     | _ ->
         Dpc_net.Transport.send t.transport ~src ~dst ~bytes (fun () ->
           journal_arrival t dst head meta;
-          process t ~input:false dst head meta)
+          process t dst head meta)
   end
   else begin
     (* During replay the ship already happened in the pre-crash run: the
@@ -297,7 +280,7 @@ let deliver_remote t ~node payload =
           (Printf.sprintf "Runtime.deliver_remote: arrival for n%d delivered at n%d"
              (Tuple.loc event) node);
       journal t node entry;
-      process t ~input:false node event meta
+      process t node event meta
   | Journal.Sig { op; tuple } ->
       journal t node entry;
       t.hook.on_slow_update ~node ~op tuple
@@ -340,7 +323,7 @@ let inject t ?(delay = 0.0) event =
       tick t node "runtime.injected";
       journal t node (Journal.Input event);
       let meta = t.hook.on_input ~node event in
-      process t ~input:true node event meta
+      process t node event meta
     end
     else if !attempts < 1000 then
       (* The node is down: the input source holds the event and re-presents
@@ -370,8 +353,8 @@ let replay t ~node entries =
           | Input event ->
               tick t node "runtime.injected";
               let meta = t.hook.on_input ~node event in
-              process t ~input:true node event meta
-          | Arrival { event; meta } -> process t ~input:false node event meta
+              process t node event meta
+          | Arrival { event; meta } -> process t node event meta
           | Sig { op; tuple } -> t.hook.on_slow_update ~node ~op tuple
           | Slow_insert tuple -> ignore (Db.insert (db t node) tuple)
           | Slow_delete tuple -> ignore (Db.remove (db t node) tuple)

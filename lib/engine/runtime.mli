@@ -26,7 +26,6 @@ val create :
   delp:Dpc_ndlog.Delp.t ->
   env:Env.t ->
   hook:Prov_hook.t ->
-  ?interest:string list ->
   ?record_outputs:bool ->
   ?nodes:Node.t array ->
   unit ->
@@ -48,12 +47,6 @@ val create :
     them — otherwise the list grows without bound. Stats and metrics
     still count outputs either way.
 
-    [interest] adds relations of interest beyond the terminal outputs
-    (§3.2: the user picks which relations get concrete provenance). A
-    derived tuple of an interest relation gets an [on_output] record when
-    it arrives at its node — so its provenance is queryable directly —
-    and execution continues through it as usual.
-
     [nodes] defaults to [Node.cluster (Transport.nodes transport)].
 
     Creating a runtime empties the calling domain's payload-digest cache
@@ -67,10 +60,9 @@ val create :
     shard-local by construction: an event is processed on the shard
     owning its node, injections and retries are placed with
     [Transport.schedule_on], and the cluster-global stats are atomics.
-    @raise Invalid_argument if any [interest] name is not a derived
-    (event) relation of the program (the message lists every offender),
-    if [nodes] has the wrong length for the transport, or if [domains]
-    disagrees with the transport's shard count. *)
+    @raise Invalid_argument if [nodes] has the wrong length for the
+    transport, or if [domains] disagrees with the transport's shard
+    count. *)
 
 val transport : t -> Dpc_net.Transport.t
 (** The transport the runtime actually sends through — the reliable
@@ -110,9 +102,8 @@ val inject : t -> ?delay:float -> Dpc_ndlog.Tuple.t -> unit
     relation. *)
 
 val outputs : t -> (Dpc_ndlog.Tuple.t * Prov_hook.meta) list
-(** Terminal output tuples in production order (oldest first); tuples of
-    extra interest relations are not included (they continue executing)
-    but are provenance-queryable. *)
+(** Terminal output tuples (tuples no rule consumes) in production order,
+    oldest first; empty when [record_outputs] is off. *)
 
 val stats : t -> stats
 

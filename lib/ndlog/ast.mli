@@ -36,11 +36,3 @@ val atom_vars : atom -> string list
 
 val expr_vars : expr -> string list
 
-val map_rule_vars : (string -> string) -> rule -> rule
-(** Apply a renaming to every variable occurrence in the rule (head, event,
-    and all conditions). *)
-
-val rule_vars_in_order : rule -> string list
-(** All variables of a rule in order of first occurrence (head, then event,
-    then conditions left to right), deduplicated — the ordering used for
-    alpha-normalization. *)

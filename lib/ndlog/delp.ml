@@ -179,3 +179,12 @@ let rules_for_event t rel =
   List.filter (fun (r : Ast.rule) -> String.equal r.event.rel rel) t.program.rules
 
 let event_arity t = arity t t.input_event
+
+module For_testing = struct
+  let validate = validate
+  let error_to_string = error_to_string
+  let arity = arity
+  let is_slow = is_slow
+  let is_event = is_event
+  let rules_for_event = rules_for_event
+end

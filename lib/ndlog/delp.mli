@@ -32,24 +32,27 @@ type error =
   | Duplicate_rule_name of string
   | Unbound_assign_var of { rule : string; var : string }
 
-val validate : Ast.program -> (t, error) result
-
-val error_to_string : error -> string
-
 val parse : name:string -> string -> (t, string) result
-(** Parse an NDlog program ({!Parser.parse_program}) and {!validate} it.
+(** Parse an NDlog program ({!Parser.parse_program}) and {!For_testing.validate} it.
     The error reads ["<name>: parse error: ..."] or ["<name>: not a valid
     DELP: ..."]. *)
 
-val arity : t -> string -> int
-(** @raise Not_found for an unknown relation. *)
-
-val is_slow : t -> string -> bool
-val is_event : t -> string -> bool
-
-val rules_for_event : t -> string -> Ast.rule list
-(** Rules whose event relation is the given relation, in program order;
-    this is what an arriving event tuple of that relation triggers. *)
-
 val event_arity : t -> int
 (** Arity of the input event relation. *)
+
+module For_testing : sig
+  val validate : Ast.program -> (t, error) result
+
+  val error_to_string : error -> string
+
+  val arity : t -> string -> int
+  (** @raise Not_found for an unknown relation. *)
+
+  val is_slow : t -> string -> bool
+
+  val is_event : t -> string -> bool
+
+  val rules_for_event : t -> string -> Ast.rule list
+  (** Rules whose event relation is the given relation, in program order;
+      this is what an arriving event tuple of that relation triggers. *)
+end

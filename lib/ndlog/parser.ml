@@ -233,3 +233,7 @@ let parse_rule src =
     let r = parse_rule_inner st in
     expect st T_eof;
     r)
+
+module For_testing = struct
+  let parse_rule = parse_rule
+end

@@ -13,5 +13,7 @@
 val parse_program : name:string -> string -> (Ast.program, string) result
 (** Parse a full program source. Errors carry "line:col: message". *)
 
-val parse_rule : string -> (Ast.rule, string) result
-(** Parse a single rule, for tests and tooling. *)
+module For_testing : sig
+  val parse_rule : string -> (Ast.rule, string) result
+  (** Parse a single rule, for tests and tooling. *)
+end

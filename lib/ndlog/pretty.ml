@@ -66,3 +66,7 @@ let program fmt (p : Ast.program) =
 
 let rule_to_string r = Format.asprintf "%a" rule r
 let program_to_string p = Format.asprintf "%a" program p
+
+module For_testing = struct
+  let rule_to_string = rule_to_string
+end

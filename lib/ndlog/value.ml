@@ -130,3 +130,12 @@ let deserialize r =
   | 2 -> Bool (read_bool r)
   | 3 -> Addr (read_varint r)
   | tag -> raise (Corrupt (Printf.sprintf "Value.deserialize: bad tag %d" tag))
+
+module For_testing = struct
+  let payload_inline_max = payload_inline_max
+  let payload_cache_cap = payload_cache_cap
+  let payload_cache_size = payload_cache_size
+  let int_exn = int_exn
+  let bool_exn = bool_exn
+  let str_exn = str_exn
+end

@@ -22,10 +22,6 @@ val add_canonical : Dpc_util.Sha1.stream -> t -> unit
     stream, without building the string; a [Str] payload is added by
     reference, never copied. *)
 
-val payload_inline_max : int
-(** [Str] payloads longer than this are interned by {!add_interned};
-    shorter ones are added verbatim. *)
-
 val add_interned : Dpc_util.Sha1.stream -> t -> unit
 (** The digest-path rendering of a value: {!add_canonical}, except that a
     [Str] longer than {!payload_inline_max} adds ["h:<len>:"] followed by
@@ -34,13 +30,6 @@ val add_interned : Dpc_util.Sha1.stream -> t -> unit
     repeated across tuples (a packet forwarded hop by hop) is hashed
     once. The ["h:"] lead is disjoint from every canonical lead, so the
     rendering stays injective. *)
-
-val payload_cache_cap : int
-(** The most payload digests {!add_interned}'s cache holds per domain
-    (4,096): a miss when it is full empties it first. *)
-
-val payload_cache_size : unit -> int
-(** The payload digests this domain's cache holds now. *)
 
 val reset_payload_cache : unit -> unit
 (** Empty this domain's payload cache, keeping its buckets. Each new
@@ -55,13 +44,28 @@ val to_string : t -> string
 val addr_exn : t -> int
 (** @raise Invalid_argument if the value is not an [Addr]. *)
 
-val int_exn : t -> int
-val bool_exn : t -> bool
-val str_exn : t -> string
-
 val wire_size : t -> int
 (** Bytes this value occupies in a serialized message (used for bandwidth
     accounting). *)
 
 val serialize : Dpc_util.Serialize.writer -> t -> unit
 val deserialize : Dpc_util.Serialize.reader -> t
+
+module For_testing : sig
+  val payload_inline_max : int
+  (** [Str] payloads longer than this are interned by {!add_interned};
+      shorter ones are added verbatim. *)
+
+  val payload_cache_cap : int
+  (** The most payload digests {!add_interned}'s cache holds per domain
+      (4,096): a miss when it is full empties it first. *)
+
+  val payload_cache_size : unit -> int
+  (** The payload digests this domain's cache holds now. *)
+
+  val int_exn : t -> int
+
+  val bool_exn : t -> bool
+
+  val str_exn : t -> string
+end

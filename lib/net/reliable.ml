@@ -570,3 +570,10 @@ let suspended_channels t =
     done
   done;
   !count
+
+module For_testing = struct
+  let backoff_delay = backoff_delay
+  let data_header_bytes = data_header_bytes
+  let window = window
+  let window_peak = window_peak
+end

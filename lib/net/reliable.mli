@@ -9,7 +9,7 @@
     - every directed [(src, dst)] channel numbers its messages with a
       sequence number ([data_header_bytes] on the wire);
     - the receiver keeps a dedup/reorder window — a contiguous watermark
-      plus at most {!window} arrivals held above a gap — so each
+      plus at most {!For_testing.window} arrivals held above a gap — so each
       message's body runs exactly once and in channel order, no matter
       how many copies arrive or how late. It acks only arrivals the
       watermark covers: a delivered message or a below-watermark
@@ -71,19 +71,6 @@ val default_config : config
 (** 50 ms initial timeout, doubling to a 1 s cap, 20 retransmissions,
     no jitter. *)
 
-val backoff_delay : config -> src:int -> dst:int -> attempt:int -> float
-(** The delay armed after the [attempt]th transmission (1-based):
-    [timeout * backoff^(attempt-1)] capped at [max_timeout], then scaled
-    into [[(1-jitter) * capped, capped]] by a pure hash of
-    [(src, dst, attempt)] — deterministic per channel, no shared stream.
-    Exposed for the backoff-arithmetic tests and for anything that wants
-    to reason about the retry budget [sum of the first max_retries + 1
-    delays]. *)
-
-val data_header_bytes : int
-(** Wire bytes the layer adds to every data transmission (the channel
-    sequence number). *)
-
 type stats = {
   data_msgs : int;  (** distinct messages accepted from the sender *)
   data_bytes : int;  (** first-transmission bytes, headers included *)
@@ -109,10 +96,6 @@ type 'body link
 
 type t = (unit -> unit) link
 (** Over a transport: a message is its delivery closure. *)
-
-val window : int
-(** Arrivals one channel holds above a gap (1,024); one more is dropped
-    unacked. *)
 
 val wrap : ?config:config -> ?metrics:(int -> Dpc_util.Metrics.t) -> Transport.t -> t
 (** Layer reliable delivery over a transport. An acknowledgement is a
@@ -142,10 +125,6 @@ val transport : t -> Transport.t
 
 val stats : 'a link -> stats
 (** Cluster-wide totals (the per-node breakdown lives in [metrics]). *)
-
-val window_peak : 'a link -> int
-(** The most arrivals any one channel has held at once: {!window} once
-    the bound has dropped an arrival. *)
 
 (** {2 Crash support: channel state as data}
 
@@ -250,3 +229,26 @@ val acked : string link -> dst:int -> int
 (** The acked prefix of [(local, dst)]. *)
 
 val unacked : string link -> dst:int -> int
+
+module For_testing : sig
+  val backoff_delay : config -> src:int -> dst:int -> attempt:int -> float
+  (** The delay armed after the [attempt]th transmission (1-based):
+      [timeout * backoff^(attempt-1)] capped at [max_timeout], then scaled
+      into [[(1-jitter) * capped, capped]] by a pure hash of
+      [(src, dst, attempt)] — deterministic per channel, no shared stream.
+      Exposed for the backoff-arithmetic tests and for anything that wants
+      to reason about the retry budget [sum of the first max_retries + 1
+      delays]. *)
+
+  val data_header_bytes : int
+  (** Wire bytes the layer adds to every data transmission (the channel
+      sequence number). *)
+
+  val window : int
+  (** Arrivals one channel holds above a gap (1,024); one more is dropped
+      unacked. *)
+
+  val window_peak : 'a link -> int
+  (** The most arrivals any one channel has held at once: {!For_testing.window} once
+      the bound has dropped an arrival. *)
+end

@@ -99,10 +99,6 @@ let compute topo =
 
 let successor t ~src ~dst = t.successor.(src).(dst)
 
-let next_hop t ~src ~dst =
-  let h = successor t ~src ~dst in
-  if h = -1 then None else Some h
-
 let path t ~src ~dst =
   if src = dst then Some [ src ]
   else if t.successor.(src).(dst) = -1 then None
@@ -120,30 +116,3 @@ let distance t ~src ~dst =
 
 let hop_count t ~src ~dst =
   match path t ~src ~dst with None -> None | Some p -> Some (List.length p - 1)
-
-let mean_pair_distance t =
-  let n = Topology.size t.topology in
-  let total = ref 0 and count = ref 0 in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      if src <> dst then
-        match hop_count t ~src ~dst with
-        | Some h ->
-            total := !total + h;
-            incr count
-        | None -> ()
-    done
-  done;
-  if !count = 0 then 0.0 else float_of_int !total /. float_of_int !count
-
-let diameter t =
-  let n = Topology.size t.topology in
-  let best = ref 0 in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      match hop_count t ~src ~dst with
-      | Some h -> if h > !best then best := h
-      | None -> ()
-    done
-  done;
-  !best

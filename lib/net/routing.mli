@@ -11,12 +11,8 @@ type t
 val compute : Topology.t -> t
 (** O(n * (m log n)); run once per topology. *)
 
-val next_hop : t -> src:int -> dst:int -> int option
-(** The neighbor of [src] on a shortest path to [dst]; [None] if
-    unreachable or [src = dst]. *)
-
 val successor : t -> src:int -> dst:int -> int
-(** {!next_hop} without the option, for per-message walks: [-1] if
+(** The neighbor of [src] on a shortest path to [dst]; [-1] if
     unreachable or [src = dst]. *)
 
 val path : t -> src:int -> dst:int -> int list option
@@ -27,9 +23,3 @@ val distance : t -> src:int -> dst:int -> float option
 (** Total latency along the shortest path. *)
 
 val hop_count : t -> src:int -> dst:int -> int option
-
-val mean_pair_distance : t -> float
-(** Mean hop count over all ordered reachable pairs with [src <> dst]. *)
-
-val diameter : t -> int
-(** Maximum hop count over all reachable pairs. *)

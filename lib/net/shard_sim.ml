@@ -383,3 +383,9 @@ let transport t : Transport.t =
     let total_bytes () = total_bytes t
     let messages () = messages t
   end)
+
+module For_testing = struct
+  let shard_of = shard_of
+  let partition = partition
+  let run = run
+end

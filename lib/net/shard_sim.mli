@@ -47,26 +47,28 @@ val create : ?latency:float -> domains:int -> nodes:int -> unit -> t
 
 val transport : t -> Transport.t
 (** The {!Transport.S} view; [Transport.shards] is [domains]. Its [now]
-    is the calling shard's clock mid-run and, outside {!run}, the
+    is the calling shard's clock mid-run and, outside {!For_testing.run}, the
     maximum clock reached so far. Its [total_bytes] and [messages] sum
     the per-shard counters, which their owners write: read them from
-    outside {!run}. *)
+    outside {!For_testing.run}. *)
 
-val shard_of : t -> int -> int
-(** [shard_of t n = n mod domains t]. *)
+module For_testing : sig
+  val shard_of : t -> int -> int
+  (** [shard_of t n = n mod domains t]. *)
 
-val partition : domains:int -> nodes:int -> int array
-(** The round-robin shard map as an array ([partition.(n)] is [n]'s
-    shard), for tests and tooling that reason about the layout without
-    building a transport.
-    @raise Invalid_argument if either argument is not positive. *)
+  val partition : domains:int -> nodes:int -> int array
+  (** The round-robin shard map as an array ([partition.(n)] is [n]'s
+      shard), for tests and tooling that reason about the layout without
+      building a transport.
+      @raise Invalid_argument if either argument is not positive. *)
 
-val run : ?until:float -> t -> unit
-(** Same contract as {!Transport.run} (half-open horizon). [~domains:1]
-    runs inline on the calling domain; otherwise one worker domain per
-    shard is spawned for the duration of the call and joined before it
-    returns. A callback exception stops every shard at the end of the
-    round that raised it and is re-raised here on the caller, after all
-    workers have exited; the events left behind stay queued for the next
-    [run].
-    @raise Invalid_argument on re-entrant use. *)
+  val run : ?until:float -> t -> unit
+  (** Same contract as {!Transport.run} (half-open horizon). [~domains:1]
+      runs inline on the calling domain; otherwise one worker domain per
+      shard is spawned for the duration of the call and joined before it
+      returns. A callback exception stops every shard at the end of the
+      round that raised it and is re-raised here on the caller, after all
+      workers have exited; the events left behind stay queued for the next
+      [run].
+      @raise Invalid_argument on re-entrant use. *)
+end

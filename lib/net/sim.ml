@@ -81,3 +81,8 @@ let link_bytes t =
   |> List.map (fun (k, bytes) -> ((k / n, k mod n), bytes))
 
 let messages_sent t = t.messages
+
+module For_testing = struct
+  let events_processed = events_processed
+  let link_bytes = link_bytes
+end

@@ -36,12 +36,14 @@ val run : ?until:float -> t -> unit
     [run ~until:b] processes every event in [0, a) then [a, b) exactly
     once. *)
 
-val events_processed : t -> int
-
 val total_bytes : t -> int
 (** All bytes transmitted so far, summed over every hop of every message. *)
 
-val link_bytes : t -> ((int * int) * int) list
-(** Per-link byte counters, endpoints ordered, sorted. *)
-
 val messages_sent : t -> int
+
+module For_testing : sig
+  val events_processed : t -> int
+
+  val link_bytes : t -> ((int * int) * int) list
+  (** Per-link byte counters, endpoints ordered, sorted. *)
+end

@@ -36,21 +36,3 @@ let links t =
     (fun v ->
       List.filter_map (fun (w, l) -> if v < w then Some (v, w, l) else None) (neighbors t v))
     (List.init t.n (fun i -> i))
-
-let degree t v =
-  check_node t v;
-  Hashtbl.length t.adjacency.(v)
-
-let is_connected t =
-  let visited = Array.make t.n false in
-  let rec go = function
-    | [] -> ()
-    | v :: rest ->
-        if visited.(v) then go rest
-        else begin
-          visited.(v) <- true;
-          go (List.rev_append (List.map fst (neighbors t v)) rest)
-        end
-  in
-  go [ 0 ];
-  Array.for_all (fun b -> b) visited

@@ -24,8 +24,3 @@ val connected : t -> int -> int -> bool
 val neighbors : t -> int -> (int * link) list
 val links : t -> (int * int * link) list
 (** Each undirected link once, with [fst < snd]. *)
-
-val degree : t -> int -> int
-
-val is_connected : t -> bool
-(** Whether every node is reachable from node 0. *)

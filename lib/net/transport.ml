@@ -349,16 +349,8 @@ type partition_plan = outage list
 
 let outage ~src ~dst ~from ~until =
   if from < 0.0 || until <= from then
-    invalid_arg (Printf.sprintf "Transport.outage: bad window [%g, %g)" from until);
+    invalid_arg (Printf.sprintf "Transport.split_plan: bad window [%g, %g)" from until);
   { link_src = src; link_dst = dst; from; until }
-
-let oneway_plan ~src ~dst ~at ~duration = [ outage ~src ~dst ~from:at ~until:(at +. duration) ]
-
-let link_plan ~a ~b ~at ~duration =
-  [
-    outage ~src:a ~dst:b ~from:at ~until:(at +. duration);
-    outage ~src:b ~dst:a ~from:at ~until:(at +. duration);
-  ]
 
 (* Symmetric split: every directed link crossing the cut goes down, both
    ways — the classic two-island partition. *)
@@ -380,53 +372,6 @@ let split_plan ~nodes ~left ~at ~duration =
   done;
   List.rev !plan
 
-(* A flapping link: [cycles] down windows of [down] seconds each, with at
-   least [dwell] seconds of healed link between them (the min-heal dwell
-   that keeps a resurrection from being cut mid-re-offer every time). *)
-let flap_plan ~a ~b ~at ~cycles ~down ~dwell =
-  if cycles <= 0 then invalid_arg "Transport.flap_plan: cycles must be positive";
-  if down <= 0.0 || dwell <= 0.0 then invalid_arg "Transport.flap_plan: down and dwell must be positive";
-  List.concat
-    (List.init cycles (fun i ->
-       let start = at +. (float_of_int i *. (down +. dwell)) in
-       link_plan ~a ~b ~at:start ~duration:down))
-
-(* Seeded-random plan: [count] directed outages hashed from the seed, with
-   per-link overlap pruning so the cut/heal schedule never double-heals a
-   link, and a [dwell] gap enforced between consecutive outages of the
-   same link. Deterministic in (seed, nodes, count, horizon ...). *)
-let random_plan ~seed ~nodes ~count ~horizon ~min_down ~max_down ?(dwell = 0.0) () =
-  if nodes < 2 then invalid_arg "Transport.random_plan: need at least 2 nodes";
-  if count < 0 then invalid_arg "Transport.random_plan: negative count";
-  if min_down <= 0.0 || max_down < min_down then
-    invalid_arg "Transport.random_plan: bad down-time range";
-  let draw i slot = channel_unit_hash ~seed ~src:slot ~dst:i ~n:i in
-  let raw =
-    List.init count (fun i ->
-      let src = int_of_float (draw i 1 *. float_of_int nodes) in
-      let dst0 = int_of_float (draw i 2 *. float_of_int (nodes - 1)) in
-      let dst = if dst0 >= src then dst0 + 1 else dst0 in
-      let from = draw i 3 *. horizon in
-      let down = min_down +. (draw i 4 *. (max_down -. min_down)) in
-      outage ~src ~dst ~from ~until:(from +. down))
-  in
-  (* Prune per-link overlaps (keep the earlier outage; a later one must
-     start at least [dwell] after the survivor heals). *)
-  let by_start a b = compare (a.from, a.link_src, a.link_dst) (b.from, b.link_src, b.link_dst) in
-  let sorted = List.sort by_start raw in
-  let last_heal = Hashtbl.create 16 in
-  List.filter
-    (fun o ->
-      let key = (o.link_src, o.link_dst) in
-      let ok =
-        match Hashtbl.find_opt last_heal key with
-        | Some h -> o.from >= h +. dwell
-        | None -> true
-      in
-      if ok then Hashtbl.replace last_heal key o.until;
-      ok)
-    sorted
-
 (* Schedule the plan's cut/heal flips. Each flip is a timer on the
    destination node's shard — the shard that owns the arrival-time link
    check — so sharded runs see no cross-domain writes to the link state.
@@ -439,5 +384,3 @@ let schedule_plan transport control plan =
       at (o.from -. now) (fun () -> control.set_link ~src:o.link_src ~dst:o.link_dst ~up:false);
       at (o.until -. now) (fun () -> control.set_link ~src:o.link_src ~dst:o.link_dst ~up:true))
     plan
-
-let plan_horizon plan = List.fold_left (fun acc o -> Float.max acc o.until) 0.0 plan

@@ -241,10 +241,9 @@ val partitionable :
 (** {3 Partition plans}
 
     A plan is a list of absolute-time outage windows on directed links.
-    Generators cover the canonical shapes — a symmetric two-island split,
-    an asymmetric one-way outage, a flapping link with a min-heal dwell,
-    and a seeded-random schedule — and {!schedule_plan} turns a plan into
-    [set_link] timers on the owning shards. *)
+    {!split_plan} builds the symmetric two-island split, and
+    {!schedule_plan} turns any plan into [set_link] timers on the owning
+    shards. *)
 
 type outage = {
   link_src : int;
@@ -255,47 +254,12 @@ type outage = {
 
 type partition_plan = outage list
 
-val outage : src:int -> dst:int -> from:float -> until:float -> outage
-(** @raise Invalid_argument if [from] is negative or [until <= from]. *)
-
-val oneway_plan : src:int -> dst:int -> at:float -> duration:float -> partition_plan
-(** One asymmetric outage: [src -> dst] goes dark, the reverse link keeps
-    delivering. *)
-
-val link_plan : a:int -> b:int -> at:float -> duration:float -> partition_plan
-(** Both directions of one link, cut and healed together. *)
-
 val split_plan :
   nodes:int -> left:int list -> at:float -> duration:float -> partition_plan
 (** Symmetric two-island split: every directed link between [left] and
     its complement goes down for the window.
-    @raise Invalid_argument on an out-of-range node. *)
-
-val flap_plan :
-  a:int -> b:int -> at:float -> cycles:int -> down:float -> dwell:float -> partition_plan
-(** A flapping link: [cycles] symmetric down-windows of [down] seconds,
-    separated by [dwell] seconds of healed link (the min-heal dwell).
-    @raise Invalid_argument if [cycles], [down] or [dwell] is not
-    positive. *)
-
-val random_plan :
-  seed:int ->
-  nodes:int ->
-  count:int ->
-  horizon:float ->
-  min_down:float ->
-  max_down:float ->
-  ?dwell:float ->
-  unit ->
-  partition_plan
-(** A seeded-random plan of up to [count] directed outages with down
-    times in [min_down, max_down), start times in [0, horizon). Pure in
-    its arguments ({!channel_unit_hash} underneath — no shared stream).
-    Overlapping outages of the same link are pruned, keeping the earlier
-    window and enforcing [dwell] seconds of heal between consecutive
-    outages of one link, so the schedule never double-cuts.
-    @raise Invalid_argument on fewer than 2 nodes, a negative count, or a
-    bad down-time range. *)
+    @raise Invalid_argument on an out-of-range node, a negative [at] or a
+    [duration] that is not positive. *)
 
 val schedule_plan : t -> partition_control -> partition_plan -> unit
 (** Arm every cut and heal in the plan as transport timers. Each flip is
@@ -304,6 +268,3 @@ val schedule_plan : t -> partition_control -> partition_plan -> unit
     immediately. Call on the [partitionable] wrapper (or anything above
     it) before [run]. *)
 
-val plan_horizon : partition_plan -> float
-(** The last heal time in the plan: after this instant every link is up
-    again (0 for the empty plan). *)

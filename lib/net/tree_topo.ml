@@ -27,3 +27,7 @@ let max_depth t = Array.fold_left max 0 t.depth
 let children t v =
   let n = Array.length t.parent in
   List.filter (fun c -> t.parent.(c) = v) (List.init n (fun i -> i))
+
+module For_testing = struct
+  let children = children
+end

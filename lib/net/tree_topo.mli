@@ -16,4 +16,7 @@ val generate :
     [backbone_depth < 0]. *)
 
 val max_depth : t -> int
-val children : t -> int -> int list
+
+module For_testing : sig
+  val children : t -> int -> int list
+end

@@ -89,8 +89,6 @@ module Decoder = struct
     Bytes.blit src off d.buf d.stop len;
     d.stop <- d.stop + len
 
-  let feed_string d s = feed d (Bytes.unsafe_of_string s) 0 (String.length s)
-
   let next d =
     if buffered d < header_bytes then None
     else begin
@@ -121,4 +119,8 @@ module Decoder = struct
         Some { kind; src; dst; seq; payload }
       end
     end
+end
+
+module For_testing = struct
+  let max_payload = max_payload
 end

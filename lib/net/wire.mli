@@ -47,10 +47,6 @@ val control_id : int
 val header_bytes : int
 (** Fixed bytes before the payload (46). *)
 
-val max_payload : int
-(** Upper bound on [payload] length (16 MiB); longer frames are rejected
-    as corrupt on both ends rather than silently buffered forever. *)
-
 val encode : frame -> string
 (** The frame's wire bytes. @raise Invalid_argument on an id outside
     [0, control_id], a negative seq or an oversized payload: the
@@ -66,8 +62,6 @@ module Decoder : sig
   val feed : t -> Bytes.t -> int -> int -> unit
   (** [feed d buf off len] appends bytes to the decoder's buffer. *)
 
-  val feed_string : t -> string -> unit
-
   val next : t -> frame option
   (** The next complete frame, or [None] if the buffer holds only a
       frame prefix (truncation is indistinguishable from "not yet
@@ -76,4 +70,10 @@ module Decoder : sig
       @raise Dpc_util.Serialize.Corrupt as soon as the buffered bytes
       cannot extend to a valid frame; the buffer is left unusable and
       the connection should be dropped. *)
+end
+
+module For_testing : sig
+  val max_payload : int
+  (** Upper bound on [payload] length (16 MiB); longer frames are rejected
+      as corrupt on both ends rather than silently buffered forever. *)
 end

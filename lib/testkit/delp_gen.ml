@@ -149,12 +149,12 @@ let generate ~rng =
   let rules, specs = build 1 "ev" event_arity [] [] in
   let program = { Ast.prog_name = "generated"; rules } in
   let delp =
-    match Delp.validate program with
+    match Delp.For_testing.validate program with
     | Ok d -> d
     | Error e ->
         failwith
           (Printf.sprintf "Delp_gen.generate produced an invalid program (%s):\n%s"
-             (Delp.error_to_string e)
+             (Delp.For_testing.error_to_string e)
              (Pretty.program_to_string program))
   in
   {
@@ -216,7 +216,7 @@ let queryable runtime =
        match Tuple.compare a b with 0 -> Dpc_util.Sha1.compare e f | c -> c)
 
 let mutate_non_keys ~rng ~keys event =
-  let key_positions = Dpc_analysis.Equi_keys.keys keys in
+  let key_positions = Dpc_analysis.Equi_keys.For_testing.keys keys in
   let args =
     Array.to_list
       (Array.mapi

@@ -113,3 +113,8 @@ let pop q clock =
      action's closure alive. *)
   Array.unsafe_set q.actions last idle;
   action
+
+module For_testing = struct
+  let length = length
+  let is_empty = is_empty
+end

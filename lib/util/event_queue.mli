@@ -16,9 +16,6 @@ type clock = { mutable now : float }
 type t
 
 val create : unit -> t
-val length : t -> int
-val is_empty : t -> bool
-
 val push : t -> float -> (unit -> unit) -> unit
 (** [push q at action] queues [action] to fire at time [at], after every
     queued event at the same time. Times must not be NaN. *)
@@ -41,3 +38,9 @@ val pop : t -> clock -> (unit -> unit)
 (** Remove the earliest event, advance [clock] to its time (never
     backwards) and return its action, without running it.
     @raise Invalid_argument on an empty queue. *)
+
+module For_testing : sig
+  val length : t -> int
+
+  val is_empty : t -> bool
+end

@@ -56,3 +56,7 @@ let counter (s : snapshot) name =
 
 let to_rows (s : snapshot) =
   List.map (fun (k, v) -> [ k; "counter"; string_of_int v ]) s.counters
+
+module For_testing = struct
+  let counter = counter
+end

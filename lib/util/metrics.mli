@@ -35,8 +35,10 @@ val empty : snapshot
 val merge : snapshot -> snapshot -> snapshot
 (** Pointwise union: counters under one name add. *)
 
-val counter : snapshot -> string -> int
-(** 0 if absent. *)
-
 val to_rows : snapshot -> string list list
 (** [[name; "counter"; value]] rows for {!Table_fmt.print}. *)
+
+module For_testing : sig
+  val counter : snapshot -> string -> int
+  (** 0 if absent. *)
+end

@@ -37,3 +37,7 @@ let shuffle t a =
   done
 
 let split t = { state = next t }
+
+module For_testing = struct
+  let split = split
+end

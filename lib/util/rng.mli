@@ -20,5 +20,7 @@ val pick : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val split : t -> t
-(** A new independent generator derived from [t]'s stream. *)
+module For_testing : sig
+  val split : t -> t
+  (** A new independent generator derived from [t]'s stream. *)
+end

@@ -34,3 +34,7 @@ let human_rate r =
   else if r >= 1e6 then Printf.sprintf "%.2f MB/s" (r /. 1e6)
   else if r >= 1e3 then Printf.sprintf "%.2f KB/s" (r /. 1e3)
   else Printf.sprintf "%.1f B/s" r
+
+module For_testing = struct
+  let render = render
+end

@@ -1,9 +1,19 @@
 #!/usr/bin/env python3
-"""Fail on an exported value no other module names.
+"""Fail on an exported value no other module names, or only tests name.
 
-A `val` of a lib/*/*.mli interface counts as used only where a source
-file (.ml or .mli) of lib, bin, bench, dpcbench, examples or test, other
-than its own module's .ml and .mli, names it through its module:
+Two rules hold for every `val` of a lib/*/*.mli interface:
+
+  - Something names it. A shipped library (every lib/* but lib/testkit)
+    exports a value only when a file outside test/ and lib/testkit
+    names it; tests alone are not a reason to export it.
+  - The test seams stay with the tests. A `val` of a module's
+    `For_testing` submodule reaches the module's private state for an
+    oracle, a fixture or a fuzz, and only files under test/ or
+    lib/testkit may name it.
+
+A `val` counts as named only where a source file (.ml or .mli) of lib,
+bin, bench, dpcbench, examples or test, other than its own module's .ml
+and .mli, names it through its module:
 
   - a qualified path, `M.name` (a library prefix may precede it:
     `Dpc_util.M.name`), or `M.Sub.name` for a `val` of a submodule
@@ -186,28 +196,44 @@ def sources():
                     yield os.path.join(dirpath, f)
 
 
+def is_test(path):
+    """Whether [path] is test code: under test/ or lib/testkit."""
+    rel = os.path.relpath(path, ROOT).replace(os.sep, "/")
+    return rel.startswith(("test/", "lib/testkit/"))
+
+
 def main():
     texts, files = {}, {}
     for path in sources():
         with open(path, encoding="utf-8", errors="replace") as f:
             texts[path] = strip(f.read())
         files[path] = Source(texts[path])
-    unused = []
+    failures = []
     for mli in sorted(glob.glob(os.path.join(ROOT, "lib", "*", "*.mli"))):
         module = os.path.basename(mli)[:-4].capitalize()
         own = (mli, mli[:-1])
         for path, module_type, name in interface(texts[mli]):
             if module_type:
-                ok = any(name in f.qualified for p, f in files.items() if p != mli)
+                users = [p for p, f in files.items() if p != mli and name in f.qualified]
             else:
                 target = (module,) + path
-                ok = any(f.names(target, name) for p, f in files.items() if p not in own)
-            if not ok:
-                shown = (module,) + path + ((module_type,) if module_type else ()) + (name,)
-                unused.append("%s: val %s" % (os.path.relpath(mli, ROOT), ".".join(shown)))
-    for line in unused:
-        print("exported but named by no other module:", line)
-    return 1 if unused else 0
+                users = [p for p, f in files.items() if p not in own and f.names(target, name)]
+            shipped = [p for p in users if not is_test(p)]
+            shown = (module,) + path + ((module_type,) if module_type else ()) + (name,)
+            where = "%s: val %s" % (os.path.relpath(mli, ROOT), ".".join(shown))
+            if not users:
+                failures.append("exported but named by no other module: " + where)
+            elif "For_testing" in path:
+                for p in shipped:
+                    failures.append(
+                        "a For_testing value named outside the tests: %s, in %s"
+                        % (where, os.path.relpath(p, ROOT))
+                    )
+            elif not shipped and not is_test(mli):
+                failures.append("exported but named only by tests: " + where)
+    for line in failures:
+        print(line)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -8,11 +8,15 @@ open Dpc_core
 let check = Alcotest.check
 let tuple_t = Alcotest.testable Tuple.pp Tuple.equal
 
+(* The DNS output tuple [reply(@host, url, ip, rqid)]. *)
+let reply ~host ~url ~ip ~rqid =
+  Tuple.make "reply" [ Value.Addr host; Value.Str url; Value.Str ip; Value.Int rqid ]
+
 (* ------------------------------------------------------------------ *)
 (* f_isSubDomain *)
 
 let test_is_sub_domain () =
-  let t = Dpc_apps.Dns.is_sub_domain in
+  let t = Dpc_apps.Dns.For_testing.is_sub_domain in
   check Alcotest.bool "root covers everything" true (t "" "www.hello.com");
   check Alcotest.bool "exact" true (t "hello.com" "hello.com");
   check Alcotest.bool "sub" true (t "hello.com" "www.hello.com");
@@ -43,7 +47,7 @@ let domain_pair =
 let prop_is_sub_domain_in_place =
   QCheck.Test.make ~name:"in place = by String.sub" ~count:2000
     (QCheck.make ~print:QCheck.Print.(pair string string) domain_pair)
-    (fun (dm, url) -> Dpc_apps.Dns.is_sub_domain dm url = is_sub_domain_by_sub dm url)
+    (fun (dm, url) -> Dpc_apps.Dns.For_testing.is_sub_domain dm url = is_sub_domain_by_sub dm url)
 
 let test_is_sub_domain_errors () =
   let call args =
@@ -95,7 +99,7 @@ let test_dns_resolution name scheme =
   resolve runtime ~url:"www.hello.com" ~rqid:1;
   let outputs = List.map fst (Dpc_engine.Runtime.outputs runtime) in
   check (Alcotest.list tuple_t) (name ^ ": reply")
-    [ Dpc_apps.Dns.reply ~host:4 ~url:"www.hello.com" ~ip:"10.0.0.7" ~rqid:1 ]
+    [ reply ~host:4 ~url:"www.hello.com" ~ip:"10.0.0.7" ~rqid:1 ]
     outputs;
   (* r1 at the host, r2 at root and "com", r3 at "hello.com", r4. *)
   check Alcotest.int (name ^ ": five rule executions") 5
@@ -104,13 +108,13 @@ let test_dns_resolution name scheme =
 let test_dns_provenance_tree name scheme =
   let runtime, backend, routing = dns_world scheme in
   resolve runtime ~url:"www.hello.com" ~rqid:1;
-  let out = Dpc_apps.Dns.reply ~host:4 ~url:"www.hello.com" ~ip:"10.0.0.7" ~rqid:1 in
-  let result = Backend.query backend ~cost:Query_cost.free ~routing out in
+  let out = reply ~host:4 ~url:"www.hello.com" ~ip:"10.0.0.7" ~rqid:1 in
+  let result = Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing out in
   check Alcotest.int (name ^ ": one tree") 1 (List.length result.trees);
   let tree = List.hd result.trees in
   check (Alcotest.list Alcotest.string) (name ^ ": rule chain")
     [ "r4"; "r3"; "r2"; "r2"; "r1" ]
-    (Prov_tree.rules_root_to_leaf tree);
+    (Dpc_testkit.Query_kit.rules_root_to_leaf tree);
   check tuple_t (name ^ ": leaf event")
     (Dpc_apps.Dns.url ~host:4 ~url:"www.hello.com" ~rqid:1)
     (Prov_tree.event_of tree)
@@ -119,12 +123,12 @@ let test_dns_short_path name scheme =
   (* A URL authoritative one level down: shorter chain. *)
   let runtime, backend, routing = dns_world scheme in
   resolve runtime ~url:"www.example.org" ~rqid:9;
-  let out = Dpc_apps.Dns.reply ~host:4 ~url:"www.example.org" ~ip:"10.0.0.9" ~rqid:9 in
-  let result = Backend.query backend ~cost:Query_cost.free ~routing out in
+  let out = reply ~host:4 ~url:"www.example.org" ~ip:"10.0.0.9" ~rqid:9 in
+  let result = Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing out in
   check Alcotest.int (name ^ ": one tree") 1 (List.length result.trees);
   check (Alcotest.list Alcotest.string) (name ^ ": rule chain")
     [ "r4"; "r3"; "r2"; "r1" ]
-    (Prov_tree.rules_root_to_leaf (List.hd result.trees))
+    (Dpc_testkit.Query_kit.rules_root_to_leaf (List.hd result.trees))
 
 let test_dns_equivalence_compression () =
   let runtime, backend, _ = dns_world Backend.S_advanced in
@@ -151,8 +155,8 @@ let test_dns_all_schemes_agree () =
   let trees scheme =
     let runtime, backend, routing = dns_world scheme in
     resolve runtime ~url:"www.hello.com" ~rqid:1;
-    let out = Dpc_apps.Dns.reply ~host:4 ~url:"www.hello.com" ~ip:"10.0.0.7" ~rqid:1 in
-    (Backend.query backend ~cost:Query_cost.free ~routing out).trees
+    let out = reply ~host:4 ~url:"www.hello.com" ~ip:"10.0.0.7" ~rqid:1 in
+    (Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing out).trees
   in
   let reference = trees Backend.S_exspan in
   List.iter
@@ -172,29 +176,29 @@ let dhcp_world scheme =
   Dpc_net.Topology.add_link topo 1 2 l;
   let routing = Dpc_net.Routing.compute topo in
   let sim = Dpc_net.Sim.create ~topology:topo ~routing () in
-  let delp = Dpc_apps.Dhcp.delp () in
-  let backend = Backend.make scheme ~delp ~env:Dpc_apps.Dhcp.env ~nodes:3 in
+  let delp = Dpc_testkit.Addressing.Dhcp.delp () in
+  let backend = Backend.make scheme ~delp ~env:Dpc_engine.Env.empty ~nodes:3 in
   let runtime =
-    Dpc_engine.Runtime.create ~transport:(Dpc_net.Transport.of_sim sim) ~delp ~env:Dpc_apps.Dhcp.env ~hook:(Backend.hook backend) ()
+    Dpc_engine.Runtime.create ~transport:(Dpc_net.Transport.of_sim sim) ~delp ~env:Dpc_engine.Env.empty ~hook:(Backend.hook backend) ()
   in
   Dpc_engine.Runtime.load_slow runtime
     [
-      Dpc_apps.Dhcp.dhcp_relay ~host:0 ~server:2;
-      Dpc_apps.Dhcp.address_pool ~server:2 ~host:0 ~ip:"192.168.0.5";
+      Dpc_testkit.Addressing.Dhcp.dhcp_relay ~host:0 ~server:2;
+      Dpc_testkit.Addressing.Dhcp.address_pool ~server:2 ~host:0 ~ip:"192.168.0.5";
     ];
   (runtime, backend, routing)
 
 let test_dhcp_round_trip () =
   let runtime, backend, routing = dhcp_world Backend.S_advanced in
-  Dpc_engine.Runtime.inject runtime (Dpc_apps.Dhcp.discover ~host:0 ~rqid:1);
-  Dpc_engine.Runtime.inject runtime (Dpc_apps.Dhcp.discover ~host:0 ~rqid:2);
+  Dpc_engine.Runtime.inject runtime (Dpc_testkit.Addressing.Dhcp.discover ~host:0 ~rqid:1);
+  Dpc_engine.Runtime.inject runtime (Dpc_testkit.Addressing.Dhcp.discover ~host:0 ~rqid:2);
   Dpc_engine.Runtime.run runtime;
   let outputs = List.map fst (Dpc_engine.Runtime.outputs runtime) in
   check Alcotest.int "two offers" 2 (List.length outputs);
   (* One equivalence class: the keys are just the host. *)
   check Alcotest.int "one shared chain" 2 (Backend.total_storage backend).rule_exec_rows;
-  let out = Dpc_apps.Dhcp.offer ~host:0 ~ip:"192.168.0.5" ~rqid:2 in
-  let result = Backend.query backend ~cost:Query_cost.free ~routing out in
+  let out = Dpc_testkit.Addressing.Dhcp.offer ~host:0 ~ip:"192.168.0.5" ~rqid:2 in
+  let result = Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing out in
   check Alcotest.int "queryable" 1 (List.length result.trees)
 
 (* ------------------------------------------------------------------ *)
@@ -205,28 +209,28 @@ let test_arp_round_trip () =
   Dpc_net.Topology.add_link topo 0 1 { Dpc_net.Topology.latency = 0.001; bandwidth = 1e7 };
   let routing = Dpc_net.Routing.compute topo in
   let sim = Dpc_net.Sim.create ~topology:topo ~routing () in
-  let delp = Dpc_apps.Arp.delp () in
-  let backend = Backend.make Backend.S_advanced ~delp ~env:Dpc_apps.Arp.env ~nodes:2 in
+  let delp = Dpc_testkit.Addressing.Arp.delp () in
+  let backend = Backend.make Backend.S_advanced ~delp ~env:Dpc_engine.Env.empty ~nodes:2 in
   let runtime =
-    Dpc_engine.Runtime.create ~transport:(Dpc_net.Transport.of_sim sim) ~delp ~env:Dpc_apps.Arp.env ~hook:(Backend.hook backend) ()
+    Dpc_engine.Runtime.create ~transport:(Dpc_net.Transport.of_sim sim) ~delp ~env:Dpc_engine.Env.empty ~hook:(Backend.hook backend) ()
   in
   Dpc_engine.Runtime.load_slow runtime
     [
-      Dpc_apps.Arp.arp_switch ~host:0 ~switch:1;
-      Dpc_apps.Arp.mac_table ~switch:1 ~ip:"10.0.0.3" ~mac:"aa:bb";
-      Dpc_apps.Arp.mac_table ~switch:1 ~ip:"10.0.0.4" ~mac:"cc:dd";
+      Dpc_testkit.Addressing.Arp.arp_switch ~host:0 ~switch:1;
+      Dpc_testkit.Addressing.Arp.mac_table ~switch:1 ~ip:"10.0.0.3" ~mac:"aa:bb";
+      Dpc_testkit.Addressing.Arp.mac_table ~switch:1 ~ip:"10.0.0.4" ~mac:"cc:dd";
     ];
-  Dpc_engine.Runtime.inject runtime (Dpc_apps.Arp.arp_query ~host:0 ~ip:"10.0.0.3" ~rqid:1);
-  Dpc_engine.Runtime.inject runtime (Dpc_apps.Arp.arp_query ~host:0 ~ip:"10.0.0.4" ~rqid:2);
-  Dpc_engine.Runtime.inject runtime (Dpc_apps.Arp.arp_query ~host:0 ~ip:"10.0.0.3" ~rqid:3);
+  Dpc_engine.Runtime.inject runtime (Dpc_testkit.Addressing.Arp.arp_query ~host:0 ~ip:"10.0.0.3" ~rqid:1);
+  Dpc_engine.Runtime.inject runtime (Dpc_testkit.Addressing.Arp.arp_query ~host:0 ~ip:"10.0.0.4" ~rqid:2);
+  Dpc_engine.Runtime.inject runtime (Dpc_testkit.Addressing.Arp.arp_query ~host:0 ~ip:"10.0.0.3" ~rqid:3);
   Dpc_engine.Runtime.run runtime;
   check Alcotest.int "three replies" 3 (List.length (Dpc_engine.Runtime.outputs runtime));
   (* Two classes (host, ip): two chains of two rows, whose identical leaf
      (r1 at host 0, same arpSwitch tuple) deduplicates. *)
   check Alcotest.int "two chains sharing their leaf" 3
     (Backend.total_storage backend).rule_exec_rows;
-  let out = Dpc_apps.Arp.arp_reply ~host:0 ~ip:"10.0.0.3" ~mac:"aa:bb" ~rqid:3 in
-  let result = Backend.query backend ~cost:Query_cost.free ~routing out in
+  let out = Dpc_testkit.Addressing.Arp.arp_reply ~host:0 ~ip:"10.0.0.3" ~mac:"aa:bb" ~rqid:3 in
+  let result = Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing out in
   check Alcotest.int "repeat query shares chain" 1 (List.length result.trees)
 
 let scheme_cases f =

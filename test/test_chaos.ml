@@ -34,7 +34,7 @@ let tree_sig tree =
   Dpc_ndlog.Tuple.canonical (Prov_tree.event_of tree) ^ "|" ^ Prov_tree.to_string tree
 
 let query w ?evid out =
-  Backend.query w.Delp_gen.backend ~cost:Query_cost.free ~routing:w.Delp_gen.routing ?evid out
+  Backend.query w.Delp_gen.backend ~cost:Dpc_testkit.Query_kit.free ~routing:w.Delp_gen.routing ?evid out
 
 (* Every distinct (output, evid) pair with a byte digest of its tree set:
    the world's complete observable provenance state, comparable with (=). *)
@@ -67,13 +67,13 @@ let sweep_totals =
 let window_peak = ref 0
 
 let check_window ~fail r =
-  let peak = Dpc_net.Reliable.window_peak r in
+  let peak = Dpc_net.Reliable.For_testing.window_peak r in
   window_peak := max !window_peak peak;
-  if peak >= Dpc_net.Reliable.window then fail peak
+  if peak >= Dpc_net.Reliable.For_testing.window then fail peak
 
 let report_window () =
   Printf.printf "largest receive window held: %d (bound %d)\n" !window_peak
-    Dpc_net.Reliable.window
+    Dpc_net.Reliable.For_testing.window
 
 (* Cache-correctness satellite: attach a memoization cache to a finished
    world and read its full observable state twice — once populating, once
@@ -331,10 +331,10 @@ let partition_spacing = 0.3
 let partition_plans ~nodes ~seed =
   [
     ("split", Dpc_net.Transport.split_plan ~nodes ~left:[ 0 ] ~at:0.5 ~duration:2.0);
-    ("asymmetric", Dpc_net.Transport.oneway_plan ~src:0 ~dst:1 ~at:0.4 ~duration:1.8);
-    ("flapping", Dpc_net.Transport.flap_plan ~a:0 ~b:1 ~at:0.3 ~cycles:3 ~down:0.5 ~dwell:0.25);
+    ("asymmetric", Dpc_testkit.Partition_plans.oneway_plan ~src:0 ~dst:1 ~at:0.4 ~duration:1.8);
+    ("flapping", Dpc_testkit.Partition_plans.flap_plan ~a:0 ~b:1 ~at:0.3 ~cycles:3 ~down:0.5 ~dwell:0.25);
     ( "random",
-      Dpc_net.Transport.random_plan ~seed ~nodes ~count:4 ~horizon:2.5 ~min_down:0.6
+      Dpc_testkit.Partition_plans.random_plan ~seed ~nodes ~count:4 ~horizon:2.5 ~min_down:0.6
         ~max_down:2.0 ~dwell:0.2 () );
   ]
 
@@ -457,7 +457,7 @@ let sig_routing () =
    the reliable layer's header. Everything else (packets with payloads and
    provenance meta, 12-byte acks) has a different size, so a byte-count
    filter picks out exactly the sig transmissions. *)
-let sig_wire_bytes = 28 + 4 + Dpc_net.Reliable.data_header_bytes
+let sig_wire_bytes = 28 + 4 + Dpc_net.Reliable.For_testing.data_header_bytes
 
 let sig_world ~faults =
   let routing = sig_routing () in
@@ -540,7 +540,7 @@ let test_sig_under_loss () =
      flushed classes re-materialized on every path. *)
   let digest backend out =
     let trees =
-      (Backend.query backend ~cost:Query_cost.free ~routing out).trees
+      (Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing out).trees
       |> List.map tree_sig |> List.sort_uniq compare
     in
     Dpc_util.Sha1.to_hex (Dpc_util.Sha1.digest_string (String.concat "\n" trees))

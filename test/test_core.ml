@@ -55,7 +55,7 @@ let send w ~payload =
   Dpc_engine.Runtime.run w.runtime
 
 let query ?evid w output =
-  Backend.query w.backend ~cost:Query_cost.free ~routing:w.routing ?evid output
+  Backend.query w.backend ~cost:Dpc_testkit.Query_kit.free ~routing:w.routing ?evid output
 
 let expected_recv payload = Dpc_apps.Forwarding.recv ~at:2 ~src:0 ~dst:2 ~payload
 
@@ -235,7 +235,7 @@ let test_route_update_rematerializes () =
   check Alcotest.int "one tree for the new path" 1 (List.length result.trees);
   let tree = List.hd result.trees in
   check (Alcotest.list Alcotest.string) "rules" [ "r2"; "r1"; "r1" ]
-    (Prov_tree.rules_root_to_leaf tree);
+    (Dpc_testkit.Query_kit.rules_root_to_leaf tree);
   let slow_locs =
     List.filter_map
       (fun t -> if String.equal (Tuple.rel t) "route" then Some (Tuple.loc t) else None)
@@ -296,13 +296,13 @@ let test_deletion_keeps_provenance () =
 let test_theorem1_forwarding () =
   let keys = Dpc_analysis.Equi_keys.compute (Dpc_apps.Forwarding.delp ()) in
   check (Alcotest.list Alcotest.int) "forwarding keys" [ 0; 2 ]
-    (Dpc_analysis.Equi_keys.keys keys);
+    (Dpc_analysis.Equi_keys.For_testing.keys keys);
   let w = make_world Backend.S_exspan in
   send w ~payload:"data";
   send w ~payload:"url";
   let t1 = List.hd (query w (expected_recv "data")).trees in
   let t2 = List.hd (query w (expected_recv "url")).trees in
-  check Alcotest.bool "equivalent" true (Prov_tree.equivalent t1 t2);
+  check Alcotest.bool "equivalent" true (Dpc_testkit.Query_kit.equivalent t1 t2);
   check Alcotest.bool "not equal" false (Prov_tree.equal t1 t2)
 
 let prop_theorem1_random_payloads =
@@ -314,7 +314,7 @@ let prop_theorem1_random_payloads =
       send w ~payload:p1;
       send w ~payload:p2;
       match (query w (expected_recv p1)).trees, (query w (expected_recv p2)).trees with
-      | [ t1 ], [ t2 ] -> Prov_tree.equivalent t1 t2
+      | [ t1 ], [ t2 ] -> Dpc_testkit.Query_kit.equivalent t1 t2
       | _ -> false)
 
 (* --------------------------------------------------------------- *)
@@ -381,7 +381,7 @@ let test_evid_large_payloads name scheme =
   check Alcotest.int (name ^ ": one output per packet") 3 (List.length outputs);
   List.iter
     (fun (out, (meta : Dpc_engine.Prov_hook.meta)) ->
-      let payload = Value.str_exn (Tuple.arg out 3) in
+      let payload = Value.For_testing.str_exn (Tuple.arg out 3) in
       let label = Printf.sprintf "%s, %d-byte payload" name (String.length payload) in
       let result = query ~evid:meta.evid w out in
       check Alcotest.int (label ^ ": exactly one derivation") 1 (List.length result.trees);
@@ -415,9 +415,9 @@ let test_query_cost_ordering () =
 
 let test_prov_tree_accessors () =
   let t = fig3_tree "data" in
-  check Alcotest.int "depth" 3 (Prov_tree.depth t);
+  check Alcotest.int "depth" 3 (Dpc_testkit.Query_kit.depth t);
   check (Alcotest.list Alcotest.string) "rules" [ "r2"; "r1"; "r1" ]
-    (Prov_tree.rules_root_to_leaf t);
+    (Dpc_testkit.Query_kit.rules_root_to_leaf t);
   check Alcotest.bool "event_of" true
     (Tuple.equal (Prov_tree.event_of t) (Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload:"data"));
   check Alcotest.int "tuples" 6 (List.length (Prov_tree.tuples t))
@@ -429,7 +429,7 @@ let test_prov_tree_equivalence_is_shape_sensitive () =
       { rule = "r2"; output = expected_recv "data"; slow = [];
         event = Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload:"data" }
   in
-  check Alcotest.bool "different depth not equivalent" false (Prov_tree.equivalent t shallow);
+  check Alcotest.bool "different depth not equivalent" false (Dpc_testkit.Query_kit.equivalent t shallow);
   let different_slow =
     match t with
     | Derived ({ sub = Derived ({ sub = Event inner; _ } as mid); _ } as root) ->
@@ -443,7 +443,7 @@ let test_prov_tree_equivalence_is_shape_sensitive () =
     | _ -> Alcotest.fail "unexpected tree shape"
   in
   check Alcotest.bool "different slow tuples not equivalent" false
-    (Prov_tree.equivalent t different_slow)
+    (Dpc_testkit.Query_kit.equivalent t different_slow)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -463,19 +463,6 @@ let test_query_cost_hop_model () =
     (Query_cost.hop Query_cost.simulation w.routing ~src:0 ~dst:1);
   check (Alcotest.float 1e-9) "self hop free" 0.0
     (Query_cost.hop Query_cost.emulation w.routing ~src:1 ~dst:1)
-
-(* Hook composition: metadata sizes add, both sides observe events. *)
-let test_hook_combine () =
-  let delp = Dpc_apps.Forwarding.delp () in
-  let replay = Replay.create ~delp ~env:Dpc_apps.Forwarding.env ~nodes:4 in
-  let backend = Backend.make Backend.S_advanced ~delp ~env:Dpc_apps.Forwarding.env ~nodes:4 in
-  let combined = Replay.combine (Backend.hook backend) (Replay.hook replay) in
-  let ev = Dpc_apps.Forwarding.packet ~src:0 ~dst:2 ~payload:"m" in
-  let meta = combined.on_input ~node:0 ev in
-  check Alcotest.bool "maintenance meta flows through" true (meta.eqkey <> None);
-  check Alcotest.int "logger recorded the event" 1 (Replay.log_length replay);
-  check Alcotest.int "meta bytes add" ((Backend.hook backend).meta_bytes meta)
-    (combined.meta_bytes meta)
 
 let () =
   ignore for_all_schemes;
@@ -517,7 +504,6 @@ let () =
         [
           Alcotest.test_case "exspan slower" `Quick test_query_cost_ordering;
           Alcotest.test_case "hop model" `Quick test_query_cost_hop_model;
-          Alcotest.test_case "hook combine" `Quick test_hook_combine;
         ] );
       ( "prov_tree",
         [

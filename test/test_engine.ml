@@ -17,11 +17,11 @@ let test_db_set_semantics () =
   let db = Db.create () in
   check Alcotest.bool "first insert" true (Db.insert db (route ~at:0 ~dst:2 ~next:1));
   check Alcotest.bool "duplicate insert" false (Db.insert db (route ~at:0 ~dst:2 ~next:1));
-  check Alcotest.int "cardinality" 1 (Db.cardinality db "route");
-  check Alcotest.bool "mem" true (Db.mem db (route ~at:0 ~dst:2 ~next:1));
+  check Alcotest.int "cardinality" 1 (Db.For_testing.cardinality db "route");
+  check Alcotest.bool "mem" true (Db.For_testing.mem db (route ~at:0 ~dst:2 ~next:1));
   check Alcotest.bool "remove" true (Db.remove db (route ~at:0 ~dst:2 ~next:1));
   check Alcotest.bool "remove again" false (Db.remove db (route ~at:0 ~dst:2 ~next:1));
-  check Alcotest.int "empty" 0 (Db.total_tuples db)
+  check Alcotest.int "empty" 0 (Db.For_testing.total_tuples db)
 
 let test_db_scan_deterministic () =
   let db = Db.create () in
@@ -41,19 +41,19 @@ let test_db_lookup_indexed () =
   let key_02 = [ Value.Addr 0; Value.Addr 2 ] in
   (* First lookup builds the (0,1) index lazily over the existing tuples. *)
   check (Alcotest.list tuple_t) "exact bucket" [ route ~at:0 ~dst:2 ~next:1 ]
-    (Db.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:key_02);
+    (Db.For_testing.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:key_02);
   (* ...and the index is maintained by subsequent inserts and removes. *)
   ignore (Db.insert db (route ~at:0 ~dst:2 ~next:4));
   check Alcotest.int "sees later insert" 2
-    (List.length (Db.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:key_02));
+    (List.length (Db.For_testing.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:key_02));
   ignore (Db.remove db (route ~at:0 ~dst:2 ~next:1));
   check (Alcotest.list tuple_t) "sees removal" [ route ~at:0 ~dst:2 ~next:4 ]
-    (Db.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:key_02);
+    (Db.For_testing.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:key_02);
   check (Alcotest.list tuple_t) "absent key" []
-    (Db.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:[ Value.Addr 9; Value.Addr 9 ]);
+    (Db.For_testing.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:[ Value.Addr 9; Value.Addr 9 ]);
   (* A second index on different positions coexists with the first. *)
   check Alcotest.int "single-position index" 2
-    (List.length (Db.lookup db ~rel:"route" ~positions:[ 0 ] ~key:[ Value.Addr 0 ]))
+    (List.length (Db.For_testing.lookup db ~rel:"route" ~positions:[ 0 ] ~key:[ Value.Addr 0 ]))
 
 let test_db_bucket_order () =
   (* Buckets hold their newest insert first, whether the tuples predate the
@@ -61,7 +61,7 @@ let test_db_bucket_order () =
   let db = Db.create () in
   let via next = route ~at:0 ~dst:2 ~next in
   let bucket () =
-    Db.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:[ Value.Addr 0; Value.Addr 2 ]
+    Db.For_testing.lookup db ~rel:"route" ~positions:[ 0; 1 ] ~key:[ Value.Addr 0; Value.Addr 2 ]
   in
   List.iter (fun n -> ignore (Db.insert db (via n))) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
   check (Alcotest.list tuple_t) "built over existing tuples"
@@ -73,13 +73,13 @@ let test_db_bucket_order () =
     (List.map via [ 5; 9; 8; 7; 6; 4; 3; 2; 1 ]) (bucket ());
   check (Alcotest.list tuple_t) "no position: the whole relation, newest first"
     (List.map via [ 5; 9; 8; 7; 6; 4; 3; 2; 1 ])
-    (Db.lookup db ~rel:"route" ~positions:[] ~key:[])
+    (Db.For_testing.lookup db ~rel:"route" ~positions:[] ~key:[])
 
 (* ------------------------------------------------------------------ *)
 (* Eval *)
 
 let rule_of src =
-  match Parser.parse_rule src with
+  match Parser.For_testing.parse_rule src with
   | Ok r -> r
   | Error e -> Alcotest.failf "parse error: %s" e
 
@@ -91,7 +91,7 @@ let pkt ~at ~src ~dst ~payload =
 
 let test_eval_match_atom () =
   let atom = forwarding_r1.event in
-  match Eval.match_atom atom (pkt ~at:0 ~src:0 ~dst:2 ~payload:"x") [] with
+  match Eval.For_testing.match_atom atom (pkt ~at:0 ~src:0 ~dst:2 ~payload:"x") [] with
   | None -> Alcotest.fail "should match"
   | Some b ->
       check Alcotest.bool "binds L" true (List.assoc "L" b = Value.Addr 0);
@@ -103,15 +103,15 @@ let test_eval_match_atom_consistency () =
   let atom = rule_of "r p(@X) :- q(@A, B, B)." in
   let ok = Tuple.make "q" [ Value.Addr 0; Value.Int 1; Value.Int 1 ] in
   let bad = Tuple.make "q" [ Value.Addr 0; Value.Int 1; Value.Int 2 ] in
-  check Alcotest.bool "consistent repeat" true (Eval.match_atom atom.event ok [] <> None);
-  check Alcotest.bool "inconsistent repeat" false (Eval.match_atom atom.event bad [] <> None)
+  check Alcotest.bool "consistent repeat" true (Eval.For_testing.match_atom atom.event ok [] <> None);
+  check Alcotest.bool "inconsistent repeat" false (Eval.For_testing.match_atom atom.event bad [] <> None)
 
 let test_eval_fire_join () =
   let db = Db.create () in
   ignore (Db.insert db (route ~at:0 ~dst:2 ~next:1));
   ignore (Db.insert db (route ~at:0 ~dst:3 ~next:1));
   let results =
-    Eval.fire ~env:Env.empty ~db ~rule:forwarding_r1 ~event:(pkt ~at:0 ~src:0 ~dst:2 ~payload:"x")
+    Eval.For_testing.fire ~env:Env.empty ~db ~rule:forwarding_r1 ~event:(pkt ~at:0 ~src:0 ~dst:2 ~payload:"x")
   in
   check Alcotest.int "one result" 1 (List.length results);
   let head, slow = List.hd results in
@@ -123,32 +123,32 @@ let test_eval_fire_multiple_matches () =
   ignore (Db.insert db (route ~at:0 ~dst:2 ~next:1));
   ignore (Db.insert db (route ~at:0 ~dst:2 ~next:3));
   let results =
-    Eval.fire ~env:Env.empty ~db ~rule:forwarding_r1 ~event:(pkt ~at:0 ~src:0 ~dst:2 ~payload:"x")
+    Eval.For_testing.fire ~env:Env.empty ~db ~rule:forwarding_r1 ~event:(pkt ~at:0 ~src:0 ~dst:2 ~payload:"x")
   in
   check Alcotest.int "two derivations" 2 (List.length results)
 
 let test_eval_fire_comparison () =
   let db = Db.create () in
   let at_dst =
-    Eval.fire ~env:Env.empty ~db ~rule:forwarding_r2 ~event:(pkt ~at:2 ~src:0 ~dst:2 ~payload:"x")
+    Eval.For_testing.fire ~env:Env.empty ~db ~rule:forwarding_r2 ~event:(pkt ~at:2 ~src:0 ~dst:2 ~payload:"x")
   in
   check Alcotest.int "fires at destination" 1 (List.length at_dst);
   let en_route =
-    Eval.fire ~env:Env.empty ~db ~rule:forwarding_r2 ~event:(pkt ~at:1 ~src:0 ~dst:2 ~payload:"x")
+    Eval.For_testing.fire ~env:Env.empty ~db ~rule:forwarding_r2 ~event:(pkt ~at:1 ~src:0 ~dst:2 ~payload:"x")
   in
   check Alcotest.int "silent elsewhere" 0 (List.length en_route)
 
 let test_eval_fire_wrong_event_relation () =
   let db = Db.create () in
   let results =
-    Eval.fire ~env:Env.empty ~db ~rule:forwarding_r2 ~event:(route ~at:0 ~dst:1 ~next:1)
+    Eval.For_testing.fire ~env:Env.empty ~db ~rule:forwarding_r2 ~event:(route ~at:0 ~dst:1 ~next:1)
   in
   check Alcotest.int "no match" 0 (List.length results)
 
 let test_eval_assignment_and_arith () =
   let rule = rule_of "r1 out(@L, Y) :- ev(@L, A, B), Y := (A + B) * 2." in
   let event = Tuple.make "ev" [ Value.Addr 0; Value.Int 3; Value.Int 4 ] in
-  match Eval.fire ~env:Env.empty ~db:(Db.create ()) ~rule ~event with
+  match Eval.For_testing.fire ~env:Env.empty ~db:(Db.create ()) ~rule ~event with
   | [ (head, []) ] ->
       check tuple_t "computed head" (Tuple.make "out" [ Value.Addr 0; Value.Int 14 ]) head
   | _ -> Alcotest.fail "expected one derivation"
@@ -157,17 +157,17 @@ let test_eval_division_by_zero () =
   let rule = rule_of "r1 out(@L, Y) :- ev(@L, A), Y := A / 0." in
   let event = Tuple.make "ev" [ Value.Addr 0; Value.Int 3 ] in
   Alcotest.check_raises "division by zero" (Eval.Eval_error "division by zero") (fun () ->
-    ignore (Eval.fire ~env:Env.empty ~db:(Db.create ()) ~rule ~event))
+    ignore (Eval.For_testing.fire ~env:Env.empty ~db:(Db.create ()) ~rule ~event))
 
 let test_eval_udf () =
   let env =
-    Env.register Env.empty "f_double" (function
+    Env.For_testing.register Env.empty "f_double" (function
       | [ Value.Int x ] -> Value.Int (2 * x)
       | _ -> raise (Eval.Eval_error "f_double"))
   in
   let rule = rule_of "r1 out(@L, Y) :- ev(@L, A), Y := f_double(A)." in
   let event = Tuple.make "ev" [ Value.Addr 0; Value.Int 21 ] in
-  match Eval.fire ~env ~db:(Db.create ()) ~rule ~event with
+  match Eval.For_testing.fire ~env ~db:(Db.create ()) ~rule ~event with
   | [ (head, _) ] ->
       check tuple_t "udf head" (Tuple.make "out" [ Value.Addr 0; Value.Int 42 ]) head
   | _ -> Alcotest.fail "expected one derivation"
@@ -176,12 +176,12 @@ let test_eval_unknown_udf () =
   let rule = rule_of "r1 out(@L, Y) :- ev(@L, A), Y := f_missing(A)." in
   let event = Tuple.make "ev" [ Value.Addr 0; Value.Int 1 ] in
   Alcotest.check_raises "unknown function" (Eval.Eval_error "unknown function f_missing")
-    (fun () -> ignore (Eval.fire ~env:Env.empty ~db:(Db.create ()) ~rule ~event))
+    (fun () -> ignore (Eval.For_testing.fire ~env:Env.empty ~db:(Db.create ()) ~rule ~event))
 
 let test_eval_string_ordering () =
   let rule = rule_of "r1 out(@L, A) :- ev(@L, A, B), A < B." in
   let fire a b =
-    Eval.fire ~env:Env.empty ~db:(Db.create ()) ~rule
+    Eval.For_testing.fire ~env:Env.empty ~db:(Db.create ()) ~rule
       ~event:(Tuple.make "ev" [ Value.Addr 0; Value.Str a; Value.Str b ])
   in
   check Alcotest.int "abc < abd" 1 (List.length (fire "abc" "abd"));
@@ -257,8 +257,8 @@ let test_fire_planned_matches_fire () =
     (fun event ->
       List.iter
         (fun rule ->
-          let naive = Eval.fire ~env:Env.empty ~db ~rule ~event in
-          let planned = Eval.fire_planned ~db ~plan:(Eval.plan ~env:Env.empty rule) ~event in
+          let naive = Eval.For_testing.fire ~env:Env.empty ~db ~rule ~event in
+          let planned = Eval.For_testing.fire_planned ~db ~plan:(Eval.plan ~env:Env.empty rule) ~event in
           check
             (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.list Alcotest.string)))
             ("planned = naive on " ^ Tuple.to_string event)
@@ -315,7 +315,7 @@ let test_fire_into_matches_fire_dns () =
     (fun event ->
       List.iter
         (fun plan ->
-          let naive = Eval.fire ~env ~db ~rule:(Eval.plan_rule plan) ~event in
+          let naive = Eval.For_testing.fire ~env ~db ~rule:(Eval.plan_rule plan) ~event in
           let n = Eval.fire_into scratch ~db ~plan ~event in
           let planned =
             List.init n (fun i -> (Eval.derived_head scratch i, Eval.derived_slow scratch i))
@@ -341,7 +341,7 @@ let test_fire_planned_order () =
   List.iter (fun v -> ignore (Db.insert db (fact "p" v))) [ 1; 2 ];
   List.iter (fun v -> ignore (Db.insert db (fact "q" v))) [ 1; 2 ];
   let derivations =
-    Eval.fire_planned ~db ~plan:(Eval.plan ~env:Env.empty rule)
+    Eval.For_testing.fire_planned ~db ~plan:(Eval.plan ~env:Env.empty rule)
       ~event:(Tuple.make "ev" [ Value.Addr 0 ])
   in
   let out a b = Tuple.make "out" [ Value.Addr 0; Value.Int a; Value.Int b ] in
@@ -366,8 +366,8 @@ let test_fire_with_slow_wrong_count () =
 (* Env *)
 
 let test_env_shadowing () =
-  let env = Env.register Env.empty "f" (fun _ -> Value.Int 1) in
-  let env = Env.register env "f" (fun _ -> Value.Int 2) in
+  let env = Env.For_testing.register Env.empty "f" (fun _ -> Value.Int 1) in
+  let env = Env.For_testing.register env "f" (fun _ -> Value.Int 2) in
   match Env.lookup env "f" with
   | Some f -> check Alcotest.bool "latest wins" true (f [] = Value.Int 2)
   | None -> Alcotest.fail "lookup failed"
@@ -435,14 +435,14 @@ let test_runtime_sig_broadcast_reaches_all_nodes () =
   Runtime.run runtime;
   check (Alcotest.list Alcotest.int) "all nodes signalled" [ 0; 1; 2 ]
     (List.sort compare !seen);
-  check Alcotest.bool "tuple stored" true (Db.mem (Runtime.db runtime 1) (route ~at:1 ~dst:2 ~next:2))
+  check Alcotest.bool "tuple stored" true (Db.For_testing.mem (Runtime.db runtime 1) (route ~at:1 ~dst:2 ~next:2))
 
 let test_runtime_duplicate_insert_is_silent () =
   (* §5.5: re-inserting a slow tuple already present must neither broadcast
      [sig] nor charge any message accounting. *)
   let runtime, sim = line_world () in
   let msgs () =
-    Dpc_util.Metrics.counter (Runtime.metrics_snapshot runtime) "runtime.shipped_msgs"
+    Dpc_util.Metrics.For_testing.counter (Runtime.metrics_snapshot runtime) "runtime.shipped_msgs"
   in
   check Alcotest.int "load_slow ships nothing" 0 (msgs ());
   Runtime.insert_slow_runtime runtime (route ~at:0 ~dst:2 ~next:1);
@@ -489,17 +489,17 @@ let test_runtime_delete_broadcasts_sig () =
     (List.sort compare
        (List.map (fun (n, op) -> (n, op = Prov_hook.Slow_delete)) !seen));
   check Alcotest.bool "tuple gone" false
-    (Db.mem (Runtime.db runtime 1) (route ~at:1 ~dst:2 ~next:2));
+    (Db.For_testing.mem (Runtime.db runtime 1) (route ~at:1 ~dst:2 ~next:2));
   check Alcotest.bool "sig bytes accounted" true
-    (Dpc_util.Metrics.counter (Runtime.metrics_snapshot runtime) "runtime.shipped_msgs" > 0)
+    (Dpc_util.Metrics.For_testing.counter (Runtime.metrics_snapshot runtime) "runtime.shipped_msgs" > 0)
 
 (* A new world starts with the domain's payload-digest cache empty, so
    what it hashes, and allocates, does not depend on earlier worlds. *)
 let test_runtime_create_empties_payload_cache () =
   ignore (Tuple.digest (pkt ~at:0 ~src:0 ~dst:2 ~payload:(String.make 100 'p')));
-  check Alcotest.bool "a long payload was cached" true (Value.payload_cache_size () > 0);
+  check Alcotest.bool "a long payload was cached" true (Value.For_testing.payload_cache_size () > 0);
   ignore (line_world ());
-  check Alcotest.int "a new runtime empties the cache" 0 (Value.payload_cache_size ())
+  check Alcotest.int "a new runtime empties the cache" 0 (Value.For_testing.payload_cache_size ())
 
 let test_runtime_record_outputs_off () =
   let topo = Dpc_net.Topology.create ~n:3 in
@@ -519,7 +519,7 @@ let test_runtime_record_outputs_off () =
   check Alcotest.int "outputs not retained" 0 (List.length (Runtime.outputs runtime));
   check Alcotest.int "stats still count" 1 (Runtime.stats runtime).outputs;
   check Alcotest.int "metrics still count" 1
-    (Dpc_util.Metrics.counter (Runtime.metrics_snapshot runtime) "runtime.outputs")
+    (Dpc_util.Metrics.For_testing.counter (Runtime.metrics_snapshot runtime) "runtime.outputs")
 
 let test_runtime_multipath_derivations () =
   (* Two routes at n0 toward n2: the packet is duplicated (both derivations
@@ -555,13 +555,13 @@ let run_quickstart transport =
 
 let check_metrics_nonzero runtime =
   let s = Runtime.metrics_snapshot runtime in
-  check Alcotest.int "injected" 1 (Dpc_util.Metrics.counter s "runtime.injected");
-  check Alcotest.int "fired" 3 (Dpc_util.Metrics.counter s "runtime.fired");
-  check Alcotest.int "outputs" 1 (Dpc_util.Metrics.counter s "runtime.outputs");
+  check Alcotest.int "injected" 1 (Dpc_util.Metrics.For_testing.counter s "runtime.injected");
+  check Alcotest.int "fired" 3 (Dpc_util.Metrics.For_testing.counter s "runtime.fired");
+  check Alcotest.int "outputs" 1 (Dpc_util.Metrics.For_testing.counter s "runtime.outputs");
   check Alcotest.bool "shipped msgs" true
-    (Dpc_util.Metrics.counter s "runtime.shipped_msgs" > 0);
+    (Dpc_util.Metrics.For_testing.counter s "runtime.shipped_msgs" > 0);
   check Alcotest.bool "shipped bytes" true
-    (Dpc_util.Metrics.counter s "runtime.shipped_bytes" > 0)
+    (Dpc_util.Metrics.For_testing.counter s "runtime.shipped_bytes" > 0)
 
 let test_runtime_metrics_sim () =
   let runtime, _ = line_world () in
@@ -605,7 +605,7 @@ let check_budget ?(count = minor_words) name ~measured f =
   if words > budget then Alcotest.failf "%s allocates %d words, budget %d" name words budget
 
 let test_budget_counters () =
-  let node = Node.create () in
+  let node = (Node.cluster 1).(0) in
   let m = Node.metrics node in
   check_budget "Metrics.incr" ~measured:0 (fun () -> Dpc_util.Metrics.incr m "runtime.fired");
   check_budget "Metrics.add" ~measured:0 (fun () ->
@@ -637,7 +637,7 @@ let test_budget_sim_send () =
   check_budget "Sim.send one hop" ~measured:2 (fun () ->
     Dpc_net.Sim.send sim ~src:0 ~dst:1 ~bytes:600 k);
   Dpc_net.Sim.run sim;
-  check Alcotest.int "both delivered" 2 (Dpc_net.Sim.events_processed sim)
+  check Alcotest.int "both delivered" 2 (Dpc_net.Sim.For_testing.events_processed sim)
 
 (* One message on a one-domain Shard_sim, sent from outside [run]. *)
 let test_budget_shard_send () =
@@ -807,7 +807,7 @@ let test_budget_digests scheme name ~measured () =
   let small = digest_world scheme ~packets:0 and large = digest_world scheme ~packets:100 in
   check Alcotest.bool "ten times the store rows" true (node_rows large >= 10 * node_rows small);
   check Alcotest.bool "ten times the Db tuples" true
-    (Db.total_tuples large.db >= 10 * Db.total_tuples small.db);
+    (Db.For_testing.total_tuples large.db >= 10 * Db.For_testing.total_tuples small.db);
   List.iter
     (fun (size, (w : Fixture_world.t)) ->
       check_budget ~count:heap_words
@@ -836,7 +836,7 @@ let test_budget_query ~miss ~hit () =
          output)
   in
   check_budget "Basic query, cache miss" ~measured:miss (fun () ->
-      Dpc_core.Query_cache.clear cache;
+      Dpc_core.Query_cache.For_testing.clear cache;
       query ());
   check_budget "Basic query, cache hit" ~measured:hit query;
   let s = Dpc_core.Query_cache.stats cache in

@@ -9,7 +9,7 @@
    depend on the order in which rule firings produce their derivations.
 
    Each digest is the SHA-1 over, for every node in id order, the
-   scheme's [Backend.digest_node] and the node's [Db.canonical], then the
+   scheme's [Backend.digest_node] and the node's [Db.For_testing.canonical], then the
    simulator's [link_bytes], then every output tuple in arrival order. A
    constant changes only when the runtime's observable behaviour does; if
    a change is intended, recapture the constants and say why in the
@@ -31,11 +31,11 @@ let world_digest ~backend ~sim ~outputs =
   Array.iteri
     (fun i node ->
       Printf.bprintf buf "n%d %s " i (Backend.digest_node backend i);
-      Buffer.add_string buf (Dpc_engine.Db.canonical (Dpc_engine.Node.db node)))
+      Buffer.add_string buf (Dpc_engine.Db.For_testing.canonical (Dpc_engine.Node.db node)))
     (Backend.nodes backend);
   List.iter
     (fun ((a, b), bytes) -> Printf.bprintf buf "|%d-%d:%d" a b bytes)
-    (Dpc_net.Sim.link_bytes sim);
+    (Dpc_net.Sim.For_testing.link_bytes sim);
   List.iter
     (fun out ->
       Buffer.add_char buf '|';

@@ -31,9 +31,9 @@ let parse_ok ?(name = "p") src =
   | Error e -> Alcotest.failf "parse error: %s" e
 
 let validate_ok src =
-  match Delp.validate (parse_ok src) with
+  match Delp.For_testing.validate (parse_ok src) with
   | Ok d -> d
-  | Error e -> Alcotest.failf "validation error: %s" (Delp.error_to_string e)
+  | Error e -> Alcotest.failf "validation error: %s" (Delp.For_testing.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Value *)
@@ -55,9 +55,9 @@ let test_value_canonical_length_prefixed () =
 
 let test_value_accessors () =
   check Alcotest.int "addr" 3 (Value.addr_exn (Value.Addr 3));
-  check Alcotest.int "int" 5 (Value.int_exn (Value.Int 5));
-  check Alcotest.bool "bool" true (Value.bool_exn (Value.Bool true));
-  checks "str" "x" (Value.str_exn (Value.Str "x"));
+  check Alcotest.int "int" 5 (Value.For_testing.int_exn (Value.Int 5));
+  check Alcotest.bool "bool" true (Value.For_testing.bool_exn (Value.Bool true));
+  checks "str" "x" (Value.For_testing.str_exn (Value.Str "x"));
   Alcotest.check_raises "addr_exn on int" (Invalid_argument "Value.addr_exn: not an address")
     (fun () -> ignore (Value.addr_exn (Value.Int 1)))
 
@@ -108,7 +108,7 @@ let test_tuple_canonical_sensitivity () =
 
 (* The digest contract with payload interning, against a reference
    rendering built here from [Value.canonical] and [Sha1.digest_string]:
-   for tuples whose [Str] payloads are at most [Value.payload_inline_max]
+   for tuples whose [Str] payloads are at most [Value.For_testing.payload_inline_max]
    bytes the digest is exactly sha1(canonical); larger payloads contribute
    "h:" ^ length ^ ":" ^ raw payload digest in place of their canonical
    rendering. Both memoization orders must agree, and payloads spanning
@@ -124,7 +124,7 @@ let reference_piece = function
 let reference args = sha1 ("packet(" ^ String.concat "," (List.map reference_piece args) ^ ")")
 
 let test_tuple_digest_contract () =
-  check Alcotest.int "interning threshold" 64 Value.payload_inline_max;
+  check Alcotest.int "interning threshold" 64 Value.For_testing.payload_inline_max;
   List.iter
     (fun (n, b) ->
       List.iter
@@ -136,7 +136,7 @@ let test_tuple_digest_contract () =
           check Alcotest.bool "digest matches the reference rendering" true
             (Dpc_util.Sha1.equal da (reference args));
           (* Small payloads keep the historical vid = sha1(canonical). *)
-          if String.length payload <= Value.payload_inline_max then
+          if String.length payload <= Value.For_testing.payload_inline_max then
             check Alcotest.bool "inline digest = sha1 canonical" true
               (Dpc_util.Sha1.equal da (sha1 (Tuple.canonical a)));
           (* canonical first: the memoized-string path must agree *)
@@ -165,11 +165,11 @@ let test_tuple_digest_contract () =
    rendering, the first time and again through a new tuple; the cache
    grows by one a payload and never past its cap. *)
 let test_payload_cache_bound () =
-  let cap = Value.payload_cache_cap in
+  let cap = Value.For_testing.payload_cache_cap in
   check Alcotest.int "cap" 4096 cap;
   Domain.join
     (Domain.spawn (fun () ->
-       check Alcotest.int "a new domain's cache is empty" 0 (Value.payload_cache_size ());
+       check Alcotest.int "a new domain's cache is empty" 0 (Value.For_testing.payload_cache_size ());
        for i = 1 to (2 * cap) + 100 do
          let args = [ Value.Addr 3; Value.Int i; Value.Str (Printf.sprintf "%08d%s" i (String.make 100 'z')) ] in
          let d = Tuple.digest (Tuple.make "packet" args) in
@@ -177,7 +177,7 @@ let test_payload_cache_bound () =
            Alcotest.failf "payload %d: digest differs from the reference" i;
          if not (Dpc_util.Sha1.equal (Tuple.digest (Tuple.make "packet" args)) d) then
            Alcotest.failf "payload %d: a repeat digest differs" i;
-         let size = Value.payload_cache_size () in
+         let size = Value.For_testing.payload_cache_size () in
          if size > cap then Alcotest.failf "payload %d: the cache holds %d" i size;
          if size <> ((i - 1) mod cap) + 1 then
            Alcotest.failf "payload %d: the cache holds %d, not %d" i size (((i - 1) mod cap) + 1)
@@ -273,7 +273,7 @@ let test_parse_dns () =
   | _ -> Alcotest.fail "r2 should have a nameServer join and a UDF comparison"
 
 let test_parse_assignment () =
-  match Parser.parse_rule "r2 recv(@L, S, N, DT) :- packet(@L, S, D, DT), N := L + 2." with
+  match Parser.For_testing.parse_rule "r2 recv(@L, S, N, DT) :- packet(@L, S, D, DT), N := L + 2." with
   | Error e -> Alcotest.failf "parse error: %s" e
   | Ok r -> begin
       match r.conds with
@@ -284,7 +284,7 @@ let test_parse_assignment () =
     end
 
 let test_parse_expression_precedence () =
-  match Parser.parse_rule "r1 p(@L, X) :- q(@L, A, B, C), X := A + B * C." with
+  match Parser.For_testing.parse_rule "r1 p(@L, X) :- q(@L, A, B, C), X := A + B * C." with
   | Error e -> Alcotest.failf "parse error: %s" e
   | Ok r -> begin
       match r.conds with
@@ -300,18 +300,18 @@ let contains_substring hay needle =
   go 0
 
 let test_parse_missing_at () =
-  match Parser.parse_rule "r1 p(L) :- q(@L)." with
+  match Parser.For_testing.parse_rule "r1 p(L) :- q(@L)." with
   | Ok _ -> Alcotest.fail "expected a parse error"
   | Error e -> check Alcotest.bool "mentions location specifier" true
                  (contains_substring e "location")
 
 let test_parse_event_must_be_atom () =
-  match Parser.parse_rule "r1 p(@L, X) :- X == 1, q(@L, X)." with
+  match Parser.For_testing.parse_rule "r1 p(@L, X) :- X == 1, q(@L, X)." with
   | Ok _ -> Alcotest.fail "expected a parse error"
   | Error _ -> ()
 
 let test_parse_negative_literal () =
-  match Parser.parse_rule "r1 p(@L, X) :- q(@L, Y), X := Y + -3." with
+  match Parser.For_testing.parse_rule "r1 p(@L, X) :- q(@L, Y), X := Y + -3." with
   | Error e -> Alcotest.failf "parse error: %s" e
   | Ok r -> begin
       match r.conds with
@@ -342,14 +342,14 @@ let test_pretty_roundtrip_dns () =
   checks "round-trip stable" printed (Pretty.program_to_string p2)
 
 let test_pretty_parenthesizes_nested_binops () =
-  match Parser.parse_rule "r1 p(@L, X) :- q(@L, A, B, C), X := (A + B) * C." with
+  match Parser.For_testing.parse_rule "r1 p(@L, X) :- q(@L, A, B, C), X := (A + B) * C." with
   | Error e -> Alcotest.failf "parse error: %s" e
   | Ok r ->
-      let printed = Pretty.rule_to_string r in
+      let printed = Pretty.For_testing.rule_to_string r in
       begin
-        match Parser.parse_rule printed with
+        match Parser.For_testing.parse_rule printed with
         | Error e -> Alcotest.failf "re-parse error on %S: %s" printed e
-        | Ok r2 -> checks "tree preserved" printed (Pretty.rule_to_string r2)
+        | Ok r2 -> checks "tree preserved" printed (Pretty.For_testing.rule_to_string r2)
       end
 
 (* ------------------------------------------------------------------ *)
@@ -361,11 +361,11 @@ let test_delp_forwarding () =
   checks "output" "recv" d.output_rel;
   check (Alcotest.list Alcotest.string) "slow rels" [ "route" ] d.slow_rels;
   check (Alcotest.list Alcotest.string) "event rels" [ "packet"; "recv" ] d.event_rels;
-  check Alcotest.int "packet arity" 4 (Delp.arity d "packet");
-  check Alcotest.bool "route is slow" true (Delp.is_slow d "route");
-  check Alcotest.bool "packet is event" true (Delp.is_event d "packet");
+  check Alcotest.int "packet arity" 4 (Delp.For_testing.arity d "packet");
+  check Alcotest.bool "route is slow" true (Delp.For_testing.is_slow d "route");
+  check Alcotest.bool "packet is event" true (Delp.For_testing.is_event d "packet");
   check Alcotest.int "packet triggers two rules" 2
-    (List.length (Delp.rules_for_event d "packet"))
+    (List.length (Delp.For_testing.rules_for_event d "packet"))
 
 let test_delp_dns () =
   let d = validate_ok dns_src in
@@ -383,13 +383,13 @@ let test_delp_rejects_broken_chain () =
     r2 b(@L, X) :- c(@L, X), s(@L, X).
     |}
   in
-  match Delp.validate (parse_ok src) with
+  match Delp.For_testing.validate (parse_ok src) with
   | Ok _ -> Alcotest.fail "expected Not_chained"
   | Error (Delp.Not_chained { rule; head_of_previous; event }) ->
       checks "rule" "r2" rule;
       checks "head" "a" head_of_previous;
       checks "event" "c" event
-  | Error e -> Alcotest.failf "wrong error: %s" (Delp.error_to_string e)
+  | Error e -> Alcotest.failf "wrong error: %s" (Delp.For_testing.error_to_string e)
 
 let test_delp_rejects_head_as_condition () =
   let src =
@@ -398,10 +398,10 @@ let test_delp_rejects_head_as_condition () =
     r2 b(@L, X) :- a(@L, X), a(@L, X).
     |}
   in
-  match Delp.validate (parse_ok src) with
+  match Delp.For_testing.validate (parse_ok src) with
   | Ok _ -> Alcotest.fail "expected Event_rel_in_conditions"
   | Error (Delp.Event_rel_in_conditions { rel; _ }) -> checks "rel" "a" rel
-  | Error e -> Alcotest.failf "wrong error: %s" (Delp.error_to_string e)
+  | Error e -> Alcotest.failf "wrong error: %s" (Delp.For_testing.error_to_string e)
 
 let test_delp_rejects_arity_mismatch () =
   let src =
@@ -410,17 +410,17 @@ let test_delp_rejects_arity_mismatch () =
     r2 b(@L) :- a(@L, X), s(@L, X, X).
     |}
   in
-  match Delp.validate (parse_ok src) with
+  match Delp.For_testing.validate (parse_ok src) with
   | Ok _ -> Alcotest.fail "expected Arity_mismatch"
   | Error (Delp.Arity_mismatch { rel; _ }) -> checks "rel" "s" rel
-  | Error e -> Alcotest.failf "wrong error: %s" (Delp.error_to_string e)
+  | Error e -> Alcotest.failf "wrong error: %s" (Delp.For_testing.error_to_string e)
 
 let test_delp_rejects_unbound_head_var () =
   let src = "r1 a(@L, Y) :- e(@L, X)." in
-  match Delp.validate (parse_ok src) with
+  match Delp.For_testing.validate (parse_ok src) with
   | Ok _ -> Alcotest.fail "expected Unbound_head_var"
   | Error (Delp.Unbound_head_var { var; _ }) -> checks "var" "Y" var
-  | Error e -> Alcotest.failf "wrong error: %s" (Delp.error_to_string e)
+  | Error e -> Alcotest.failf "wrong error: %s" (Delp.For_testing.error_to_string e)
 
 let test_delp_rejects_duplicate_rule_names () =
   let src =
@@ -429,16 +429,16 @@ let test_delp_rejects_duplicate_rule_names () =
     r1 b(@L, X) :- a(@L, X).
     |}
   in
-  match Delp.validate (parse_ok src) with
+  match Delp.For_testing.validate (parse_ok src) with
   | Ok _ -> Alcotest.fail "expected Duplicate_rule_name"
   | Error (Delp.Duplicate_rule_name name) -> checks "name" "r1" name
-  | Error e -> Alcotest.failf "wrong error: %s" (Delp.error_to_string e)
+  | Error e -> Alcotest.failf "wrong error: %s" (Delp.For_testing.error_to_string e)
 
 let test_delp_rejects_empty () =
-  match Delp.validate { Ast.prog_name = "empty"; rules = [] } with
+  match Delp.For_testing.validate { Ast.prog_name = "empty"; rules = [] } with
   | Ok _ -> Alcotest.fail "expected Empty_program"
   | Error Delp.Empty_program -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Delp.error_to_string e)
+  | Error e -> Alcotest.failf "wrong error: %s" (Delp.For_testing.error_to_string e)
 
 let test_delp_assignment_binds_head_var () =
   let src = "r1 a(@L, Y) :- e(@L, X), Y := X + 1." in
@@ -446,34 +446,10 @@ let test_delp_assignment_binds_head_var () =
 
 let test_delp_rejects_unbound_assign () =
   let src = "r1 a(@L, Y) :- e(@L, X), Y := Z + 1." in
-  match Delp.validate (parse_ok src) with
+  match Delp.For_testing.validate (parse_ok src) with
   | Ok _ -> Alcotest.fail "expected Unbound_assign_var"
   | Error (Delp.Unbound_assign_var { var; _ }) -> checks "var" "Z" var
-  | Error e -> Alcotest.failf "wrong error: %s" (Delp.error_to_string e)
-
-(* ------------------------------------------------------------------ *)
-(* Ast variable utilities *)
-
-let test_rule_vars_in_order () =
-  match Parser.parse_rule "r1 out(@N, S) :- ev(@L, S, D), s(@L, D, N), X := S + 1, X >= 0." with
-  | Error e -> Alcotest.failf "parse error: %s" e
-  | Ok r ->
-      check (Alcotest.list Alcotest.string) "first-occurrence order"
-        [ "N"; "S"; "L"; "D"; "X" ]
-        (Ast.rule_vars_in_order r)
-
-let test_map_rule_vars () =
-  match Parser.parse_rule "r1 out(@N, S) :- ev(@L, S, D), s(@L, D, N), X := S + 1, X >= 0." with
-  | Error e -> Alcotest.failf "parse error: %s" e
-  | Ok r ->
-      let renamed = Ast.map_rule_vars (fun v -> "Q" ^ v) r in
-      check (Alcotest.list Alcotest.string) "all occurrences renamed"
-        [ "QN"; "QS"; "QL"; "QD"; "QX" ]
-        (Ast.rule_vars_in_order renamed);
-      (* Constants and relation names untouched. *)
-      checks "relation kept" "out" renamed.head.rel;
-      check Alcotest.bool "identity is identity" true
-        (Ast.map_rule_vars (fun v -> v) r = r)
+  | Error e -> Alcotest.failf "wrong error: %s" (Delp.For_testing.error_to_string e)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -523,11 +499,6 @@ let () =
           Alcotest.test_case "round-trip forwarding" `Quick test_pretty_roundtrip_forwarding;
           Alcotest.test_case "round-trip dns" `Quick test_pretty_roundtrip_dns;
           Alcotest.test_case "nested binops" `Quick test_pretty_parenthesizes_nested_binops;
-        ] );
-      ( "ast",
-        [
-          Alcotest.test_case "rule_vars_in_order" `Quick test_rule_vars_in_order;
-          Alcotest.test_case "map_rule_vars" `Quick test_map_rule_vars;
         ] );
       ( "delp",
         [

@@ -4,6 +4,20 @@
 open Dpc_net
 
 let check = Alcotest.check
+
+(* Whether every node is reachable from node 0. *)
+let is_connected t =
+  let seen = Array.make (Topology.size t) false in
+  let rec go = function
+    | [] -> ()
+    | v :: rest when seen.(v) -> go rest
+    | v :: rest ->
+        seen.(v) <- true;
+        go (List.rev_append (List.map fst (Topology.neighbors t v)) rest)
+  in
+  go [ 0 ];
+  Array.for_all Fun.id seen
+
 let link = { Topology.latency = 0.01; bandwidth = 1e6 }
 let fast_link = { Topology.latency = 0.001; bandwidth = 1e6 }
 
@@ -16,7 +30,7 @@ let test_topology_links () =
   check Alcotest.bool "connected" true (Topology.connected t 0 1);
   check Alcotest.bool "symmetric" true (Topology.connected t 1 0);
   check Alcotest.bool "absent" false (Topology.connected t 0 2);
-  check Alcotest.int "degree" 1 (Topology.degree t 0);
+  check Alcotest.int "degree" 1 (List.length (Topology.neighbors t 0));
   check Alcotest.int "one undirected link" 1 (List.length (Topology.links t))
 
 let test_topology_rejects_bad_links () =
@@ -29,9 +43,9 @@ let test_topology_rejects_bad_links () =
 let test_topology_connectivity () =
   let t = Topology.create ~n:3 in
   Topology.add_link t 0 1 link;
-  check Alcotest.bool "disconnected" false (Topology.is_connected t);
+  check Alcotest.bool "disconnected" false (is_connected t);
   Topology.add_link t 1 2 link;
-  check Alcotest.bool "connected" true (Topology.is_connected t)
+  check Alcotest.bool "connected" true (is_connected t)
 
 (* ------------------------------------------------------------------ *)
 (* Transit-stub generator *)
@@ -42,7 +56,7 @@ let test_transit_stub_shape () =
   check Alcotest.int "100 nodes" 100 (Topology.size ts.topology);
   check Alcotest.int "4 transit" 4 (List.length ts.transit_nodes);
   check Alcotest.int "96 stubs" 96 (List.length ts.stub_nodes);
-  check Alcotest.bool "connected" true (Topology.is_connected ts.topology);
+  check Alcotest.bool "connected" true (is_connected ts.topology);
   (* Transit mesh. *)
   List.iter
     (fun a ->
@@ -72,8 +86,17 @@ let test_transit_stub_path_stats_close_to_paper () =
   let rng = Dpc_util.Rng.create ~seed:11 in
   let ts = Transit_stub.generate ~rng Transit_stub.paper_params in
   let routing = Routing.compute ts.topology in
-  let diameter = Routing.diameter routing in
-  let mean = Routing.mean_pair_distance routing in
+  let hops =
+    let n = Topology.size ts.topology in
+    List.concat_map
+      (fun src ->
+        List.filter_map
+          (fun dst -> if src = dst then None else Routing.hop_count routing ~src ~dst)
+          (List.init n Fun.id))
+      (List.init n Fun.id)
+  in
+  let diameter = List.fold_left max 0 hops in
+  let mean = float_of_int (List.fold_left ( + ) 0 hops) /. float_of_int (List.length hops) in
   if diameter < 6 || diameter > 16 then Alcotest.failf "diameter %d out of regime" diameter;
   if mean < 3.0 || mean > 8.0 then Alcotest.failf "mean distance %.2f out of regime" mean
 
@@ -93,7 +116,7 @@ let test_tree_shape () =
   let rng = Dpc_util.Rng.create ~seed:5 in
   let tr = Tree_topo.generate ~rng ~n:100 ~backbone_depth:27 ~link in
   check Alcotest.int "100 nodes" 100 (Topology.size tr.topology);
-  check Alcotest.bool "connected" true (Topology.is_connected tr.topology);
+  check Alcotest.bool "connected" true (is_connected tr.topology);
   check Alcotest.int "root has no parent" (-1) tr.parent.(0);
   check Alcotest.int "max depth from backbone" 27 (Tree_topo.max_depth tr);
   (* A tree: n-1 links. *)
@@ -103,7 +126,7 @@ let test_tree_children_inverse_of_parent () =
   let rng = Dpc_util.Rng.create ~seed:5 in
   let tr = Tree_topo.generate ~rng ~n:30 ~backbone_depth:5 ~link in
   for v = 1 to 29 do
-    if not (List.mem v (Tree_topo.children tr tr.parent.(v))) then
+    if not (List.mem v (Tree_topo.For_testing.children tr tr.parent.(v))) then
       Alcotest.failf "node %d missing from its parent's children" v
   done
 
@@ -120,7 +143,7 @@ let line_topology n =
 let test_routing_line () =
   let t = line_topology 5 in
   let r = Routing.compute t in
-  check (Alcotest.option Alcotest.int) "next hop" (Some 1) (Routing.next_hop r ~src:0 ~dst:4);
+  check Alcotest.int "next hop" 1 (Routing.successor r ~src:0 ~dst:4);
   check
     (Alcotest.option (Alcotest.list Alcotest.int))
     "path" (Some [ 0; 1; 2; 3; 4 ]) (Routing.path r ~src:0 ~dst:4);
@@ -145,7 +168,7 @@ let test_routing_unreachable () =
   let t = Topology.create ~n:3 in
   Topology.add_link t 0 1 link;
   let r = Routing.compute t in
-  check (Alcotest.option Alcotest.int) "no hop" None (Routing.next_hop r ~src:0 ~dst:2);
+  check Alcotest.int "no hop" (-1) (Routing.successor r ~src:0 ~dst:2);
   check (Alcotest.option (Alcotest.list Alcotest.int)) "no path" None (Routing.path r ~src:0 ~dst:2)
 
 let test_routing_paths_follow_links () =
@@ -341,7 +364,7 @@ let test_sim_event_ordering () =
   Sim.schedule sim ~delay:0.2 (fun () -> log := 2 :: !log);
   Sim.run sim;
   check (Alcotest.list Alcotest.int) "timestamp order" [ 1; 2; 3 ] (List.rev !log);
-  check Alcotest.int "events processed" 3 (Sim.events_processed sim)
+  check Alcotest.int "events processed" 3 (Sim.For_testing.events_processed sim)
 
 let test_sim_fifo_at_equal_time () =
   let t = line_topology 2 in
@@ -364,7 +387,7 @@ let test_sim_send_accounts_bytes_per_hop () =
   check Alcotest.int "total bytes" 2000 (Sim.total_bytes sim);
   check
     (Alcotest.list (Alcotest.pair (Alcotest.pair Alcotest.int Alcotest.int) Alcotest.int))
-    "per link" [ ((0, 1), 1000); ((1, 2), 1000) ] (Sim.link_bytes sim);
+    "per link" [ ((0, 1), 1000); ((1, 2), 1000) ] (Sim.For_testing.link_bytes sim);
   (* Arrival time = 2 * (latency + bytes / bandwidth). *)
   check (Alcotest.float 1e-9) "clock" (2.0 *. (0.01 +. 0.001)) (Sim.now sim)
 
@@ -404,7 +427,7 @@ let test_sim_until_half_open () =
   Sim.run ~until:2.5 sim;
   check (Alcotest.list Alcotest.int) "it runs in the next window" [ 2; 1 ] !fired;
   check (Alcotest.float 0.0) "clock at its time" 2.0 (Sim.now sim);
-  check Alcotest.int "two events processed" 2 (Sim.events_processed sim)
+  check Alcotest.int "two events processed" 2 (Sim.For_testing.events_processed sim)
 
 let test_sim_unreachable_send_fails () =
   let t = Topology.create ~n:2 in
@@ -701,10 +724,10 @@ let test_partition_cut_at_arrival () =
 
 let test_partition_plans () =
   (* Constructor validation. *)
-  (match Transport.outage ~src:0 ~dst:1 ~from:2.0 ~until:1.0 with
+  (match Transport.split_plan ~nodes:2 ~left:[ 0 ] ~at:2.0 ~duration:(-1.0) with
   | _ -> Alcotest.fail "inverted outage accepted"
   | exception Invalid_argument _ -> ());
-  (match Transport.outage ~src:0 ~dst:1 ~from:(-1.0) ~until:1.0 with
+  (match Transport.split_plan ~nodes:2 ~left:[ 0 ] ~at:(-1.0) ~duration:2.0 with
   | _ -> Alcotest.fail "negative outage accepted"
   | exception Invalid_argument _ -> ());
   (* A split cuts exactly the directed cross pairs, both ways. *)
@@ -717,23 +740,23 @@ let test_partition_plans () =
       check (Alcotest.float 1e-9) "cut at" 1.0 o.from;
       check (Alcotest.float 1e-9) "heal at" 3.0 o.until)
     split;
-  check (Alcotest.float 1e-9) "split horizon" 3.0 (Transport.plan_horizon split);
+  check (Alcotest.float 1e-9) "split horizon" 3.0 (Dpc_testkit.Partition_plans.plan_horizon split);
   (* A flap is [cycles] windows per direction, dwell apart. *)
-  let flap = Transport.flap_plan ~a:0 ~b:1 ~at:0.5 ~cycles:3 ~down:0.2 ~dwell:0.3 in
+  let flap = Dpc_testkit.Partition_plans.flap_plan ~a:0 ~b:1 ~at:0.5 ~cycles:3 ~down:0.2 ~dwell:0.3 in
   check Alcotest.int "3 cycles x 2 directions" 6 (List.length flap);
   check (Alcotest.float 1e-9) "last flap heals at" (0.5 +. (2.0 *. 0.5) +. 0.2)
-    (Transport.plan_horizon flap);
+    (Dpc_testkit.Partition_plans.plan_horizon flap);
   (* Seeded-random plans are reproducible, in-horizon, and respect the
      duration bounds. *)
   let draw () =
-    Transport.random_plan ~seed:42 ~nodes:4 ~count:5 ~horizon:10.0 ~min_down:0.5 ~max_down:2.0
+    Dpc_testkit.Partition_plans.random_plan ~seed:42 ~nodes:4 ~count:5 ~horizon:10.0 ~min_down:0.5 ~max_down:2.0
       ~dwell:0.1 ()
   in
   let p1 = draw () and p2 = draw () in
   check Alcotest.bool "same seed, same plan" true (p1 = p2);
   check Alcotest.bool "a different seed diverges" true
     (p1
-    <> Transport.random_plan ~seed:43 ~nodes:4 ~count:5 ~horizon:10.0 ~min_down:0.5
+    <> Dpc_testkit.Partition_plans.random_plan ~seed:43 ~nodes:4 ~count:5 ~horizon:10.0 ~min_down:0.5
          ~max_down:2.0 ~dwell:0.1 ());
   check Alcotest.bool "plan non-empty" true (p1 <> []);
   List.iter
@@ -748,7 +771,7 @@ let test_partition_plans () =
 
 let test_schedule_plan_applies () =
   let tr, control = Transport.partitionable (Transport.direct ~nodes:2 ()) in
-  Transport.schedule_plan tr control (Transport.link_plan ~a:0 ~b:1 ~at:1.0 ~duration:1.0);
+  Transport.schedule_plan tr control (Dpc_testkit.Partition_plans.link_plan ~a:0 ~b:1 ~at:1.0 ~duration:1.0);
   let during = ref 0 and after = ref 0 in
   Transport.schedule tr ~delay:1.5 (fun () ->
       Transport.send tr ~src:0 ~dst:1 ~bytes:5 (fun () -> incr during));
@@ -767,7 +790,7 @@ let test_backoff_arithmetic () =
   let config =
     { Reliable.default_config with timeout = 0.125; backoff = 2.0; max_timeout = 1.0 }
   in
-  let d attempt = Reliable.backoff_delay config ~src:0 ~dst:1 ~attempt in
+  let d attempt = Reliable.For_testing.backoff_delay config ~src:0 ~dst:1 ~attempt in
   check (Alcotest.float 0.0) "attempt 1" 0.125 (d 1);
   check (Alcotest.float 0.0) "attempt 2" 0.25 (d 2);
   check (Alcotest.float 0.0) "attempt 3" 0.5 (d 3);
@@ -776,7 +799,7 @@ let test_backoff_arithmetic () =
   (* Jitter: deterministic per (src, dst, attempt), inside
      ((1-jitter) * capped, capped]. *)
   let jc = { config with jitter = 0.5 } in
-  let jd ~src ~dst attempt = Reliable.backoff_delay jc ~src ~dst ~attempt in
+  let jd ~src ~dst attempt = Reliable.For_testing.backoff_delay jc ~src ~dst ~attempt in
   check (Alcotest.float 0.0) "jitter is deterministic" (jd ~src:0 ~dst:1 4) (jd ~src:0 ~dst:1 4);
   check Alcotest.bool "channels draw different jitter" true
     (jd ~src:0 ~dst:1 4 <> jd ~src:0 ~dst:2 4);
@@ -853,7 +876,7 @@ let test_transit_stub_invalid_args () =
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 (* The receive window's bound on a direct transport: the channel's first
-   transmission is lost, so the next [Reliable.window] arrivals wait in
+   transmission is lost, so the next [Reliable.For_testing.window] arrivals wait in
    the window and the one after them finds it full. That arrival is
    dropped unacked, and its retransmission delivers it after the gap has
    filled, exactly once and in order. *)
@@ -870,15 +893,15 @@ let test_reliable_window_bound () =
   let rel = Reliable.wrap lossy in
   let tr = Reliable.transport rel in
   let got = ref [] in
-  let count = Reliable.window + 2 in
+  let count = Reliable.For_testing.window + 2 in
   for i = 0 to count - 1 do
     Transport.send tr ~src:0 ~dst:1 ~bytes:8 (fun () -> got := i :: !got)
   done;
   Transport.run ~until:(Reliable.default_config.timeout /. 2.0) tr;
   let s = Reliable.stats rel in
   check Alcotest.int "nothing delivered behind the gap" 0 (List.length !got);
-  check Alcotest.int "the window holds its bound" Reliable.window s.held;
-  check Alcotest.int "the arrival past it is not held" Reliable.window (Reliable.window_peak rel);
+  check Alcotest.int "the window holds its bound" Reliable.For_testing.window s.held;
+  check Alcotest.int "the arrival past it is not held" Reliable.For_testing.window (Reliable.For_testing.window_peak rel);
   check Alcotest.int "and nothing is acked" 0 s.acks;
   Transport.run tr;
   check (Alcotest.list Alcotest.int) "every message once, in order" (List.init count Fun.id)

@@ -52,13 +52,13 @@ let test_roundtrip_queries name scheme =
   let backend, routing = run_workload scheme payloads in
   let blob = Backend.checkpoint backend in
   let restored =
-    Backend.restore scheme ~delp:(Dpc_apps.Forwarding.delp ()) ~env:Dpc_apps.Forwarding.env blob
+    Backend.For_testing.restore scheme ~delp:(Dpc_apps.Forwarding.delp ()) ~env:Dpc_apps.Forwarding.env blob
   in
   List.iter
     (fun payload ->
       let out = Dpc_apps.Forwarding.recv ~at:2 ~src:0 ~dst:2 ~payload in
-      let before = (Backend.query backend ~cost:Query_cost.free ~routing out).trees in
-      let after = (Backend.query restored ~cost:Query_cost.free ~routing out).trees in
+      let before = (Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing out).trees in
+      let after = (Backend.query restored ~cost:Dpc_testkit.Query_kit.free ~routing out).trees in
       check (Alcotest.list tree_t) (name ^ ": trees for " ^ payload) before after;
       check Alcotest.bool (name ^ ": found something") true (before <> []))
     payloads
@@ -67,7 +67,7 @@ let test_roundtrip_storage name scheme =
   let backend, _ = run_workload scheme payloads in
   let blob = Backend.checkpoint backend in
   let restored =
-    Backend.restore scheme ~delp:(Dpc_apps.Forwarding.delp ()) ~env:Dpc_apps.Forwarding.env blob
+    Backend.For_testing.restore scheme ~delp:(Dpc_apps.Forwarding.delp ()) ~env:Dpc_apps.Forwarding.env blob
   in
   check storage_t (name ^ ": storage preserved") (Backend.total_storage backend)
     (Backend.total_storage restored)
@@ -76,7 +76,7 @@ let test_checkpoint_is_stable name scheme =
   let backend, _ = run_workload scheme payloads in
   let blob = Backend.checkpoint backend in
   let restored =
-    Backend.restore scheme ~delp:(Dpc_apps.Forwarding.delp ()) ~env:Dpc_apps.Forwarding.env blob
+    Backend.For_testing.restore scheme ~delp:(Dpc_apps.Forwarding.delp ()) ~env:Dpc_apps.Forwarding.env blob
   in
   check Alcotest.string (name ^ ": checkpoint of restore is identical") blob
     (Backend.checkpoint restored)
@@ -88,7 +88,7 @@ let test_advanced_continues_after_restore () =
   let backend, routing = run_workload Backend.S_advanced payloads in
   let delp = Dpc_apps.Forwarding.delp () in
   let blob = Backend.checkpoint backend in
-  let restored = Backend.restore Backend.S_advanced ~delp ~env:Dpc_apps.Forwarding.env blob in
+  let restored = Backend.For_testing.restore Backend.S_advanced ~delp ~env:Dpc_apps.Forwarding.env blob in
   let topo = topology () in
   let sim = Dpc_net.Sim.create ~topology:topo ~routing () in
   let runtime =
@@ -104,7 +104,7 @@ let test_advanced_continues_after_restore () =
   check Alcotest.int "one new prov delta" (before.prov_rows + 1) after.prov_rows;
   let out = Dpc_apps.Forwarding.recv ~at:2 ~src:0 ~dst:2 ~payload:"d" in
   check Alcotest.int "new packet queryable via old chain" 1
-    (List.length (Backend.query restored ~cost:Query_cost.free ~routing out).trees)
+    (List.length (Backend.query restored ~cost:Dpc_testkit.Query_kit.free ~routing out).trees)
 
 let test_wrong_magic_rejected () =
   let backend, _ = run_workload Backend.S_basic payloads in
@@ -112,7 +112,7 @@ let test_wrong_magic_rejected () =
   Alcotest.check_raises "exspan magic on basic blob"
     (Dpc_util.Serialize.Corrupt "not an ExSPAN checkpoint") (fun () ->
       ignore
-        (Backend.restore Backend.S_exspan ~delp:(Dpc_apps.Forwarding.delp ())
+        (Backend.For_testing.restore Backend.S_exspan ~delp:(Dpc_apps.Forwarding.delp ())
            ~env:Dpc_apps.Forwarding.env blob))
 
 let test_truncated_blob_rejected () =
@@ -120,7 +120,7 @@ let test_truncated_blob_rejected () =
   let blob = Backend.checkpoint backend in
   let truncated = String.sub blob 0 (String.length blob / 2) in
   match
-    Backend.restore Backend.S_advanced ~delp:(Dpc_apps.Forwarding.delp ())
+    Backend.For_testing.restore Backend.S_advanced ~delp:(Dpc_apps.Forwarding.delp ())
       ~env:Dpc_apps.Forwarding.env truncated
   with
   | _ -> Alcotest.fail "expected Corrupt"
@@ -131,15 +131,15 @@ let test_interclass_layout_roundtrips () =
   let backend, routing = run_workload Backend.S_advanced_interclass payloads in
   let blob = Backend.checkpoint backend in
   let restored =
-    Backend.restore Backend.S_advanced_interclass ~delp:(Dpc_apps.Forwarding.delp ())
+    Backend.For_testing.restore Backend.S_advanced_interclass ~delp:(Dpc_apps.Forwarding.delp ())
       ~env:Dpc_apps.Forwarding.env blob
   in
   (* The interclass flag is encoded in the blob, so the restored store uses
      node/link tables and still answers queries. *)
-  check Alcotest.string "name" "Advanced+interclass" (Backend.name restored);
+  check Alcotest.string "name" "advanced+interclass" (Backend.hook restored).name;
   let out = Dpc_apps.Forwarding.recv ~at:2 ~src:0 ~dst:2 ~payload:"a" in
   check Alcotest.int "query works" 1
-    (List.length (Backend.query restored ~cost:Query_cost.free ~routing out).trees)
+    (List.length (Backend.query restored ~cost:Dpc_testkit.Query_kit.free ~routing out).trees)
 
 (* ------------------------------------------------------------------ *)
 (* Durable recovery property: a checkpoint cut MID-RUN (forced, on every
@@ -155,7 +155,7 @@ let world_digests (w : Dpc_testkit.Delp_gen.world) =
   Dpc_testkit.Delp_gen.queryable w.runtime
   |> List.map (fun (out, evid) ->
        let trees =
-         (Backend.query w.backend ~cost:Query_cost.free ~routing:w.routing ~evid out).trees
+         (Backend.query w.backend ~cost:Dpc_testkit.Query_kit.free ~routing:w.routing ~evid out).trees
        in
        ( (Dpc_ndlog.Tuple.canonical out, Dpc_util.Sha1.to_hex evid),
          List.sort_uniq compare (List.map tree_sig trees) ))
@@ -191,7 +191,7 @@ let test_midrun_checkpoint name scheme =
         for node = 0 to instance.nodes - 1 do
           Durable.checkpoint_now durable node
         done);
-      Durable.schedule_crash durable ~node:victim ~at:1.7 ~downtime:0.8;
+      Durable.schedule durable [ (victim, 1.7, 0.8) ];
       Delp_gen.run_events ~spacing world instance.events;
       let stats = Durable.node_stats durable victim in
       check Alcotest.int
@@ -289,7 +289,7 @@ let schedule_t =
 
 let test_prune_overlaps () =
   let pruned =
-    Durable.prune_overlaps ~nodes:2
+    Durable.For_testing.prune_overlaps ~nodes:2
       [ (0, 1.0, 0.5); (0, 1.5, 0.3); (1, 1.5, 0.3); (0, 1.6, 0.2); (0, 0.0, 0.1) ]
   in
   (* (0, 1.5, _) collides with node 0's restart at exactly 1.0 + 0.5 and
@@ -298,10 +298,10 @@ let test_prune_overlaps () =
   check schedule_t "exact-restart-instant crash rejected"
     [ (0, 0.0, 0.1); (0, 1.0, 0.5); (1, 1.5, 0.3); (0, 1.6, 0.2) ]
     pruned;
-  (match Durable.prune_overlaps ~nodes:0 [] with
+  (match Durable.For_testing.prune_overlaps ~nodes:0 [] with
    | _ -> Alcotest.fail "expected Invalid_argument for nodes = 0"
    | exception Invalid_argument _ -> ());
-  match Durable.prune_overlaps ~nodes:1 [ (1, 0.5, 0.1) ] with
+  match Durable.For_testing.prune_overlaps ~nodes:1 [ (1, 0.5, 0.1) ] with
   | _ -> Alcotest.fail "expected Invalid_argument for out-of-range node"
   | exception Invalid_argument _ -> ()
 
@@ -391,7 +391,7 @@ let prop_seq_advance_bytes =
       Dpc_net.Reliable.set_next_seq rel ~src:0 ~dst:peer seq;
       Dpc_net.Reliable.set_expected rel ~src:peer ~dst:0 seq;
       Durable.flush_wal durable 0;
-      Durable.wal durable 0
+      Durable.For_testing.wal durable 0
       = Dpc_util.Serialize.with_scratch (fun w ->
             Dpc_engine.Journal.write w (Dpc_engine.Journal.Next_seq { peer; seq });
             Dpc_engine.Journal.write w (Dpc_engine.Journal.Expected { peer; seq })))
@@ -423,12 +423,12 @@ let test_channel_state_restart () =
   let seqs () = (Dpc_net.Reliable.delivered rel ~src:0 ~dst:1, Dpc_net.Reliable.sent rel ~src:1 ~dst:2) in
   check Alcotest.(pair int int) "three in, three out" (3, 3) (seqs ());
   Durable.flush_wal durable 1;
-  let wal = Durable.wal durable 1 in
-  Durable.crash durable 1;
+  let wal = Durable.For_testing.wal durable 1 in
+  Durable.For_testing.crash durable 1;
   check Alcotest.(pair int int) "wiped by the crash" (0, 0) (seqs ());
-  Durable.restart durable 1;
+  Durable.For_testing.restart durable 1;
   check Alcotest.(pair int int) "restored from the wal" (3, 3) (seqs ());
-  check Alcotest.string "recovery journals nothing" wal (Durable.wal durable 1);
+  check Alcotest.string "recovery journals nothing" wal (Durable.For_testing.wal durable 1);
   Alcotest.check_raises "a host's record on a runtime with a link"
     (Invalid_argument
        "Durable.set_channel_state: the runtime's Reliable link holds the channel state")

@@ -13,6 +13,7 @@ module Socket = Dpc_net.Socket
 module Outbox = Dpc_core.Durable.Outbox
 
 let check = Alcotest.check
+let feed_string d s = Wire.Decoder.feed d (Bytes.of_string s) 0 (String.length s)
 
 let frame kind ~src ~dst ~seq payload : Wire.frame = { kind; src; dst; seq; payload }
 
@@ -49,7 +50,7 @@ let test_wire_roundtrip () =
     ]
   in
   let d = Wire.Decoder.create () in
-  List.iter (fun f -> Wire.Decoder.feed_string d (Wire.encode f)) frames;
+  List.iter (fun f -> feed_string d (Wire.encode f)) frames;
   let got = drain d in
   check Alcotest.int "all frames decoded" (List.length frames) (List.length got);
   List.iter2
@@ -72,7 +73,7 @@ let test_wire_incremental () =
   let seen = ref 0 in
   String.iteri
     (fun i c ->
-      Wire.Decoder.feed_string d (String.make 1 c);
+      feed_string d (String.make 1 c);
       List.iter
         (fun (got : Wire.frame) ->
           incr seen;
@@ -85,7 +86,7 @@ let test_wire_incremental () =
 
 let expect_corrupt what bytes =
   let d = Wire.Decoder.create () in
-  Wire.Decoder.feed_string d bytes;
+  feed_string d bytes;
   match drain d with
   | exception Dpc_util.Serialize.Corrupt _ -> ()
   | _ -> Alcotest.failf "%s: decoder accepted corrupt input" what
@@ -105,13 +106,13 @@ let test_wire_corruption () =
   expect_corrupt "payload digest" (patch (String.length good - 1) '!');
   (* A truncated frame is not corrupt — just incomplete. *)
   let d = Wire.Decoder.create () in
-  Wire.Decoder.feed_string d (String.sub good 0 (String.length good - 1));
+  feed_string d (String.sub good 0 (String.length good - 1));
   check Alcotest.bool "truncated prefix yields nothing" true (Wire.Decoder.next d = None);
   (* Encoder-side validation: a bad field is the caller's error. *)
   (match Wire.encode (frame Wire.Data ~src:(-1) ~dst:0 ~seq:0 "") with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative src accepted");
-  match Wire.encode (frame Wire.Data ~src:0 ~dst:0 ~seq:0 (String.make (Wire.max_payload + 1) 'a')) with
+  match Wire.encode (frame Wire.Data ~src:0 ~dst:0 ~seq:0 (String.make (Wire.For_testing.max_payload + 1) 'a')) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized payload accepted"
 
@@ -127,9 +128,9 @@ let wire_fuzz =
       (* Split the wire bytes at an arbitrary point to exercise buffering. *)
       let bytes = Wire.encode f in
       let cut = seq mod (String.length bytes + 1) in
-      Wire.Decoder.feed_string d (String.sub bytes 0 cut);
+      feed_string d (String.sub bytes 0 cut);
       let early = Wire.Decoder.next d in
-      Wire.Decoder.feed_string d (String.sub bytes cut (String.length bytes - cut));
+      feed_string d (String.sub bytes cut (String.length bytes - cut));
       match (early, drain d) with
       | None, [ got ] | Some got, [] ->
           got.Wire.kind = f.kind && got.src = f.src && got.dst = f.dst && got.seq = f.seq
@@ -141,20 +142,20 @@ let wire_fuzz =
 
 let test_outbox_basic () =
   with_temp_dir "dpc-outbox" (fun dir ->
-      let ob = Outbox.open_ ~dir in
+      let ob = Outbox.For_testing.open_ ~dir in
       check Alcotest.int "fresh next_seq" 1 (Outbox.next_seq ob ~dst:1);
       Outbox.record_send ob ~dst:1 ~seq:1 "a";
       Outbox.record_send ob ~dst:1 ~seq:2 "b";
       Outbox.record_send ob ~dst:2 ~seq:1 "c";
       Outbox.record_ack ob ~dst:1 ~seq:1;
       check Alcotest.int "next_seq advanced" 3 (Outbox.next_seq ob ~dst:1);
-      check Alcotest.int "acked" 1 (Outbox.acked ob ~dst:1);
+      check Alcotest.int "acked" 1 (Outbox.For_testing.acked ob ~dst:1);
       check
         (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.string))
         "pending is the unacked tail"
         [ (1, 2, "b"); (2, 1, "c") ]
         (Outbox.pending ob);
-      Outbox.close ob)
+      Outbox.For_testing.close ob)
 
 (* The exactly-once property across a crash: whatever interleaving of
    sends and cumulative acks hit the ledger, a reload (what a restarted
@@ -166,7 +167,7 @@ let outbox_crash_reload =
     QCheck.(list_of_size Gen.(int_range 1 40) (pair (int_bound 2) (int_bound 3)))
     (fun ops ->
       with_temp_dir "dpc-outbox-fuzz" (fun dir ->
-          let ob = Outbox.open_ ~dir in
+          let ob = Outbox.For_testing.open_ ~dir in
           let next = Array.make 3 1 in
           let sent = Hashtbl.create 16 in
           let acked = Array.make 3 0 in
@@ -189,7 +190,7 @@ let outbox_crash_reload =
               end)
             ops;
           (* kill -9: no close, no flush — reopen from the bytes on disk. *)
-          let reloaded = Outbox.open_ ~dir in
+          let reloaded = Outbox.For_testing.open_ ~dir in
           let expected =
             Hashtbl.fold
               (fun (dst, seq) payload acc ->
@@ -204,14 +205,14 @@ let outbox_crash_reload =
           (* Compaction must preserve exactly the same observable state. *)
           Outbox.compact reloaded;
           let ok_compacted = Outbox.pending reloaded = expected in
-          let recompacted = Outbox.open_ ~dir in
+          let recompacted = Outbox.For_testing.open_ ~dir in
           let ok_reload2 =
             Outbox.pending recompacted = expected
             && List.for_all (fun dst -> Outbox.next_seq recompacted ~dst = next.(dst)) [ 0; 1; 2 ]
           in
-          Outbox.close ob;
-          Outbox.close reloaded;
-          Outbox.close recompacted;
+          Outbox.For_testing.close ob;
+          Outbox.For_testing.close reloaded;
+          Outbox.For_testing.close recompacted;
           ok_pending && ok_cursor && ok_compacted && ok_reload2))
 
 (* [pending] against a list model, after every step of a random run of
@@ -223,7 +224,7 @@ let outbox_model =
     QCheck.(list_of_size Gen.(int_range 1 60) (triple (int_bound 2) (int_bound 4) small_nat))
     (fun ops ->
       with_temp_dir "dpc-outbox-model" (fun dir ->
-          let ob = ref (Outbox.open_ ~dir) in
+          let ob = ref (Outbox.For_testing.open_ ~dir) in
           let next = Array.make 3 1 and model = ref [] in
           let step ok (dst, op, k) =
             (match op with
@@ -239,12 +240,12 @@ let outbox_model =
                 model := List.filter (fun (d, s, _) -> d <> dst || s > seq) !model
             | _ ->
                 Outbox.compact !ob;
-                Outbox.close !ob;
-                ob := Outbox.open_ ~dir);
+                Outbox.For_testing.close !ob;
+                ob := Outbox.For_testing.open_ ~dir);
             ok && Outbox.pending !ob = List.sort compare !model
           in
           let ok = List.fold_left step true ops in
-          Outbox.close !ob;
+          Outbox.For_testing.close !ob;
           ok))
 
 (* A kill mid-append leaves a torn record at the end of the file; the
@@ -252,49 +253,49 @@ let outbox_model =
    an unfinished record's frame was never transmitted. *)
 let test_outbox_torn_tail () =
   with_temp_dir "dpc-outbox-torn" (fun dir ->
-      let ob = Outbox.open_ ~dir in
+      let ob = Outbox.For_testing.open_ ~dir in
       Outbox.record_send ob ~dst:1 ~seq:1 "kept";
       Outbox.record_send ob ~dst:1 ~seq:2 "also kept";
-      Outbox.close ob;
+      Outbox.For_testing.close ob;
       let path = Filename.concat dir "outbox.log" in
       let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
       (* Tag byte of a Send record with nothing behind it. *)
       ignore (Unix.write_substring fd "\x00" 0 1);
       Unix.close fd;
-      let reloaded = Outbox.open_ ~dir in
+      let reloaded = Outbox.For_testing.open_ ~dir in
       check
         (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.string))
         "torn tail dropped, prefix kept"
         [ (1, 1, "kept"); (1, 2, "also kept") ]
         (Outbox.pending reloaded);
       check Alcotest.int "cursor from the prefix" 3 (Outbox.next_seq reloaded ~dst:1);
-      Outbox.close reloaded)
+      Outbox.For_testing.close reloaded)
 
 (* The send recorded after a torn tail was dropped survives the next
    reload: the reload must not append it behind the torn bytes, where the
    load after it stops. *)
 let test_outbox_send_after_torn_tail () =
   with_temp_dir "dpc-outbox-torn-send" (fun dir ->
-      let ob = Outbox.open_ ~dir in
+      let ob = Outbox.For_testing.open_ ~dir in
       Outbox.record_send ob ~dst:1 ~seq:1 "one";
       Outbox.record_send ob ~dst:1 ~seq:2 "two";
-      Outbox.close ob;
+      Outbox.For_testing.close ob;
       let fd = Unix.openfile (Filename.concat dir "outbox.log") [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
       (* A Send record to node 1, seq 3, cut inside its payload. *)
       let torn = "\x00\x01\x03\x05thr" in
       ignore (Unix.write_substring fd torn 0 (String.length torn));
       Unix.close fd;
-      let ob = Outbox.open_ ~dir in
+      let ob = Outbox.For_testing.open_ ~dir in
       Outbox.record_send ob ~dst:1 ~seq:3 "three";
-      Outbox.close ob;
-      let reloaded = Outbox.open_ ~dir in
+      Outbox.For_testing.close ob;
+      let reloaded = Outbox.For_testing.open_ ~dir in
       check
         (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.string))
         "the send after the restart is pending"
         [ (1, 1, "one"); (1, 2, "two"); (1, 3, "three") ]
         (Outbox.pending reloaded);
       check Alcotest.int "and counted in the cursor" 4 (Outbox.next_seq reloaded ~dst:1);
-      Outbox.close reloaded)
+      Outbox.For_testing.close reloaded)
 
 (* ------------------------------------------------------------------ *)
 (* Control protocol codec *)
@@ -550,7 +551,7 @@ let test_socket_window_bound () =
           let raw_write = raw_write p ~wait:(fun () ->
             Dpc_net.Transport.run ~until:(Dpc_net.Transport.now tb +. 0.02) tb)
           in
-          let w = Dpc_net.Reliable.window in
+          let w = Dpc_net.Reliable.For_testing.window in
           raw_write (frame Wire.Hello ~src:0 ~dst:1 ~seq:0 "" :: List.init (w + 1) (fun i -> data (i + 2)));
           (* A duplicate of a held frame marks the end of the burst. *)
           raw_write [ data 2 ];
@@ -655,14 +656,14 @@ let golden_frames =
 let test_wire_fixture () =
   check_fixture "wire-frames.bin" (String.concat "" (List.map Wire.encode golden_frames));
   let d = Wire.Decoder.create () in
-  Wire.Decoder.feed_string d (read_file (fixture "wire-frames.bin"));
+  feed_string d (read_file (fixture "wire-frames.bin"));
   check Alcotest.bool "decoded frames" true (drain d = golden_frames)
 
 (* Send and Ack records on two channels, then the compacted ledger of
    Mark records and pending sends. *)
 let test_outbox_fixture () =
   with_temp_dir "dpc-outbox-fixture" (fun dir ->
-      let ob = Outbox.open_ ~dir in
+      let ob = Outbox.For_testing.open_ ~dir in
       Outbox.record_send ob ~dst:1 ~seq:1 "a";
       Outbox.record_send ob ~dst:1 ~seq:2 "b";
       Outbox.record_send ob ~dst:2 ~seq:1 "c";
@@ -673,21 +674,21 @@ let test_outbox_fixture () =
       check_fixture "outbox.bin" (read_file log);
       Outbox.compact ob;
       check_fixture "outbox-compacted.bin" (read_file log);
-      Outbox.close ob);
+      Outbox.For_testing.close ob);
   List.iter
     (fun name ->
       with_temp_dir "dpc-outbox-fixture" (fun dir ->
           Out_channel.with_open_bin (Filename.concat dir "outbox.log") (fun oc ->
               output_string oc (read_file (fixture name)));
-          let ob = Outbox.open_ ~dir in
+          let ob = Outbox.For_testing.open_ ~dir in
           check
             (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.string))
             (name ^ " pending") [ (1, 2, "b"); (1, 3, "d") ] (Outbox.pending ob);
           check Alcotest.(pair int int) (name ^ " channel 1") (4, 1)
-            (Outbox.next_seq ob ~dst:1, Outbox.acked ob ~dst:1);
+            (Outbox.next_seq ob ~dst:1, Outbox.For_testing.acked ob ~dst:1);
           check Alcotest.(pair int int) (name ^ " channel 2") (2, 1)
-            (Outbox.next_seq ob ~dst:2, Outbox.acked ob ~dst:2);
-          Outbox.close ob))
+            (Outbox.next_seq ob ~dst:2, Outbox.For_testing.acked ob ~dst:2);
+          Outbox.For_testing.close ob))
     [ "outbox.bin"; "outbox-compacted.bin" ]
 
 (* Node 0 of a live three-node cluster sends three payloads to node 1
@@ -732,20 +733,20 @@ let golden_cut : Dpc_core.Durable.checkpoint =
 
 let test_manifest_fixture () =
   let module Durable = Dpc_core.Durable in
-  check_fixture "manifest.bin" (Durable.encode_manifest ~epoch:2 ~base:3 ~deltas:[ 4; 5 ]);
+  check_fixture "manifest.bin" (Durable.For_testing.encode_manifest ~epoch:2 ~base:3 ~deltas:[ 4; 5 ]);
   check Alcotest.(triple int int (list int)) "decoded manifest" (2, 3, [ 4; 5 ])
-    (Durable.decode_manifest (read_file (fixture "manifest.bin")))
+    (Durable.For_testing.decode_manifest (read_file (fixture "manifest.bin")))
 
 let test_cut_fixture () =
   let module Durable = Dpc_core.Durable in
-  check_fixture "cut-delta.bin" (Durable.encode_cut ~is_delta:true golden_cut);
+  check_fixture "cut-delta.bin" (Durable.For_testing.encode_cut ~is_delta:true golden_cut);
   check Alcotest.bool "decoded cut" true
-    (Durable.decode_cut (read_file (fixture "cut-delta.bin")) = (true, golden_cut))
+    (Durable.For_testing.decode_cut (read_file (fixture "cut-delta.bin")) = (true, golden_cut))
 
 let test_manifest_cut_trailing_byte () =
   let module Durable = Dpc_core.Durable in
-  check_trailing_byte "manifest.bin" Durable.decode_manifest (read_file (fixture "manifest.bin"));
-  check_trailing_byte "cut-delta.bin" Durable.decode_cut (read_file (fixture "cut-delta.bin"))
+  check_trailing_byte "manifest.bin" Durable.For_testing.decode_manifest (read_file (fixture "manifest.bin"));
+  check_trailing_byte "cut-delta.bin" Durable.For_testing.decode_cut (read_file (fixture "cut-delta.bin"))
 
 (* The socket's channel decoder finds the junk before it applies anything. *)
 let test_chan_trailing_byte () =
@@ -869,8 +870,8 @@ let test_disk_wal_matches_memory () =
       phase (Dpc_proc.Scenario.pre_packets ());
       Dpc_core.Durable.checkpoint_now durable 0;
       phase (Dpc_proc.Scenario.mid_packets ());
-      Dpc_core.Durable.crash durable 1;
-      Dpc_core.Durable.restart durable 1;
+      Dpc_core.Durable.For_testing.crash durable 1;
+      Dpc_core.Durable.For_testing.restart durable 1;
       phase (Dpc_proc.Scenario.post_packets ());
       let wal_file node =
         let node_dir = Filename.concat dir (Printf.sprintf "node-%d" node) in
@@ -883,7 +884,7 @@ let test_disk_wal_matches_memory () =
         | files -> Alcotest.failf "node %d has %d wal files" node (List.length files)
       in
       for node = 0 to nodes - 1 do
-        let wal = Dpc_core.Durable.wal durable node in
+        let wal = Dpc_core.Durable.For_testing.wal durable node in
         check Alcotest.bool (Printf.sprintf "node %d flushed groups" node) true (wal <> "");
         check Alcotest.string (Printf.sprintf "node %d wal file = flushed range" node) wal
           (wal_file node)
@@ -944,10 +945,10 @@ let test_disk_manifest_names_missing_cut () =
         Dpc_core.Durable.flush_wal durable node
       done;
       let manifest = Filename.concat dir "node-1/manifest" in
-      let epoch, base, deltas = Dpc_core.Durable.decode_manifest (read_file manifest) in
+      let epoch, base, deltas = Dpc_core.Durable.For_testing.decode_manifest (read_file manifest) in
       let attach_with what ~base ~deltas =
         Out_channel.with_open_bin manifest (fun oc ->
-            output_string oc (Dpc_core.Durable.encode_manifest ~epoch ~base ~deltas));
+            output_string oc (Dpc_core.Durable.For_testing.encode_manifest ~epoch ~base ~deltas));
         match build_disk_world scheme dir with
         | _ -> Alcotest.failf "%s: attach succeeded" what
         | exception Dpc_util.Serialize.Corrupt _ -> ()

@@ -18,7 +18,7 @@ let outputs world =
 let queryable world = Delp_gen.queryable world.Delp_gen.runtime
 
 let query world ?evid out =
-  Backend.query world.Delp_gen.backend ~cost:Query_cost.free ~routing:world.Delp_gen.routing
+  Backend.query world.Delp_gen.backend ~cost:Dpc_testkit.Query_kit.free ~routing:world.Delp_gen.routing
     ?evid out
 
 let tree_sig tree = Dpc_ndlog.Tuple.canonical (Prov_tree.event_of tree) ^ "|" ^ Prov_tree.to_string tree
@@ -106,7 +106,7 @@ let theorem1_on seed =
         Alcotest.failf
           "seed %d: key-equal events have different tree shapes (%d vs %d)\nkeys: %s\ne1=%s\ne2=%s\n%s"
           seed (List.length s1) (List.length s2)
-          (String.concat "," (List.map string_of_int (Dpc_analysis.Equi_keys.keys keys)))
+          (String.concat "," (List.map string_of_int (Dpc_analysis.Equi_keys.For_testing.keys keys)))
           (Dpc_ndlog.Tuple.to_string e1) (Dpc_ndlog.Tuple.to_string e2) instance.description
 
 let prop_theorem1 =
@@ -125,7 +125,7 @@ let prop_pipeline_total =
       let rng = Dpc_util.Rng.create ~seed:(seed + 2000) in
       let instance = Delp_gen.generate ~rng in
       let keys = Dpc_analysis.Equi_keys.compute instance.delp in
-      let key_list = Dpc_analysis.Equi_keys.keys keys in
+      let key_list = Dpc_analysis.Equi_keys.For_testing.keys keys in
       let w = Delp_gen.build_world instance Backend.S_advanced in
       Delp_gen.run_events w instance.events;
       List.iter (fun (out, evid) -> ignore (query w ~evid out)) (queryable w);
@@ -164,8 +164,8 @@ let prop_planned_fire_matches_naive =
             (fun event ->
               List.for_all
                 (fun (rule, plan) ->
-                  let naive = Dpc_engine.Eval.fire ~env ~db ~rule ~event in
-                  let planned = Dpc_engine.Eval.fire_planned ~db ~plan ~event in
+                  let naive = Dpc_engine.Eval.For_testing.fire ~env ~db ~rule ~event in
+                  let planned = Dpc_engine.Eval.For_testing.fire_planned ~db ~plan ~event in
                   next := List.map fst naive @ !next;
                   if norm naive <> norm planned then
                     QCheck.Test.fail_reportf
@@ -201,13 +201,13 @@ let prop_generated_programs_parse =
       match Dpc_ndlog.Parser.parse_program ~name:"generated" instance.description with
       | Error e -> QCheck.Test.fail_reportf "re-parse failed: %s\n%s" e instance.description
       | Ok p -> begin
-          match Dpc_ndlog.Delp.validate p with
+          match Dpc_ndlog.Delp.For_testing.validate p with
           | Error e ->
               QCheck.Test.fail_reportf "re-validation failed: %s\n%s"
-                (Dpc_ndlog.Delp.error_to_string e) instance.description
+                (Dpc_ndlog.Delp.For_testing.error_to_string e) instance.description
           | Ok d ->
-              Dpc_analysis.Equi_keys.keys (Dpc_analysis.Equi_keys.compute d)
-              = Dpc_analysis.Equi_keys.keys (Dpc_analysis.Equi_keys.compute instance.delp)
+              Dpc_analysis.Equi_keys.For_testing.keys (Dpc_analysis.Equi_keys.compute d)
+              = Dpc_analysis.Equi_keys.For_testing.keys (Dpc_analysis.Equi_keys.compute instance.delp)
         end)
 
 (* ------------------------------------------------------------------ *)
@@ -223,7 +223,7 @@ let prop_checkpoint_roundtrip =
       Delp_gen.run_events w instance.events;
       let blob = Backend.checkpoint w.Delp_gen.backend in
       let restored =
-        Backend.restore Backend.S_advanced ~delp:instance.delp ~env:Dpc_engine.Env.empty blob
+        Backend.For_testing.restore Backend.S_advanced ~delp:instance.delp ~env:Dpc_engine.Env.empty blob
       in
       List.for_all
         (fun (out, evid) ->
@@ -233,62 +233,12 @@ let prop_checkpoint_roundtrip =
           let back =
             List.sort_uniq compare
               (List.map tree_sig
-                 (Backend.query restored ~cost:Query_cost.free ~routing:w.Delp_gen.routing
+                 (Backend.query restored ~cost:Dpc_testkit.Query_kit.free ~routing:w.Delp_gen.routing
                     ~evid out)
                    .trees)
           in
           live = back)
         (queryable w))
-
-(* ------------------------------------------------------------------ *)
-(* Property 6: replay on random programs — re-executing the input log
-   reproduces exactly the ExSPAN trees of the live run. *)
-
-let prop_replay_matches_live =
-  QCheck.Test.make ~name:"replay matches live run on random programs" ~count:30
-    QCheck.small_nat (fun seed ->
-      let rng = Dpc_util.Rng.create ~seed:(seed + 5000) in
-      let instance = Delp_gen.generate ~rng in
-      (* Build a live ExSPAN world with a replay logger riding along. *)
-      let topo = Dpc_net.Topology.create ~n:instance.nodes in
-      let link = { Dpc_net.Topology.latency = 0.001; bandwidth = 1e8 } in
-      for a = 0 to instance.nodes - 1 do
-        for b = a + 1 to instance.nodes - 1 do
-          Dpc_net.Topology.add_link topo a b link
-        done
-      done;
-      let routing = Dpc_net.Routing.compute topo in
-      let sim = Dpc_net.Sim.create ~topology:topo ~routing () in
-      let backend =
-        Backend.make Backend.S_exspan ~delp:instance.delp ~env:Dpc_engine.Env.empty
-          ~nodes:instance.nodes
-      in
-      let replay =
-        Replay.create ~delp:instance.delp ~env:Dpc_engine.Env.empty ~nodes:instance.nodes
-      in
-      let hook = Replay.combine (Backend.hook backend) (Replay.hook replay) in
-      let rt =
-        Dpc_engine.Runtime.create ~transport:(Dpc_net.Transport.of_sim sim) ~delp:instance.delp ~env:Dpc_engine.Env.empty ~hook ()
-      in
-      Dpc_engine.Runtime.load_slow rt instance.slow_tuples;
-      Replay.record_initial_slow replay instance.slow_tuples;
-      List.iter (fun ev -> Dpc_engine.Runtime.inject rt ev) instance.events;
-      Dpc_engine.Runtime.run rt;
-      let pairs = Delp_gen.queryable rt in
-      List.for_all
-        (fun (out, evid) ->
-          let live =
-            List.sort_uniq compare
-              (List.map tree_sig
-                 (Backend.query backend ~cost:Query_cost.free ~routing ~evid out).trees)
-          in
-          let replayed =
-            List.sort_uniq compare
-              (List.map tree_sig
-                 (Replay.replay_and_query replay ~topology:topo ~evid out).trees)
-          in
-          live = replayed)
-        pairs)
 
 (* ------------------------------------------------------------------ *)
 (* A deterministic regression case exercising the generator itself. *)
@@ -302,7 +252,7 @@ let test_generator_sanity () =
   (* All slow tuples belong to slow relations of the program. *)
   List.iter
     (fun t ->
-      if not (Dpc_ndlog.Delp.is_slow instance.delp (Dpc_ndlog.Tuple.rel t)) then
+      if not (Dpc_ndlog.Delp.For_testing.is_slow instance.delp (Dpc_ndlog.Tuple.rel t)) then
         Alcotest.failf "tuple %s is not of a slow relation" (Dpc_ndlog.Tuple.to_string t))
     instance.slow_tuples
 
@@ -313,7 +263,7 @@ let test_mutation_preserves_keys () =
   List.iter
     (fun ev ->
       let ev' = Delp_gen.mutate_non_keys ~rng ~keys ev in
-      check Alcotest.bool "still equivalent" true (Dpc_analysis.Equi_keys.equivalent keys ev ev'))
+      check Alcotest.bool "still equivalent" true (Dpc_analysis.Equi_keys.For_testing.equivalent keys ev ev'))
     instance.events
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -335,6 +285,5 @@ let () =
             prop_planned_fire_matches_naive;
             prop_generated_programs_parse;
             prop_checkpoint_roundtrip;
-            prop_replay_matches_live;
           ] );
     ]

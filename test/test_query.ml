@@ -18,6 +18,11 @@ open Dpc_workload
 
 let check = Alcotest.check
 
+(* A cursor names a tree by the documented [dpc-cursor-v1] format: the
+   hex SHA-1 of the tree's canonical rendering. *)
+let cursor_of_tree tree =
+  "dpc-cursor-v1:" ^ Dpc_util.Sha1.to_hex (Dpc_util.Sha1.digest_string (Prov_tree.to_string tree))
+
 let all_schemes =
   [ Backend.S_exspan; Backend.S_basic; Backend.S_advanced; Backend.S_advanced_interclass ]
 
@@ -176,7 +181,7 @@ let test_backend_cache_metrics () =
   let cache = Backend.attach_query_cache backend in
   check Alcotest.bool "attached" true
     (match Backend.query_cache backend with Some c -> c == cache | None -> false);
-  let q p = ignore (Backend.query backend ~cost:Query_cost.free ~routing (recv p)) in
+  let q p = ignore (Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing (recv p)) in
   q "a";
   q "a";
   (* Queries run at the querier — node 2, the recv location — so the
@@ -198,7 +203,7 @@ let test_backend_cache_metrics () =
 let test_sig_flush_invalidates name scheme =
   let payloads = [ "a"; "b"; "c" ] in
   let backend, runtime, routing = forwarding_world scheme payloads in
-  let q p = Backend.query backend ~cost:Query_cost.free ~routing (recv p) in
+  let q p = Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing (recv p) in
   let baseline = List.map (fun p -> tree_sigs (q p)) payloads in
   List.iter
     (fun sigs -> check Alcotest.bool (name ^ ": baseline non-empty") true (sigs <> []))
@@ -245,7 +250,7 @@ let world_tree_pool (w : Delp_gen.world) =
   List.map (fun (out, _) -> out) (Dpc_engine.Runtime.outputs w.runtime)
   |> List.sort_uniq Dpc_ndlog.Tuple.compare
   |> List.concat_map (fun out ->
-       (Backend.query w.backend ~cost:Query_cost.free ~routing:w.routing out).trees)
+       (Backend.query w.backend ~cost:Dpc_testkit.Query_kit.free ~routing:w.routing out).trees)
   |> Query_result.dedup_trees
 
 let trees_equal a b =
@@ -254,7 +259,7 @@ let trees_equal a b =
 let paginate_all ?(limit = 1) pool =
   let rec walk cursor acc rounds =
     if rounds > List.length pool + 2 then Alcotest.fail "pagination did not terminate";
-    let p = Query_result.paginate ?cursor ~limit pool in
+    let p = Query_result.For_testing.paginate ?cursor ~limit pool in
     check Alcotest.int "page_total is the pool size" (List.length pool) p.page_total;
     check Alcotest.bool "page is bounded" true (List.length p.page_trees <= limit);
     let acc = acc @ p.page_trees in
@@ -288,26 +293,25 @@ let test_pagination_properties () =
 
 let test_pagination_errors () =
   let backend, _, routing = forwarding_world Backend.S_basic [ "a"; "b" ] in
-  let trees p = (Backend.query backend ~cost:Query_cost.free ~routing (recv p)).trees in
+  let trees p = (Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing (recv p)).trees in
   let pool = trees "a" in
   check Alcotest.bool "have a tree" true (pool <> []);
   Alcotest.check_raises "limit 0"
     (Invalid_argument "Query_result.paginate: limit must be positive") (fun () ->
-      ignore (Query_result.paginate ~limit:0 pool));
+      ignore (Query_result.For_testing.paginate ~limit:0 pool));
   Alcotest.check_raises "malformed cursor"
     (Invalid_argument "Query_result.paginate: malformed cursor") (fun () ->
-      ignore (Query_result.paginate ~cursor:"bogus" ~limit:1 pool));
+      ignore (Query_result.For_testing.paginate ~cursor:"bogus" ~limit:1 pool));
   (* A cursor from a different result set names no tree here. *)
-  let foreign = Query_result.cursor_of_tree (List.hd (trees "b")) in
+  let foreign = cursor_of_tree (List.hd (trees "b")) in
   Alcotest.check_raises "stale cursor"
     (Invalid_argument "Query_result.paginate: unknown or stale cursor") (fun () ->
-      ignore (Query_result.paginate ~cursor:foreign ~limit:1 pool));
-  (* query_page surfaces the same errors through the backend API. *)
-  Alcotest.check_raises "query_page propagates"
+      ignore (Query_result.For_testing.paginate ~cursor:foreign ~limit:1 pool));
+  (* The same errors surface on a paginated backend query. *)
+  Alcotest.check_raises "query then paginate"
     (Invalid_argument "Query_result.paginate: malformed cursor") (fun () ->
-      ignore
-        (Backend.query_page backend ~cost:Query_cost.free ~routing ~cursor:"bogus" ~limit:1
-           (recv "a")))
+      let r = Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing (recv "a") in
+      ignore (Query_result.For_testing.paginate ~cursor:"bogus" ~limit:1 r.trees))
 
 (* Cursors survive a restart: re-issuing a pre-checkpoint cursor against
    the restored store resumes at exactly the same position. *)
@@ -321,23 +325,23 @@ let test_cursor_survives_restart name scheme =
       let pool = world_tree_pool w in
       if List.length pool >= 2 then begin
         multi := true;
-        let first = Query_result.paginate ~limit:1 pool in
+        let first = Query_result.For_testing.paginate ~limit:1 pool in
         let cursor = Option.get first.next_cursor in
-        let rest_before = Query_result.paginate ~cursor ~limit:(List.length pool) pool in
+        let rest_before = Query_result.For_testing.paginate ~cursor ~limit:(List.length pool) pool in
         (* Restart: serialize, rebuild, recompute the pool from the
            restored backend, re-issue the same cursor string. *)
         let blob = Backend.checkpoint w.backend in
         let restored =
-          Backend.restore scheme ~delp:instance.Delp_gen.delp ~env:Dpc_engine.Env.empty blob
+          Backend.For_testing.restore scheme ~delp:instance.Delp_gen.delp ~env:Dpc_engine.Env.empty blob
         in
         let pool' =
           List.map (fun (out, _) -> out) (Dpc_engine.Runtime.outputs w.runtime)
           |> List.sort_uniq Dpc_ndlog.Tuple.compare
           |> List.concat_map (fun out ->
-               (Backend.query restored ~cost:Query_cost.free ~routing:w.routing out).trees)
+               (Backend.query restored ~cost:Dpc_testkit.Query_kit.free ~routing:w.routing out).trees)
           |> Query_result.dedup_trees
         in
-        let rest_after = Query_result.paginate ~cursor ~limit:(List.length pool') pool' in
+        let rest_after = Query_result.For_testing.paginate ~cursor ~limit:(List.length pool') pool' in
         if not (trees_equal rest_before.page_trees rest_after.page_trees) then
           Alcotest.failf "%s seed %d: cursor resumed at a different position after restart" name
             seed
@@ -393,11 +397,11 @@ let test_chain_walk_cap () =
           incr leaves;
           raise (Query_acct.Broken "synthetic"));
       slow = (fun _ -> Side_store.create ());
-      plan = (fun name -> raise (Query_acct.Broken name));
+      plans = [];
     }
   in
   let acct =
-    Query_acct.create ~cost:Query_cost.free ~routing:(line_routing ()) ~up:all_up ~querier:0
+    Query_acct.create ~cost:Dpc_testkit.Query_kit.free ~routing:(line_routing ()) ~up:all_up ~querier:0
       ~degraded:ignore
   in
   let prov = { Rows.loc = 0; vid = sha "out"; rid = Back { node = 0; rid = root }; evid = None } in
@@ -413,7 +417,7 @@ let test_chain_walk_cap () =
 
 let memo_walk cache ~gen node trees =
   let acct =
-    Query_acct.create ~cost:Query_cost.free ~routing:(line_routing ()) ~up:all_up ~querier:0
+    Query_acct.create ~cost:Dpc_testkit.Query_kit.free ~routing:(line_routing ()) ~up:all_up ~querier:0
       ~degraded:ignore
   in
   Query_acct.memo (Some cache) acct ~gen ~rloc:0 ~rid:(sha "r") ~ctx:"" (fun () ->
@@ -433,7 +437,7 @@ let test_cache_snapshot_bound () =
     check Alcotest.(triple int int int) what (size, hits, invalidations)
       (s.size, s.hits, s.invalidations)
   in
-  let g = Query_cache.max_gen and n = Query_cache.max_node in
+  let g = Query_cache.For_testing.max_gen and n = Query_cache.For_testing.max_node in
   (* The largest generation is cached and served; one more write at the
      node drops the entry, and the walk at the new generation, past the
      field, is not cached. *)
@@ -479,11 +483,11 @@ let render_pool b scheme pool =
   Printf.bprintf b "scheme %s: %d trees\n" (Backend.scheme_name scheme) (List.length pool);
   List.iteri
     (fun i tree ->
-      Printf.bprintf b "tree %d %s\nshape %s\n%s\n" i (Query_result.cursor_of_tree tree)
+      Printf.bprintf b "tree %d %s\nshape %s\n%s\n" i (cursor_of_tree tree)
         (Delp_gen.tree_shape tree) (Prov_tree.to_string tree))
     pool;
   let rec walk cursor =
-    match (Query_result.paginate ?cursor ~limit:1 pool).next_cursor with
+    match (Query_result.For_testing.paginate ?cursor ~limit:1 pool).next_cursor with
     | None -> ()
     | Some c ->
         Printf.bprintf b "next %s\n" c;
@@ -508,7 +512,7 @@ let dns_pool scheme =
   Dns_workload.run t;
   let reply = List.hd (Dns_workload.replies t) in
   Query_result.dedup_trees
-    (Backend.query t.backend ~cost:Query_cost.free ~routing:t.routing reply).trees
+    (Backend.query t.backend ~cost:Dpc_testkit.Query_kit.free ~routing:t.routing reply).trees
 
 let tree_fixtures = [ ("trees-delp-gen.txt", delp_gen_pool, 2); ("trees-dns.txt", dns_pool, 1) ]
 
@@ -549,7 +553,7 @@ let test_tree_fixtures () =
    cursors. *)
 let prop_cursor_fuzz =
   let pool = delp_gen_pool Backend.S_basic in
-  let cursors = Array.of_list (List.map Query_result.cursor_of_tree pool) in
+  let cursors = Array.of_list (List.map cursor_of_tree pool) in
   QCheck.Test.make ~name:"paginate ~cursor raises only Invalid_argument" ~count:2000
     QCheck.(
       pair (string_gen_of_size Gen.(int_bound 60) Gen.char)
@@ -560,7 +564,7 @@ let prop_cursor_fuzz =
       Bytes.set mutant (pos mod String.length real) (Char.chr byte);
       List.for_all
         (fun cursor ->
-          match Query_result.paginate ~cursor ~limit:1 pool with
+          match Query_result.For_testing.paginate ~cursor ~limit:1 pool with
           | _ -> true
           | exception Invalid_argument _ -> true
           | exception e ->
@@ -615,7 +619,7 @@ let test_cost_drift () =
                   [
                     ("emulation", Query_cost.emulation);
                     ("simulation", Query_cost.simulation);
-                    ("free", Query_cost.free);
+                    ("free", Dpc_testkit.Query_kit.free);
                   ])
               outs
           in

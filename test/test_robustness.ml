@@ -119,8 +119,8 @@ let test_losslessness_under_jitter () =
         25
         (Dpc_engine.Runtime.stats runtime).outputs;
       for i = 1 to 25 do
-        let expected = (Backend.query reference ~cost:Query_cost.free ~routing (output i)).trees in
-        let got = (Backend.query backend ~cost:Query_cost.free ~routing (output i)).trees in
+        let expected = (Backend.query reference ~cost:Dpc_testkit.Query_kit.free ~routing (output i)).trees in
+        let got = (Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing (output i)).trees in
         check trees_t (Printf.sprintf "%s: packet %d" (Backend.scheme_name scheme) i) expected got
       done)
     [ Backend.S_basic; Backend.S_advanced; Backend.S_advanced_interclass ]
@@ -149,17 +149,17 @@ let test_advanced_without_fifo () =
     Dpc_engine.Runtime.run runtime;
     Dpc_engine.Runtime.run reference_runtime;
     let trees i =
-      (Store_kit.query s.kit ~walk:s.walk ~cost:Query_cost.free ~routing (output i)).trees
+      (Store_kit.query s.kit ~walk:s.walk ~cost:Dpc_testkit.Query_kit.free ~routing (output i)).trees
     in
-    let expected i = (Backend.query reference ~cost:Query_cost.free ~routing (output i)).trees in
+    let expected i = (Backend.query reference ~cost:Dpc_testkit.Query_kit.free ~routing (output i)).trees in
     (* Packet numbers in arrival order at the output. *)
     let number (out, _) =
-      Scanf.sscanf (Dpc_ndlog.Value.str_exn (Dpc_ndlog.Tuple.arg out 3)) "p%d" Fun.id
+      Scanf.sscanf (Dpc_ndlog.Value.For_testing.str_exn (Dpc_ndlog.Tuple.arg out 3)) "p%d" Fun.id
     in
     let arrivals = List.map number (Dpc_engine.Runtime.outputs runtime) in
     check Alcotest.int "all delivered" 25 (List.length arrivals);
     let rec before_p1 = function 1 :: _ | [] -> [] | i :: rest -> i :: before_p1 rest in
-    (Store_advanced.orphan_outputs advanced, before_p1 arrivals, trees, expected)
+    (Store_advanced.For_testing.orphan_outputs advanced, before_p1 arrivals, trees, expected)
   in
   let orphans, overtook, trees, _ = race () in
   check Alcotest.bool "a packet overtakes p1" true (overtook <> []);
@@ -196,10 +196,10 @@ let test_query_with_wrong_program_is_empty () =
   Dpc_engine.Runtime.run runtime;
   let blob = Backend.checkpoint backend in
   let restored =
-    Backend.restore Backend.S_basic ~delp:(Dpc_apps.Dhcp.delp ()) ~env:Dpc_apps.Dhcp.env blob
+    Backend.For_testing.restore Backend.S_basic ~delp:(Dpc_testkit.Addressing.Dhcp.delp ()) ~env:Dpc_engine.Env.empty blob
   in
   let out = Dpc_apps.Forwarding.recv ~at:2 ~src:0 ~dst:2 ~payload:"x" in
-  let result = Backend.query restored ~cost:Query_cost.free ~routing out in
+  let result = Backend.query restored ~cost:Dpc_testkit.Query_kit.free ~routing out in
   check Alcotest.int "no trees, no crash" 0 (List.length result.trees)
 
 let test_query_empty_store () =
@@ -225,7 +225,7 @@ let test_advanced_orphan_counting () =
   let delp = Dpc_apps.Forwarding.delp () in
   let keys = Dpc_analysis.Equi_keys.compute delp in
   let store = Store_advanced.create ~delp ~env:Dpc_apps.Forwarding.env ~keys ~nodes:3 () in
-  check Alcotest.int "no orphans on a fresh store" 0 (Store_advanced.orphan_outputs store)
+  check Alcotest.int "no orphans on a fresh store" 0 (Store_advanced.For_testing.orphan_outputs store)
 
 (* ------------------------------------------------------------------ *)
 (* Degraded queries against crashed nodes: bounded, partial, never hung. *)
@@ -363,10 +363,10 @@ let test_query_recovers_after_restart () =
   in
   let healthy = q () in
   check Alcotest.bool "healthy complete" true healthy.Query_result.complete;
-  Dpc_core.Durable.crash durable 1;
+  Dpc_core.Durable.For_testing.crash durable 1;
   let during = q () in
   check Alcotest.bool "partial during outage" false during.Query_result.complete;
-  Dpc_core.Durable.restart durable 1;
+  Dpc_core.Durable.For_testing.restart durable 1;
   Dpc_engine.Runtime.run runtime;
   let after = q () in
   check Alcotest.bool "complete after recovery" true after.Query_result.complete;

@@ -213,9 +213,7 @@ let test_table_byte_counter () =
   check Alcotest.int "sum of row sizes"
     (one + Rows.prov_row_bytes ~with_evid:true base_row)
     (Rows.Table.bytes t);
-  Rows.Table.clear t;
-  check Alcotest.int "clear resets rows" 0 (Rows.Table.rows t);
-  check Alcotest.int "clear resets bytes" 0 (Rows.Table.bytes t)
+  check Alcotest.int "one row per key and row" 2 (Rows.Table.rows t)
 
 let test_table_iter_visits_all () =
   let t = table () in
@@ -238,6 +236,11 @@ let test_table_iter_visits_all () =
 let tuple = Dpc_apps.Forwarding.route ~at:1 ~dst:2 ~next:0
 let other = Dpc_apps.Forwarding.route ~at:1 ~dst:3 ~next:0
 
+let count s =
+  let n = ref 0 in
+  Side_store.iter s (fun ~key:_ _ -> incr n);
+  !n
+
 (* Entries are keyed by their tuple's digest. *)
 let test_side_store_basics () =
   let s = Side_store.create () and key = Dpc_ndlog.Tuple.digest tuple in
@@ -245,7 +248,7 @@ let test_side_store_basics () =
   (* An equal tuple, built apart: the first one stays. *)
   let again = Dpc_apps.Forwarding.route ~at:1 ~dst:2 ~next:0 in
   Side_store.put s again;
-  check Alcotest.int "idempotent put" 1 (Side_store.count s);
+  check Alcotest.int "idempotent put" 1 (count s);
   check Alcotest.bool "get hit" true (Side_store.get s ~key <> None);
   check Alcotest.bool "the first tuple wins" true
     (match Side_store.get s ~key with Some t -> t == tuple | None -> false);

@@ -26,7 +26,7 @@ let tree_sig tree =
   Dpc_ndlog.Tuple.canonical (Prov_tree.event_of tree) ^ "|" ^ Prov_tree.to_string tree
 
 let query w ?evid out =
-  Backend.query w.Delp_gen.backend ~cost:Query_cost.free ~routing:w.Delp_gen.routing ?evid out
+  Backend.query w.Delp_gen.backend ~cost:Dpc_testkit.Query_kit.free ~routing:w.Delp_gen.routing ?evid out
 
 (* Same observable-state digest the chaos oracle compares. *)
 let world_digests w =
@@ -151,7 +151,7 @@ let dns_digests scheme domains =
        (fun i node ->
          Dpc_util.Sha1.to_hex
            (Dpc_util.Sha1.digest_string
-              (Backend.digest_node backend i ^ Dpc_engine.Db.canonical (Dpc_engine.Node.db node))))
+              (Backend.digest_node backend i ^ Dpc_engine.Db.For_testing.canonical (Dpc_engine.Node.db node))))
        (Backend.nodes backend))
 
 let test_dns_digests () =
@@ -200,7 +200,7 @@ let assert_reliable_healthy ~label w =
         Alcotest.failf "%s: %d messages still parked at end of run" label s.abandoned;
       let stuck = Dpc_net.Reliable.suspended_channels r in
       if stuck > 0 then Alcotest.failf "%s: %d channels still suspended at end of run" label stuck;
-      if Dpc_net.Reliable.window_peak r >= Dpc_net.Reliable.window then
+      if Dpc_net.Reliable.For_testing.window_peak r >= Dpc_net.Reliable.For_testing.window then
         Alcotest.failf "%s: a receive window reached its bound" label
 
 let chaos_world instance scheme domains =
@@ -424,13 +424,13 @@ let test_nested_run () =
       let sim = Dpc_net.Shard_sim.create ~domains ~nodes:2 () in
       let tr = Dpc_net.Shard_sim.transport sim in
       let delivered = ref 0 in
-      Dpc_net.Transport.send tr ~src:0 ~dst:1 ~bytes:10 (fun () -> Dpc_net.Shard_sim.run sim);
+      Dpc_net.Transport.send tr ~src:0 ~dst:1 ~bytes:10 (fun () -> Dpc_net.Shard_sim.For_testing.run sim);
       check Alcotest.bool (Printf.sprintf "~domains:%d nested run refused" domains) true
-        (match Dpc_net.Shard_sim.run sim with
+        (match Dpc_net.Shard_sim.For_testing.run sim with
         | () -> false
         | exception Invalid_argument _ -> true);
       Dpc_net.Transport.send tr ~src:0 ~dst:1 ~bytes:10 (fun () -> incr delivered);
-      Dpc_net.Shard_sim.run sim;
+      Dpc_net.Shard_sim.For_testing.run sim;
       check Alcotest.int (Printf.sprintf "~domains:%d a later run delivers" domains) 1 !delivered)
     [ 1; 2 ]
 
@@ -440,7 +440,7 @@ let test_nested_run () =
 let test_partition () =
   List.iter
     (fun (domains, nodes) ->
-      let p = Dpc_net.Shard_sim.partition ~domains ~nodes in
+      let p = Dpc_net.Shard_sim.For_testing.partition ~domains ~nodes in
       check Alcotest.int "length" nodes (Array.length p);
       Array.iteri
         (fun n sid ->
@@ -458,16 +458,16 @@ let test_partition () =
       end;
       (* Stable: recomputing gives the same map, and the live transport
          agrees with the pure function. *)
-      check Alcotest.bool "stable" true (p = Dpc_net.Shard_sim.partition ~domains ~nodes);
+      check Alcotest.bool "stable" true (p = Dpc_net.Shard_sim.For_testing.partition ~domains ~nodes);
       let s = Dpc_net.Shard_sim.create ~domains ~nodes () in
       Array.iteri
-        (fun n sid -> check Alcotest.int "transport agrees" sid (Dpc_net.Shard_sim.shard_of s n))
+        (fun n sid -> check Alcotest.int "transport agrees" sid (Dpc_net.Shard_sim.For_testing.shard_of s n))
         p)
     [ (1, 4); (2, 4); (4, 4); (3, 7); (4, 2) ]
 
 let test_partition_invalid () =
   Alcotest.check_raises "zero domains" (Invalid_argument "Shard_sim.partition: domains must be positive")
-    (fun () -> ignore (Dpc_net.Shard_sim.partition ~domains:0 ~nodes:4))
+    (fun () -> ignore (Dpc_net.Shard_sim.For_testing.partition ~domains:0 ~nodes:4))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics under concurrent writers: hammer one registry from several
@@ -491,11 +491,11 @@ let test_metrics_concurrent () =
   let expected_hits = writers * per_writer in
   let shared_snap = Dpc_util.Metrics.snapshot shared in
   check Alcotest.int "hits = sequential sum" expected_hits
-    (Dpc_util.Metrics.counter shared_snap "hits");
+    (Dpc_util.Metrics.For_testing.counter shared_snap "hits");
   check Alcotest.int "even = sequential sum" (writers * per_writer)
-    (Dpc_util.Metrics.counter shared_snap "even");
+    (Dpc_util.Metrics.For_testing.counter shared_snap "even");
   check Alcotest.int "odd = sequential sum" (writers * per_writer)
-    (Dpc_util.Metrics.counter shared_snap "odd");
+    (Dpc_util.Metrics.For_testing.counter shared_snap "odd");
   (* Merge of the per-domain registries equals the shared registry: the
      merged snapshot is the cluster-wide truth whichever way the counts
      were collected. *)

@@ -33,6 +33,8 @@ type blobs = { store : string; node : string; delta : string }
 (* Node 2's Db at the cut and after the slow delete, and the Db itself. *)
 type db_blobs = { db_node : string; db_delta : string; db : Dpc_engine.Db.t }
 
+let feed_string d s = Dpc_net.Wire.Decoder.feed d (Bytes.of_string s) 0 (String.length s)
+
 let scenario scheme =
   let w = Fixture_world.create scheme in
   batch1 w;
@@ -104,7 +106,7 @@ let test_encoders scheme label () =
 let test_roundtrip scheme label () =
   let f = fixtures label in
   let s, n, d = file_names label in
-  let restored = Backend.restore scheme ~delp:(delp ()) ~env f.store in
+  let restored = Backend.For_testing.restore scheme ~delp:(delp ()) ~env f.store in
   let fresh = Backend.make scheme ~delp:(delp ()) ~env ~nodes:3 in
   Backend.restore_node fresh 2 f.node;
   let node = Backend.checkpoint_node fresh 2 in
@@ -162,7 +164,7 @@ let reference_canonical db =
     (fun rel ->
       S.write_string w rel;
       S.write_list w (Dpc_ndlog.Tuple.serialize w) (Dpc_engine.Db.scan db rel))
-    (Dpc_engine.Db.relations db);
+    (Dpc_engine.Db.For_testing.relations db);
   S.contents w
 
 let reference_delta log =
@@ -215,7 +217,7 @@ let prop_db_writers_match_reference =
               log := [];
               same "delta" expected (Dpc_engine.Db.snapshot_delta db))
         ops
-      && same "canonical" (reference_canonical db) (Dpc_engine.Db.canonical db))
+      && same "canonical" (reference_canonical db) (Dpc_engine.Db.For_testing.canonical db))
 
 (* The Advanced delta fixtures record what that format exists for: the
    wipe of [htequi] by the slow insert, and hmap classes whose ref lists
@@ -254,7 +256,7 @@ let test_delta_records_equivalence_changes label () =
 let decode scheme format blob =
   let f = fixtures (List.assoc scheme schemes) in
   match format with
-  | `Store -> ignore (Backend.restore scheme ~delp:(delp ()) ~env blob)
+  | `Store -> ignore (Backend.For_testing.restore scheme ~delp:(delp ()) ~env blob)
   | `Node -> Backend.restore_node (Backend.make scheme ~delp:(delp ()) ~env ~nodes:3) 2 blob
   | `Delta ->
       let b = Backend.make scheme ~delp:(delp ()) ~env ~nodes:3 in
@@ -398,17 +400,17 @@ let process_targets =
     ("wire frames", (fun () -> read_fixture "wire-frames.bin"),
      fun blob ->
        let d = Wire.Decoder.create () in
-       Wire.Decoder.feed_string d blob;
+       feed_string d blob;
        while Wire.Decoder.next d <> None do () done);
     ("outbox", (fun () -> read_fixture "outbox.bin"),
      fun blob ->
        in_temp_dir (fun dir ->
          Out_channel.with_open_bin (Filename.concat dir "outbox.log") (fun oc ->
            output_string oc blob);
-         Durable.Outbox.close (Durable.Outbox.open_ ~dir)));
+         Durable.Outbox.For_testing.close (Durable.Outbox.For_testing.open_ ~dir)));
     ("manifest", (fun () -> read_fixture "manifest.bin"),
-     fun blob -> ignore (Durable.decode_manifest blob));
-    ("cut", (fun () -> read_fixture "cut-delta.bin"), fun blob -> ignore (Durable.decode_cut blob));
+     fun blob -> ignore (Durable.For_testing.decode_manifest blob));
+    ("cut", (fun () -> read_fixture "cut-delta.bin"), fun blob -> ignore (Durable.For_testing.decode_cut blob));
     ("socket channels", (fun () -> read_fixture "chan.bin"),
      fun blob ->
        in_temp_dir (fun dir ->
@@ -548,7 +550,7 @@ let test_trailing_byte () =
 
 (* ------------------------------------------------------------------ *)
 (* In-place digests: [Backend.digest_node] and [Db.digest] hash the bytes
-   the node blob and [Db.canonical] writers leave in the scratch arena,
+   the node blob and [Db.For_testing.canonical] writers leave in the scratch arena,
    read through Serialize's 4,096-byte chunk instead of copied out. Each
    must equal the SHA-1 of the bytes the materializing call returns, on
    either side of a chunk boundary and from inside a call that holds the
@@ -574,7 +576,7 @@ let check_node_digest what backend node =
   check Alcotest.string what (sha1_hex (Backend.checkpoint_node backend node)) digest
 
 let check_db_digest what db =
-  check Alcotest.string what (sha1_hex (Dpc_engine.Db.canonical db)) (Dpc_engine.Db.digest db)
+  check Alcotest.string what (sha1_hex (Dpc_engine.Db.For_testing.canonical db)) (Dpc_engine.Db.digest db)
 
 (* A world that took one packet from node 0 to node 2 with a [len]-byte
    payload. Node 0 keeps the packet under every scheme, so its blob grows
@@ -610,7 +612,7 @@ let test_in_place_digests scheme () =
   let one_chunk = one_packet scheme (payload_for scheme node_size chunk) in
   check Alcotest.int "the blob is one chunk" chunk (node_size one_chunk);
   check_node_digest "a blob of one chunk" one_chunk.backend 0;
-  let db_size (w : Fixture_world.t) = String.length (Dpc_engine.Db.canonical w.db) in
+  let db_size (w : Fixture_world.t) = String.length (Dpc_engine.Db.For_testing.canonical w.db) in
   let one_chunk_db = one_packet scheme (payload_for scheme db_size chunk) in
   check Alcotest.int "the Db is one chunk" chunk (db_size one_chunk_db);
   check_db_digest "a Db of one chunk" one_chunk_db.db;

@@ -151,14 +151,14 @@ let prop_event_queue_order =
       let queued = ref [] and pushed = ref 0 and fired = ref (-1) in
       let pop () =
         match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) (List.rev !queued) with
-        | [] -> Event_queue.is_empty q && not (Event_queue.due q ~until:infinity)
+        | [] -> Event_queue.For_testing.is_empty q && not (Event_queue.due q ~until:infinity)
         | (at, seq) :: _ ->
             let horizon = Event_queue.due q ~until:(at +. 0.25) && not (Event_queue.due q ~until:at) in
             let before = clock.now in
             (Event_queue.pop q clock) ();
             queued := List.filter (fun (_, s) -> s <> seq) !queued;
             horizon && !fired = seq && clock.now = Float.max before at
-            && Event_queue.length q = List.length !queued
+            && Event_queue.For_testing.length q = List.length !queued
       in
       let step ok = function
         | Some quarters ->
@@ -186,7 +186,7 @@ let prop_event_queue_keyed_order =
       let pop () =
         match List.sort compare !queued with
         | [] ->
-            Event_queue.is_empty q
+            Event_queue.For_testing.is_empty q
             && (not (Event_queue.due q ~until:infinity))
             && Event_queue.next_time q = infinity
         | (at, key) :: _ ->
@@ -195,7 +195,7 @@ let prop_event_queue_keyed_order =
             (Event_queue.pop q clock) ();
             queued := List.filter (fun (_, k) -> k <> key) !queued;
             horizon && head && !fired = key && clock.now = Float.max before at
-            && Event_queue.length q = List.length !queued
+            && Event_queue.For_testing.length q = List.length !queued
       in
       let step ok = function
         | Some (_, key) when Hashtbl.mem used key -> ok
@@ -222,8 +222,8 @@ let test_metrics_counters () =
   Metrics.incr m "y";
   check Alcotest.int "accumulates" 5 (Metrics.counter_value m "x");
   let s = Metrics.snapshot m in
-  check Alcotest.int "snapshot reads" 5 (Metrics.counter s "x");
-  check Alcotest.int "absent in snapshot" 0 (Metrics.counter s "z");
+  check Alcotest.int "snapshot reads" 5 (Metrics.For_testing.counter s "x");
+  check Alcotest.int "absent in snapshot" 0 (Metrics.For_testing.counter s "z");
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "sorted by name" [ ("x", 5); ("y", 1) ] s.counters;
   Metrics.clear m;
@@ -234,7 +234,7 @@ let test_metrics_snapshot_immutable () =
   Metrics.incr m "x";
   let s = Metrics.snapshot m in
   Metrics.add m "x" 10;
-  check Alcotest.int "snapshot is a copy" 1 (Metrics.counter s "x");
+  check Alcotest.int "snapshot is a copy" 1 (Metrics.For_testing.counter s "x");
   check Alcotest.int "registry moved on" 11 (Metrics.counter_value m "x")
 
 let test_metrics_merge () =
@@ -244,9 +244,9 @@ let test_metrics_merge () =
   Metrics.add b "shared" 3;
   Metrics.add b "only_b" 7;
   let s = Metrics.merge (Metrics.snapshot a) (Metrics.snapshot b) in
-  check Alcotest.int "counters add" 5 (Metrics.counter s "shared");
-  check Alcotest.int "left-only survives" 1 (Metrics.counter s "only_a");
-  check Alcotest.int "right-only survives" 7 (Metrics.counter s "only_b");
+  check Alcotest.int "counters add" 5 (Metrics.For_testing.counter s "shared");
+  check Alcotest.int "left-only survives" 1 (Metrics.For_testing.counter s "only_a");
+  check Alcotest.int "right-only survives" 7 (Metrics.For_testing.counter s "only_b");
   check Alcotest.bool "empty is identity" true
     (Metrics.merge Metrics.empty (Metrics.snapshot a) = Metrics.snapshot a);
   (* Merge result stays sorted, so further merges agree. *)
@@ -295,7 +295,7 @@ let test_rng_bounds () =
 
 let test_rng_split_independent () =
   let g = Rng.create ~seed:9 in
-  let child = Rng.split g in
+  let child = Rng.For_testing.split g in
   let xs = List.init 10 (fun _ -> Rng.int g 100) in
   let ys = List.init 10 (fun _ -> Rng.int child 100) in
   check Alcotest.bool "streams differ" true (xs <> ys)
@@ -472,7 +472,7 @@ let test_stats_empty_raises () =
 (* Table_fmt *)
 
 let test_table_fmt_alignment () =
-  let s = Table_fmt.render ~header:[ "a"; "bbb" ] ~rows:[ [ "xx"; "y" ]; [ "z" ] ] in
+  let s = Table_fmt.For_testing.render ~header:[ "a"; "bbb" ] ~rows:[ [ "xx"; "y" ]; [ "z" ] ] in
   let lines = String.split_on_char '\n' s in
   check Alcotest.int "4 lines" 4 (List.length lines);
   (* All lines padded to the same width. *)

@@ -108,7 +108,7 @@ let test_dns_spec_well_formed () =
       let url = spec.urls.(k) in
       let rec up v =
         if v >= 0 then begin
-          if not (Dpc_apps.Dns.is_sub_domain spec.domains.(v) url) then
+          if not (Dpc_apps.Dns.For_testing.is_sub_domain spec.domains.(v) url) then
             Alcotest.failf "url %s not under ancestor %s" url spec.domains.(v);
           up spec.tree.parent.(v)
         end
@@ -156,7 +156,7 @@ let test_dns_zipf_concentrates_requests () =
   let by_url = Hashtbl.create 16 in
   List.iter
     (fun reply ->
-      let url = Dpc_ndlog.Value.str_exn (Dpc_ndlog.Tuple.arg reply 1) in
+      let url = Dpc_ndlog.Value.For_testing.str_exn (Dpc_ndlog.Tuple.arg reply 1) in
       Hashtbl.replace by_url url (1 + Option.value ~default:0 (Hashtbl.find_opt by_url url)))
     (Dns_workload.replies t);
   let counts = Hashtbl.fold (fun _ c acc -> c :: acc) by_url [] |> List.sort compare |> List.rev in

@@ -125,6 +125,22 @@ let test_flood_schemes_agree () =
       check (Alcotest.list tree_t) (Backend.scheme_name scheme) reference (trees scheme))
     [ Backend.S_basic; Backend.S_advanced; Backend.S_advanced_interclass ]
 
+(* Both derivations of one route candidate in one digraph: the r2
+   execution at node 3 and the tuples the paths share are drawn once. *)
+let test_dot_flood_forest () =
+  let _, backend, routing = flood_world Backend.S_advanced in
+  let cand = Dpc_apps.Flood_routing.route_cand ~at:3 ~dst:0 ~cost:2 in
+  let trees = (Backend.query backend ~cost:Dpc_testkit.Query_kit.free ~routing cand).trees in
+  check Alcotest.int "two derivations" 2 (List.length trees);
+  let dot = Prov_dot.forest_to_dot trees in
+  let alone = Prov_dot.forest_to_dot [ List.hd trees ] in
+  check Alcotest.int "one node for the queried tuple" 1
+    (count_occurrences dot ("label=\"" ^ Tuple.to_string cand ^ "\""));
+  check Alcotest.int "rule nodes of one path" 3 (count_occurrences alone "shape=ellipse");
+  check Alcotest.int "rule nodes of both paths" 5 (count_occurrences dot "shape=ellipse");
+  check Alcotest.int "tuple nodes of one path" 6 (count_occurrences alone "shape=box");
+  check Alcotest.int "tuple nodes of both paths" 9 (count_occurrences dot "shape=box")
+
 let () =
   Alcotest.run "dpc_extensions"
     [
@@ -142,4 +158,10 @@ let () =
           Alcotest.test_case "two-path derivations" `Quick test_flood_two_path_derivations;
           Alcotest.test_case "schemes agree" `Quick test_flood_schemes_agree;
         ] );
+      (* Alcotest cuts case names to fit 80 columns, leaving less room the
+         longer the longest suite name is. At 34 characters this name keeps
+         the room the file's cases have always printed in, so their printed
+         names stay as they were. *)
+      ( "dot export of flood-routing forest",
+        [ Alcotest.test_case "two paths merge" `Quick test_dot_flood_forest ] );
     ]
